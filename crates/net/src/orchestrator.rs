@@ -2,7 +2,9 @@
 //!
 //! The orchestrator is the hub of the star topology. It drives the
 //! versioned handshake (welcome → shard manifests → acks → start), seals
-//! model inputs onto stage 0's host edge, relays worker↔worker data
+//! model inputs onto stage 0's host edge — at most
+//! [`INGRESS_WINDOW`] sessions in flight at once, the next input admitted
+//! as an output arrives — relays worker↔worker data
 //! frames *without being able to read them* (edge keys are end-to-end),
 //! opens the last stage's outputs on the egress host edge, and sequences
 //! the drain/report/shutdown at the end of a run.
@@ -23,14 +25,16 @@
 
 use crate::error::{NetError, NetResult};
 use crate::link::{
-    empty_slot, install_sender, open_data, role_at, seal_and_send, send_on, EdgeCrypto, LinkTx,
+    empty_slot, install_sender, open_data, role_at, send_on, EdgeCrypto, LinkSender, LinkTx,
     RxOutcome, SenderSlot, WireEdge,
 };
 use crate::proto::{
     CounterReport, DataAck, DataFrame, EdgeCounterEntry, Msg, RekeyEdge, ShardManifest, Welcome,
-    ACCEPT_POLL, DIAL_RETRY, HOST_NODE, OP_TIMEOUT, POLL_INTERVAL, QUIET_WINDOW, RESEND_AFTER,
+    ACCEPT_POLL, DIAL_RETRY, HOST_NODE, INGRESS_WINDOW, OP_TIMEOUT, POLL_INTERVAL, QUIET_WINDOW,
+    RESEND_AFTER,
 };
 use crate::pump::{Pump, PumpEvent};
+use crate::supervisor::AdmissionQueue;
 use crate::transport::{
     duplex_pair, DuplexActive, DuplexPassive, Reattach, TcpAcceptSlot, TcpDial, TcpTransport,
     Transport,
@@ -39,7 +43,7 @@ use crate::worker::{run_worker, wire_retry_policy, WorkerConfig, WorkerLinks};
 use pipellm::partition::{apply_stage, iteration_input, stage_weight_hash, StagePartition};
 use pipellm_chaos::{ChaosInjector, FaultPlan, RetryPolicy};
 use pipellm_crypto::session::derive_subseed;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -221,6 +225,10 @@ pub struct NetReport {
     pub reconnects: u64,
     /// Edge epoch bumps the orchestrator coordinated.
     pub rekeys: u64,
+    /// High-water mark of the host's ingress in-flight set (frames sealed
+    /// onto stage 0's edge and not yet acknowledged); never above the
+    /// admission window.
+    pub peak_in_flight: usize,
     /// Whether the end-of-run lockstep audit passed (a failed audit is
     /// returned as [`NetError::Lockstep`], so a report always says true —
     /// the field exists for serialized artifacts).
@@ -262,7 +270,11 @@ pub(crate) struct Orchestrator {
     pub(crate) control_slots: Vec<SenderSlot>,
     pub(crate) data_slots: Vec<SenderSlot>,
     pub(crate) ingress_tx: LinkTx,
+    /// Sessions injected at ingress whose output has not arrived yet —
+    /// at most the admission window of them.
+    pub(crate) outstanding: BTreeSet<(u32, u32)>,
     pub(crate) outputs: BTreeMap<(u32, u32), Vec<u8>>,
+    pub(crate) peak_in_flight: usize,
     pub(crate) chaos: Option<Arc<ChaosInjector>>,
     pub(crate) relayed: u64,
     pub(crate) retransmits: u64,
@@ -299,7 +311,9 @@ impl Orchestrator {
             control_slots,
             data_slots,
             ingress_tx: LinkTx::default(),
+            outstanding: BTreeSet::new(),
             outputs: BTreeMap::new(),
+            peak_in_flight: 0,
             relayed: 0,
             retransmits: 0,
             sentinels: 0,
@@ -324,36 +338,47 @@ impl Orchestrator {
         )
     }
 
-    /// Seals and sends one pending ingress frame to stage 0.
-    pub(crate) fn send_ingress(&mut self, seq: u64) -> NetResult<()> {
+    /// The ingress in-flight set and, borrowed beside it, the sending end
+    /// of stage 0's host edge.
+    fn ingress_link(&mut self) -> NetResult<(&mut LinkTx, LinkSender<'_>)> {
         let edge = self.ingress_edge();
         let crypto = self.edges.get_mut(&edge).ok_or(NetError::Protocol {
             detail: "ingress edge missing".to_string(),
         })?;
-        let Some(pending) = self.ingress_tx.get_mut(seq) else {
-            return Ok(());
-        };
-        seal_and_send(
+        let sender = LinkSender {
             crypto,
-            HOST_NODE,
-            0,
-            pending,
-            self.chaos.as_ref(),
-            &self.spec.policy,
-            &self.data_slots[0],
-            "data-0",
-        )?;
+            src: HOST_NODE,
+            dst: 0,
+            chaos: self.chaos.as_ref(),
+            policy: &self.spec.policy,
+            slot: &self.data_slots[0],
+            link: "data-0",
+        };
+        Ok((&mut self.ingress_tx, sender))
+    }
+
+    /// Generates the input of one session, seals it onto stage 0's host
+    /// edge, and tracks the session until its output arrives.
+    pub(crate) fn inject(&mut self, iteration: u32, micro_batch: u32) -> NetResult<()> {
+        let input = iteration_input(
+            self.spec.seed,
+            iteration as usize,
+            micro_batch as usize,
+            self.spec.activation_bytes,
+        );
+        self.outstanding.insert((iteration, micro_batch));
+        let (tx, mut link) = self.ingress_link()?;
+        link.send(tx.push(Instant::now(), iteration, micro_batch, input))?;
+        self.peak_in_flight = self.peak_in_flight.max(self.ingress_tx.in_flight());
         Ok(())
     }
 
     /// Level-triggered ingress retransmit, mirroring the workers' sweep:
     /// any ingress frame unacknowledged past the threshold is resealed at
     /// a fresh IV, recovering losses no NACK or rekey cycle reports.
-    pub(crate) fn sweep(&mut self, threshold: Duration) -> NetResult<()> {
-        for seq in self.ingress_tx.stale(threshold) {
-            self.retransmits += 1;
-            self.send_ingress(seq)?;
-        }
+    pub(crate) fn sweep(&mut self, now: Instant, threshold: Duration) -> NetResult<()> {
+        let (tx, mut link) = self.ingress_link()?;
+        self.retransmits += tx.sweep(now, threshold, |p| link.send(p).map(drop))?;
         Ok(())
     }
 
@@ -385,9 +410,9 @@ impl Orchestrator {
                             seq: frame.seq,
                         }),
                     )?;
-                    self.outputs
-                        .entry((frame.iteration, frame.micro_batch))
-                        .or_insert(bytes);
+                    let key = (frame.iteration, frame.micro_batch);
+                    self.outstanding.remove(&key);
+                    self.outputs.entry(key).or_insert(bytes);
                 }
                 RxOutcome::Sentinel => {
                     self.sentinels += 1;
@@ -426,9 +451,10 @@ impl Orchestrator {
     pub(crate) fn handle_ack(&mut self, ack: DataAck, negative: bool) -> NetResult<()> {
         if ack.src == HOST_NODE {
             if negative {
-                if self.ingress_tx.get_mut(ack.seq).is_some() {
+                let (tx, mut link) = self.ingress_link()?;
+                if let Some(pending) = tx.get_mut(ack.seq) {
+                    link.send(pending)?;
                     self.retransmits += 1;
-                    self.send_ingress(ack.seq)?;
                 }
             } else {
                 self.ingress_tx.ack(ack.seq);
@@ -488,11 +514,12 @@ impl Orchestrator {
                 }
             }
             if edge == self.ingress_edge() {
-                let seqs: Vec<u64> = self.ingress_tx.pending_mut().map(|p| p.seq).collect();
-                for seq in seqs {
-                    self.retransmits += 1;
-                    self.send_ingress(seq)?;
-                }
+                // Everything unacked was sealed under retired keys; resend
+                // oldest first at the new epoch's fresh IVs.
+                let (tx, mut link) = self.ingress_link()?;
+                let resent = tx.in_flight() as u64;
+                tx.pending_mut().try_for_each(|p| link.send(p).map(drop))?;
+                self.retransmits += resent;
             }
         }
         Ok(())
@@ -758,29 +785,32 @@ pub fn run_orchestrator(
         orch.control_send(stage, &Msg::Start)?;
     }
 
-    // --- Serve: seal every iteration input, collect every output --------
+    // --- Serve: admit inputs through the ingress window, collect every
+    // output; a completed session frees the slot the next input takes ----
+    let total = (spec.iterations * spec.micro_batches) as usize;
+    let mut admission = AdmissionQueue::new(INGRESS_WINDOW, None);
+    let mut last_activity = Instant::now();
     for iteration in 0..spec.iterations {
         for micro_batch in 0..spec.micro_batches {
-            let input = iteration_input(
-                spec.seed,
-                iteration as usize,
-                micro_batch as usize,
-                spec.activation_bytes,
-            );
-            let seq = orch.ingress_tx.push(iteration, micro_batch, input);
-            orch.send_ingress(seq)?;
+            admission.enqueue((iteration, micro_batch), last_activity);
         }
     }
-    let total = (spec.iterations * spec.micro_batches) as usize;
-    let mut last_activity = Instant::now();
-    while orch.outputs.len() < total || orch.ingress_tx.in_flight() > 0 {
-        if last_activity.elapsed() > spec.op_timeout {
+    let mut completed = 0usize;
+    loop {
+        let now = Instant::now();
+        for (iteration, micro_batch) in admission.admit(now) {
+            orch.inject(iteration, micro_batch)?;
+        }
+        if orch.outputs.len() == total && orch.ingress_tx.in_flight() == 0 {
+            break;
+        }
+        if now.saturating_duration_since(last_activity) > spec.op_timeout {
             return Err(NetError::Timeout {
                 op: "serve",
                 waited: spec.op_timeout,
             });
         }
-        orch.sweep(spec.resend_after)?;
+        orch.sweep(now, spec.resend_after)?;
         let Some((tag, event)) = next_event(&events, spec.poll)? else {
             continue;
         };
@@ -789,6 +819,10 @@ pub fn run_orchestrator(
             return Err(NetError::Protocol {
                 detail: format!("stage {} reported Done before Finish", report.stage),
             });
+        }
+        while completed < orch.outputs.len() {
+            completed += 1;
+            admission.complete();
         }
     }
 
@@ -885,6 +919,7 @@ pub fn run_orchestrator(
         sentinels,
         reconnects,
         rekeys: orch.rekeys,
+        peak_in_flight: orch.peak_in_flight,
         lockstep_ok: true,
     })
 }
@@ -1206,6 +1241,26 @@ mod tests {
         let report = run_duplex(&spec).unwrap();
         assert_eq!(report.outputs, spec.expected_outputs());
         assert_eq!(report.relayed_frames, 0);
+    }
+
+    #[test]
+    fn ingress_never_exceeds_the_window() {
+        let spec = NetPipelineSpec {
+            stages: 2,
+            layers: 2,
+            iterations: 1,
+            micro_batches: 8 * INGRESS_WINDOW as u32,
+            activation_bytes: 64,
+            ..small_spec()
+        };
+        let report = run_duplex(&spec).unwrap();
+        assert_eq!(report.outputs, spec.expected_outputs());
+        assert!(report.lockstep_ok);
+        assert!(
+            (1..=INGRESS_WINDOW).contains(&report.peak_in_flight),
+            "peak in flight {}",
+            report.peak_in_flight
+        );
     }
 
     #[test]

@@ -98,6 +98,18 @@ pub const DIAL_RETRY: Duration = Duration::from_millis(5);
 /// Sleep between polls of a nonblocking accept loop.
 pub const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
+/// Sessions the orchestrator keeps in flight at once: an input is sealed
+/// onto ingress only when fewer than this many admitted sessions still
+/// lack their output. It bounds every link's in-flight set and the
+/// plaintext held for retransmission, and keeps a resend sweep from
+/// retransmitting frames that are merely queued behind others.
+///
+/// A constant, not a [`NetTuning`] field: a 2-to-4-stage pipeline holds a
+/// handful of sessions per stage, so this is several times deeper than
+/// what keeps every stage busy, and nothing running today wants another
+/// value (the supervised benchmark workloads already ask for 32).
+pub const INGRESS_WINDOW: usize = 32;
+
 /// Every configurable timing knob of the networked deployment.
 ///
 /// Defaults come from the module constants above; [`NetTuning::from_env`]

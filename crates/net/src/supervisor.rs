@@ -39,15 +39,16 @@ use crate::orchestrator::{
     audit_lockstep, dial_worker_links, digest_outputs, next_event, NetPipelineSpec, NetReport,
     Orchestrator,
 };
-use crate::proto::{CheckpointReq, CounterReport, Msg, NetTuning, Restore, Welcome, POLL_INTERVAL};
+use crate::proto::{
+    CheckpointReq, CounterReport, Msg, NetTuning, Restore, Welcome, INGRESS_WINDOW, POLL_INTERVAL,
+};
 use crate::pump::{Pump, PumpEvent};
 use crate::transport::{
     duplex_handle, duplex_pair, DuplexActive, DuplexCore, DuplexPassive, Reattach, TcpAcceptSlot,
     TcpTransport, Transport,
 };
 use crate::worker::{run_worker, WorkerConfig, WorkerLinks};
-use pipellm::partition::iteration_input;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -95,7 +96,8 @@ pub struct SupervisedOptions {
     /// Timing tuning (heartbeat interval, suspicion/death deadlines,
     /// checkpoint cadence); env-overridable via [`NetTuning::from_env`].
     pub tuning: NetTuning,
-    /// Max sessions in flight at once; `None` admits everything at once.
+    /// Max sessions in flight at once; `None` is the deployment's
+    /// [`INGRESS_WINDOW`].
     pub admission_window: Option<usize>,
     /// Queue-age deadline past which a not-yet-admitted session is shed;
     /// `None` never sheds on age.
@@ -319,7 +321,8 @@ impl AdmissionQueue {
         }
     }
 
-    /// Queues one session key, stamped with its arrival time.
+    /// Queues one session key, stamped with its arrival time. Sessions
+    /// are admitted — and checked against the deadline — in queue order.
     pub fn enqueue(&mut self, key: (u32, u32), now: Instant) {
         if self.draining {
             self.shed.push(key);
@@ -328,29 +331,29 @@ impl AdmissionQueue {
         self.pending.push_back((key, now));
     }
 
-    /// Admits up to the window, shedding expired (or drained) sessions
-    /// first. Returns the keys admitted this tick.
+    /// Admits up to the window, shedding drained sessions and every
+    /// expired session that reaches the head of the queue (so none is
+    /// admitted late). Returns the keys admitted this tick. The work is
+    /// per session admitted or shed, never per session queued.
     pub fn admit(&mut self, now: Instant) -> Vec<(u32, u32)> {
         if self.draining {
             self.shed.extend(self.pending.drain(..).map(|(k, _)| k));
-        } else if let Some(deadline) = self.deadline {
-            let mut keep = VecDeque::with_capacity(self.pending.len());
-            for (key, enqueued) in self.pending.drain(..) {
-                if now.saturating_duration_since(enqueued) > deadline {
-                    self.shed.push(key);
-                } else {
-                    keep.push_back((key, enqueued));
-                }
-            }
-            self.pending = keep;
         }
         let mut admitted = Vec::new();
-        while self.in_flight < self.window {
-            let Some((key, _)) = self.pending.pop_front() else {
+        while let Some(&(key, enqueued)) = self.pending.front() {
+            let expired = self
+                .deadline
+                .is_some_and(|deadline| now.saturating_duration_since(enqueued) > deadline);
+            if !expired && self.in_flight >= self.window {
                 break;
-            };
-            self.in_flight += 1;
-            admitted.push(key);
+            }
+            self.pending.pop_front();
+            if expired {
+                self.shed.push(key);
+            } else {
+                self.in_flight += 1;
+                admitted.push(key);
+            }
         }
         if !self.pending.is_empty() {
             self.backpressure_events += 1;
@@ -604,12 +607,12 @@ impl Supervision {
     /// Completes the failover of any stage whose readmission steps all
     /// landed: start it, force-rekey every adjacent edge (fresh epoch,
     /// IVs back to 1 — nothing the dead incarnation burned is reused),
-    /// and re-inject every admitted session whose output is missing.
+    /// and re-inject every outstanding session no longer being driven at
+    /// ingress.
     fn restart_ready(
         &mut self,
         orch: &mut Orchestrator,
         spec: &NetPipelineSpec,
-        admitted: &BTreeSet<(u32, u32)>,
         now: Instant,
     ) -> NetResult<()> {
         for stage in 0..spec.stages {
@@ -618,21 +621,16 @@ impl Supervision {
             }
             control_send_lossy(orch, stage, &Msg::Start)?;
             orch.rekey_adjacent(stage)?;
-            for &(iteration, micro_batch) in admitted {
-                if orch.outputs.contains_key(&(iteration, micro_batch)) {
-                    continue;
-                }
-                if orch.ingress_tx.has_payload(iteration, micro_batch) {
-                    continue; // already being re-driven at ingress
-                }
-                let input = iteration_input(
-                    spec.seed,
-                    iteration as usize,
-                    micro_batch as usize,
-                    spec.activation_bytes,
-                );
-                let seq = orch.ingress_tx.push(iteration, micro_batch, input);
-                orch.send_ingress(seq)?;
+            let lost: Vec<(u32, u32)> = orch
+                .outstanding
+                .iter()
+                .copied()
+                .filter(|&(iteration, micro_batch)| {
+                    !orch.ingress_tx.has_payload(iteration, micro_batch)
+                })
+                .collect();
+            for (iteration, micro_batch) in lost {
+                orch.inject(iteration, micro_batch)?;
             }
             self.supervisor.complete_failover(stage, now);
             self.failing[stage as usize] = false;
@@ -782,9 +780,8 @@ fn drive_supervised(
     }
 
     // --- Serve under admission control and supervision -------------------
-    let total = (spec.iterations * spec.micro_batches) as usize;
     let mut admission = AdmissionQueue::new(
-        options.admission_window.unwrap_or(total),
+        options.admission_window.unwrap_or(INGRESS_WINDOW),
         options.admission_deadline,
     );
     let now = Instant::now();
@@ -793,42 +790,34 @@ fn drive_supervised(
             admission.enqueue((iteration, micro_batch), now);
         }
     }
-    let mut admitted: BTreeSet<(u32, u32)> = BTreeSet::new();
     let mut completed_count = 0usize;
+    // Length of the contiguous committed prefix of outputs, in global
+    // order; it only ever advances.
+    let mut prefix = 0u64;
     let mut barriers_done = 0u64;
     let checkpoint_every = u64::from(options.tuning.checkpoint_every.max(1));
     let mut last_activity = Instant::now();
     loop {
         let now = Instant::now();
         for (iteration, micro_batch) in admission.admit(now) {
-            if admitted.insert((iteration, micro_batch)) {
-                let input = iteration_input(
-                    spec.seed,
-                    iteration as usize,
-                    micro_batch as usize,
-                    spec.activation_bytes,
-                );
-                let seq = orch.ingress_tx.push(iteration, micro_batch, input);
-                orch.send_ingress(seq)?;
-            }
+            orch.inject(iteration, micro_batch)?;
         }
 
-        let served = admitted.iter().all(|key| orch.outputs.contains_key(key));
         if admission.idle()
-            && served
+            && orch.outstanding.is_empty()
             && orch.ingress_tx.in_flight() == 0
             && sup.supervisor.all_healthy()
         {
             break;
         }
-        if last_activity.elapsed() > spec.op_timeout {
+        if now.saturating_duration_since(last_activity) > spec.op_timeout {
             return Err(NetError::Timeout {
                 op: "serve",
                 waited: spec.op_timeout,
             });
         }
 
-        orch.sweep(spec.resend_after)?;
+        orch.sweep(now, spec.resend_after)?;
         if let Some((tag, event)) = next_event(&events, spec.poll)? {
             last_activity = Instant::now();
             if let Some(report) = sup.handle(&mut orch, spec, tag, event, last_activity)? {
@@ -844,7 +833,7 @@ fn drive_supervised(
         for stage in ticked.dead {
             sup.fail_over(&orch, stage, now)?;
         }
-        sup.restart_ready(&mut orch, spec, &admitted, now)?;
+        sup.restart_ready(&mut orch, spec, now)?;
 
         // Completions free admission slots (and may flip on drain mode).
         while completed_count < orch.outputs.len() {
@@ -860,8 +849,9 @@ fn drive_supervised(
 
         // Checkpoint barriers ride the contiguous committed prefix: every
         // `checkpoint_every` outputs, each worker seals its state and
-        // ships it up; retained outputs below the prefix are GC'd.
-        let mut prefix = 0u64;
+        // ships it up; retained outputs below the prefix are GC'd. A stage
+        // mid-failover is skipped: its replacement is handed the stored
+        // checkpoint, and the next barrier reaches it once it serves.
         while orch.outputs.contains_key(&(
             (prefix / u64::from(spec.micro_batches)) as u32,
             (prefix % u64::from(spec.micro_batches)) as u32,
@@ -875,7 +865,7 @@ fn drive_supervised(
                 barrier: barriers_done,
                 prefix,
             });
-            for stage in 0..spec.stages {
+            for stage in (0..spec.stages).filter(|&s| !sup.failing[s as usize]) {
                 control_send_lossy(&orch, stage, &req)?;
             }
         }
@@ -946,13 +936,8 @@ fn drive_supervised(
     }
 
     // --- Assemble the report: completed sessions in global order ---------
-    let completed: Vec<(u32, u32)> = orch.outputs.keys().copied().collect();
-    let mut outputs = Vec::with_capacity(completed.len());
-    for key in &completed {
-        if let Some(bytes) = orch.outputs.get(key) {
-            outputs.push(bytes.clone());
-        }
-    }
+    let (completed, outputs): (Vec<(u32, u32)>, Vec<Vec<u8>>) =
+        std::mem::take(&mut orch.outputs).into_iter().unzip();
     let output_digest = digest_outputs(&outputs);
     let retransmits = orch.retransmits + worker_reports.iter().map(|r| r.retransmits).sum::<u64>();
     let sentinels = orch.sentinels + worker_reports.iter().map(|r| r.sentinels).sum::<u64>();
@@ -972,6 +957,7 @@ fn drive_supervised(
         sentinels,
         reconnects,
         rekeys: orch.rekeys,
+        peak_in_flight: orch.peak_in_flight,
         lockstep_ok: true,
     };
     Ok(SupervisedReport {
@@ -1489,6 +1475,22 @@ mod tests {
         q.complete();
         assert_eq!(q.admit(base + Duration::from_millis(1)).len(), 0);
         assert_eq!(q.shed(), &[(0, 2), (0, 3)]);
+    }
+
+    #[test]
+    fn expired_sessions_are_shed_while_the_window_is_full() {
+        let base = Instant::now();
+        let mut q = AdmissionQueue::new(1, Some(Duration::from_millis(5)));
+        q.enqueue((0, 0), base);
+        q.enqueue((0, 1), base);
+        q.enqueue((0, 2), base + Duration::from_millis(8));
+        assert_eq!(q.admit(base), vec![(0, 0)]);
+        // The window is still full; the expired head goes, the session
+        // behind it is young enough to keep waiting.
+        assert_eq!(q.admit(base + Duration::from_millis(10)), vec![]);
+        assert_eq!(q.shed(), &[(0, 1)]);
+        q.complete();
+        assert_eq!(q.admit(base + Duration::from_millis(10)), vec![(0, 2)]);
     }
 
     #[test]

@@ -123,6 +123,7 @@ impl Transport for TcpTransport {
                 stream: read_half,
                 label: self.label,
                 pending: Vec::new(),
+                read_timeout: None,
             }),
         ))
     }
@@ -159,6 +160,9 @@ struct TcpReceiver {
     label: String,
     /// Partial frame bytes carried across timed-out reads.
     pending: Vec<u8>,
+    /// The read timeout this receiver last set on the socket; `None`
+    /// until its first `recv_frame`.
+    read_timeout: Option<Duration>,
 }
 
 impl TcpReceiver {
@@ -202,23 +206,32 @@ impl TcpReceiver {
 }
 
 impl FrameReceiver for TcpReceiver {
+    /// Waits up to `timeout` for a frame to complete. Each socket read
+    /// blocks for at most `timeout`, so a call whose last read began just
+    /// before the deadline returns within twice that — the deadline is a
+    /// poll granularity, not a hard bound. A pump passes the same value
+    /// on every call, so the socket option is set once per connection.
     fn recv_frame(&mut self, timeout: Duration) -> NetResult<Vec<u8>> {
         let deadline = Instant::now() + timeout;
+        // A zero read timeout is rejected by the OS; such a call only
+        // drains what is already buffered in `pending`.
+        if self.read_timeout != Some(timeout) && !timeout.is_zero() {
+            self.stream
+                .set_read_timeout(Some(timeout))
+                .map_err(|e| NetError::io("set_read_timeout", &e))?;
+            self.read_timeout = Some(timeout);
+        }
         let mut chunk = [0u8; 16 * 1024];
         loop {
             if let Some(frame) = self.try_parse()? {
                 return Ok(frame);
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if Instant::now() >= deadline {
                 return Err(NetError::Timeout {
                     op: "recv_frame",
                     waited: timeout,
                 });
             }
-            self.stream
-                .set_read_timeout(Some(deadline - now))
-                .map_err(|e| NetError::io("set_read_timeout", &e))?;
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     return Err(NetError::ConnectionLost {

@@ -29,7 +29,7 @@
 use crate::checkpoint::{global_index, open_checkpoint, seal_checkpoint, CheckpointState};
 use crate::error::{NetError, NetResult};
 use crate::link::{
-    empty_slot, install_sender, kill_slot, open_data, role_at, seal_and_send, send_on, EdgeCrypto,
+    empty_slot, install_sender, kill_slot, open_data, role_at, send_on, EdgeCrypto, LinkSender,
     LinkTx, RxOutcome, SenderSlot, WireEdge,
 };
 use crate::proto::{
@@ -295,17 +295,17 @@ impl Worker {
         }))
     }
 
-    /// Sends a heartbeat if the interval elapsed. Sequence numbers are
-    /// monotone within this incarnation.
-    fn maybe_heartbeat(&mut self, interval: Option<Duration>) -> NetResult<()> {
+    /// Sends a heartbeat if the interval elapsed as of `now`. Sequence
+    /// numbers are monotone within this incarnation.
+    fn maybe_heartbeat(&mut self, now: Instant, interval: Option<Duration>) -> NetResult<()> {
         let Some(interval) = interval else {
             return Ok(());
         };
-        if self.last_heartbeat.elapsed() < interval {
+        if now.saturating_duration_since(self.last_heartbeat) < interval {
             return Ok(());
         }
         self.heartbeat_seq += 1;
-        self.last_heartbeat = Instant::now();
+        self.last_heartbeat = now;
         self.control_send(&Msg::Heartbeat(Heartbeat {
             stage: self.stage,
             generation: self.generation,
@@ -317,28 +317,32 @@ impl Worker {
         send_on(&self.control_slot, &msg.encode()?, "control")
     }
 
-    /// Seals and sends one pending out-frame; link-down and injected-drop
-    /// outcomes are absorbed (the rekey cycle retransmits later).
-    fn send_pending(&mut self, seq: u64) -> NetResult<()> {
+    /// The out-edge in-flight set and, borrowed beside it, the edge's
+    /// sending end. Link-down and injected-drop send outcomes are absorbed
+    /// by every caller (the rekey cycle retransmits later).
+    fn out_link(&mut self) -> NetResult<(&mut LinkTx, LinkSender<'_>)> {
         let crypto = self
             .edges
             .get_mut(&self.out_edge)
             .ok_or(NetError::Protocol {
                 detail: "out edge missing".to_string(),
             })?;
-        let Some(pending) = self.out_tx.get_mut(seq) else {
-            return Ok(()); // acked in the meantime; nothing to resend
-        };
-        seal_and_send(
+        let sender = LinkSender {
             crypto,
-            self.stage,
-            self.out_peer,
-            pending,
-            self.chaos.as_ref(),
-            &self.policy,
-            &self.data_slot,
-            "data",
-        )?;
+            src: self.stage,
+            dst: self.out_peer,
+            chaos: self.chaos.as_ref(),
+            policy: &self.policy,
+            slot: &self.data_slot,
+            link: "data",
+        };
+        Ok((&mut self.out_tx, sender))
+    }
+
+    /// Queues one output on the out edge and makes its first transmission.
+    fn forward(&mut self, key: (u32, u32), output: Vec<u8>) -> NetResult<()> {
+        let (tx, mut link) = self.out_link()?;
+        link.send(tx.push(Instant::now(), key.0, key.1, output))?;
         Ok(())
     }
 
@@ -369,8 +373,7 @@ impl Worker {
                 if self.processed.insert(key) {
                     apply_stage(self.layers.clone(), &mut bytes);
                     self.retained.insert(key, bytes.clone());
-                    let seq = self.out_tx.push(frame.iteration, frame.micro_batch, bytes);
-                    self.send_pending(seq)?;
+                    self.forward(key, bytes)?;
                 } else if !self.out_tx.has_payload(key.0, key.1) {
                     // A duplicate with nothing in flight means someone
                     // downstream lost our output (a failed-over stage
@@ -378,10 +381,9 @@ impl Worker {
                     // if the barrier already garbage-collected it, the
                     // output is committed at the orchestrator and the ack
                     // alone settles the retransmit.
-                    if let Some(out) = self.retained.get(&key) {
+                    if let Some(out) = self.retained.get(&key).cloned() {
                         self.retransmits += 1;
-                        let seq = self.out_tx.push(key.0, key.1, out.clone());
-                        self.send_pending(seq)?;
+                        self.forward(key, out)?;
                     }
                 }
             }
@@ -405,11 +407,9 @@ impl Worker {
     /// empty sender slot mid-reattach. Any IV burned into a down link is
     /// erased by the rekey that link's restoration triggers, so sweeping
     /// never breaks final-epoch lockstep.
-    fn sweep(&mut self, threshold: Duration) -> NetResult<()> {
-        for seq in self.out_tx.stale(threshold) {
-            self.retransmits += 1;
-            self.send_pending(seq)?;
-        }
+    fn sweep(&mut self, now: Instant, threshold: Duration) -> NetResult<()> {
+        let (tx, mut link) = self.out_link()?;
+        self.retransmits += tx.sweep(now, threshold, |p| link.send(p).map(drop))?;
         Ok(())
     }
 
@@ -421,11 +421,10 @@ impl Worker {
         if edge == self.out_edge {
             // Everything unacked was sealed under retired keys; resend in
             // original order at the new epoch's fresh IVs.
-            let seqs: Vec<u64> = self.out_tx.pending_mut().map(|p| p.seq).collect();
-            for seq in seqs {
-                self.retransmits += 1;
-                self.send_pending(seq)?;
-            }
+            let (tx, mut link) = self.out_link()?;
+            let resent = tx.in_flight() as u64;
+            tx.pending_mut().try_for_each(|p| link.send(p).map(drop))?;
+            self.retransmits += resent;
         }
         Ok(())
     }
@@ -446,9 +445,12 @@ impl Worker {
                     Ok(None)
                 }
                 Msg::NackData(ack) => {
-                    if ack.src == self.stage && self.out_tx.get_mut(ack.seq).is_some() {
-                        self.retransmits += 1;
-                        self.send_pending(ack.seq)?;
+                    if ack.src == self.stage {
+                        let (tx, mut link) = self.out_link()?;
+                        if let Some(pending) = tx.get_mut(ack.seq) {
+                            link.send(pending)?;
+                            self.retransmits += 1;
+                        }
                     }
                     Ok(None)
                 }
@@ -581,8 +583,12 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
     let mut manifest: Option<ShardManifest> = None;
     let mut restore: Option<Restore> = None;
     // The control and data pumps feed one queue with no cross-link
-    // ordering: the first sealed frame can overtake Start. Defer data-plane
-    // traffic seen mid-handshake and replay it once serving begins.
+    // ordering: the first sealed frame can overtake Start, and a
+    // replacement incarnation is attached while the deployment around it
+    // keeps serving. Defer serve-phase traffic seen mid-handshake and
+    // replay it once serving begins — after the restore, so a checkpoint
+    // barrier the restored state already covers is the no-op it would be
+    // while serving.
     let mut deferred: Vec<(u32, PumpEvent)> = Vec::new();
     loop {
         if Instant::now() > deadline {
@@ -595,7 +601,11 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
             continue;
         };
         if let PumpEvent::Frame(
-            msg @ (Msg::Data(_) | Msg::AckData(_) | Msg::NackData(_) | Msg::RekeyEdge(_)),
+            msg @ (Msg::Data(_)
+            | Msg::AckData(_)
+            | Msg::NackData(_)
+            | Msg::RekeyEdge(_)
+            | Msg::CheckpointReq(_)),
         ) = event
         {
             deferred.push((tag, PumpEvent::Frame(msg)));
@@ -673,14 +683,15 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
     // --- Serve until Finish ---------------------------------------------
     let mut last_activity = Instant::now();
     loop {
-        if last_activity.elapsed() > config.op_timeout {
+        let now = Instant::now();
+        if now.saturating_duration_since(last_activity) > config.op_timeout {
             return Err(NetError::Timeout {
                 op: "serve",
                 waited: config.op_timeout,
             });
         }
-        worker.maybe_heartbeat(config.heartbeat)?;
-        worker.sweep(config.resend_after)?;
+        worker.maybe_heartbeat(now, config.heartbeat)?;
+        worker.sweep(now, config.resend_after)?;
         let Some((tag, event)) = next_event(&events, config.poll)? else {
             continue;
         };
@@ -740,17 +751,20 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
     let drain_deadline = Instant::now() + config.op_timeout;
     let mut last_event = Instant::now();
     loop {
-        if worker.out_tx.in_flight() == 0 && last_event.elapsed() >= config.quiet {
+        let now = Instant::now();
+        if worker.out_tx.in_flight() == 0
+            && now.saturating_duration_since(last_event) >= config.quiet
+        {
             break;
         }
-        if Instant::now() > drain_deadline {
+        if now > drain_deadline {
             return Err(NetError::Timeout {
                 op: "drain",
                 waited: config.op_timeout,
             });
         }
-        worker.maybe_heartbeat(config.heartbeat)?;
-        worker.sweep(config.resend_after)?;
+        worker.maybe_heartbeat(now, config.heartbeat)?;
+        worker.sweep(now, config.resend_after)?;
         if let Some((tag, event)) = next_event(&events, config.poll)? {
             // Heartbeat acks are liveness beacons, not data-plane traffic:
             // counting them as activity would keep the quiet window from
@@ -832,83 +846,139 @@ mod tests {
         assert_eq!(role_at(w.out_edge, 1), Role::ChannelHost);
     }
 
-    #[test]
-    fn single_stage_worker_serves_a_scripted_orchestrator() {
-        const SEED: u64 = 0x77;
-        const LEN: usize = 64;
-        let (ctl_orch, ctl_worker, _) = duplex_pair("ctl");
-        let (data_orch, data_worker, _) = duplex_pair("data");
+    const SEED: u64 = 0x77;
+    const LEN: usize = 64;
 
-        let handle = std::thread::spawn(move || {
-            let mut config = WorkerConfig::new(0);
-            // The scripted peer acks at its own pace; a sweep retransmit
-            // would skew the exact IV counters this test asserts, and an
-            // interleaved heartbeat would break the exact control script.
-            config.resend_after = Duration::from_secs(120);
-            config.heartbeat = None;
-            run_worker(
-                WorkerLinks {
-                    control: Box::new(ctl_worker),
-                    data: Box::new(data_worker),
-                    data_reattach: None,
-                },
-                config,
-            )
-        });
+    /// The orchestrator's end of a one-stage deployment, driven by hand.
+    struct Scripted {
+        worker: std::thread::JoinHandle<NetResult<CounterReport>>,
+        ctl_tx: Box<dyn crate::transport::FrameSender>,
+        ctl_rx: Box<dyn crate::transport::FrameReceiver>,
+        data_tx: Box<dyn crate::transport::FrameSender>,
+        data_rx: Box<dyn crate::transport::FrameReceiver>,
+    }
 
-        // Generous: a starved single-core runner can stall the worker
-        // thread for seconds while other tests hold the CPU.
-        let poll = Duration::from_secs(60);
-        let (mut ctl_tx, mut ctl_rx) = Box::new(ctl_orch).split().unwrap();
-        let (mut data_tx, mut data_rx) = Box::new(data_orch).split().unwrap();
-        let recv_ctl = |rx: &mut Box<dyn crate::transport::FrameReceiver>, step: &str| {
+    impl Scripted {
+        /// Starts a stage-0 worker on duplex links and takes its greetings.
+        fn start() -> Self {
+            let (ctl_orch, ctl_worker, _) = duplex_pair("ctl");
+            let (data_orch, data_worker, _) = duplex_pair("data");
+            let worker = std::thread::spawn(move || {
+                let mut config = WorkerConfig::new(0);
+                // The scripted peer acks at its own pace; a sweep retransmit
+                // would skew the exact IV counters these tests assert, and an
+                // interleaved heartbeat would break the exact control script.
+                config.resend_after = Duration::from_secs(120);
+                config.heartbeat = None;
+                run_worker(
+                    WorkerLinks {
+                        control: Box::new(ctl_worker),
+                        data: Box::new(data_worker),
+                        data_reattach: None,
+                    },
+                    config,
+                )
+            });
+            let (ctl_tx, ctl_rx) = Box::new(ctl_orch).split().unwrap();
+            let (data_tx, data_rx) = Box::new(data_orch).split().unwrap();
+            let mut peer = Scripted {
+                worker,
+                ctl_tx,
+                ctl_rx,
+                data_tx,
+                data_rx,
+            };
+            assert_eq!(
+                peer.recv_ctl("hello"),
+                Msg::Hello(Hello {
+                    stage: 0,
+                    generation: 0,
+                }),
+                "control greeting"
+            );
+            assert_eq!(
+                peer.recv_data("data hello"),
+                Msg::DataHello {
+                    stage: 0,
+                    generation: 0,
+                }
+            );
+            peer
+        }
+
+        fn recv(rx: &mut Box<dyn crate::transport::FrameReceiver>, step: &str) -> Msg {
+            // Generous: a starved single-core runner can stall the worker
+            // thread for seconds while other tests hold the CPU.
             let frame = rx
-                .recv_frame(poll)
+                .recv_frame(Duration::from_secs(60))
                 .unwrap_or_else(|e| panic!("waiting for {step}: {e}"));
             Msg::decode(&frame).unwrap_or_else(|e| panic!("decoding {step}: {e}"))
-        };
+        }
 
-        assert_eq!(
-            recv_ctl(&mut ctl_rx, "hello"),
-            Msg::Hello(Hello {
+        fn recv_ctl(&mut self, step: &str) -> Msg {
+            Self::recv(&mut self.ctl_rx, step)
+        }
+
+        fn recv_data(&mut self, step: &str) -> Msg {
+            Self::recv(&mut self.data_rx, step)
+        }
+
+        fn send_ctl(&mut self, msg: &Msg) {
+            self.ctl_tx.send_frame(&msg.encode().unwrap()).unwrap();
+        }
+
+        /// Welcome and manifest out, the worker's manifest ack back.
+        fn admit(&mut self) {
+            self.send_ctl(&Msg::Welcome(Welcome { stages: 1 }));
+            self.send_ctl(&Msg::Manifest(ShardManifest {
                 stage: 0,
-                generation: 0,
-            }),
-            "control greeting"
-        );
-        assert_eq!(
-            recv_ctl(&mut data_rx, "data hello"),
-            Msg::DataHello {
-                stage: 0,
-                generation: 0,
-            }
-        );
-        ctl_tx
-            .send_frame(&Msg::Welcome(Welcome { stages: 1 }).encode().unwrap())
-            .unwrap();
-        let manifest = ShardManifest {
-            stage: 0,
-            stages: 1,
-            layers: 4,
-            layer_start: 0,
-            layer_end: 4,
-            weight_hash: stage_weight_hash(0..4),
-            activation_bytes: LEN as u64,
-            micro_batches: 1,
-            iterations: 1,
-            cluster_seed: SEED,
-        };
-        ctl_tx
-            .send_frame(&Msg::Manifest(manifest).encode().unwrap())
-            .unwrap();
-        assert_eq!(
-            recv_ctl(&mut ctl_rx, "manifest ack"),
-            Msg::ManifestAck(ManifestAck {
-                stage: 0,
+                stages: 1,
+                layers: 4,
+                layer_start: 0,
+                layer_end: 4,
                 weight_hash: stage_weight_hash(0..4),
-            })
-        );
-        ctl_tx.send_frame(&Msg::Start.encode().unwrap()).unwrap();
+                activation_bytes: LEN as u64,
+                micro_batches: 1,
+                iterations: 1,
+                cluster_seed: SEED,
+            }));
+            assert_eq!(
+                self.recv_ctl("manifest ack"),
+                Msg::ManifestAck(ManifestAck {
+                    stage: 0,
+                    weight_hash: stage_weight_hash(0..4),
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn checkpoint_barrier_during_the_handshake_is_deferred_not_fatal() {
+        // A replacement incarnation is admitted while the deployment around
+        // it keeps serving, so a barrier broadcast can land between its
+        // Manifest and its Start. It must reach serve and answer there.
+        let mut peer = Scripted::start();
+        peer.admit();
+        peer.send_ctl(&Msg::CheckpointReq(CheckpointReq {
+            barrier: 1,
+            prefix: 0,
+        }));
+        peer.send_ctl(&Msg::Start);
+        let Msg::CheckpointSave(save) = peer.recv_ctl("checkpoint save") else {
+            panic!("the deferred barrier must be answered once serving");
+        };
+        assert_eq!((save.stage, save.barrier), (0, 1));
+        let state = open_checkpoint(SEED, 0, 1, &save.sealed).expect("own checkpoint opens");
+        assert_eq!(state.barrier, 1);
+        peer.send_ctl(&Msg::Shutdown);
+        peer.worker.join().unwrap().expect("clean exit");
+    }
+
+    #[test]
+    fn single_stage_worker_serves_a_scripted_orchestrator() {
+        let mut peer = Scripted::start();
+        peer.admit();
+        peer.send_ctl(&Msg::Start);
 
         // Host side of the stage-0 host edge: seal the input, open the
         // worker's reply, check it equals apply_stage of the input.
@@ -917,7 +987,7 @@ mod tests {
         let input = iteration_input(SEED, 0, 0, LEN);
         let aad = DataFrame::bind_aad(HOST_NODE, 0, 0, 0, 0, LEN as u64);
         let sealed = host.seal(&aad, &input).unwrap();
-        data_tx
+        peer.data_tx
             .send_frame(
                 &Msg::Data(DataFrame {
                     src: HOST_NODE,
@@ -934,14 +1004,14 @@ mod tests {
             .unwrap();
 
         assert_eq!(
-            recv_ctl(&mut ctl_rx, "data ack"),
+            peer.recv_ctl("data ack"),
             Msg::AckData(DataAck {
                 src: HOST_NODE,
                 dst: 0,
                 seq: 0
             })
         );
-        let Msg::Data(reply) = recv_ctl(&mut data_rx, "stage reply") else {
+        let Msg::Data(reply) = peer.recv_data("stage reply") else {
             panic!("expected the worker's output frame");
         };
         assert_eq!((reply.src, reply.dst), (0, HOST_NODE));
@@ -952,20 +1022,14 @@ mod tests {
         let mut expected = input;
         apply_stage(0..4, &mut expected);
         assert_eq!(out, expected, "stage output must match apply_stage");
-        ctl_tx
-            .send_frame(
-                &Msg::AckData(DataAck {
-                    src: 0,
-                    dst: HOST_NODE,
-                    seq: reply.seq,
-                })
-                .encode()
-                .unwrap(),
-            )
-            .unwrap();
+        peer.send_ctl(&Msg::AckData(DataAck {
+            src: 0,
+            dst: HOST_NODE,
+            seq: reply.seq,
+        }));
 
-        ctl_tx.send_frame(&Msg::Finish.encode().unwrap()).unwrap();
-        let Msg::Done(report) = recv_ctl(&mut ctl_rx, "done report") else {
+        peer.send_ctl(&Msg::Finish);
+        let Msg::Done(report) = peer.recv_ctl("done report") else {
             panic!("expected the worker's counter report");
         };
         assert_eq!(report.stage, 0);
@@ -974,9 +1038,9 @@ mod tests {
         // One frame each way on the single host edge.
         assert_eq!(report.edges[0].tx_iv, 2);
         assert_eq!(report.edges[0].rx_iv, 2);
-        ctl_tx.send_frame(&Msg::Shutdown.encode().unwrap()).unwrap();
+        peer.send_ctl(&Msg::Shutdown);
 
-        let worker_report = handle.join().unwrap().unwrap();
+        let worker_report = peer.worker.join().unwrap().unwrap();
         assert_eq!(worker_report, report);
     }
 }
