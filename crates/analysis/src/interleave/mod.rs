@@ -16,9 +16,10 @@
 //! Models live in [`engine_model`] (the crypto job queue: condvar
 //! wakeups, gang latch, submitter-help), [`link_model`] (the ARQ
 //! link: NACK-reseal racing rekey racing the resend sweep), and
-//! [`supervisor_model`] (worker death racing injection, checkpointing
-//! and failover readmission: no schedule may reuse an IV across a
-//! failover, roll a barrier backwards, or lose an admitted session).
+//! [`supervisor_model`] (worker death racing injection, checkpointing,
+//! duplicate inputs and failover readmission with recovery by
+//! recomputation: no schedule may reuse an IV across a failover, roll a
+//! barrier backwards, or lose an admitted session).
 //! Each comes with deliberately-buggy variants proving the explorer
 //! actually detects the bug class it exists to prevent.
 

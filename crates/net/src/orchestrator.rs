@@ -437,8 +437,9 @@ impl Orchestrator {
         // Inter-stage hop: relay the sealed bytes untouched. A dead
         // destination link loses the frame here — the destination's
         // reconnect rekeys the edge and the source retransmits.
-        let relayed = Msg::Data(frame.clone()).encode()?;
-        match send_on(&self.data_slots[frame.dst as usize], &relayed, "relay") {
+        let dst = frame.dst as usize;
+        let relayed = Msg::Data(frame).encode()?;
+        match send_on(&self.data_slots[dst], &relayed, "relay") {
             Ok(()) => self.relayed += 1,
             Err(NetError::ConnectionLost { .. }) => {}
             Err(e) => return Err(e),

@@ -406,9 +406,10 @@ pub struct Heartbeat {
 /// Orchestrator-initiated checkpoint barrier.
 ///
 /// Broadcast when the contiguous prefix of completed outputs crosses a
-/// multiple of [`NetTuning::checkpoint_every`]. Workers garbage-collect
-/// retained outputs below `prefix`, seal their recovery state, and reply
-/// with [`Msg::CheckpointSave`].
+/// multiple of [`NetTuning::checkpoint_every`]. Workers advance their
+/// watermark to `prefix` (a duplicate input below it is only acknowledged
+/// from then on), seal their recovery state, and reply with
+/// [`Msg::CheckpointSave`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointReq {
     /// Monotone barrier number (1-based).
@@ -423,8 +424,8 @@ pub struct CheckpointReq {
 ///
 /// The payload is AEAD-sealed under a key derived from the cluster seed —
 /// which the orchestrator never holds — so the supervisor stores and
-/// relays it without being able to read (or forge) the enclosed epochs,
-/// IV positions, or retained activations.
+/// relays it without being able to read (or forge) the enclosed
+/// watermark, epochs and IV positions — ~100 bytes, no activations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointSave {
     /// The checkpointing stage.
@@ -440,7 +441,8 @@ pub struct CheckpointSave {
 /// An empty `sealed` means "no checkpoint yet — start fresh". The
 /// replacement unseals and validates the state itself; anything stale,
 /// truncated, or tampered is refused and the worker starts fresh instead
-/// (recomputation is always correct, the checkpoint is an optimisation).
+/// (it recomputes what is re-injected either way; the restored watermark
+/// only says which duplicates are already committed).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Restore {
     /// The barrier the sealed state claims to belong to.

@@ -9,7 +9,12 @@
 //! fresh sender half into the link's [`SenderSlot`], and reports
 //! [`PumpEvent::Up`]. A link with no provider — or one whose retry budget
 //! runs dry — ends with [`PumpEvent::Dead`], which the event loop treats
-//! as fatal for the run.
+//! as fatal for the run. A reattach that succeeds is not yet a recovery:
+//! the peer can accept the connection and drop it at identification (the
+//! supervised acceptor does that to a superseded incarnation's
+//! `DataHello`), so an attachment that dies before delivering a frame
+//! spends the same retry budget as a failed dial, and only a delivered
+//! frame refills it.
 
 use crate::error::{NetError, NetResult};
 use crate::link::{install_sender, SenderSlot};
@@ -92,6 +97,9 @@ fn pump_loop(
     events: mpsc::Sender<(u32, PumpEvent)>,
     stop: &AtomicBool,
 ) {
+    // Retry budget spent since a frame was last delivered, and whether the
+    // current attachment is a reattachment still to deliver its first.
+    let (mut failures, mut frameless) = (0u32, false);
     loop {
         if stop.load(Ordering::Relaxed) {
             return;
@@ -99,6 +107,7 @@ fn pump_loop(
         match receiver.recv_frame(poll) {
             Ok(frame) => match Msg::decode(&frame) {
                 Ok(msg) => {
+                    (failures, frameless) = (0, false);
                     if events.send((tag, PumpEvent::Frame(msg))).is_err() {
                         return; // event loop gone; nothing left to feed
                     }
@@ -122,11 +131,19 @@ fn pump_loop(
                 if events.send((tag, PumpEvent::Down)).is_err() {
                     return;
                 }
-                match reconnect(provider.as_mut(), &policy, tag, stop) {
+                match reconnect(
+                    provider.as_mut(),
+                    &policy,
+                    tag,
+                    stop,
+                    &mut failures,
+                    frameless,
+                ) {
                     Ok(transport) => match transport.split() {
                         Ok((sender, new_receiver)) => {
                             install_sender(&slot, sender);
                             receiver = new_receiver;
+                            frameless = true;
                             if events.send((tag, PumpEvent::Up)).is_err() {
                                 return;
                             }
@@ -152,32 +169,100 @@ fn pump_loop(
 
 /// Bounded reconnect: one initial attempt plus `policy.max_retries`
 /// retries, each bounded by `policy.op_timeout`, with the policy's
-/// deterministic jittered backoff between attempts.
+/// deterministic jittered backoff between attempts. `failures` is the
+/// budget spent since a frame was last delivered; `failed` charges the
+/// previous attachment's frameless death like a dial that failed.
 fn reconnect(
     provider: &mut dyn Reattach,
     policy: &RetryPolicy,
     tag: u32,
     stop: &AtomicBool,
+    failures: &mut u32,
+    mut failed: bool,
 ) -> NetResult<Box<dyn crate::transport::Transport>> {
-    let mut attempt = 0u32;
     loop {
         if stop.load(Ordering::Relaxed) {
             return Err(NetError::ConnectionLost {
                 link: format!("pump#{tag} (stopping)"),
             });
         }
-        match provider.reattach(policy.op_timeout) {
-            Ok(t) => return Ok(t),
-            Err(_) if policy.allows(attempt) => {
-                std::thread::sleep(policy.backoff_after(attempt, u64::from(tag)));
-                attempt += 1;
-            }
-            Err(_) => {
+        if failed {
+            if !policy.allows(*failures) {
                 return Err(NetError::RetriesExhausted {
                     op: "reattach",
-                    attempts: attempt + 1,
-                })
+                    attempts: *failures + 1,
+                });
             }
+            std::thread::sleep(policy.backoff_after(*failures, u64::from(tag)));
+            *failures += 1;
         }
+        match provider.reattach(policy.op_timeout) {
+            Ok(t) => return Ok(t),
+            Err(_) => failed = true,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::link::empty_slot;
+    use crate::transport::{duplex_pair, Transport};
+    use std::sync::atomic::AtomicU32;
+
+    /// Every attachment connects and is dead on arrival — what a superseded
+    /// incarnation meets when the acceptor drops its stale `DataHello`.
+    struct DeadOnArrival(Arc<AtomicU32>);
+
+    impl Reattach for DeadOnArrival {
+        fn reattach(&mut self, _timeout: Duration) -> NetResult<Box<dyn Transport>> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            let (ours, _theirs, core) = duplex_pair("doa");
+            core.kill();
+            Ok(Box::new(ours))
+        }
+    }
+
+    #[test]
+    fn attachments_that_die_frameless_spend_the_retry_budget() {
+        let policy = RetryPolicy {
+            max_retries: 3,
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(2),
+            jitter: 0.0,
+            op_timeout: Duration::from_secs(1),
+        };
+        let dials = Arc::new(AtomicU32::new(0));
+        let (first, _peer, core) = duplex_pair("first");
+        core.kill();
+        let (_sender, receiver) = Box::new(first).split().unwrap();
+        let (events_tx, events) = mpsc::channel();
+        let _pump = Pump::spawn(
+            7,
+            receiver,
+            Some(Box::new(DeadOnArrival(Arc::clone(&dials)))),
+            empty_slot(),
+            policy,
+            Duration::from_millis(5),
+            events_tx,
+        );
+        let mut ups = 0;
+        let dead = loop {
+            match events.recv_timeout(Duration::from_secs(30)) {
+                Ok((7, PumpEvent::Up)) => {
+                    ups += 1;
+                    assert!(ups <= policy.max_retries + 1, "redial busy-loop");
+                }
+                Ok((7, PumpEvent::Down)) => {}
+                Ok((7, PumpEvent::Dead(e))) => break e,
+                other => panic!("unexpected pump event {other:?}"),
+            }
+        };
+        assert!(
+            matches!(dead, NetError::RetriesExhausted { attempts: 4, .. }),
+            "{dead}"
+        );
+        assert_eq!(dials.load(Ordering::SeqCst), policy.max_retries + 1);
+        assert_eq!(ups, policy.max_retries + 1, "each dial itself succeeded");
     }
 }

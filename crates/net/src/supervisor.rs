@@ -17,15 +17,16 @@
 //!    external respawn loop re-dials at the next generation);
 //! 3. the replacement is re-admitted through the normal handshake
 //!    (welcome → manifest → ack) and handed the latest AEAD-sealed
-//!    checkpoint the dead incarnation shipped — the orchestrator relays
-//!    the blob *without being able to read it* (checkpoint keys derive
-//!    from the cluster seed the workers hold);
+//!    checkpoint the dead incarnation shipped (watermark and edge epochs,
+//!    no activations) — the orchestrator relays the blob *without being
+//!    able to read it* (its keys derive from the workers' cluster seed);
 //! 4. every adjacent edge is force-rekeyed — epoch bumped, IV counters
 //!    reset to 1 — so no counter the dead incarnation burned is ever
 //!    reused;
 //! 5. every admitted session whose output is still missing is re-injected
-//!    at ingress; retained-output redelivery upstream re-propagates the
-//!    lost work to the replacement, which recomputes exactly the same
+//!    at ingress (at most one admission window); every stage whose output
+//!    is neither committed nor still in flight recomputes it from the
+//!    duplicate — nobody retained an activation — to exactly the same
 //!    bytes. The run stays bit-identical to its fault-free twin.
 //!
 //! Overload protection is the [`AdmissionQueue`]: a bounded window of
@@ -48,7 +49,7 @@ use crate::transport::{
     TcpTransport, Transport,
 };
 use crate::worker::{run_worker, WorkerConfig, WorkerLinks};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -437,8 +438,9 @@ fn control_send_lossy(orch: &Orchestrator, stage: u32, msg: &Msg) -> NetResult<(
 struct Supervision {
     supervisor: Supervisor,
     stats: SupervisionStats,
-    /// Latest sealed checkpoint per stage — opaque to the orchestrator.
-    checkpoints: BTreeMap<u32, (u64, Vec<u8>)>,
+    /// Per stage, the latest sealed checkpoint as the ready-to-relay
+    /// `Restore` — opaque to the orchestrator; empty: serve from scratch.
+    restores: Vec<Msg>,
     /// Stage admission-generation cells, shared with the acceptor.
     gens: Arc<Vec<AtomicU32>>,
     /// Per-stage "failover in progress" latch: set when the teardown ran,
@@ -509,10 +511,11 @@ impl Supervision {
                         detail: format!("stage {stage} sent a checkpoint for {}", save.stage),
                     });
                 }
-                let slot = self.checkpoints.entry(stage).or_insert((0, Vec::new()));
-                if save.barrier >= slot.0 {
-                    *slot = (save.barrier, save.sealed);
-                    self.stats.checkpoints_stored += 1;
+                if let Msg::Restore(slot) = &mut self.restores[stage as usize] {
+                    if save.barrier >= slot.barrier {
+                        (slot.barrier, slot.sealed) = (save.barrier, save.sealed);
+                        self.stats.checkpoints_stored += 1;
+                    }
                 }
                 self.supervisor.heard(stage, now);
                 Ok(None)
@@ -545,12 +548,7 @@ impl Supervision {
                 // Relay the latest sealed checkpoint — or an empty restore
                 // meaning "serve from scratch". The blob is opaque here;
                 // only the worker holds the key that opens it.
-                let (barrier, sealed) = self
-                    .checkpoints
-                    .get(&stage)
-                    .cloned()
-                    .unwrap_or((0, Vec::new()));
-                control_send_lossy(orch, stage, &Msg::Restore(Restore { barrier, sealed }))?;
+                control_send_lossy(orch, stage, &self.restores[stage as usize])?;
                 self.stats.restores_sent += 1;
                 self.supervisor.note_manifest_acked(stage);
                 Ok(None)
@@ -714,7 +712,13 @@ fn drive_supervised(
     let mut sup = Supervision {
         supervisor: Supervisor::new(spec.stages, &options.tuning, Instant::now()),
         stats: SupervisionStats::default(),
-        checkpoints: BTreeMap::new(),
+        restores: vec![
+            Msg::Restore(Restore {
+                barrier: 0,
+                sealed: Vec::new(),
+            });
+            spec.stages as usize
+        ],
         gens,
         failing: vec![false; spec.stages as usize],
         spawner,
@@ -848,8 +852,8 @@ fn drive_supervised(
         }
 
         // Checkpoint barriers ride the contiguous committed prefix: every
-        // `checkpoint_every` outputs, each worker seals its state and
-        // ships it up; retained outputs below the prefix are GC'd. A stage
+        // `checkpoint_every` outputs, each worker advances its watermark
+        // to the prefix, seals its state and ships it up. A stage
         // mid-failover is skipped: its replacement is handed the stored
         // checkpoint, and the next barrier reaches it once it serves.
         while orch.outputs.contains_key(&(

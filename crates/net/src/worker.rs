@@ -25,6 +25,18 @@
 //! [`RetryPolicy`], after which the worker announces `LinkRestored` and
 //! the orchestrator rekeys every adjacent edge — fresh keys, IV counters
 //! back to 1 — before unacked frames are retransmitted in order.
+//!
+//! Recovery is by recomputation: the only plaintext a worker holds is the
+//! out edge's unacknowledged frames ([`LinkTx`]). Of the work it did it
+//! remembers a *watermark* — the committed prefix the last barrier
+//! announced — and the processed indexes at or above it. A duplicate input
+//! below the watermark (output committed) or with its output still
+//! unacknowledged (the retransmit machinery owns it) is only acknowledged;
+//! any other duplicate means someone downstream lost the output, and the
+//! worker re-runs [`apply_stage`] on it and forwards the result again. A
+//! replacement starts from the sealed checkpoint's watermark and edge
+//! epochs and recomputes what the orchestrator re-injects — at most one
+//! admission window of micro-batches.
 
 use crate::checkpoint::{global_index, open_checkpoint, seal_checkpoint, CheckpointState};
 use crate::error::{NetError, NetResult};
@@ -149,16 +161,16 @@ struct Worker {
     out_edge: WireEdge,
     edges: BTreeMap<WireEdge, EdgeCrypto>,
     out_tx: LinkTx,
-    processed: BTreeSet<(u32, u32)>,
-    /// Computed outputs retained since the last committed checkpoint
-    /// barrier, keyed `(iteration, micro_batch)`. A duplicate of an
-    /// already-processed input re-forwards the retained output instead of
-    /// recomputing — the redelivery path a failover downstream relies on.
-    retained: BTreeMap<(u32, u32), Vec<u8>>,
+    /// The committed prefix the latest barrier (or the restored
+    /// checkpoint) announced: every output with a [`global_index`] below
+    /// it is committed at the orchestrator and is never produced again.
+    watermark: u64,
+    /// Global indexes at or above the watermark this incarnation has
+    /// processed; pruned at every barrier, so it holds at most the
+    /// admission window plus one barrier interval.
+    processed: BTreeSet<u64>,
     /// Latest checkpoint barrier this incarnation has handled.
     barrier: u64,
-    /// Restores refused (unseal failure / stale or mismatched state).
-    restores_refused: u64,
     control_slot: SenderSlot,
     data_slot: SenderSlot,
     policy: RetryPolicy,
@@ -206,10 +218,9 @@ impl Worker {
             out_edge,
             edges,
             out_tx: LinkTx::default(),
+            watermark: 0,
             processed: BTreeSet::new(),
-            retained: BTreeMap::new(),
             barrier: 0,
-            restores_refused: 0,
             control_slot,
             data_slot,
             policy: config.policy,
@@ -222,34 +233,30 @@ impl Worker {
         }
     }
 
+    /// Whether this incarnation still owes `(iteration, micro_batch)` its
+    /// first computation: not committed, and not processed here.
+    fn is_fresh(&self, iteration: u32, micro_batch: u32) -> bool {
+        let index = global_index(iteration, micro_batch, self.micro_batches);
+        index >= self.watermark && !self.processed.contains(&index)
+    }
+
     /// Applies a relayed checkpoint to this (fresh) incarnation. Returns
     /// whether the state was accepted; anything that does not unseal and
-    /// validate for exactly this stage and barrier is refused, and the
-    /// worker serves from scratch instead — recomputation is always
-    /// correct, the checkpoint only skips work.
+    /// validate for exactly this stage and barrier — the empty "no
+    /// checkpoint yet" blob included — is refused, and the worker serves
+    /// from scratch instead: recomputation is always correct, the
+    /// checkpoint only skips committed work.
     fn apply_restore(&mut self, restore: &Restore) -> bool {
-        if restore.sealed.is_empty() {
-            return false;
-        }
-        let state = match open_checkpoint(
+        let Ok(state) = open_checkpoint(
             self.cluster_seed,
             self.stage,
             restore.barrier,
             &restore.sealed,
-        ) {
-            Ok(state) => state,
-            Err(_) => {
-                self.restores_refused += 1;
-                return false;
-            }
+        ) else {
+            return false;
         };
         self.barrier = state.barrier;
-        self.processed = state.processed.iter().copied().collect();
-        self.retained = state
-            .retained
-            .iter()
-            .map(|(it, mb, out)| ((*it, *mb), out.clone()))
-            .collect();
+        self.watermark = state.prefix;
         // Catch the edges up to their checkpointed epochs. IV positions
         // inside an epoch are never resumed: the dead incarnation may
         // have burned counters past the seal point, so the supervisor
@@ -264,27 +271,22 @@ impl Worker {
         true
     }
 
-    /// Handles a checkpoint barrier: garbage-collects retained outputs the
-    /// orchestrator has committed, seals the recovery state, and ships it
-    /// upstream as an opaque blob.
+    /// Handles a checkpoint barrier: advances the watermark to the
+    /// committed prefix, forgets the processed indexes below it, seals the
+    /// constant-size recovery state, and ships it upstream as an opaque
+    /// blob.
     fn handle_checkpoint(&mut self, req: &CheckpointReq) -> NetResult<()> {
         if req.barrier <= self.barrier {
             return Ok(()); // duplicate or stale barrier announcement
         }
         self.barrier = req.barrier;
-        let micro_batches = self.micro_batches;
-        self.retained
-            .retain(|&(it, mb), _| global_index(it, mb, micro_batches) >= req.prefix);
+        self.watermark = req.prefix;
+        self.processed = self.processed.split_off(&req.prefix);
         let state = CheckpointState {
             stage: self.stage,
             generation: self.generation,
             barrier: req.barrier,
-            processed: self.processed.iter().copied().collect(),
-            retained: self
-                .retained
-                .iter()
-                .map(|(&(it, mb), out)| (it, mb, out.clone()))
-                .collect(),
+            prefix: req.prefix,
             edges: self.report().edges,
         };
         let sealed = seal_checkpoint(self.cluster_seed, &state)?;
@@ -368,24 +370,25 @@ impl Worker {
                     dst: frame.dst,
                     seq: frame.seq,
                 }))?;
-                // Retransmitted duplicates are acked but processed once.
                 let key = (frame.iteration, frame.micro_batch);
-                if self.processed.insert(key) {
-                    apply_stage(self.layers.clone(), &mut bytes);
-                    self.retained.insert(key, bytes.clone());
-                    self.forward(key, bytes)?;
-                } else if !self.out_tx.has_payload(key.0, key.1) {
-                    // A duplicate with nothing in flight means someone
-                    // downstream lost our output (a failed-over stage
-                    // re-requesting work). Re-forward the retained copy;
-                    // if the barrier already garbage-collected it, the
-                    // output is committed at the orchestrator and the ack
-                    // alone settles the retransmit.
-                    if let Some(out) = self.retained.get(&key).cloned() {
-                        self.retransmits += 1;
-                        self.forward(key, out)?;
-                    }
+                let index = global_index(key.0, key.1, self.micro_batches);
+                // The ack alone settles a duplicate whose output is
+                // committed at the orchestrator (below the watermark) or
+                // still unacknowledged on the out edge (the NACK, rekey
+                // and sweep retransmits own it).
+                if index < self.watermark || self.out_tx.has_payload(key.0, key.1) {
+                    return Ok(());
                 }
+                if !self.processed.insert(index) {
+                    // A duplicate with nothing in flight and nothing
+                    // committed means someone downstream lost our output
+                    // (a failed-over stage re-requesting work): recompute
+                    // it from the duplicate — the same bytes, since the
+                    // stage function is deterministic.
+                    self.retransmits += 1;
+                }
+                apply_stage(self.layers.clone(), &mut bytes);
+                self.forward(key, bytes)?;
             }
             RxOutcome::Sentinel => {
                 self.sentinels += 1;
@@ -706,9 +709,7 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
         // disabled, the escalation contract every retry loop in this
         // codebase follows.
         let fresh_work = match &event {
-            PumpEvent::Frame(Msg::Data(f)) => {
-                !worker.processed.contains(&(f.iteration, f.micro_batch))
-            }
+            PumpEvent::Frame(Msg::Data(f)) => worker.is_fresh(f.iteration, f.micro_batch),
             _ => false,
         };
         if fresh_work {
@@ -817,8 +818,7 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
 mod tests {
     use super::*;
     use crate::link::Role;
-    use crate::proto::Welcome;
-    use crate::transport::duplex_pair;
+    use crate::transport::{duplex_pair, FrameReceiver};
     use pipellm::partition::iteration_input;
 
     #[test]
@@ -848,89 +848,22 @@ mod tests {
 
     const SEED: u64 = 0x77;
     const LEN: usize = 64;
+    const MICRO_BATCHES: u32 = 8;
 
-    /// The orchestrator's end of a one-stage deployment, driven by hand.
-    struct Scripted {
-        worker: std::thread::JoinHandle<NetResult<CounterReport>>,
-        ctl_tx: Box<dyn crate::transport::FrameSender>,
-        ctl_rx: Box<dyn crate::transport::FrameReceiver>,
-        data_tx: Box<dyn crate::transport::FrameSender>,
-        data_rx: Box<dyn crate::transport::FrameReceiver>,
+    /// A single-stage worker driven synchronously, one handler call at a
+    /// time, with the test holding the far end of both links and the host
+    /// end of the stage's one edge.
+    struct Direct {
+        worker: Worker,
+        host: EdgeCrypto,
+        ctl_rx: Box<dyn FrameReceiver>,
+        data_rx: Box<dyn FrameReceiver>,
+        next_seq: u64,
     }
 
-    impl Scripted {
-        /// Starts a stage-0 worker on duplex links and takes its greetings.
-        fn start() -> Self {
-            let (ctl_orch, ctl_worker, _) = duplex_pair("ctl");
-            let (data_orch, data_worker, _) = duplex_pair("data");
-            let worker = std::thread::spawn(move || {
-                let mut config = WorkerConfig::new(0);
-                // The scripted peer acks at its own pace; a sweep retransmit
-                // would skew the exact IV counters these tests assert, and an
-                // interleaved heartbeat would break the exact control script.
-                config.resend_after = Duration::from_secs(120);
-                config.heartbeat = None;
-                run_worker(
-                    WorkerLinks {
-                        control: Box::new(ctl_worker),
-                        data: Box::new(data_worker),
-                        data_reattach: None,
-                    },
-                    config,
-                )
-            });
-            let (ctl_tx, ctl_rx) = Box::new(ctl_orch).split().unwrap();
-            let (data_tx, data_rx) = Box::new(data_orch).split().unwrap();
-            let mut peer = Scripted {
-                worker,
-                ctl_tx,
-                ctl_rx,
-                data_tx,
-                data_rx,
-            };
-            assert_eq!(
-                peer.recv_ctl("hello"),
-                Msg::Hello(Hello {
-                    stage: 0,
-                    generation: 0,
-                }),
-                "control greeting"
-            );
-            assert_eq!(
-                peer.recv_data("data hello"),
-                Msg::DataHello {
-                    stage: 0,
-                    generation: 0,
-                }
-            );
-            peer
-        }
-
-        fn recv(rx: &mut Box<dyn crate::transport::FrameReceiver>, step: &str) -> Msg {
-            // Generous: a starved single-core runner can stall the worker
-            // thread for seconds while other tests hold the CPU.
-            let frame = rx
-                .recv_frame(Duration::from_secs(60))
-                .unwrap_or_else(|e| panic!("waiting for {step}: {e}"));
-            Msg::decode(&frame).unwrap_or_else(|e| panic!("decoding {step}: {e}"))
-        }
-
-        fn recv_ctl(&mut self, step: &str) -> Msg {
-            Self::recv(&mut self.ctl_rx, step)
-        }
-
-        fn recv_data(&mut self, step: &str) -> Msg {
-            Self::recv(&mut self.data_rx, step)
-        }
-
-        fn send_ctl(&mut self, msg: &Msg) {
-            self.ctl_tx.send_frame(&msg.encode().unwrap()).unwrap();
-        }
-
-        /// Welcome and manifest out, the worker's manifest ack back.
-        fn admit(&mut self) {
-            self.send_ctl(&Msg::Welcome(Welcome { stages: 1 }));
-            self.send_ctl(&Msg::Manifest(ShardManifest {
+    impl Direct {
+        fn new() -> Self {
+            let manifest = ShardManifest {
                 stage: 0,
                 stages: 1,
                 layers: 4,
@@ -938,109 +871,147 @@ mod tests {
                 layer_end: 4,
                 weight_hash: stage_weight_hash(0..4),
                 activation_bytes: LEN as u64,
-                micro_batches: 1,
-                iterations: 1,
+                micro_batches: MICRO_BATCHES,
+                iterations: 1 << 20,
                 cluster_seed: SEED,
-            }));
-            assert_eq!(
-                self.recv_ctl("manifest ack"),
-                Msg::ManifestAck(ManifestAck {
-                    stage: 0,
-                    weight_hash: stage_weight_hash(0..4),
+            };
+            let (control_slot, data_slot) = (empty_slot(), empty_slot());
+            let (ctl_far, ctl_near, _) = duplex_pair("ctl");
+            let (data_far, data_near, _) = duplex_pair("data");
+            install_sender(&control_slot, Box::new(ctl_near).split().unwrap().0);
+            install_sender(&data_slot, Box::new(data_near).split().unwrap().0);
+            let config = WorkerConfig::new(0);
+            Direct {
+                worker: Worker::from_manifest(&manifest, &config, control_slot, data_slot),
+                host: EdgeCrypto::new(SEED, WireEdge::between(0, HOST_NODE), Role::ChannelHost),
+                ctl_rx: Box::new(ctl_far).split().unwrap().1,
+                data_rx: Box::new(data_far).split().unwrap().1,
+                next_seq: 0,
+            }
+        }
+
+        /// Everything queued on a link, decoded; the handlers run on this
+        /// thread, so what they sent is already there.
+        fn drain(rx: &mut Box<dyn FrameReceiver>) -> Vec<Msg> {
+            std::iter::from_fn(|| rx.recv_frame(Duration::ZERO).ok())
+                .map(|frame| Msg::decode(&frame).unwrap())
+                .collect()
+        }
+
+        /// Seals session `index`'s input at the host's next IV and hands it
+        /// to the worker. Returns `(seq, plaintext)` of every output the
+        /// worker forwarded in response, after checking that it
+        /// acknowledged the input and sent nothing else on control.
+        fn deliver(&mut self, index: u64) -> Vec<(u64, Vec<u8>)> {
+            let iteration = (index / u64::from(MICRO_BATCHES)) as u32;
+            let micro_batch = (index % u64::from(MICRO_BATCHES)) as u32;
+            let input = iteration_input(SEED, iteration as usize, micro_batch as usize, LEN);
+            let epoch = self.host.epoch();
+            let aad = DataFrame::bind_aad(HOST_NODE, 0, epoch, iteration, micro_batch, LEN as u64);
+            let ack = DataAck {
+                src: HOST_NODE,
+                dst: 0,
+                seq: self.next_seq,
+            };
+            self.next_seq += 1;
+            let frame = DataFrame {
+                src: ack.src,
+                dst: ack.dst,
+                seq: ack.seq,
+                epoch,
+                iteration,
+                micro_batch,
+                sealed: self.host.seal(&aad, &input).unwrap().bytes,
+            };
+            self.worker.handle_data(&frame).unwrap();
+            assert_eq!(Self::drain(&mut self.ctl_rx), vec![Msg::AckData(ack)]);
+            Self::drain(&mut self.data_rx)
+                .into_iter()
+                .map(|msg| match msg {
+                    Msg::Data(reply) => match open_data(&mut self.host, &reply) {
+                        RxOutcome::Plain(bytes) => (reply.seq, bytes),
+                        other => panic!("output must open: {other:?}"),
+                    },
+                    other => panic!("only data frames ride the data link: {other:?}"),
                 })
-            );
+                .collect()
+        }
+
+        /// Announces a barrier; returns the sealed checkpoint it shipped.
+        fn barrier(&mut self, barrier: u64, prefix: u64) -> Vec<u8> {
+            let req = CheckpointReq { barrier, prefix };
+            self.worker.handle_checkpoint(&req).unwrap();
+            match Self::drain(&mut self.ctl_rx).pop() {
+                Some(Msg::CheckpointSave(save)) => save.sealed,
+                other => panic!("a barrier is answered with a checkpoint: {other:?}"),
+            }
         }
     }
 
     #[test]
-    fn checkpoint_barrier_during_the_handshake_is_deferred_not_fatal() {
-        // A replacement incarnation is admitted while the deployment around
-        // it keeps serving, so a barrier broadcast can land between its
-        // Manifest and its Start. It must reach serve and answer there.
-        let mut peer = Scripted::start();
-        peer.admit();
-        peer.send_ctl(&Msg::CheckpointReq(CheckpointReq {
-            barrier: 1,
-            prefix: 0,
-        }));
-        peer.send_ctl(&Msg::Start);
-        let Msg::CheckpointSave(save) = peer.recv_ctl("checkpoint save") else {
-            panic!("the deferred barrier must be answered once serving");
+    fn a_duplicate_input_is_acked_recomputed_or_ignored_by_three_rules() {
+        let mut d = Direct::new();
+        let first = d.deliver(1);
+        let mut expected = iteration_input(SEED, 0, 1, LEN);
+        apply_stage(0..4, &mut expected);
+        assert_eq!(first, vec![(0, expected)], "fresh work: computed once");
+
+        // Output still unacknowledged on the out edge: the retransmit
+        // machinery owns it, the duplicate is only acknowledged.
+        assert_eq!(d.deliver(1), vec![]);
+        assert_eq!(d.worker.retransmits, 0);
+
+        // Acknowledged and not committed: downstream lost it. Recompute
+        // from the duplicate — the same bytes, counted as a retransmit.
+        d.worker.out_tx.ack(0);
+        assert_eq!(d.deliver(1), vec![(1, first[0].1.clone())]);
+        assert_eq!(d.worker.retransmits, 1);
+        d.worker.out_tx.ack(1);
+
+        // Below the watermark: committed at the orchestrator, ack only.
+        let sealed = d.barrier(1, 2);
+        assert!(sealed.len() <= 256, "{} bytes", sealed.len());
+        assert_eq!(d.deliver(1), vec![]);
+        assert_eq!((d.worker.retransmits, d.worker.out_tx.in_flight()), (1, 0));
+
+        // A replacement restored from that checkpoint knows the watermark
+        // and nothing else: committed work is only acknowledged, anything
+        // above it is fresh work, not a retransmit.
+        let mut replacement = Direct::new();
+        let restore = |barrier| Restore {
+            barrier,
+            sealed: sealed.clone(),
         };
-        assert_eq!((save.stage, save.barrier), (0, 1));
-        let state = open_checkpoint(SEED, 0, 1, &save.sealed).expect("own checkpoint opens");
-        assert_eq!(state.barrier, 1);
-        peer.send_ctl(&Msg::Shutdown);
-        peer.worker.join().unwrap().expect("clean exit");
+        assert!(!replacement.worker.apply_restore(&restore(2)), "stale");
+        assert_eq!(replacement.worker.watermark, 0);
+        assert!(replacement.worker.apply_restore(&restore(1)));
+        assert_eq!(replacement.deliver(1), vec![]);
+        assert_eq!(replacement.deliver(2).len(), 1);
+        assert_eq!(replacement.worker.retransmits, 0);
     }
 
     #[test]
-    fn single_stage_worker_serves_a_scripted_orchestrator() {
-        let mut peer = Scripted::start();
-        peer.admit();
-        peer.send_ctl(&Msg::Start);
-
-        // Host side of the stage-0 host edge: seal the input, open the
-        // worker's reply, check it equals apply_stage of the input.
-        let edge = WireEdge::between(0, HOST_NODE);
-        let mut host = EdgeCrypto::new(SEED, edge, Role::ChannelHost);
-        let input = iteration_input(SEED, 0, 0, LEN);
-        let aad = DataFrame::bind_aad(HOST_NODE, 0, 0, 0, 0, LEN as u64);
-        let sealed = host.seal(&aad, &input).unwrap();
-        peer.data_tx
-            .send_frame(
-                &Msg::Data(DataFrame {
-                    src: HOST_NODE,
-                    dst: 0,
-                    seq: 0,
-                    epoch: 0,
-                    iteration: 0,
-                    micro_batch: 0,
-                    sealed: sealed.bytes,
-                })
-                .encode()
-                .unwrap(),
-            )
-            .unwrap();
-
-        assert_eq!(
-            peer.recv_ctl("data ack"),
-            Msg::AckData(DataAck {
-                src: HOST_NODE,
-                dst: 0,
-                seq: 0
-            })
-        );
-        let Msg::Data(reply) = peer.recv_data("stage reply") else {
-            panic!("expected the worker's output frame");
-        };
-        assert_eq!((reply.src, reply.dst), (0, HOST_NODE));
-        let out = match open_data(&mut host, &reply) {
-            RxOutcome::Plain(bytes) => bytes,
-            other => panic!("expected plaintext, got {other:?}"),
-        };
-        let mut expected = input;
-        apply_stage(0..4, &mut expected);
-        assert_eq!(out, expected, "stage output must match apply_stage");
-        peer.send_ctl(&Msg::AckData(DataAck {
-            src: 0,
-            dst: HOST_NODE,
-            seq: reply.seq,
-        }));
-
-        peer.send_ctl(&Msg::Finish);
-        let Msg::Done(report) = peer.recv_ctl("done report") else {
-            panic!("expected the worker's counter report");
-        };
-        assert_eq!(report.stage, 0);
-        assert_eq!(report.sentinels, 0);
-        assert_eq!(report.edges.len(), 1);
-        // One frame each way on the single host edge.
-        assert_eq!(report.edges[0].tx_iv, 2);
-        assert_eq!(report.edges[0].rx_iv, 2);
-        peer.send_ctl(&Msg::Shutdown);
-
-        let worker_report = peer.worker.join().unwrap().unwrap();
-        assert_eq!(worker_report, report);
+    fn barriers_keep_the_processed_set_within_a_window_and_an_interval() {
+        // The supervised driver's cadence: at most WINDOW sessions lack
+        // their output, a barrier every EVERY committed outputs.
+        const WINDOW: u64 = 32;
+        const EVERY: u64 = 4;
+        let mut d = Direct::new();
+        let mut barriers = 0;
+        for index in 0..4096u64 {
+            for (seq, _) in d.deliver(index) {
+                d.worker.out_tx.ack(seq);
+            }
+            let prefix = (index + 1).saturating_sub(WINDOW);
+            while prefix / EVERY > barriers {
+                barriers += 1;
+                d.barrier(barriers, prefix);
+            }
+            let held = d.worker.processed.len() as u64;
+            assert!(held <= WINDOW + EVERY, "{held} held at session {index}");
+        }
+        assert_eq!(d.worker.watermark, 4096 - WINDOW);
+        assert!(d.worker.is_fresh(4096 / MICRO_BATCHES, 0));
+        assert!(!d.worker.is_fresh(0, 0), "pruned, but still not fresh");
     }
 }

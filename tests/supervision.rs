@@ -13,6 +13,7 @@ use std::time::Duration;
 
 use pipellm_repro::analysis::interleave::supervisor_model::{SupervisorBug, SupervisorModel};
 use pipellm_repro::analysis::interleave::{Explorer, Violation};
+use pipellm_repro::chaos::FaultKind;
 use pipellm_repro::net::checkpoint::{open_checkpoint, seal_checkpoint, CheckpointState};
 use pipellm_repro::net::transport::{duplex_pair, DuplexActive, Reattach};
 use pipellm_repro::net::{
@@ -113,14 +114,87 @@ fn worker_kill_mid_run_fails_over_over_real_tcp() {
     assert!(report.net.rekeys > 0);
 }
 
+/// `spec` with worker faults on and the chaos seed walked until the
+/// schedule — predicted by rolling fresh copies of the injectors the run
+/// will build — is exactly one fault: a kill of `victim` in the middle
+/// third of its fresh frames, with a full admission window in flight and
+/// several barriers behind it.
+fn killing_only(mut spec: NetPipelineSpec, victim: u32) -> NetPipelineSpec {
+    spec.worker_fault_rate = 0.02;
+    let sessions = spec.iterations * spec.micro_batches;
+    for chaos_seed in 0..100_000 {
+        spec.chaos_seed = chaos_seed;
+        let as_wanted = (0..spec.stages).all(|stage| {
+            let injector = spec.injector_for(stage).expect("worker faults are on");
+            let first = (0..sessions).find_map(|frame| Some((frame, injector.roll_worker()?.kind)));
+            match first {
+                Some((at, FaultKind::StageKill)) => {
+                    stage == victim && (sessions / 3..2 * sessions / 3).contains(&at)
+                }
+                Some(_) => false,
+                None => stage != victim,
+            }
+        });
+        if as_wanted {
+            return spec;
+        }
+    }
+    panic!("no chaos seed kills only stage {victim} mid-run");
+}
+
+#[test]
+fn a_kill_with_a_full_window_in_flight_is_recovered_by_recomputation() {
+    // 64 KiB activations, 32 sessions admitted at once, a barrier every 4
+    // outputs: the dead worker takes up to a window of uncommitted work
+    // with it, nobody retained a byte of it, and the run is still
+    // bit-identical — on both transports, whichever end of the pipeline
+    // dies.
+    let base = NetPipelineSpec {
+        iterations: 12,
+        micro_batches: 8,
+        activation_bytes: 64 * 1024,
+        ..spec()
+    };
+    // A kill is detected through the dead control link, not a deadline:
+    // generous deadlines keep a starved runner from adding failovers.
+    let options = SupervisedOptions {
+        tuning: NetTuning {
+            checkpoint_every: 4,
+            suspect_after: Duration::from_secs(5),
+            dead_after: Duration::from_secs(10),
+            ..NetTuning::default()
+        },
+        admission_window: Some(32),
+        ..SupervisedOptions::default()
+    };
+    let expected = base.expected_outputs();
+    for victim in [0, base.stages - 1] {
+        let spec = killing_only(base.clone(), victim);
+        for (transport, run) in [
+            ("duplex", run_supervised_duplex as fn(&_, &_) -> _),
+            ("tcp", run_supervised_tcp_threads),
+        ] {
+            let report = run(&spec, &options)
+                .unwrap_or_else(|e| panic!("stage {victim} killed over {transport}: {e}"));
+            assert!(
+                report.net.outputs == expected,
+                "stage {victim} killed over {transport}: outputs diverged"
+            );
+            assert_eq!(report.stats.failovers, 1, "{transport}: {:?}", report.stats);
+            assert_eq!(report.stats.restores_sent, 1);
+            assert!(report.stats.checkpoints_stored > 0);
+            assert!(report.net.retransmits > 0, "lost work is re-driven");
+        }
+    }
+}
+
 #[test]
 fn checkpoint_restore_roundtrips_and_stale_blobs_are_refused() {
     let state = CheckpointState {
         stage: 1,
         generation: 2,
         barrier: 4,
-        processed: vec![(0, 0), (0, 1), (1, 0)],
-        retained: vec![(1, 0, vec![0xAB; 32])],
+        prefix: 8,
         edges: Vec::new(),
     };
     let seed = 0x5EED_CAFE;
@@ -244,7 +318,7 @@ fn supervisor_interleave_model_has_no_violating_schedule() {
         "exploration must be nontrivial: {stats:?}"
     );
     // The model has teeth: dropping the force-rekey reuses an IV across
-    // a failover, and dropping replay strands an admitted session.
+    // a failover.
     match explorer.explore(&SupervisorModel::with_bug(
         3,
         SupervisorBug::FailoverWithoutRekey,
@@ -254,11 +328,16 @@ fn supervisor_interleave_model_has_no_violating_schedule() {
         }
         other => panic!("rekey bug must be caught as an invariant: {other:?}"),
     }
-    match explorer.explore(&SupervisorModel::with_bug(
-        3,
+    // Dropping replay strands an admitted session, and so does a
+    // replacement that believes a checkpointed processed set nobody holds
+    // the outputs of any more.
+    for bug in [
         SupervisorBug::FailoverWithoutReplay,
-    )) {
-        Err(Violation::Deadlock { .. }) => {}
-        other => panic!("lost session must surface as a deadlock: {other:?}"),
+        SupervisorBug::RestoreTrustsUncommitted,
+    ] {
+        match explorer.explore(&SupervisorModel::with_bug(3, bug)) {
+            Err(Violation::Deadlock { .. }) => {}
+            other => panic!("{bug:?}: a lost session must surface as a deadlock: {other:?}"),
+        }
     }
 }
