@@ -230,7 +230,7 @@ pub fn run_swap_policy(scale: Scale) -> Table {
 pub fn run_context_sweep(scale: Scale) -> Table {
     let mut table = Table::new(
         "Ablation: predictor context depth (PEFT OPT-30B, fwd+bwd layer walk)",
-        &["context", "seq/s", "success", "relinquishes"],
+        &["context", "seq/s", "pre-sealed", "relinquishes"],
     );
     let samples = ultrachat_like(scale.peft_samples().min(128), 5);
     for depth in [0usize, 1, 2] {
@@ -245,10 +245,15 @@ pub fn run_context_sweep(scale: Scale) -> Table {
             PeftEngine::load(rt, PeftConfig::new(ModelSpec::opt_30b())).expect("config fits");
         let report = engine.train(&samples).expect("train");
         let stats = engine.runtime().spec_stats();
+        // Over *all* swap-ins: a gated predictor stops guessing rather
+        // than guessing wrong, so a weaker one shows in what it leaves to
+        // the on-demand path, not in `success_rate()`.
+        let in_order = stats.spec_hits + stats.reorders;
+        let swap_ins = in_order + stats.nop_recoveries + stats.relinquishes + stats.on_demand;
         table.push(vec![
             depth.to_string(),
             format!("{:.3}", report.sequences_per_sec),
-            format!("{:.0}%", stats.success_rate() * 100.0),
+            format!("{:.0}%", in_order as f64 * 100.0 / swap_ins.max(1) as f64),
             stats.relinquishes.to_string(),
         ]);
     }

@@ -15,6 +15,12 @@
 //! The predictor scores all three policies online against observed
 //! swap-ins and elects the best; ties favour the policy that most recently
 //! hit. This keeps it workload-agnostic, as required by user transparency.
+//!
+//! It also keeps score of *itself*: a rolling window of whether its own
+//! guesses named the chunks that actually came back
+//! ([`Predictor::shadow_hits`]). Nothing has to be sealed to learn that, so
+//! the runtime uses it to decide how deep to speculate (see
+//! `SessionState::effective_depth`).
 
 use pipellm_gpu::memory::HostRegion;
 use std::collections::VecDeque;
@@ -52,6 +58,29 @@ pub struct Predictor {
     /// Context length used to disambiguate repetitive successors
     /// (0 = unigram, 1 = bigram, …).
     context_depth: usize,
+    /// Shadow score: one bit per scored swap-in, most recent in bit 0, set
+    /// when the predictor had named that chunk in advance. Starts all-ones
+    /// — a predictor that has not been wrong yet is trusted.
+    shadow: u64,
+    /// The swap-ins since the last [`Predictor::end_batch`], not yet
+    /// folded into `shadow`.
+    batch: Batch,
+}
+
+/// Shadow-score bookkeeping for one batch of swap-ins (the swap-ins
+/// between two synchronizations).
+#[derive(Debug, Clone, Default)]
+struct Batch {
+    /// Swap-ins so far.
+    len: usize,
+    /// Swap-ins the predictor had named as exactly the next chunk.
+    hits: usize,
+    /// Swap-ins of a chunk it had not named at all.
+    misses: usize,
+    /// The outstanding chunks in the order it named them when the batch
+    /// began, each marked when it came back out of that order: a hit if
+    /// the batch turns out to reach as far down the order as its rank.
+    forecast: Vec<(ChunkId, bool)>,
 }
 
 impl Default for Predictor {
@@ -72,6 +101,8 @@ impl Predictor {
             capacity: capacity.max(4),
             decay: 0.9,
             context_depth: 1,
+            shadow: u64::MAX,
+            batch: Batch::default(),
         }
     }
 
@@ -124,9 +155,38 @@ impl Predictor {
     }
 
     /// Records an actual swap-in (host→device) of `chunk`, scoring each
-    /// policy on whether it would have predicted it.
+    /// policy on whether it would have predicted it — and the predictor as
+    /// a whole on whether its own guess, made before the swap-in is folded
+    /// in, named the chunk.
     pub fn observe_swap_in(&mut self, chunk: ChunkId) {
-        let rep_hit = self.predict_repetitive(&[]) == Some(chunk);
+        // `predict_next(&[])`, sharing the repetitive walk with the policy
+        // scores below.
+        let repetitive = self.predict_repetitive(&[]);
+        let guess = match self.pattern() {
+            Pattern::Repetitive => repetitive,
+            Pattern::Fifo => self.outstanding.front().copied(),
+            Pattern::Lifo => self.outstanding.back().copied(),
+        };
+        if self.batch.len == 0 {
+            let named = self.predict_sequence(self.outstanding.len(), &[]);
+            self.batch.forecast = named.into_iter().map(|c| (c, false)).collect();
+        }
+        let batch = &mut self.batch;
+        batch.len += 1;
+        if guess == Some(chunk) {
+            batch.hits += 1;
+        } else if let Some(slot) = batch
+            .forecast
+            .iter_mut()
+            .find(|(c, seen)| *c == chunk && !seen)
+        {
+            slot.1 = true;
+        } else if guess.is_some() {
+            // A predictor with no guess at all (cold start) abstains: it
+            // would have sealed nothing, so nothing is held against it.
+            batch.misses += 1;
+        }
+        let rep_hit = repetitive == Some(chunk);
         let fifo_hit = self.outstanding.front() == Some(&chunk);
         let lifo_hit = self.outstanding.back() == Some(&chunk);
         self.score_rep = self.score_rep * self.decay + f64::from(u8::from(rep_hit));
@@ -137,6 +197,39 @@ impl Predictor {
             self.history.pop_front();
         }
         self.history.push_back(chunk);
+    }
+
+    /// Closes the current batch of swap-ins (the application synchronized)
+    /// and folds it into the shadow score. A swap-in is a hit when the
+    /// predictor had named exactly that chunk next, or — order within a
+    /// batch being free, because requests are re-ordered against the queue
+    /// (§5.3) — had named it among the batch's first *n* outstanding
+    /// chunks, *n* being the batch's size. With a synchronization after
+    /// every swap-in the two are the same rule.
+    pub fn end_batch(&mut self) {
+        let Batch {
+            len,
+            mut hits,
+            mut misses,
+            forecast,
+        } = std::mem::take(&mut self.batch);
+        for (rank, _) in forecast.iter().enumerate().filter(|(_, (_, seen))| *seen) {
+            if rank < len {
+                hits += 1;
+            } else {
+                misses += 1;
+            }
+        }
+        for i in 0..(hits + misses).min(64) {
+            self.shadow = self.shadow << 1 | u64::from(i < hits);
+        }
+    }
+
+    /// How many of the last `window` (≤ 64) scored swap-ins the predictor
+    /// had named in advance. Nothing is sealed to learn this: it is the
+    /// accuracy speculation *would* have, whether or not any is running.
+    pub fn shadow_hits(&self, window: u32) -> u32 {
+        (self.shadow & (u64::MAX >> (64 - window.clamp(1, 64)))).count_ones()
     }
 
     /// Removes a chunk from tracking entirely (freed host memory).
@@ -507,6 +600,66 @@ mod tests {
         feed(&mut deep);
         assert_eq!(deep.context_depth(), 2);
         assert_eq!(deep.predict_next(&[]), Some(chunk(20)));
+    }
+
+    /// Swaps out `base..base + 4`, then swaps them back in in `order`,
+    /// closing a batch after every `batch` swap-ins.
+    fn shadow_episode(p: &mut Predictor, base: u64, order: [u64; 4], batch: usize) {
+        for i in 0..4 {
+            p.observe_swap_out(chunk(base + i));
+        }
+        for (n, i) in order.into_iter().enumerate() {
+            p.observe_swap_in(chunk(base + i));
+            if (n + 1) % batch == 0 {
+                p.end_batch();
+            }
+        }
+    }
+
+    #[test]
+    fn shadow_score_rolls_over_the_predictors_own_guesses() {
+        let mut p = Predictor::default();
+        assert_eq!(p.shadow_hits(16), 16, "never wrong yet: trusted");
+        // Cold start names nothing, so there is nothing to score.
+        p.observe_swap_in(chunk(1));
+        p.end_batch();
+        assert_eq!(p.shadow_hits(16), 16);
+        // LIFO reloads the predictor names in advance keep the window full;
+        // the forecast is taken *before* the swap-in is folded in — it is
+        // the guess a refill would have sealed.
+        shadow_episode(&mut p, 10, [3, 2, 1, 0], 1);
+        shadow_episode(&mut p, 20, [3, 2, 1, 0], 1);
+        assert_eq!(p.shadow_hits(16), 16);
+        // An episode reloaded oldest-first while LIFO is elected: three
+        // wrong guesses, then the last outstanding chunk — a certain hit.
+        shadow_episode(&mut p, 30, [0, 1, 2, 3], 1);
+        assert_eq!(p.pattern(), Pattern::Lifo);
+        assert_eq!(p.shadow_hits(4), 1);
+        assert_eq!(p.shadow_hits(16), 13);
+        // Sixteen right guesses later the misses have rolled out.
+        for round in 4..8 {
+            shadow_episode(&mut p, round * 10, [3, 2, 1, 0], 1);
+        }
+        assert_eq!(p.shadow_hits(16), 16);
+        assert_eq!(p.shadow_hits(64), 61, "a longer window still sees them");
+    }
+
+    #[test]
+    fn shadow_score_forgives_order_within_a_batch() {
+        let mut p = Predictor::default();
+        for round in 0..4 {
+            shadow_episode(&mut p, round * 10, [3, 2, 1, 0], 1);
+        }
+        assert_eq!(p.pattern(), Pattern::Lifo);
+        // The same wrong order as above, but submitted as one batch: the
+        // predictor named this set of four, and re-ordering serves it.
+        shadow_episode(&mut p, 40, [0, 1, 2, 3], 4);
+        assert_eq!(p.shadow_hits(16), 16);
+        // Two batches of two: {0, 1} is not the pair LIFO named first
+        // ({3, 2}); {2, 3} is what is left, so it is.
+        shadow_episode(&mut p, 50, [0, 1, 2, 3], 2);
+        assert_eq!(p.shadow_hits(4), 2);
+        assert_eq!(p.shadow_hits(16), 14);
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //!      [`PipeLlmStats::reorders`]), otherwise NOPs pad the gap at the next
 //!      synchronization ([`PipeLlmStats::nop_recoveries`]);
 //!    - **no usable entry** → the pipeline is relinquished and the chunk is
-//!      encrypted on demand ([`PipeLlmStats::relinquishes`]).
+//!      encrypted on demand ([`PipeLlmStats::relinquishes`]);
+//!    - **nothing queued at all** → the chunk is encrypted on demand and no
+//!      prediction is blamed ([`PipeLlmStats::on_demand`]).
 //! 4. Swap-outs return before decryption; the destination pages are
 //!    access-revoked until a background decrypt lands (§5.4).
 //!
@@ -83,7 +85,9 @@ pub struct PipeLlmConfig {
     /// NOPs, and background decryption — across *all* sessions. The paper
     /// uses 2 for vLLM and more for FlexGen-style offloading (§7.1, §7.3).
     pub crypto_threads: usize,
-    /// Maximum pre-encrypted chunks in flight per session.
+    /// Maximum pre-encrypted chunks in flight per session — a ceiling: a
+    /// session speculates this deep only while its predictor's recent
+    /// shadow accuracy is at or above break-even (see [`crate::session`]).
     pub spec_depth: usize,
     /// Extra IV headroom reserved ahead of the channel counter for
     /// interleaved small I/O (§5.1: "PipeLLM would predict a larger IV").
@@ -448,6 +452,7 @@ impl GpuRuntime for PipeLlmRuntime {
             state
                 .release_suspended(ctx, p, now, true)
                 .expect("suspended flush cannot fail on live chunks");
+            state.predictor.end_batch();
             state.pre_decrypt(ctx, p, now);
             state.refill(ctx, cookies, p, now);
         });
@@ -729,9 +734,10 @@ mod tests {
         let stats = rt.spec_stats();
         assert_eq!(stats.speculated, 0);
         assert_eq!(stats.spec_hits, 0);
-        assert!(
-            stats.relinquishes > 0,
-            "all swaps served on demand: {stats}"
+        assert_eq!(
+            (stats.on_demand, stats.relinquishes),
+            (6, 0),
+            "all swaps served on demand, none blamed on a pipeline: {stats}"
         );
         // Async decryption still active.
         assert!(stats.async_decrypts > 0);

@@ -8,7 +8,10 @@
 //! correctness is tied to *one* channel's IV stream is private to the
 //! session and lives in a [`SessionState`]:
 //!
-//! - the [`Predictor`] (tenant A's swap pattern says nothing about B's);
+//! - the [`Predictor`] (tenant A's swap pattern says nothing about B's),
+//!   and with it the shadow accuracy that gates how deep the session
+//!   speculates — an unpredictable tenant stops sealing ahead, its
+//!   predictable neighbour does not;
 //! - the [`SpeculationQueue`] and its suspended requests (IVs are
 //!   per-channel, so speculative ciphertext is per-session);
 //! - pending asynchronous decryptions and their page revocations;
@@ -38,6 +41,20 @@ use pipellm_sim::time::SimTime;
 /// Consecutive unpredicted swap-ins after which a session's whole pipeline
 /// is relinquished instead of recovering entry by entry.
 const MISS_RELINQUISH_THRESHOLD: u32 = 3;
+
+/// Swap-ins the speculation gate looks back over: the window of
+/// [`Predictor::shadow_hits`] that [`SessionState::effective_depth`] reads.
+pub const SHADOW_WINDOW: u32 = 16;
+
+/// Break-even shadow accuracy, in hits per [`SHADOW_WINDOW`]: at or above
+/// it the queue is topped up to `spec_depth`, below it nothing is sealed
+/// ahead. A wrong guess costs a wasted seal, NOP padding and a re-seal on
+/// the same crypto workers the on-demand path needs; a right one saves one
+/// on-demand seal. On the simulated clock full depth starts to win at an
+/// accuracy of 0.93 with no compute between swaps, 0.75 with 100 µs per
+/// 1 MiB swap, and always once compute hides every seal (README,
+/// "Speculation policy"); at 0.75 it is also never slower than native CC.
+const SHADOW_BREAK_EVEN: u32 = 12;
 
 /// Shared knobs of the speculation pipeline (identical for every session).
 #[derive(Debug, Clone, Copy)]
@@ -324,8 +341,27 @@ impl SessionState {
     // Speculation pipeline
     // -----------------------------------------------------------------
 
-    /// Tops the speculation queue up to `spec_depth` entries by sealing
-    /// predicted chunks at future IVs on the shared crypto pool.
+    /// How many pre-sealed chunks this session may hold right now:
+    /// `spec_depth` is the ceiling, the predictor's recent shadow accuracy
+    /// decides whether it is used. The score is whether the predictor
+    /// *named* the chunks that came back, not what happened to the queue,
+    /// so the wrong-order ablation and IV-slack recoveries do not close
+    /// the gate, and a closed gate reopens without sealing anything.
+    fn effective_depth(&self, p: &SpecParams) -> usize {
+        if self.predictor.shadow_hits(SHADOW_WINDOW) >= SHADOW_BREAK_EVEN {
+            p.spec_depth
+        } else {
+            // Untrusted — but the last outstanding chunk is a certain hit.
+            usize::from(self.predictor.outstanding().count() == 1)
+        }
+    }
+
+    /// Tops the speculation queue up to [`SessionState::effective_depth`]
+    /// entries by sealing predicted chunks at future IVs on the shared
+    /// crypto pool. Pending opens of the predicted chunks are finalized up
+    /// to the full `spec_depth` either way: every outstanding chunk is
+    /// reloaded whatever the order, so §5.4 pre-decryption follows the
+    /// predicted *set*, not the seals.
     pub(crate) fn refill(
         &mut self,
         ctx: &mut CudaContext,
@@ -340,6 +376,10 @@ impl SessionState {
         let Some(budget) = p.spec_depth.checked_sub(in_flight).filter(|&b| b > 0) else {
             return;
         };
+        let depth = self.effective_depth(p);
+        if depth <= in_flight && self.kv.pending_len() == 0 {
+            return; // nothing to seal, nothing to pre-decrypt
+        }
         let mut exclude = self.queue.queued_chunks();
         exclude.extend(self.suspended.iter().map(|s| s.chunk));
         // Anchor the repetitive walk at the queue tail with one chunk of
@@ -368,8 +408,11 @@ impl SessionState {
             self.next_spec_iv = self.next_spec_iv.max(cur);
         }
         for chunk in sequence {
-            if self.queue.len() + self.suspended.len() >= p.spec_depth {
-                break;
+            // A predicted chunk still pending decryption is pre-decrypted
+            // first — a predictor-gated §5.4 hit.
+            let avail = self.plaintext_ready(ctx, p, chunk, now, true);
+            if self.queue.len() + self.suspended.len() >= depth {
+                continue;
             }
             if p.failure_mode == SpecFailureMode::WrongOrder {
                 // Force a sequence miss even when the predicted set is a
@@ -381,9 +424,6 @@ impl SessionState {
             // Each entry reserves `iv_slack` unassigned IVs before it, the
             // §5.1 leeway for interleaved small I/O; NOPs close unused gaps.
             let iv = self.next_spec_iv + p.iv_slack;
-            // Sealing a predicted chunk that is still pending decryption
-            // pre-decrypts it first — a predictor-gated §5.4 hit.
-            let avail = self.plaintext_ready(ctx, p, chunk, now, true);
             let mut buf = self.pooled_buf();
             let sealed = match ctx.seal_region_into(chunk, iv, &mut buf) {
                 Ok(sealed) => sealed,
@@ -711,6 +751,12 @@ impl SessionState {
                     self.release_suspended(ctx, p, now, false)?;
                     t
                 }
+            }
+            None if self.queue.is_empty() && self.suspended.is_empty() => {
+                // Nothing was sealed ahead (cold start, or the gate held
+                // the depth at 0): no pipeline to be wrong about.
+                self.stats.on_demand += 1;
+                self.encrypt_on_demand(ctx, p, now, dst, src)?
             }
             None => {
                 self.stats.relinquishes += 1;

@@ -14,9 +14,14 @@ pub struct PipeLlmStats {
     /// Swap requests suspended and served out of submission order within
     /// their batch (swap re-ordering, §5.3).
     pub reorders: u64,
-    /// Swap requests that forced a pipeline relinquish (irrecoverable
-    /// misprediction: no entry, invalidated entry, or stale IV).
+    /// Swap requests that found the pipeline wrong (irrecoverable
+    /// misprediction: no entry for them among those queued, an invalidated
+    /// entry, or a stale IV) and were encrypted on demand.
     pub relinquishes: u64,
+    /// Swap requests encrypted on demand with *nothing* queued — cold
+    /// start, speculation disabled, or the accuracy gate holding the depth
+    /// at 0. Not a misprediction: no prediction was acted on.
+    pub on_demand: u64,
     /// Pre-encrypted entries invalidated by plaintext writes (§5.2).
     pub write_invalidations: u64,
     /// Pre-encrypted entries discarded unused (skipped by NOP padding or
@@ -45,6 +50,7 @@ impl std::ops::AddAssign for PipeLlmStats {
         self.nop_recoveries += rhs.nop_recoveries;
         self.reorders += rhs.reorders;
         self.relinquishes += rhs.relinquishes;
+        self.on_demand += rhs.on_demand;
         self.write_invalidations += rhs.write_invalidations;
         self.wasted_entries += rhs.wasted_entries;
         self.async_decrypts += rhs.async_decrypts;
@@ -56,7 +62,8 @@ impl std::ops::AddAssign for PipeLlmStats {
 }
 
 impl PipeLlmStats {
-    /// Sequence-prediction success rate over all pipelined swap-ins.
+    /// Sequence-prediction success rate over all pipelined swap-ins
+    /// ([`PipeLlmStats::on_demand`] serves had no pipeline to judge).
     pub fn success_rate(&self) -> f64 {
         let served = self.spec_hits + self.nop_recoveries + self.reorders + self.relinquishes;
         if served == 0 {
@@ -80,12 +87,13 @@ impl fmt::Display for PipeLlmStats {
         write!(
             f,
             "spec_hits={} reorders={} nop_recoveries={} relinquishes={} \
-             invalidations={} wasted={} async_dec={} dec_faults={} \
-             pre_dec={} kv_sentinels={} success={:.1}%",
+             on_demand={} invalidations={} wasted={} async_dec={} \
+             dec_faults={} pre_dec={} kv_sentinels={} success={:.1}%",
             self.spec_hits,
             self.reorders,
             self.nop_recoveries,
             self.relinquishes,
+            self.on_demand,
             self.write_invalidations,
             self.wasted_entries,
             self.async_decrypts,
@@ -108,6 +116,8 @@ mod tests {
             reorders: 5,
             nop_recoveries: 3,
             relinquishes: 2,
+            // Served with nothing queued: not a pipelined swap-in.
+            on_demand: 40,
             ..PipeLlmStats::default()
         };
         assert!((stats.success_rate() - 0.95).abs() < 1e-9);
@@ -123,6 +133,7 @@ mod tests {
         };
         let text = stats.to_string();
         assert!(text.contains("spec_hits=7"));
+        assert!(text.contains("on_demand=0"));
         assert!(text.contains("success="));
     }
 }

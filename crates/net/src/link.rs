@@ -565,8 +565,10 @@ pub enum RxOutcome {
 /// Receives one data frame: fast-forwards the edge if the frame's epoch is
 /// ahead (the rekey control message may still be in flight), discards
 /// stale-epoch frames, and sentinel-opens everything else at the edge's
-/// receive counter with the locally recomputed AAD binding.
-pub fn open_data(crypto: &mut EdgeCrypto, frame: &DataFrame) -> RxOutcome {
+/// receive counter with the locally recomputed AAD binding. The open is in
+/// place: the ciphertext body is taken out of `frame` (its header stays
+/// for the caller's ack), so no hop copies a payload to decrypt it.
+pub fn open_data(crypto: &mut EdgeCrypto, frame: &mut DataFrame) -> RxOutcome {
     if frame.epoch < crypto.epoch() {
         return RxOutcome::StaleEpoch;
     }
@@ -581,7 +583,7 @@ pub fn open_data(crypto: &mut EdgeCrypto, frame: &DataFrame) -> RxOutcome {
         frame.micro_batch,
         frame.sealed.len().saturating_sub(16) as u64,
     );
-    let (buf, ok) = crypto.open_or_sentinel(&aad, frame.sealed.clone());
+    let (buf, ok) = crypto.open_or_sentinel(&aad, std::mem::take(&mut frame.sealed));
     if ok {
         RxOutcome::Plain(buf)
     } else {
@@ -633,9 +635,9 @@ mod tests {
     fn edge_roundtrip_and_counters_advance() {
         let edge = WireEdge::between(0, 1);
         let (mut tx, mut rx) = pair(edge);
-        let frame = frame_for(&mut tx, 0, 1, 2, 3, b"activation bytes");
+        let mut frame = frame_for(&mut tx, 0, 1, 2, 3, b"activation bytes");
         assert_eq!(
-            open_data(&mut rx, &frame),
+            open_data(&mut rx, &mut frame),
             RxOutcome::Plain(b"activation bytes".to_vec())
         );
         assert_eq!(tx.tx_iv(), 2);
@@ -673,7 +675,7 @@ mod tests {
         let (mut tx, mut rx) = pair(edge);
         let mut frame = frame_for(&mut tx, 0, 1, 0, 0, b"payload");
         frame.micro_batch = 1; // relay "rewrites" routing metadata
-        assert_eq!(open_data(&mut rx, &frame), RxOutcome::Sentinel);
+        assert_eq!(open_data(&mut rx, &mut frame), RxOutcome::Sentinel);
         // IV consumed regardless: lockstep preserved.
         assert_eq!(rx.rx_iv(), tx.tx_iv());
     }
@@ -682,9 +684,9 @@ mod tests {
     fn stale_epoch_frames_are_ignored_without_iv_burn() {
         let edge = WireEdge::between(1, 2);
         let (mut tx, mut rx) = pair(edge);
-        let frame = frame_for(&mut tx, 1, 2, 0, 0, b"old world");
+        let mut frame = frame_for(&mut tx, 1, 2, 0, 0, b"old world");
         rx.rekey_to(1);
-        assert_eq!(open_data(&mut rx, &frame), RxOutcome::StaleEpoch);
+        assert_eq!(open_data(&mut rx, &mut frame), RxOutcome::StaleEpoch);
         assert_eq!(rx.rx_iv(), 1, "fresh epoch counter untouched");
     }
 
@@ -693,9 +695,9 @@ mod tests {
         let edge = WireEdge::between(1, 2);
         let (mut tx, mut rx) = pair(edge);
         tx.rekey_to(2);
-        let frame = frame_for(&mut tx, 1, 2, 0, 0, b"new world");
+        let mut frame = frame_for(&mut tx, 1, 2, 0, 0, b"new world");
         assert_eq!(
-            open_data(&mut rx, &frame),
+            open_data(&mut rx, &mut frame),
             RxOutcome::Plain(b"new world".to_vec())
         );
         assert_eq!(rx.epoch(), 2);
@@ -706,17 +708,17 @@ mod tests {
         let edge = WireEdge::between(0, HOST_NODE);
         let (mut host, mut dev) = pair(edge);
         for _ in 0..5 {
-            let f = frame_for(&mut host, HOST_NODE, 0, 0, 0, b"x");
-            let _ = open_data(&mut dev, &f);
+            let mut f = frame_for(&mut host, HOST_NODE, 0, 0, 0, b"x");
+            let _ = open_data(&mut dev, &mut f);
         }
         assert_eq!(host.tx_iv(), 6);
         host.rekey_to(1);
         dev.rekey_to(1);
         assert_eq!(host.tx_iv(), 1, "fresh-IV recovery after rekey");
         assert_eq!(dev.rx_iv(), 1);
-        let f = frame_for(&mut host, HOST_NODE, 0, 0, 0, b"post-rekey");
+        let mut f = frame_for(&mut host, HOST_NODE, 0, 0, 0, b"post-rekey");
         assert_eq!(
-            open_data(&mut dev, &f),
+            open_data(&mut dev, &mut f),
             RxOutcome::Plain(b"post-rekey".to_vec())
         );
     }

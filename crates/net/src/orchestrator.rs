@@ -384,7 +384,7 @@ impl Orchestrator {
 
     /// Handles a data frame arriving from worker `from`: opens egress
     /// frames, relays everything else toward its destination worker.
-    pub(crate) fn handle_data(&mut self, from: u32, frame: DataFrame) -> NetResult<()> {
+    pub(crate) fn handle_data(&mut self, from: u32, mut frame: DataFrame) -> NetResult<()> {
         if frame.src != from {
             return Err(NetError::Protocol {
                 detail: format!("stage {from} sent a frame claiming src {}", frame.src),
@@ -400,7 +400,7 @@ impl Orchestrator {
             let crypto = self.edges.get_mut(&edge).ok_or(NetError::Protocol {
                 detail: "egress edge missing".to_string(),
             })?;
-            match open_data(crypto, &frame) {
+            match open_data(crypto, &mut frame) {
                 RxOutcome::Plain(bytes) => {
                     self.control_send(
                         frame.src,

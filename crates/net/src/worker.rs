@@ -348,7 +348,7 @@ impl Worker {
         Ok(())
     }
 
-    fn handle_data(&mut self, frame: &DataFrame) -> NetResult<()> {
+    fn handle_data(&mut self, mut frame: DataFrame) -> NetResult<()> {
         if frame.src == frame.dst || frame.dst != self.stage || frame.src != self.in_peer {
             return Err(NetError::Protocol {
                 detail: format!(
@@ -363,7 +363,7 @@ impl Worker {
             .ok_or(NetError::Protocol {
                 detail: "in edge missing".to_string(),
             })?;
-        match open_data(crypto, frame) {
+        match open_data(crypto, &mut frame) {
             RxOutcome::Plain(mut bytes) => {
                 self.control_send(&Msg::AckData(DataAck {
                     src: frame.src,
@@ -438,7 +438,7 @@ impl Worker {
         match event {
             PumpEvent::Frame(msg) => match msg {
                 Msg::Data(frame) => {
-                    self.handle_data(&frame)?;
+                    self.handle_data(frame)?;
                     Ok(None)
                 }
                 Msg::AckData(ack) => {
@@ -923,12 +923,12 @@ mod tests {
                 micro_batch,
                 sealed: self.host.seal(&aad, &input).unwrap().bytes,
             };
-            self.worker.handle_data(&frame).unwrap();
+            self.worker.handle_data(frame).unwrap();
             assert_eq!(Self::drain(&mut self.ctl_rx), vec![Msg::AckData(ack)]);
             Self::drain(&mut self.data_rx)
                 .into_iter()
                 .map(|msg| match msg {
-                    Msg::Data(reply) => match open_data(&mut self.host, &reply) {
+                    Msg::Data(mut reply) => match open_data(&mut self.host, &mut reply) {
                         RxOutcome::Plain(bytes) => (reply.seq, bytes),
                         other => panic!("output must open: {other:?}"),
                     },

@@ -179,11 +179,11 @@ fn single_stage_worker_serves_a_scripted_orchestrator() {
             seq: 0
         })
     );
-    let Msg::Data(reply) = peer.recv_data("stage reply") else {
+    let Msg::Data(mut reply) = peer.recv_data("stage reply") else {
         panic!("expected the worker's output frame");
     };
     assert_eq!((reply.src, reply.dst), (0, HOST_NODE));
-    let out = match open_data(&mut host, &reply) {
+    let out = match open_data(&mut host, &mut reply) {
         RxOutcome::Plain(bytes) => bytes,
         other => panic!("expected plaintext, got {other:?}"),
     };
