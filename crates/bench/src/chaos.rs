@@ -17,10 +17,7 @@
 //!   restart time, not collapse.
 
 use pipellm_chaos::{ChaosInjector, FaultPlan};
-use pipellm_net::{
-    run_supervised_duplex, run_supervised_tcp_threads, NetPipelineSpec, NetTuning,
-    SupervisedOptions, SupervisedReport,
-};
+use pipellm_net::{deploy, NetPipelineSpec, NetTuning, SupervisedOptions, Wire};
 use pipellm_serving::engine::ServingEngine;
 use pipellm_serving::pipeline::{PipelineConfig, PipelineEngine, PipelineSystem};
 use pipellm_serving::resilience::ResilienceStats;
@@ -224,20 +221,17 @@ pub fn net_kill_options() -> SupervisedOptions {
     }
 }
 
-fn measure_supervised<F>(
-    run: F,
+fn measure_supervised(
+    wire: Wire<'_>,
     transport: &str,
     rate: f64,
     smoke: bool,
     twin: Option<&[Vec<u8>]>,
-) -> (NetKillRow, Vec<Vec<u8>>)
-where
-    F: FnOnce(&NetPipelineSpec, &SupervisedOptions) -> pipellm_net::NetResult<SupervisedReport>,
-{
+) -> (NetKillRow, Vec<Vec<u8>>) {
     let spec = net_kill_spec(rate, smoke);
     let options = net_kill_options();
     let start = Instant::now();
-    let report = run(&spec, &options).expect("supervised chaotic run completes");
+    let report = deploy(&spec, wire, Some(&options)).expect("supervised chaotic run completes");
     let wall = start.elapsed();
     let expected = spec.expected_outputs();
     let outputs = report.net.outputs.clone();
@@ -267,19 +261,12 @@ where
 /// through the full heartbeat-detect / force-rekey / checkpoint-restore
 /// failover path.
 pub fn run_net_kill(smoke: bool) -> Vec<NetKillRow> {
-    type SupervisedRunner =
-        fn(&NetPipelineSpec, &SupervisedOptions) -> pipellm_net::NetResult<SupervisedReport>;
     let mut rows = Vec::new();
-    let transports: [(&str, SupervisedRunner); 2] = [
-        ("duplex", run_supervised_duplex),
-        ("tcp", run_supervised_tcp_threads),
-    ];
-    for (label, runner) in transports {
-        let (twin_row, twin_outputs) =
-            measure_supervised(runner, label, KILL_RATES[0], smoke, None);
+    for (label, wire) in [("duplex", Wire::Duplex), ("tcp", Wire::TcpThreads)] {
+        let (twin_row, twin_outputs) = measure_supervised(wire, label, KILL_RATES[0], smoke, None);
         rows.push(twin_row);
         for &rate in &KILL_RATES[1..] {
-            let (row, _) = measure_supervised(runner, label, rate, smoke, Some(&twin_outputs));
+            let (row, _) = measure_supervised(wire, label, rate, smoke, Some(&twin_outputs));
             rows.push(row);
         }
     }

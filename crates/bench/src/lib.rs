@@ -21,7 +21,6 @@ pub mod fig09;
 pub mod fig10;
 pub mod kvcache;
 pub mod multitenant;
-pub mod net;
 pub mod pipeline;
 pub mod runners;
 pub mod systems;

@@ -21,8 +21,7 @@
 //! reference. Heartbeat and deadline tuning comes from `PIPELLM_*`
 //! environment variables ([`pipellm_net::NetTuning::from_env`]).
 
-use pipellm_net::orchestrator::serve_tcp;
-use pipellm_net::{serve_supervised_tcp, NetPipelineSpec, NetTuning, SupervisedOptions};
+use pipellm_net::{deploy, NetPipelineSpec, NetTuning, SupervisedOptions, Wire};
 use std::net::TcpListener;
 use std::process::ExitCode;
 
@@ -86,27 +85,26 @@ fn run() -> Result<(), String> {
         if supervised { ", supervised" } else { "" },
     );
     let expected = spec.expected_outputs();
-    let report = if supervised {
-        let options = SupervisedOptions {
-            tuning: NetTuning::from_env(),
-            ..SupervisedOptions::default()
-        };
-        let sup = serve_supervised_tcp(&spec, &options, listener).map_err(|e| e.to_string())?;
+    let options = supervised.then(|| SupervisedOptions {
+        tuning: NetTuning::from_env(),
+        ..SupervisedOptions::default()
+    });
+    let run =
+        deploy(&spec, Wire::Listener(&listener), options.as_ref()).map_err(|e| e.to_string())?;
+    if supervised {
         println!(
             "orchestrator: supervision heartbeats {}, detections {}, failovers {}, barriers {}, checkpoints {}, restores {}, stale-rejects {}, shed {}",
-            sup.stats.heartbeats,
-            sup.stats.detections,
-            sup.stats.failovers,
-            sup.stats.barriers,
-            sup.stats.checkpoints_stored,
-            sup.stats.restores_sent,
-            sup.stats.stale_rejects,
-            sup.stats.shed_sessions,
+            run.stats.heartbeats,
+            run.stats.detections,
+            run.stats.failovers,
+            run.stats.barriers,
+            run.stats.checkpoints_stored,
+            run.stats.restores_sent,
+            run.stats.stale_rejects,
+            run.stats.shed_sessions,
         );
-        sup.net
-    } else {
-        serve_tcp(&spec, listener).map_err(|e| e.to_string())?
-    };
+    }
+    let report = run.net;
     let bit_identical = report.outputs == expected;
     println!(
         "orchestrator: done. digest {:#018x}, relayed {}, retransmits {}, sentinels {}, reconnects {}, rekeys {}, lockstep {}, bit-identical {}",

@@ -16,12 +16,9 @@
 //! with the next generation, and the acceptor rejects any connection
 //! still presenting a superseded one.
 
-use pipellm_chaos::{ChaosInjector, FaultPlan};
-use pipellm_crypto::session::derive_subseed;
 use pipellm_net::orchestrator::dial_worker_links;
-use pipellm_net::{run_worker, NetTuning, WorkerConfig};
+use pipellm_net::{run_worker, NetPipelineSpec, NetTuning, WorkerConfig};
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 fn arg_value(args: &[String], key: &str) -> Option<String> {
@@ -74,17 +71,18 @@ fn run() -> Result<(), String> {
     let mut config = WorkerConfig::with_tuning(stage, &NetTuning::from_env());
     config.generation = generation;
     config.op_timeout = timeout;
-    if generation == 0 && (fault_rate > 0.0 || worker_fault_rate > 0.0) {
-        // The same per-node plan NetPipelineSpec::injector_for derives, so
-        // a multi-process run replays the in-process chaos schedule. A
-        // respawned incarnation (generation > 0) is the recovery path and
-        // always runs fault-free.
-        let seed = derive_subseed(chaos_seed, u64::from(stage));
-        config.chaos = Some(Arc::new(ChaosInjector::new(
-            FaultPlan::new(seed)
-                .with_net_rate(fault_rate)
-                .with_stage_rate(worker_fault_rate),
-        )));
+    if generation == 0 {
+        // The per-node plan of the in-process deployments, so a
+        // multi-process run replays their chaos schedule. A respawned
+        // incarnation (generation > 0) is the recovery path and always
+        // runs fault-free.
+        let faults = NetPipelineSpec {
+            net_fault_rate: fault_rate,
+            worker_fault_rate,
+            chaos_seed,
+            ..NetPipelineSpec::default()
+        };
+        config.chaos = faults.injector_for(stage);
     }
 
     eprintln!("stage-worker {stage} gen {generation}: dialing {connect}");

@@ -3,9 +3,12 @@
 //! Recovery is by recomputation, so a checkpoint carries only *where the
 //! run stands*: at every barrier (see [`crate::proto::CheckpointReq`]) a
 //! worker seals the committed-prefix watermark the barrier announced and
-//! its per-edge epoch/IV positions — ~100 bytes whatever the run length,
+//! the epoch of each of its edges — 64 bytes whatever the run length,
 //! admission window or activation size, and never an activation — and
-//! ships the blob to the orchestrator. The orchestrator is outside the
+//! ships the blob to the orchestrator. IV positions are deliberately not
+//! part of it: the dead incarnation may have burned counters past the seal
+//! point, so a restore is always followed by a forced rekey (epoch + 1,
+//! IVs back to 1) and no position inside an epoch is ever resumed. The orchestrator is outside the
 //! trust boundary: it stores and relays the checkpoint but cannot read or
 //! forge it, because the sealing key is derived from the cluster seed,
 //! which workers derive locally and never put on the wire.
@@ -30,7 +33,7 @@
 
 use crate::error::{NetError, NetResult};
 use crate::frame::{Reader, Writer};
-use crate::proto::EdgeCounterEntry;
+use crate::proto::RekeyEdge;
 use pipellm_crypto::channel::{ChannelKeys, SealedMessage, SecureChannel};
 use pipellm_crypto::session::derive_subseed;
 use std::sync::Arc;
@@ -52,22 +55,20 @@ pub fn global_index(iteration: u32, micro_batch: u32, micro_batches: u32) -> u64
 pub struct CheckpointState {
     /// The checkpointing stage.
     pub stage: u32,
-    /// The incarnation that sealed this state.
-    pub generation: u32,
     /// The barrier this state belongs to.
     pub barrier: u64,
     /// The committed-prefix watermark the barrier announced: every output
     /// with a [`global_index`] below it is committed at the orchestrator.
     pub prefix: u64,
-    /// Per-edge epoch and IV positions at seal time.
-    pub edges: Vec<EdgeCounterEntry>,
+    /// The epoch each of the stage's edges stood at when sealed — what a
+    /// replacement fast-forwards to before the post-restore rekey.
+    pub edges: Vec<RekeyEdge>,
 }
 
 impl CheckpointState {
     fn encode(&self) -> Vec<u8> {
         let mut w = Writer::default();
         w.u32(self.stage);
-        w.u32(self.generation);
         w.u64(self.barrier);
         w.u64(self.prefix);
         w.u32(self.edges.len() as u32);
@@ -75,8 +76,6 @@ impl CheckpointState {
             w.u32(e.a);
             w.u32(e.b);
             w.u32(e.epoch);
-            w.u64(e.tx_iv);
-            w.u64(e.rx_iv);
         }
         w.0
     }
@@ -84,7 +83,6 @@ impl CheckpointState {
     fn decode(payload: &[u8]) -> NetResult<CheckpointState> {
         let mut r = Reader::new(payload);
         let stage = r.u32()?;
-        let generation = r.u32()?;
         let barrier = r.u64()?;
         let prefix = r.u64()?;
         let n = r.u32()? as usize;
@@ -95,18 +93,15 @@ impl CheckpointState {
         }
         let mut edges = Vec::with_capacity(n);
         for _ in 0..n {
-            edges.push(EdgeCounterEntry {
+            edges.push(RekeyEdge {
                 a: r.u32()?,
                 b: r.u32()?,
                 epoch: r.u32()?,
-                tx_iv: r.u64()?,
-                rx_iv: r.u64()?,
             });
         }
         r.finish()?;
         Ok(CheckpointState {
             stage,
-            generation,
             barrier,
             prefix,
             edges,

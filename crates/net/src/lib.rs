@@ -21,6 +21,22 @@
 //! forwards — the host is exactly the untrusted bounce buffer the paper's
 //! threat model assumes.
 //!
+//! # One deployment, two switches
+//!
+//! [`deploy`] is the entry point. Its switches are the [`Wire`] the
+//! workers are attached over — in-process duplex threads, localhost TCP
+//! threads, or a bound listener that real `stage-worker` processes dial —
+//! and `Option<&SupervisedOptions>`. Whatever their setting, one driver
+//! runs one lifecycle: **handshake** (welcome → shard manifest → ack →
+//! start) → **serve** (at most an admission window of sessions in flight)
+//! → **sequenced drain** (`Finish` flows downstream stage by stage) →
+//! **flush** to quiescence → **lockstep audit** of every edge's counters →
+//! **shutdown**. Supervision adds, on top of exactly that: heartbeat
+//! deadlines, live failover of a dead worker (generation bump, readmission,
+//! sealed-checkpoint restore, forced rekey, re-injection), checkpoint
+//! barriers on the committed prefix, and admission deadlines and drain —
+//! see [`supervisor`]. Without it a lost worker fails the run.
+//!
 //! # Transports
 //!
 //! [`transport::Transport`] abstracts the byte stream: a real
@@ -58,10 +74,11 @@ pub mod transport;
 pub mod worker;
 
 pub use error::{NetError, NetResult};
-pub use orchestrator::{run_duplex, run_tcp_threads, serve_tcp, NetPipelineSpec, NetReport};
+pub use orchestrator::{
+    deploy, run_supervised_tcp_threads, run_tcp_threads, NetPipelineSpec, NetReport, Wire,
+};
 pub use proto::{NetTuning, PROTO_VERSION};
 pub use supervisor::{
-    run_supervised_duplex, run_supervised_tcp_threads, serve_supervised_tcp, AdmissionQueue,
-    SupervisedOptions, SupervisedReport, SupervisionStats, Supervisor, WorkerHealth,
+    AdmissionQueue, SupervisedOptions, SupervisedReport, SupervisionStats, Supervisor, WorkerHealth,
 };
 pub use worker::{run_worker, wire_retry_policy, WorkerConfig, WorkerLinks};

@@ -17,34 +17,44 @@
 //! at 1, and the sending side retransmits everything unacknowledged —
 //! fresh keys, fresh IVs, no counter ever reused.
 //!
-//! [`run_duplex`] and [`run_tcp_threads`] stand up a complete deployment
-//! (orchestrator plus one thread per stage worker) on the in-process
-//! duplex transport and on real localhost TCP sockets respectively; the
-//! bit-exactness tests hold their outputs identical to each other and to
-//! the plain in-process computation.
+//! There is one deployment and one driver. [`deploy`] takes the two
+//! switches a deployment has — the [`Wire`] its workers are attached over
+//! (duplex threads, TCP threads, a bound listener for worker processes)
+//! and `Option<&SupervisedOptions>` — and runs one lifecycle: handshake →
+//! serve → sequenced drain → flush to quiescence → lockstep audit →
+//! shutdown. Supervision ([`crate::supervisor`]) is a set of hooks that
+//! lifecycle calls when it is on; the bit-exactness tests hold every
+//! combination's outputs identical to each other and to the plain
+//! in-process computation.
 
 use crate::error::{NetError, NetResult};
+use crate::frame::read_frame;
 use crate::link::{
-    empty_slot, install_sender, open_data, role_at, send_on, EdgeCrypto, LinkSender, LinkTx,
-    RxOutcome, SenderSlot, WireEdge,
+    empty_slot, install_sender, kill_slot, open_data, role_at, send_on, EdgeCrypto, LinkSender,
+    LinkTx, RxOutcome, SenderSlot, WireEdge,
 };
 use crate::proto::{
-    CounterReport, DataAck, DataFrame, EdgeCounterEntry, Msg, RekeyEdge, ShardManifest, Welcome,
-    ACCEPT_POLL, DIAL_RETRY, HOST_NODE, INGRESS_WINDOW, OP_TIMEOUT, POLL_INTERVAL, QUIET_WINDOW,
-    RESEND_AFTER,
+    CounterReport, DataAck, DataFrame, EdgeCounterEntry, ManifestAck, Msg, NetTuning, RekeyEdge,
+    ShardManifest, Welcome, DIAL_RETRY, HOST_NODE, INGRESS_WINDOW, OP_TIMEOUT, POLL_INTERVAL,
+    QUIET_WINDOW, RESEND_AFTER,
 };
-use crate::pump::{Pump, PumpEvent};
-use crate::supervisor::AdmissionQueue;
+use crate::pump::{next_event, Pump, PumpEvent};
+use crate::supervisor::{
+    AdmissionQueue, Spawner, SupervisedOptions, SupervisedReport, Supervision,
+};
 use crate::transport::{
-    duplex_pair, DuplexActive, DuplexPassive, Reattach, TcpAcceptSlot, TcpDial, TcpTransport,
-    Transport,
+    duplex_handle, duplex_pair, DuplexActive, DuplexCore, DuplexPassive, Reattach, TcpAcceptSlot,
+    TcpDial, TcpTransport, Transport,
 };
-use crate::worker::{run_worker, wire_retry_policy, WorkerConfig, WorkerLinks};
+use crate::worker::{edge_counters, run_worker, wire_retry_policy, WorkerConfig, WorkerLinks};
 use pipellm::partition::{apply_stage, iteration_input, stage_weight_hash, StagePartition};
 use pipellm_chaos::{ChaosInjector, FaultPlan, RetryPolicy};
 use pipellm_crypto::session::derive_subseed;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{mpsc, Arc};
+use std::net::TcpListener;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Everything that defines one networked pipeline run.
@@ -188,15 +198,35 @@ impl NetPipelineSpec {
         )))
     }
 
-    pub(crate) fn worker_config(&self, stage: u32) -> WorkerConfig {
-        let mut config = WorkerConfig::new(stage);
-        config.policy = self.policy;
-        config.poll = self.poll;
-        config.op_timeout = self.op_timeout;
-        config.quiet = self.quiet;
-        config.resend_after = self.resend_after;
-        config.chaos = self.injector_for(stage);
-        config
+    /// The two messages that open `stage`'s handshake — at the start of
+    /// the run and again when a replacement incarnation is readmitted.
+    pub(crate) fn admission_msgs(&self, stage: u32) -> [Msg; 2] {
+        [
+            Msg::Welcome(Welcome {
+                stages: self.stages,
+            }),
+            Msg::Manifest(self.manifest_for(stage)),
+        ]
+    }
+
+    /// Checks `stage`'s reply to its manifest: it must name itself and
+    /// have hashed its shard's weights to the value the manifest carried.
+    pub(crate) fn check_manifest_ack(&self, stage: u32, ack: &ManifestAck) -> NetResult<()> {
+        if ack.stage != stage {
+            return Err(NetError::Handshake {
+                detail: format!("stage {stage} acked manifest for {}", ack.stage),
+            });
+        }
+        let expect = self.manifest_for(stage).weight_hash;
+        if ack.weight_hash != expect {
+            return Err(NetError::Handshake {
+                detail: format!(
+                    "stage {stage} weight hash {:#x}, expected {expect:#x}",
+                    ack.weight_hash
+                ),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -250,16 +280,20 @@ pub fn digest_outputs(outputs: &[Vec<u8>]) -> u64 {
 }
 
 /// One worker's pair of connections, from the orchestrator's side.
-pub struct OrchestratorLinks {
+pub(crate) struct StageLinks {
     /// The stage these connections belong to.
-    pub stage: u32,
+    pub(crate) stage: u32,
     /// Control connection.
-    pub control: Box<dyn Transport>,
+    pub(crate) control: Box<dyn Transport>,
+    /// Reattach provider for the control connection — a replacement
+    /// incarnation re-dials it. `None` without supervision: the control
+    /// link shares the worker's fate, and losing it ends the run.
+    pub(crate) control_reattach: Option<Box<dyn Reattach>>,
     /// Data connection.
-    pub data: Box<dyn Transport>,
+    pub(crate) data: Box<dyn Transport>,
     /// Passive reattach provider for the data connection (waits for the
     /// worker's re-dial); `None` disables recovery on this link.
-    pub data_reattach: Option<Box<dyn Reattach>>,
+    pub(crate) data_reattach: Option<Box<dyn Reattach>>,
 }
 
 pub(crate) struct Orchestrator {
@@ -338,6 +372,15 @@ impl Orchestrator {
         )
     }
 
+    /// [`Self::control_send`], absorbing a dead link: whatever the lost
+    /// message carried, that stage's reconnect or failover re-synchronizes.
+    pub(crate) fn control_send_lossy(&self, stage: u32, msg: &Msg) -> NetResult<()> {
+        match self.control_send(stage, msg) {
+            Ok(()) | Err(NetError::ConnectionLost { .. }) => Ok(()),
+            Err(e) => Err(e),
+        }
+    }
+
     /// The ingress in-flight set and, borrowed beside it, the sending end
     /// of stage 0's host edge.
     fn ingress_link(&mut self) -> NetResult<(&mut LinkTx, LinkSender<'_>)> {
@@ -400,30 +443,21 @@ impl Orchestrator {
             let crypto = self.edges.get_mut(&edge).ok_or(NetError::Protocol {
                 detail: "egress edge missing".to_string(),
             })?;
+            let ack = DataAck {
+                src: frame.src,
+                dst: frame.dst,
+                seq: frame.seq,
+            };
             match open_data(crypto, &mut frame) {
                 RxOutcome::Plain(bytes) => {
-                    self.control_send(
-                        frame.src,
-                        &Msg::AckData(DataAck {
-                            src: frame.src,
-                            dst: frame.dst,
-                            seq: frame.seq,
-                        }),
-                    )?;
+                    self.control_send(frame.src, &Msg::AckData(ack))?;
                     let key = (frame.iteration, frame.micro_batch);
                     self.outstanding.remove(&key);
                     self.outputs.entry(key).or_insert(bytes);
                 }
                 RxOutcome::Sentinel => {
                     self.sentinels += 1;
-                    self.control_send(
-                        frame.src,
-                        &Msg::NackData(DataAck {
-                            src: frame.src,
-                            dst: frame.dst,
-                            seq: frame.seq,
-                        }),
-                    )?;
+                    self.control_send(frame.src, &Msg::NackData(ack))?;
                 }
                 RxOutcome::StaleEpoch => {}
             }
@@ -504,15 +538,9 @@ impl Orchestrator {
             // failover re-rekeys every adjacent edge once it is readmitted.
             // Absorbing the loss keeps concurrent adjacent failovers from
             // aborting this sweep mid-edge-list.
-            match self.control_send(edge.a, &rekey) {
-                Ok(()) | Err(NetError::ConnectionLost { .. }) => {}
-                Err(e) => return Err(e),
-            }
+            self.control_send_lossy(edge.a, &rekey)?;
             if edge.b != HOST_NODE {
-                match self.control_send(edge.b, &rekey) {
-                    Ok(()) | Err(NetError::ConnectionLost { .. }) => {}
-                    Err(e) => return Err(e),
-                }
+                self.control_send_lossy(edge.b, &rekey)?;
             }
             if edge == self.ingress_edge() {
                 // Everything unacked was sealed under retired keys; resend
@@ -559,8 +587,8 @@ impl Orchestrator {
                 }
                 Msg::Done(report) => Ok(Some(report)),
                 // Liveness beacons are echoed so the worker's monotone
-                // sequence is observable end to end; the supervised driver
-                // additionally feeds them to its deadline tracking.
+                // sequence is observable end to end; a supervised run
+                // intercepts them first for its deadline tracking.
                 Msg::Heartbeat(hb) => {
                     self.control_send(stage, &Msg::HeartbeatAck(hb))?;
                     Ok(None)
@@ -581,17 +609,7 @@ impl Orchestrator {
     pub(crate) fn host_report(&self) -> CounterReport {
         CounterReport {
             stage: HOST_NODE,
-            edges: self
-                .edges
-                .iter()
-                .map(|(edge, crypto)| EdgeCounterEntry {
-                    a: edge.a,
-                    b: edge.b,
-                    epoch: crypto.epoch(),
-                    tx_iv: crypto.tx_iv(),
-                    rx_iv: crypto.rx_iv(),
-                })
-                .collect(),
+            edges: edge_counters(&self.edges),
             retransmits: self.retransmits,
             sentinels: self.sentinels,
             reconnects: self.reconnects,
@@ -642,102 +660,37 @@ pub(crate) fn audit_lockstep(reports: &[CounterReport], host: &CounterReport) ->
     Ok(())
 }
 
-pub(crate) fn next_event(
-    events: &mpsc::Receiver<(u32, PumpEvent)>,
-    poll: Duration,
-) -> NetResult<Option<(u32, PumpEvent)>> {
-    match events.recv_timeout(poll) {
-        Ok(ev) => Ok(Some(ev)),
-        Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
-        Err(mpsc::RecvTimeoutError::Disconnected) => Err(NetError::Protocol {
-            detail: "all pumps exited".to_string(),
-        }),
+/// Dispatches one serve/drain/flush event: through the supervision hooks
+/// when the run has them, straight to the relay otherwise.
+fn dispatch(
+    orch: &mut Orchestrator,
+    sup: &mut Option<Supervision>,
+    tag: u32,
+    event: PumpEvent,
+) -> NetResult<Option<CounterReport>> {
+    match sup {
+        Some(sup) => sup.handle(orch, tag, event, Instant::now()),
+        None => orch.handle_event(tag, event),
     }
 }
 
-/// Runs the orchestrator over pre-established per-worker links and drives
-/// a full deployment lifecycle: handshake, serve, sequenced drain,
-/// lockstep audit, shutdown.
-///
-/// # Errors
-///
-/// Handshake failures, protocol violations, exhausted retry budgets, phase
-/// timeouts, and lockstep-audit violations.
-pub fn run_orchestrator(
+/// The lifecycle every deployment runs, whatever its transport and
+/// whether or not it is supervised: handshake → serve → sequenced drain →
+/// flush to quiescence → lockstep audit → shutdown. Returns the workers'
+/// final counter reports and the admission queue (who was shed).
+fn lifecycle(
     spec: &NetPipelineSpec,
-    links: Vec<OrchestratorLinks>,
-) -> NetResult<NetReport> {
-    spec.validate()?;
-    if links.len() != spec.stages as usize {
-        return Err(NetError::Protocol {
-            detail: format!("{} links for {} stages", links.len(), spec.stages),
-        });
-    }
-    // Normalize the link label to its transport kind: "duplex0" →
-    // "duplex", "tcp-127.0.0.1:49022" → "tcp".
-    let transport: String = links
-        .first()
-        .map(|l| {
-            l.data
-                .label()
-                .chars()
-                .take_while(char::is_ascii_alphabetic)
-                .collect()
-        })
-        .unwrap_or_default();
-
-    let (events_tx, events) = mpsc::channel();
-    let mut control_slots = Vec::new();
-    let mut data_slots = Vec::new();
-    let mut pumps = Vec::new();
-    let mut ordered: Vec<OrchestratorLinks> = links;
-    ordered.sort_by_key(|l| l.stage);
-    for (i, link) in ordered.into_iter().enumerate() {
-        if link.stage != i as u32 {
-            return Err(NetError::Protocol {
-                detail: format!("missing or duplicate links for stage {i}"),
-            });
-        }
-        let control_slot = empty_slot();
-        let data_slot = empty_slot();
-        let (ctl_sender, ctl_receiver) = link.control.split()?;
-        install_sender(&control_slot, ctl_sender);
-        let (data_sender, data_receiver) = link.data.split()?;
-        install_sender(&data_slot, data_sender);
-        pumps.push(Pump::spawn(
-            link.stage * 2,
-            ctl_receiver,
-            None,
-            control_slot.clone(),
-            spec.policy,
-            spec.poll,
-            events_tx.clone(),
-        ));
-        pumps.push(Pump::spawn(
-            link.stage * 2 + 1,
-            data_receiver,
-            link.data_reattach,
-            data_slot.clone(),
-            spec.policy,
-            spec.poll,
-            events_tx.clone(),
-        ));
-        control_slots.push(control_slot);
-        data_slots.push(data_slot);
-    }
-    drop(events_tx);
-
-    let mut orch = Orchestrator::new(spec, control_slots, data_slots);
-
-    // --- Handshake -------------------------------------------------------
+    options: Option<&SupervisedOptions>,
+    orch: &mut Orchestrator,
+    sup: &mut Option<Supervision>,
+    events: &mpsc::Receiver<(u32, PumpEvent)>,
+) -> NetResult<(Vec<CounterReport>, AdmissionQueue)> {
+    // --- Handshake (chaos cannot fire before Start: worker faults roll
+    // only on fresh data frames) -----------------------------------------
     for stage in 0..spec.stages {
-        orch.control_send(
-            stage,
-            &Msg::Welcome(Welcome {
-                stages: spec.stages,
-            }),
-        )?;
-        orch.control_send(stage, &Msg::Manifest(spec.manifest_for(stage)))?;
+        for msg in spec.admission_msgs(stage) {
+            orch.control_send(stage, &msg)?;
+        }
     }
     let deadline = Instant::now() + spec.op_timeout;
     let mut acked = vec![false; spec.stages as usize];
@@ -748,26 +701,13 @@ pub fn run_orchestrator(
                 waited: spec.op_timeout,
             });
         }
-        let Some((tag, event)) = next_event(&events, spec.poll)? else {
+        let Some((tag, event)) = next_event(events, spec.poll)? else {
             continue;
         };
         let stage = tag / 2;
         match event {
             PumpEvent::Frame(Msg::ManifestAck(ack)) => {
-                if ack.stage != stage {
-                    return Err(NetError::Handshake {
-                        detail: format!("stage {stage} acked manifest for {}", ack.stage),
-                    });
-                }
-                let expect = spec.manifest_for(stage).weight_hash;
-                if ack.weight_hash != expect {
-                    return Err(NetError::Handshake {
-                        detail: format!(
-                            "stage {stage} weight hash {:#x}, expected {expect:#x}",
-                            ack.weight_hash
-                        ),
-                    });
-                }
+                spec.check_manifest_ack(stage, &ack)?;
                 acked[stage as usize] = true;
             }
             PumpEvent::Frame(Msg::Hello(h)) if h.stage == stage => {}
@@ -784,12 +724,20 @@ pub fn run_orchestrator(
     }
     for stage in 0..spec.stages {
         orch.control_send(stage, &Msg::Start)?;
+        if let Some(sup) = sup.as_mut() {
+            sup.supervisor.heard(stage, Instant::now());
+        }
     }
 
     // --- Serve: admit inputs through the ingress window, collect every
     // output; a completed session frees the slot the next input takes ----
-    let total = (spec.iterations * spec.micro_batches) as usize;
-    let mut admission = AdmissionQueue::new(INGRESS_WINDOW, None);
+    let mut admission = AdmissionQueue::new(
+        options
+            .and_then(|o| o.admission_window)
+            .unwrap_or(INGRESS_WINDOW),
+        options.and_then(|o| o.admission_deadline),
+    );
+    let drain_after = options.and_then(|o| o.drain_after);
     let mut last_activity = Instant::now();
     for iteration in 0..spec.iterations {
         for micro_batch in 0..spec.micro_batches {
@@ -802,7 +750,11 @@ pub fn run_orchestrator(
         for (iteration, micro_batch) in admission.admit(now) {
             orch.inject(iteration, micro_batch)?;
         }
-        if orch.outputs.len() == total && orch.ingress_tx.in_flight() == 0 {
+        if admission.idle()
+            && orch.outstanding.is_empty()
+            && orch.ingress_tx.in_flight() == 0
+            && sup.as_ref().is_none_or(|sup| sup.supervisor.all_healthy())
+        {
             break;
         }
         if now.saturating_duration_since(last_activity) > spec.op_timeout {
@@ -812,23 +764,30 @@ pub fn run_orchestrator(
             });
         }
         orch.sweep(now, spec.resend_after)?;
-        let Some((tag, event)) = next_event(&events, spec.poll)? else {
-            continue;
-        };
-        last_activity = Instant::now();
-        if let Some(report) = orch.handle_event(tag, event)? {
-            return Err(NetError::Protocol {
-                detail: format!("stage {} reported Done before Finish", report.stage),
-            });
+        if let Some((tag, event)) = next_event(events, spec.poll)? {
+            last_activity = Instant::now();
+            if let Some(report) = dispatch(orch, sup, tag, event)? {
+                return Err(NetError::Protocol {
+                    detail: format!("stage {} reported Done before Finish", report.stage),
+                });
+            }
         }
+        // Completions free admission slots (and may flip on drain mode).
         while completed < orch.outputs.len() {
             completed += 1;
             admission.complete();
+            if drain_after.is_some_and(|n| completed as u64 >= n) {
+                admission.drain();
+            }
+        }
+        if let Some(sup) = sup.as_mut() {
+            sup.supervise(orch, Instant::now())?;
         }
     }
 
     // --- Sequenced drain: Finish flows downstream, stage by stage, so a
-    // stage only reports once its upstream can no longer create frames ---
+    // stage only reports once its upstream can no longer create frames
+    // (worker chaos cannot fire here: only duplicates flow after serve) --
     let mut worker_reports: Vec<CounterReport> = Vec::new();
     for stage in 0..spec.stages {
         orch.control_send(stage, &Msg::Finish)?;
@@ -840,10 +799,10 @@ pub fn run_orchestrator(
                     waited: spec.op_timeout,
                 });
             }
-            let Some((tag, event)) = next_event(&events, spec.poll)? else {
+            let Some((tag, event)) = next_event(events, spec.poll)? else {
                 continue;
             };
-            if let Some(report) = orch.handle_event(tag, event)? {
+            if let Some(report) = dispatch(orch, sup, tag, event)? {
                 if report.stage == stage {
                     worker_reports.push(report);
                     break;
@@ -872,8 +831,8 @@ pub fn run_orchestrator(
                 waited: spec.op_timeout,
             });
         }
-        if let Some((tag, event)) = next_event(&events, spec.poll)? {
-            if let Some(report) = orch.handle_event(tag, event)? {
+        if let Some((tag, event)) = next_event(events, spec.poll)? {
+            if let Some(report) = dispatch(orch, sup, tag, event)? {
                 if let Some(slot) = worker_reports.iter_mut().find(|r| r.stage == report.stage) {
                     *slot = report;
                 }
@@ -882,33 +841,132 @@ pub fn run_orchestrator(
         }
     }
 
-    let host_report = orch.host_report();
-    audit_lockstep(&worker_reports, &host_report)?;
+    audit_lockstep(&worker_reports, &orch.host_report())?;
 
     for stage in 0..spec.stages {
-        orch.control_send(stage, &Msg::Shutdown)?;
+        // Without supervision a control link lost this late still fails
+        // the run; with it, the loss is absorbed like any other.
+        if sup.is_some() {
+            orch.control_send_lossy(stage, &Msg::Shutdown)?;
+        } else {
+            orch.control_send(stage, &Msg::Shutdown)?;
+        }
     }
+    Ok((worker_reports, admission))
+}
+
+/// Drives one deployment over pre-established per-stage links. This is
+/// the only driver: `supervision` switches on the hooks of
+/// [`crate::supervisor`] (heartbeat deadlines, failover through `spawner`
+/// or an external respawn loop, checkpoint barriers, admission options)
+/// and is otherwise invisible — with `None` the run sends no barriers,
+/// keeps no deadlines, reattaches no control link, and any lost worker is
+/// fatal. `gens` are the per-stage admission generations shared with
+/// whoever admits connections; `stale_rejects` counts their refusals.
+///
+/// # Errors
+///
+/// Handshake failures, protocol violations, exhausted retry budgets, phase
+/// timeouts, and lockstep-audit violations. On any of them every link is
+/// severed, so no worker waits out its own deadline on a run that is over.
+pub(crate) fn drive(
+    spec: &NetPipelineSpec,
+    supervision: Option<&SupervisedOptions>,
+    links: Vec<StageLinks>,
+    spawner: Option<Spawner>,
+    gens: Arc<Vec<AtomicU32>>,
+    stale_rejects: &AtomicU64,
+) -> NetResult<SupervisedReport> {
+    if links.len() != spec.stages as usize {
+        return Err(NetError::Protocol {
+            detail: format!("{} links for {} stages", links.len(), spec.stages),
+        });
+    }
+    // Normalize the link label to its transport kind: "duplex0" →
+    // "duplex", "tcp-127.0.0.1:49022" → "tcp".
+    let transport: String = links
+        .first()
+        .map(|l| {
+            l.data
+                .label()
+                .chars()
+                .take_while(char::is_ascii_alphabetic)
+                .collect()
+        })
+        .unwrap_or_default();
+
+    let (events_tx, events) = mpsc::channel();
+    let mut control_slots = Vec::new();
+    let mut data_slots = Vec::new();
+    let mut pumps = Vec::new();
+    let mut ordered = links;
+    ordered.sort_by_key(|l| l.stage);
+    for (i, link) in ordered.into_iter().enumerate() {
+        if link.stage != i as u32 {
+            return Err(NetError::Protocol {
+                detail: format!("missing or duplicate links for stage {i}"),
+            });
+        }
+        for (tag, transport, reattach, slots) in [
+            (
+                link.stage * 2,
+                link.control,
+                link.control_reattach,
+                &mut control_slots,
+            ),
+            (
+                link.stage * 2 + 1,
+                link.data,
+                link.data_reattach,
+                &mut data_slots,
+            ),
+        ] {
+            let slot = empty_slot();
+            let (sender, receiver) = transport.split()?;
+            install_sender(&slot, sender);
+            pumps.push(Pump::spawn(
+                tag,
+                receiver,
+                reattach,
+                slot.clone(),
+                spec.policy,
+                spec.poll,
+                events_tx.clone(),
+            ));
+            slots.push(slot);
+        }
+    }
+    drop(events_tx);
+
+    let mut orch = Orchestrator::new(spec, control_slots, data_slots);
+    let mut sup = supervision.map(|options| Supervision::new(spec, options, gens, spawner));
+    let served = lifecycle(spec, supervision, &mut orch, &mut sup, &events);
     for pump in &pumps {
         pump.stop();
     }
-
-    let mut outputs = Vec::with_capacity(total);
-    for iteration in 0..spec.iterations {
-        for micro_batch in 0..spec.micro_batches {
-            let bytes =
-                orch.outputs
-                    .remove(&(iteration, micro_batch))
-                    .ok_or(NetError::Protocol {
-                        detail: format!("missing output ({iteration}, {micro_batch})"),
-                    })?;
-            outputs.push(bytes);
+    let (worker_reports, admission) = match served {
+        Ok(served) => served,
+        Err(e) => {
+            for slot in orch.control_slots.iter().chain(&orch.data_slots) {
+                kill_slot(slot);
+            }
+            return Err(e);
         }
-    }
+    };
+
+    // --- Assemble the report: completed sessions in global order ---------
+    let host_report = orch.host_report();
+    let (completed, outputs): (Vec<(u32, u32)>, Vec<Vec<u8>>) =
+        std::mem::take(&mut orch.outputs).into_iter().unzip();
     let output_digest = digest_outputs(&outputs);
     let retransmits = orch.retransmits + worker_reports.iter().map(|r| r.retransmits).sum::<u64>();
     let sentinels = orch.sentinels + worker_reports.iter().map(|r| r.sentinels).sum::<u64>();
     let reconnects = worker_reports.iter().map(|r| r.reconnects).sum::<u64>();
-    Ok(NetReport {
+    let mut stats = sup.map(|sup| sup.stats).unwrap_or_default();
+    stats.stale_rejects = stale_rejects.load(Ordering::SeqCst);
+    stats.shed_sessions = admission.shed().len() as u64;
+    stats.backpressure_events = admission.backpressure_events();
+    let net = NetReport {
         transport,
         stages: spec.stages,
         outputs,
@@ -922,73 +980,75 @@ pub fn run_orchestrator(
         rekeys: orch.rekeys,
         peak_in_flight: orch.peak_in_flight,
         lockstep_ok: true,
+    };
+    Ok(SupervisedReport {
+        net,
+        stats,
+        completed,
+        shed: admission.shed().to_vec(),
     })
 }
 
-/// Runs a complete deployment on the in-process duplex transport: one
-/// thread per stage worker, the orchestrator on the calling thread —
-/// hermetic, no sockets, bit-identical to the TCP path.
-pub fn run_duplex(spec: &NetPipelineSpec) -> NetResult<NetReport> {
-    spec.validate()?;
-    let mut links = Vec::new();
-    let mut handles = Vec::new();
-    for stage in 0..spec.stages {
-        let (ctl_orch, ctl_worker, _ctl_core) = duplex_pair(&format!("duplex-ctl{stage}"));
-        let (data_orch, data_worker, data_core) = duplex_pair(&format!("duplex{stage}"));
-        let worker_reattach =
-            DuplexActive::new(Arc::clone(&data_core), 1, format!("duplex{stage}-worker"));
-        let orch_reattach = DuplexPassive::new(data_core, 0, format!("duplex{stage}-orch"));
-        links.push(OrchestratorLinks {
-            stage,
-            control: Box::new(ctl_orch),
-            data: Box::new(data_orch),
-            data_reattach: Some(Box::new(orch_reattach)),
-        });
-        let config = spec.worker_config(stage);
-        handles.push(std::thread::spawn(move || {
-            run_worker(
-                WorkerLinks {
-                    control: Box::new(ctl_worker),
-                    data: Box::new(data_worker),
-                    data_reattach: Some(Box::new(worker_reattach)),
-                },
-                config,
-            )
-        }));
-    }
-    let result = run_orchestrator(spec, links);
-    join_workers(handles, result)
+/// How a deployment's workers are attached: the first of the two switches
+/// [`deploy`] takes (the second is `Option<&SupervisedOptions>`).
+#[derive(Debug, Clone, Copy)]
+pub enum Wire<'a> {
+    /// One thread per stage worker over the in-process duplex transport —
+    /// hermetic, no sockets, bit-identical to the TCP wires.
+    Duplex,
+    /// One thread per stage worker dialing a localhost TCP listener on an
+    /// ephemeral port — the single-machine stand-in for the multi-process
+    /// deployment the two binaries provide.
+    TcpThreads,
+    /// Workers are external `stage-worker` processes dialing this bound
+    /// listener (what `pipellm-orchestrator` uses); replacements come from
+    /// an external respawn loop re-dialing at the next generation.
+    Listener(&'a TcpListener),
 }
 
-/// Runs a complete deployment over real localhost TCP sockets, with every
-/// stage worker on its own thread dialing the orchestrator's listener —
-/// the single-machine stand-in for the multi-process deployment the two
-/// binaries provide.
-pub fn run_tcp_threads(spec: &NetPipelineSpec) -> NetResult<NetReport> {
+/// Runs one complete deployment — orchestrator on the calling thread, one
+/// worker per stage attached over `wire` — through the one lifecycle
+/// (handshake → serve → sequenced drain → flush → audit → shutdown).
+/// `supervision` layers heartbeat deadlines, live failover, checkpoint
+/// barriers and the admission options on top; `None` runs without them
+/// (a lost worker then fails the run), and the report's heartbeat,
+/// barrier, checkpoint and failover counters stay zero.
+///
+/// # Errors
+///
+/// Handshake/protocol violations, exhausted budgets, phase timeouts,
+/// lockstep-audit violations, socket failures, and the failure of a
+/// worker thread's final incarnation.
+pub fn deploy(
+    spec: &NetPipelineSpec,
+    wire: Wire<'_>,
+    supervision: Option<&SupervisedOptions>,
+) -> NetResult<SupervisedReport> {
     spec.validate()?;
-    let listener =
-        std::net::TcpListener::bind(("127.0.0.1", 0)).map_err(|e| NetError::io("bind", &e))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| NetError::io("local_addr", &e))?;
+    let crew = Crew::new(spec, supervision);
+    crew.join(crew.run(wire))
+}
 
-    let mut handles = Vec::new();
-    for stage in 0..spec.stages {
-        let config = spec.worker_config(stage);
-        handles.push(std::thread::spawn(move || {
-            let links = dial_worker_links(addr, stage, config.generation, config.op_timeout)?;
-            run_worker(links, config)
-        }));
-    }
-    let result = accept_and_run(spec, &listener);
-    join_workers(handles, result)
+/// [`deploy`] over [`Wire::TcpThreads`], unsupervised (a name the
+/// benchmark pins).
+pub fn run_tcp_threads(spec: &NetPipelineSpec) -> NetResult<NetReport> {
+    deploy(spec, Wire::TcpThreads, None).map(|report| report.net)
+}
+
+/// [`deploy`] over [`Wire::TcpThreads`], supervised (a name the benchmark
+/// pins).
+pub fn run_supervised_tcp_threads(
+    spec: &NetPipelineSpec,
+    options: &SupervisedOptions,
+) -> NetResult<SupervisedReport> {
+    deploy(spec, Wire::TcpThreads, Some(options))
 }
 
 /// Dials the two connections of `stage` against `addr` and identifies them
 /// (`Hello` rides later in the worker's own handshake; the transport-level
 /// identification here is what the acceptor routes on). `generation` is
-/// the incarnation the connections identify as — a supervised acceptor
-/// rejects anything below the stage's current generation.
+/// the incarnation the connections identify as — the acceptor rejects
+/// anything below the stage's current generation.
 pub fn dial_worker_links(
     addr: std::net::SocketAddr,
     stage: u32,
@@ -1014,186 +1074,364 @@ pub fn dial_worker_links(
     })
 }
 
-/// Accepts `2 * stages` identified connections (control links announce
-/// `Hello`, data links `DataHello`), then keeps accepting re-dialed data
-/// connections for the lifetime of the run, routing them to the matching
-/// stage's reattach queue.
-fn accept_and_run(
-    spec: &NetPipelineSpec,
-    listener: &std::net::TcpListener,
-) -> NetResult<NetReport> {
-    use crate::frame::read_frame;
+/// One worker incarnation on a thread: `(stage, generation, handle)`.
+type WorkerHandle = (u32, u32, JoinHandle<NetResult<CounterReport>>);
 
-    let stages = spec.stages as usize;
-    let mut controls: Vec<Option<TcpTransport>> = (0..stages).map(|_| None).collect();
-    let mut datas: Vec<Option<TcpTransport>> = (0..stages).map(|_| None).collect();
-    let mut redial_txs = Vec::with_capacity(stages);
-    let mut redial_rxs = Vec::with_capacity(stages);
-    for _ in 0..stages {
-        let (tx, rx) = mpsc::channel::<TcpTransport>();
-        redial_txs.push(tx);
-        redial_rxs.push(rx);
-    }
+/// What one run's driver, acceptor, duplex admission guards and
+/// replacement spawner share about its worker incarnations.
+#[derive(Clone)]
+struct Crew {
+    spec: NetPipelineSpec,
+    supervision: Option<SupervisedOptions>,
+    /// Per stage, the admission generation of its current incarnation.
+    gens: Arc<Vec<AtomicU32>>,
+    /// Connections refused for presenting a superseded generation.
+    stale_rejects: Arc<AtomicU64>,
+    /// Every incarnation spawned on a thread of this process.
+    handles: Arc<Mutex<Vec<WorkerHandle>>>,
+}
 
-    // Poll a nonblocking accept so the deadline is enforced even when no
-    // connection ever arrives — a worker that died before dialing must
-    // surface as a timeout, not wedge the orchestrator in accept().
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| NetError::io("set_nonblocking", &e))?;
-    let deadline = Instant::now() + spec.op_timeout;
-    while controls.iter().any(Option::is_none) || datas.iter().any(Option::is_none) {
-        if Instant::now() > deadline {
-            return Err(NetError::Timeout {
-                op: "accept",
-                waited: spec.op_timeout,
-            });
-        }
-        let (stream, peer) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-                continue;
-            }
-            Err(e) => return Err(NetError::io("accept", &e)),
-        };
-        stream
-            .set_nonblocking(false)
-            .map_err(|e| NetError::io("set_nonblocking", &e))?;
-        // A connected-but-silent peer gets the remaining deadline for its
-        // identification frame, not forever.
-        let remaining = deadline
-            .saturating_duration_since(Instant::now())
-            .max(POLL_INTERVAL);
-        stream
-            .set_read_timeout(Some(remaining))
-            .map_err(|e| NetError::io("set_read_timeout", &e))?;
-        let mut transport = TcpTransport::new(stream, format!("tcp-{peer}"));
-        let first = read_frame(&mut transport.stream, "accept")?;
-        transport
-            .stream
-            .set_read_timeout(None)
-            .map_err(|e| NetError::io("set_read_timeout", &e))?;
-        match Msg::decode(&first)? {
-            Msg::Hello(h) if (h.stage as usize) < stages => {
-                controls[h.stage as usize] = Some(transport);
-            }
-            Msg::DataHello { stage, .. } if (stage as usize) < stages => {
-                datas[stage as usize] = Some(transport);
-            }
-            other => {
-                return Err(NetError::Handshake {
-                    detail: format!("unidentified connection opened with {other:?}"),
-                })
-            }
+impl Crew {
+    fn new(spec: &NetPipelineSpec, supervision: Option<&SupervisedOptions>) -> Self {
+        Crew {
+            spec: spec.clone(),
+            supervision: supervision.cloned(),
+            gens: Arc::new((0..spec.stages).map(|_| AtomicU32::new(0)).collect()),
+            stale_rejects: Arc::new(AtomicU64::new(0)),
+            handles: Arc::default(),
         }
     }
 
-    // Back to blocking mode for the background acceptor below.
-    listener
-        .set_nonblocking(false)
-        .map_err(|e| NetError::io("set_nonblocking", &e))?;
-
-    // Background acceptor for re-dialed data connections. It exits when
-    // the listener errors (dropped at the end of the run) or when every
-    // redial receiver is gone.
-    let acceptor_listener = listener
-        .try_clone()
-        .map_err(|e| NetError::io("try_clone", &e))?;
-    let acceptor = std::thread::spawn(move || loop {
-        let Ok((stream, peer)) = acceptor_listener.accept() else {
-            return;
-        };
-        let mut transport = TcpTransport::new(stream, format!("tcp-{peer}"));
-        let Ok(first) = read_frame(&mut transport.stream, "accept") else {
-            continue;
-        };
-        match Msg::decode(&first) {
-            // An unsupervised run has exactly one incarnation per stage, so
-            // any redial claiming a later generation is a protocol bug of
-            // the dialer; drop it rather than splice a wrong-incarnation
-            // connection into the slot. (The supervised acceptor in
-            // `crate::supervisor` does full generation bookkeeping.)
-            Ok(Msg::DataHello { stage, generation })
-                if (stage as usize) < redial_txs.len() && generation == 0 =>
-            {
-                if redial_txs[stage as usize].send(transport).is_err() {
-                    return;
-                }
-            }
-            _ => continue,
+    fn lock_handles(&self) -> std::sync::MutexGuard<'_, Vec<WorkerHandle>> {
+        match self.handles.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
         }
-    });
+    }
 
-    let mut links = Vec::with_capacity(stages);
-    let mut redials = redial_rxs.into_iter();
-    for stage in 0..stages {
-        let control = controls[stage].take().ok_or(NetError::Protocol {
-            detail: format!("no control connection for stage {stage}"),
-        })?;
-        let data = datas[stage].take().ok_or(NetError::Protocol {
-            detail: format!("no data connection for stage {stage}"),
-        })?;
-        let rx = redials.next().ok_or(NetError::Protocol {
-            detail: "redial queue exhausted".to_string(),
-        })?;
-        links.push(OrchestratorLinks {
-            stage: stage as u32,
-            control: Box::new(control),
-            data: Box::new(data),
-            data_reattach: Some(Box::new(TcpAcceptSlot::new(rx))),
+    /// The worker config of one incarnation: tuning-driven heartbeats and
+    /// hang duration (the default tuning without supervision), spec-driven
+    /// wire knobs. Chaos is armed only on the first incarnation —
+    /// replacements are the recovery path and run fault-free, the
+    /// escalation contract every retry loop in this codebase follows.
+    fn worker_config(&self, stage: u32, generation: u32) -> WorkerConfig {
+        let default = NetTuning::default();
+        let tuning = self.supervision.as_ref().map_or(&default, |o| &o.tuning);
+        let mut config = WorkerConfig::with_tuning(stage, tuning);
+        config.generation = generation;
+        config.policy = self.spec.policy;
+        config.poll = self.spec.poll;
+        config.op_timeout = self.spec.op_timeout;
+        config.quiet = self.spec.quiet;
+        config.resend_after = self.spec.resend_after;
+        if generation == 0 {
+            config.chaos = self.spec.injector_for(stage);
+        }
+        config
+    }
+
+    /// Spawns incarnation `generation` of `stage` on a thread: `connect`
+    /// its links, then run the worker over them.
+    fn spawn(
+        &self,
+        stage: u32,
+        generation: u32,
+        connect: impl FnOnce() -> NetResult<WorkerLinks> + Send + 'static,
+    ) {
+        let config = self.worker_config(stage, generation);
+        let handle = std::thread::spawn(move || run_worker(connect()?, config));
+        self.lock_handles().push((stage, generation, handle));
+    }
+
+    /// An incarnation dialing `addr` over TCP.
+    fn spawn_dialer(&self, addr: std::net::SocketAddr, stage: u32, generation: u32) {
+        let timeout = self.spec.op_timeout;
+        self.spawn(stage, generation, move || {
+            dial_worker_links(addr, stage, generation, timeout)
         });
     }
-    let result = run_orchestrator(spec, links);
-    // Exit the acceptor: flip the listener to nonblocking FIRST, so an
-    // accept() it enters after consuming the wake-up connection returns
-    // WouldBlock instead of re-blocking (the flag is checked at syscall
-    // entry — it cannot wake a thread already parked in accept), then
-    // dial once to wake it if it is parked right now.
-    drop(listener.set_nonblocking(true));
-    if let Ok(addr) = listener.local_addr() {
-        let _ = std::net::TcpStream::connect(addr);
+
+    /// An incarnation attached to `stage`'s duplex cores at their current
+    /// link generation. Its data reattach is pinned: it stays admitted
+    /// while the stage's generation cell has not moved past `generation`,
+    /// and a refusal is counted as a stale reject — the same accounting
+    /// the TCP acceptor keeps when it drops a superseded `DataHello`.
+    fn spawn_duplex(
+        &self,
+        stage: u32,
+        generation: u32,
+        ctl_core: &Arc<DuplexCore>,
+        data_core: &Arc<DuplexCore>,
+    ) {
+        let ctl = duplex_handle(ctl_core, 1, format!("duplex-ctl{stage}-g{generation}"));
+        let data = duplex_handle(data_core, 1, format!("duplex{stage}-g{generation}"));
+        let (gens, rejects) = (Arc::clone(&self.gens), Arc::clone(&self.stale_rejects));
+        let reattach = DuplexActive::pinned(
+            Arc::clone(data_core),
+            1,
+            format!("duplex{stage}-g{generation}-worker"),
+            Box::new(move || {
+                let admitted = gens[stage as usize].load(Ordering::SeqCst) <= generation;
+                if !admitted {
+                    rejects.fetch_add(1, Ordering::SeqCst);
+                }
+                admitted
+            }),
+        );
+        self.spawn(stage, generation, move || {
+            Ok(WorkerLinks {
+                control: Box::new(ctl),
+                data: Box::new(data),
+                data_reattach: Some(Box::new(reattach)),
+            })
+        });
     }
-    let _ = acceptor.join();
-    result
-}
 
-/// Serves a deployment on an already-bound listener — the entry point the
-/// `pipellm-orchestrator` binary uses, where workers are real processes.
-pub fn serve_tcp(spec: &NetPipelineSpec, listener: std::net::TcpListener) -> NetResult<NetReport> {
-    spec.validate()?;
-    accept_and_run(spec, &listener)
-}
+    /// Attaches the workers over `wire` and drives the run.
+    fn run(&self, wire: Wire<'_>) -> NetResult<SupervisedReport> {
+        let bound;
+        let (links, spawner, _acceptor): (_, Option<Spawner>, _) = match wire {
+            Wire::Duplex => {
+                let mut links = Vec::new();
+                let mut cores = Vec::new();
+                for stage in 0..self.spec.stages {
+                    let (ctl_orch, _, ctl_core) = duplex_pair(&format!("duplex-ctl{stage}"));
+                    let (data_orch, _, data_core) = duplex_pair(&format!("duplex{stage}"));
+                    let passive = |core: &Arc<DuplexCore>, link: &str| -> Box<dyn Reattach> {
+                        let label = format!("duplex{link}{stage}-orch");
+                        Box::new(DuplexPassive::new(Arc::clone(core), 0, label))
+                    };
+                    links.push(StageLinks {
+                        stage,
+                        control: Box::new(ctl_orch),
+                        control_reattach: self
+                            .supervision
+                            .as_ref()
+                            .map(|_| passive(&ctl_core, "-ctl")),
+                        data: Box::new(data_orch),
+                        data_reattach: Some(passive(&data_core, "")),
+                    });
+                    self.spawn_duplex(stage, 0, &ctl_core, &data_core);
+                    cores.push((ctl_core, data_core));
+                }
+                let crew = self.clone();
+                let respawn = move |stage: u32, generation| {
+                    let (ctl_core, data_core) = &cores[stage as usize];
+                    // Fresh link generations: the orchestrator-side
+                    // passive reattach providers wake on these resets.
+                    ctl_core.reset();
+                    data_core.reset();
+                    crew.spawn_duplex(stage, generation, ctl_core, data_core);
+                };
+                (links, Some(Box::new(respawn)), None)
+            }
+            Wire::TcpThreads => {
+                bound =
+                    TcpListener::bind(("127.0.0.1", 0)).map_err(|e| NetError::io("bind", &e))?;
+                let addr = bound
+                    .local_addr()
+                    .map_err(|e| NetError::io("local_addr", &e))?;
+                for stage in 0..self.spec.stages {
+                    self.spawn_dialer(addr, stage, 0);
+                }
+                let crew = self.clone();
+                let respawn = move |stage, generation| crew.spawn_dialer(addr, stage, generation);
+                let (acceptor, links) = self.accept(&bound)?;
+                (links, Some(Box::new(respawn)), Some(acceptor))
+            }
+            Wire::Listener(listener) => {
+                let (acceptor, links) = self.accept(listener)?;
+                (links, None, Some(acceptor))
+            }
+        };
+        drive(
+            &self.spec,
+            self.supervision.as_ref(),
+            links,
+            spawner,
+            Arc::clone(&self.gens),
+            &self.stale_rejects,
+        )
+    }
 
-pub(crate) fn join_workers(
-    handles: Vec<std::thread::JoinHandle<NetResult<CounterReport>>>,
-    result: NetResult<NetReport>,
-) -> NetResult<NetReport> {
-    let mut worker_error = None;
-    for handle in handles {
-        match handle.join() {
-            Ok(Ok(_)) => {}
-            Ok(Err(e)) => worker_error = Some(e),
-            Err(_) => {
-                worker_error = Some(NetError::Protocol {
-                    detail: "worker thread panicked".to_string(),
-                })
+    /// Starts the accept loop on `listener` and waits for the first
+    /// identified control and data connection of every stage; the links'
+    /// reattach providers keep pulling re-dials from the same queues for
+    /// as long as the returned [`Acceptor`] lives.
+    fn accept<'a>(&self, listener: &'a TcpListener) -> NetResult<(Acceptor<'a>, Vec<StageLinks>)> {
+        let stages = self.spec.stages as usize;
+        let (ctl_txs, ctl_rxs): (Vec<_>, Vec<_>) = (0..stages).map(|_| mpsc::channel()).unzip();
+        let (data_txs, data_rxs): (Vec<_>, Vec<_>) = (0..stages).map(|_| mpsc::channel()).unzip();
+        let acceptor = Acceptor::spawn(listener, self, ctl_txs, data_txs)?;
+        let supervised = self.supervision.is_some();
+        let deadline = Instant::now() + self.spec.op_timeout;
+        let mut links = Vec::with_capacity(stages);
+        for (stage, (ctl_rx, data_rx)) in ctl_rxs.into_iter().zip(data_rxs).enumerate() {
+            let control = recv_accepted(&ctl_rx, deadline, "control accept")?;
+            let data = recv_accepted(&data_rx, deadline, "data accept")?;
+            let slot = |rx| -> Box<dyn Reattach> { Box::new(TcpAcceptSlot::new(rx)) };
+            links.push(StageLinks {
+                stage: stage as u32,
+                control: Box::new(control),
+                control_reattach: supervised.then(|| slot(ctl_rx)),
+                data: Box::new(data),
+                data_reattach: Some(slot(data_rx)),
+            });
+        }
+        Ok((acceptor, links))
+    }
+
+    /// Joins every worker incarnation. Errors from superseded generations
+    /// are the injected deaths the run recovered from and are ignored; an
+    /// error from a stage's *final* generation is real and fails the run.
+    fn join(&self, result: NetResult<SupervisedReport>) -> NetResult<SupervisedReport> {
+        let list: Vec<WorkerHandle> = std::mem::take(&mut *self.lock_handles());
+        let mut worker_error = None;
+        for (stage, generation, handle) in list {
+            if generation < self.gens[stage as usize].load(Ordering::SeqCst) {
+                let _ = handle.join();
+                continue;
+            }
+            match handle.join() {
+                Ok(Ok(_)) => {}
+                Ok(Err(e)) => worker_error = Some(e),
+                Err(_) => {
+                    worker_error = Some(NetError::Protocol {
+                        detail: "worker thread panicked".to_string(),
+                    })
+                }
             }
         }
+        match (result, worker_error) {
+            (Ok(report), None) => Ok(report),
+            (Err(orch), Some(worker)) => Err(NetError::Protocol {
+                detail: format!("orchestrator: {orch}; worker: {worker}"),
+            }),
+            (Err(e), None) => Err(e),
+            (Ok(_), Some(e)) => Err(e),
+        }
     }
-    match (result, worker_error) {
-        (Ok(report), None) => Ok(report),
-        (Err(orch), Some(worker)) => Err(NetError::Protocol {
-            detail: format!("orchestrator: {orch}; worker: {worker}"),
+}
+
+/// Receives one identified connection from the acceptor with a deadline.
+fn recv_accepted(
+    rx: &mpsc::Receiver<TcpTransport>,
+    deadline: Instant,
+    op: &'static str,
+) -> NetResult<TcpTransport> {
+    let remaining = deadline
+        .saturating_duration_since(Instant::now())
+        .max(POLL_INTERVAL);
+    match rx.recv_timeout(remaining) {
+        Ok(t) => Ok(t),
+        Err(mpsc::RecvTimeoutError::Timeout) => Err(NetError::Timeout {
+            op,
+            waited: remaining,
         }),
-        (Err(e), None) => Err(e),
-        (Ok(_), Some(e)) => Err(e),
+        Err(mpsc::RecvTimeoutError::Disconnected) => Err(NetError::ConnectionLost {
+            link: "acceptor".to_string(),
+        }),
+    }
+}
+
+/// The generation-aware accept loop of one run, on its own thread; drop
+/// it to wake and join the thread.
+///
+/// Every connection (control *and* data, initial *and* re-dialed)
+/// identifies itself with its stage and admission generation. Anything
+/// below the stage's current generation is a stale incarnation and is
+/// rejected; anything at or above it moves the generation cell forward and
+/// is routed to the stage's queue. A connection that does not identify —
+/// silent, closed, or not speaking the protocol — is dropped and the loop
+/// keeps accepting: a stranger on the port costs the run nothing.
+struct Acceptor<'a> {
+    listener: &'a TcpListener,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl<'a> Acceptor<'a> {
+    fn spawn(
+        listener: &'a TcpListener,
+        crew: &Crew,
+        ctl_txs: Vec<mpsc::Sender<TcpTransport>>,
+        data_txs: Vec<mpsc::Sender<TcpTransport>>,
+    ) -> NetResult<Self> {
+        let theirs = listener
+            .try_clone()
+            .map_err(|e| NetError::io("try_clone", &e))?;
+        let ident_timeout = crew.spec.op_timeout;
+        let supervised = crew.supervision.is_some();
+        let (gens, stale_rejects) = (Arc::clone(&crew.gens), Arc::clone(&crew.stale_rejects));
+        let thread = std::thread::spawn(move || loop {
+            let Ok((stream, peer)) = theirs.accept() else {
+                return;
+            };
+            // A connected-but-silent peer gets a bounded identification
+            // window, not forever.
+            if stream.set_read_timeout(Some(ident_timeout)).is_err() {
+                continue;
+            }
+            let mut transport = TcpTransport::new(stream, format!("tcp-{peer}"));
+            let Ok(first) = read_frame(&mut transport.stream, "accept") else {
+                continue;
+            };
+            if transport.stream.set_read_timeout(None).is_err() {
+                continue;
+            }
+            let (stage, generation, queues) = match Msg::decode(&first) {
+                Ok(Msg::Hello(h)) => (h.stage as usize, h.generation, &ctl_txs),
+                Ok(Msg::DataHello { stage, generation }) => (stage as usize, generation, &data_txs),
+                _ => continue,
+            };
+            let Some(cell) = gens.get(stage) else {
+                continue;
+            };
+            if generation < cell.load(Ordering::SeqCst) {
+                // A redial of a superseded incarnation racing its own death:
+                // rejected at identification, never spliced into a slot.
+                stale_rejects.fetch_add(1, Ordering::SeqCst);
+                continue;
+            }
+            if !supervised && generation != 0 {
+                // Without supervision a stage has exactly one incarnation,
+                // so a later generation is a bug of the dialer; refuse it
+                // rather than splice a wrong-incarnation connection in.
+                continue;
+            }
+            cell.fetch_max(generation, Ordering::SeqCst);
+            // A closed queue is a link nobody reattaches (the control link
+            // of an unsupervised run); the connection is dropped.
+            let _ = queues[stage].send(transport);
+        });
+        Ok(Acceptor {
+            listener,
+            thread: Some(thread),
+        })
+    }
+}
+
+impl Drop for Acceptor<'_> {
+    fn drop(&mut self) {
+        // Flip the listener to nonblocking FIRST, so an accept() the
+        // thread enters after consuming the wake-up connection returns
+        // WouldBlock instead of re-blocking (the flag is checked at
+        // syscall entry — it cannot wake a thread already parked in
+        // accept), then dial once to wake it if it is parked right now.
+        drop(self.listener.set_nonblocking(true));
+        if let Ok(addr) = self.listener.local_addr() {
+            let _ = std::net::TcpStream::connect(addr);
+        }
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+        drop(self.listener.set_nonblocking(false));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipellm_chaos::FaultKind;
 
     fn small_spec() -> NetPipelineSpec {
         NetPipelineSpec {
@@ -1213,7 +1451,7 @@ mod tests {
     #[test]
     fn duplex_pipeline_matches_reference_outputs() {
         let spec = small_spec();
-        let report = run_duplex(&spec).unwrap();
+        let report = deploy(&spec, Wire::Duplex, None).unwrap().net;
         assert_eq!(report.outputs, spec.expected_outputs());
         assert_eq!(report.worker_reports.len(), 4);
         assert_eq!(report.sentinels, 0);
@@ -1239,7 +1477,7 @@ mod tests {
             op_timeout: Duration::from_secs(60),
             ..NetPipelineSpec::default()
         };
-        let report = run_duplex(&spec).unwrap();
+        let report = deploy(&spec, Wire::Duplex, None).unwrap().net;
         assert_eq!(report.outputs, spec.expected_outputs());
         assert_eq!(report.relayed_frames, 0);
     }
@@ -1254,7 +1492,7 @@ mod tests {
             activation_bytes: 64,
             ..small_spec()
         };
-        let report = run_duplex(&spec).unwrap();
+        let report = deploy(&spec, Wire::Duplex, None).unwrap().net;
         assert_eq!(report.outputs, spec.expected_outputs());
         assert!(report.lockstep_ok);
         assert!(
@@ -1270,7 +1508,7 @@ mod tests {
             net_fault_rate: 0.25,
             ..small_spec()
         };
-        let report = run_duplex(&spec).unwrap();
+        let report = deploy(&spec, Wire::Duplex, None).unwrap().net;
         assert_eq!(
             report.outputs,
             spec.expected_outputs(),
@@ -1281,6 +1519,56 @@ mod tests {
             "a 25% fault rate must actually fire"
         );
         assert!(report.lockstep_ok);
+    }
+
+    #[test]
+    fn an_unsupervised_run_that_loses_a_worker_fails_fast_with_no_replacement() {
+        // Walk the chaos seed until the schedule — predicted by rolling
+        // fresh copies of the injectors the run will build — is exactly
+        // one fault: a kill of stage 1 somewhere within the run.
+        let base = NetPipelineSpec {
+            stages: 3,
+            layers: 6,
+            iterations: 8,
+            micro_batches: 4,
+            worker_fault_rate: 0.05,
+            ..small_spec()
+        };
+        let sessions = base.iterations * base.micro_batches;
+        let spec = (0..100_000)
+            .map(|chaos_seed| NetPipelineSpec {
+                chaos_seed,
+                ..base.clone()
+            })
+            .find(|spec| {
+                (0..spec.stages).all(|stage| {
+                    let injector = spec.injector_for(stage).expect("worker faults are on");
+                    let first = (0..sessions).find_map(|_| injector.roll_worker());
+                    match first {
+                        Some(fault) => stage == 1 && fault.kind == FaultKind::StageKill,
+                        None => stage != 1,
+                    }
+                })
+            })
+            .expect("some chaos seed kills only stage 1");
+
+        let crew = Crew::new(&spec, None);
+        let start = Instant::now();
+        let result = crew.run(Wire::Duplex);
+        let incarnations: Vec<(u32, u32)> = crew
+            .lock_handles()
+            .iter()
+            .map(|(stage, generation, _)| (*stage, *generation))
+            .collect();
+        // Without supervision nobody reattaches the dead control link: the
+        // run is over, promptly, and every worker thread comes home.
+        assert!(crew.join(result).is_err(), "a lost worker must be fatal");
+        assert!(
+            start.elapsed() < spec.op_timeout / 4,
+            "failed only after {:?}",
+            start.elapsed()
+        );
+        assert_eq!(incarnations, vec![(0, 0), (1, 0), (2, 0)]);
     }
 
     #[test]

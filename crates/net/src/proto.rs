@@ -95,9 +95,6 @@ pub const WIRE_OP_TIMEOUT: Duration = Duration::from_secs(2);
 /// Sleep between connect attempts while dialing the orchestrator.
 pub const DIAL_RETRY: Duration = Duration::from_millis(5);
 
-/// Sleep between polls of a nonblocking accept loop.
-pub const ACCEPT_POLL: Duration = Duration::from_millis(2);
-
 /// Sessions the orchestrator keeps in flight at once: an input is sealed
 /// onto ingress only when fewer than this many admitted sessions still
 /// lack their output. It bounds every link's in-flight set and the
@@ -425,7 +422,7 @@ pub struct CheckpointReq {
 /// The payload is AEAD-sealed under a key derived from the cluster seed —
 /// which the orchestrator never holds — so the supervisor stores and
 /// relays it without being able to read (or forge) the enclosed
-/// watermark, epochs and IV positions — ~100 bytes, no activations.
+/// watermark and edge epochs — 64 bytes, no activations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointSave {
     /// The checkpointing stage.

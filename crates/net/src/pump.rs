@@ -11,10 +11,9 @@
 //! runs dry — ends with [`PumpEvent::Dead`], which the event loop treats
 //! as fatal for the run. A reattach that succeeds is not yet a recovery:
 //! the peer can accept the connection and drop it at identification (the
-//! supervised acceptor does that to a superseded incarnation's
-//! `DataHello`), so an attachment that dies before delivering a frame
-//! spends the same retry budget as a failed dial, and only a delivered
-//! frame refills it.
+//! acceptor does that to a superseded incarnation's `DataHello`), so an
+//! attachment that dies before delivering a frame spends the same retry
+//! budget as a failed dial, and only a delivered frame refills it.
 
 use crate::error::{NetError, NetResult};
 use crate::link::{install_sender, SenderSlot};
@@ -25,6 +24,24 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// The next pump event, or `None` after `poll` of silence.
+///
+/// # Errors
+///
+/// [`NetError::Protocol`] once every pump feeding `events` has exited.
+pub(crate) fn next_event(
+    events: &mpsc::Receiver<(u32, PumpEvent)>,
+    poll: Duration,
+) -> NetResult<Option<(u32, PumpEvent)>> {
+    match events.recv_timeout(poll) {
+        Ok(ev) => Ok(Some(ev)),
+        Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
+        Err(mpsc::RecvTimeoutError::Disconnected) => Err(NetError::Protocol {
+            detail: "all pumps exited".to_string(),
+        }),
+    }
+}
 
 /// What a pump reports to its event loop, tagged with the pump's id.
 #[derive(Debug)]

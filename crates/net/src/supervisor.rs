@@ -1,8 +1,11 @@
 //! Worker supervision: heartbeat deadlines, live failover, checkpoint
 //! relay, and overload protection.
 //!
-//! The supervised orchestrator layers a health state machine over the
-//! plain relay loop. Every worker streams monotone-sequence heartbeats on
+//! Supervision is what [`crate::orchestrator::deploy`] adds when handed
+//! [`SupervisedOptions`]: the same driver and lifecycle, with the hooks of
+//! this module plugged into its serve loop — a health state machine over
+//! the plain relay, live failover, checkpoint barriers on the committed
+//! prefix, and the admission options. Every worker streams monotone-sequence heartbeats on
 //! its control channel; the [`Supervisor`] classifies each stage as
 //! healthy, suspected (one missed deadline), or dead (silence past the
 //! death deadline, or a control-connection loss — the control link rides
@@ -36,22 +39,12 @@
 
 use crate::error::{NetError, NetResult};
 use crate::link::kill_slot;
-use crate::orchestrator::{
-    audit_lockstep, dial_worker_links, digest_outputs, next_event, NetPipelineSpec, NetReport,
-    Orchestrator,
-};
-use crate::proto::{
-    CheckpointReq, CounterReport, Msg, NetTuning, Restore, Welcome, INGRESS_WINDOW, POLL_INTERVAL,
-};
-use crate::pump::{Pump, PumpEvent};
-use crate::transport::{
-    duplex_handle, duplex_pair, DuplexActive, DuplexCore, DuplexPassive, Reattach, TcpAcceptSlot,
-    TcpTransport, Transport,
-};
-use crate::worker::{run_worker, WorkerConfig, WorkerLinks};
+use crate::orchestrator::{NetPipelineSpec, NetReport, Orchestrator};
+use crate::proto::{CheckpointReq, CounterReport, Msg, NetTuning, Restore};
+use crate::pump::PumpEvent;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Health classification of one stage worker.
@@ -98,7 +91,7 @@ pub struct SupervisedOptions {
     /// checkpoint cadence); env-overridable via [`NetTuning::from_env`].
     pub tuning: NetTuning,
     /// Max sessions in flight at once; `None` is the deployment's
-    /// [`INGRESS_WINDOW`].
+    /// [`crate::proto::INGRESS_WINDOW`].
     pub admission_window: Option<usize>,
     /// Queue-age deadline past which a not-yet-admitted session is shed;
     /// `None` never sheds on age.
@@ -405,39 +398,17 @@ pub struct SupervisedReport {
     pub shed: Vec<(u32, u32)>,
 }
 
-/// One worker's connections from the supervised orchestrator's side —
-/// unlike the plain deployment, the *control* link also carries a
-/// reattach provider, because a replacement incarnation re-dials both.
-pub struct SupervisedLinks {
-    /// The stage these connections belong to.
-    pub stage: u32,
-    /// Control connection.
-    pub control: Box<dyn Transport>,
-    /// Reattach provider for the control connection.
-    pub control_reattach: Option<Box<dyn Reattach>>,
-    /// Data connection.
-    pub data: Box<dyn Transport>,
-    /// Reattach provider for the data connection.
-    pub data_reattach: Option<Box<dyn Reattach>>,
-}
+/// Spawns a replacement incarnation of `stage` at `generation`; a
+/// deployment whose workers are external processes has none (a respawn
+/// loop outside re-dials at the next generation).
+pub(crate) type Spawner = Box<dyn FnMut(u32, u32) + Send>;
 
-/// Spawns a replacement incarnation of `stage` at `generation`; `None`
-/// when an external respawn loop provides replacements.
-pub type Spawner = Box<dyn FnMut(u32, u32) -> NetResult<()> + Send>;
-
-/// Sends on a stage's control slot, absorbing a dead link — the stage's
-/// failover re-synchronizes everything the lost message carried.
-fn control_send_lossy(orch: &Orchestrator, stage: u32, msg: &Msg) -> NetResult<()> {
-    match orch.control_send(stage, msg) {
-        Ok(()) | Err(NetError::ConnectionLost { .. }) => Ok(()),
-        Err(e) => Err(e),
-    }
-}
-
-/// Per-run mutable supervision state shared across the drive phases.
-struct Supervision {
-    supervisor: Supervisor,
-    stats: SupervisionStats,
+/// What supervision adds to a deployment run: the per-run mutable state
+/// and the hooks the one driver ([`crate::orchestrator`]) calls when — and
+/// only when — it was handed [`SupervisedOptions`].
+pub(crate) struct Supervision {
+    pub(crate) supervisor: Supervisor,
+    pub(crate) stats: SupervisionStats,
     /// Per stage, the latest sealed checkpoint as the ready-to-relay
     /// `Restore` — opaque to the orchestrator; empty: serve from scratch.
     restores: Vec<Msg>,
@@ -449,16 +420,46 @@ struct Supervision {
     /// the failover actions run, and a control-link loss may race them.
     failing: Vec<bool>,
     spawner: Option<Spawner>,
+    checkpoint_every: u64,
+    /// Length of the contiguous committed prefix of outputs, in global
+    /// order; it only ever advances.
+    prefix: u64,
+    barriers_done: u64,
 }
 
 impl Supervision {
+    pub(crate) fn new(
+        spec: &NetPipelineSpec,
+        options: &SupervisedOptions,
+        gens: Arc<Vec<AtomicU32>>,
+        spawner: Option<Spawner>,
+    ) -> Self {
+        Supervision {
+            supervisor: Supervisor::new(spec.stages, &options.tuning, Instant::now()),
+            stats: SupervisionStats::default(),
+            restores: vec![
+                Msg::Restore(Restore {
+                    barrier: 0,
+                    sealed: Vec::new(),
+                });
+                spec.stages as usize
+            ],
+            gens,
+            failing: vec![false; spec.stages as usize],
+            spawner,
+            checkpoint_every: u64::from(options.tuning.checkpoint_every.max(1)),
+            prefix: 0,
+            barriers_done: 0,
+        }
+    }
+
     /// Declares `stage` dead: bump the admission generation, kill both
     /// connection slots (stale redials of the dead incarnation now fail
     /// at identification), and spawn the replacement.
-    fn fail_over(&mut self, orch: &Orchestrator, stage: u32, now: Instant) -> NetResult<()> {
+    fn fail_over(&mut self, orch: &Orchestrator, stage: u32, now: Instant) {
         if self.failing[stage as usize] {
             // Already mid-failover; the readmission sequence is running.
-            return Ok(());
+            return;
         }
         self.failing[stage as usize] = true;
         self.stats.detections += 1;
@@ -469,18 +470,16 @@ impl Supervision {
         kill_slot(&orch.control_slots[stage as usize]);
         kill_slot(&orch.data_slots[stage as usize]);
         if let Some(spawner) = self.spawner.as_mut() {
-            spawner(stage, adopted)?;
+            spawner(stage, adopted);
         }
-        Ok(())
     }
 
     /// Handles one event with full supervision semantics; everything the
     /// supervision layer does not consume is delegated to the plain
     /// orchestrator handler (with dead-link losses absorbed).
-    fn handle(
+    pub(crate) fn handle(
         &mut self,
         orch: &mut Orchestrator,
-        spec: &NetPipelineSpec,
         tag: u32,
         event: PumpEvent,
         now: Instant,
@@ -492,14 +491,14 @@ impl Supervision {
                 self.stats.heartbeats += 1;
                 match self.supervisor.heartbeat(stage, hb.generation, hb.seq, now) {
                     BeatVerdict::Accepted => {
-                        control_send_lossy(orch, stage, &Msg::HeartbeatAck(hb))?;
+                        orch.control_send_lossy(stage, &Msg::HeartbeatAck(hb))?;
                     }
                     BeatVerdict::Future => {
                         // An externally respawned incarnation the acceptor
                         // already admitted; adopt it and count the beat.
                         self.supervisor.adopt_generation(stage, hb.generation);
                         self.supervisor.heard(stage, now);
-                        control_send_lossy(orch, stage, &Msg::HeartbeatAck(hb))?;
+                        orch.control_send_lossy(stage, &Msg::HeartbeatAck(hb))?;
                     }
                     BeatVerdict::Stale => {}
                 }
@@ -531,24 +530,11 @@ impl Supervision {
                         detail: format!("unexpected ManifestAck from live stage {stage}"),
                     });
                 }
-                if ack.stage != stage {
-                    return Err(NetError::Handshake {
-                        detail: format!("stage {stage} acked manifest for {}", ack.stage),
-                    });
-                }
-                let expect = spec.manifest_for(stage).weight_hash;
-                if ack.weight_hash != expect {
-                    return Err(NetError::Handshake {
-                        detail: format!(
-                            "replacement stage {stage} weight hash {:#x}, expected {expect:#x}",
-                            ack.weight_hash
-                        ),
-                    });
-                }
+                orch.spec.check_manifest_ack(stage, &ack)?;
                 // Relay the latest sealed checkpoint — or an empty restore
                 // meaning "serve from scratch". The blob is opaque here;
                 // only the worker holds the key that opens it.
-                control_send_lossy(orch, stage, &self.restores[stage as usize])?;
+                orch.control_send_lossy(stage, &self.restores[stage as usize])?;
                 self.stats.restores_sent += 1;
                 self.supervisor.note_manifest_acked(stage);
                 Ok(None)
@@ -560,7 +546,7 @@ impl Supervision {
                 // (or a tick that beat this event to the declaration)
                 // cannot double-fire.
                 if is_control {
-                    self.fail_over(orch, stage, now)?;
+                    self.fail_over(orch, stage, now);
                 }
                 Ok(None)
             }
@@ -572,14 +558,9 @@ impl Supervision {
                         let cell = self.gens[stage as usize].load(Ordering::SeqCst);
                         self.supervisor.adopt_generation(stage, cell);
                         self.supervisor.note_control_up(stage);
-                        control_send_lossy(
-                            orch,
-                            stage,
-                            &Msg::Welcome(Welcome {
-                                stages: spec.stages,
-                            }),
-                        )?;
-                        control_send_lossy(orch, stage, &Msg::Manifest(spec.manifest_for(stage)))?;
+                        for msg in orch.spec.admission_msgs(stage) {
+                            orch.control_send_lossy(stage, &msg)?;
+                        }
                     } else {
                         self.supervisor.note_data_up(stage);
                     }
@@ -602,22 +583,30 @@ impl Supervision {
         }
     }
 
+    /// One serve-loop turn of supervision, after the turn's event (if
+    /// any) was handled: sweep the deadlines, fail over what died, return
+    /// readmitted replacements to service, announce due barriers.
+    pub(crate) fn supervise(&mut self, orch: &mut Orchestrator, now: Instant) -> NetResult<()> {
+        let ticked = self.supervisor.tick(now);
+        self.stats.suspicions += ticked.suspected.len() as u64;
+        for stage in ticked.dead {
+            self.fail_over(orch, stage, now);
+        }
+        self.restart_ready(orch, now)?;
+        self.checkpoint_barriers(orch)
+    }
+
     /// Completes the failover of any stage whose readmission steps all
     /// landed: start it, force-rekey every adjacent edge (fresh epoch,
     /// IVs back to 1 — nothing the dead incarnation burned is reused),
     /// and re-inject every outstanding session no longer being driven at
     /// ingress.
-    fn restart_ready(
-        &mut self,
-        orch: &mut Orchestrator,
-        spec: &NetPipelineSpec,
-        now: Instant,
-    ) -> NetResult<()> {
-        for stage in 0..spec.stages {
+    fn restart_ready(&mut self, orch: &mut Orchestrator, now: Instant) -> NetResult<()> {
+        for stage in 0..orch.spec.stages {
             if !self.supervisor.ready_to_restart(stage) {
                 continue;
             }
-            control_send_lossy(orch, stage, &Msg::Start)?;
+            orch.control_send_lossy(stage, &Msg::Start)?;
             orch.rekey_adjacent(stage)?;
             let lost: Vec<(u32, u32)> = orch
                 .outstanding
@@ -636,788 +625,39 @@ impl Supervision {
         }
         Ok(())
     }
-}
 
-/// Drives a supervised deployment over pre-established links: handshake,
-/// admission-controlled serve with heartbeat supervision and live
-/// failover, checkpoint barriers, sequenced drain, lockstep audit.
-#[allow(clippy::too_many_lines)]
-fn drive_supervised(
-    spec: &NetPipelineSpec,
-    options: &SupervisedOptions,
-    links: Vec<SupervisedLinks>,
-    spawner: Option<Spawner>,
-    gens: Arc<Vec<AtomicU32>>,
-    stale_rejects: Arc<AtomicU64>,
-) -> NetResult<SupervisedReport> {
-    spec.validate()?;
-    if links.len() != spec.stages as usize {
-        return Err(NetError::Protocol {
-            detail: format!("{} links for {} stages", links.len(), spec.stages),
-        });
-    }
-    let transport: String = links
-        .first()
-        .map(|l| {
-            l.data
-                .label()
-                .chars()
-                .take_while(char::is_ascii_alphabetic)
-                .collect()
-        })
-        .unwrap_or_default();
-
-    let (events_tx, events) = mpsc::channel();
-    let mut control_slots = Vec::new();
-    let mut data_slots = Vec::new();
-    let mut pumps = Vec::new();
-    let mut ordered: Vec<SupervisedLinks> = links;
-    ordered.sort_by_key(|l| l.stage);
-    for (i, link) in ordered.into_iter().enumerate() {
-        if link.stage != i as u32 {
-            return Err(NetError::Protocol {
-                detail: format!("missing or duplicate links for stage {i}"),
-            });
-        }
-        let control_slot = crate::link::empty_slot();
-        let data_slot = crate::link::empty_slot();
-        let (ctl_sender, ctl_receiver) = link.control.split()?;
-        crate::link::install_sender(&control_slot, ctl_sender);
-        let (data_sender, data_receiver) = link.data.split()?;
-        crate::link::install_sender(&data_slot, data_sender);
-        pumps.push(Pump::spawn(
-            link.stage * 2,
-            ctl_receiver,
-            link.control_reattach,
-            control_slot.clone(),
-            spec.policy,
-            spec.poll,
-            events_tx.clone(),
-        ));
-        pumps.push(Pump::spawn(
-            link.stage * 2 + 1,
-            data_receiver,
-            link.data_reattach,
-            data_slot.clone(),
-            spec.policy,
-            spec.poll,
-            events_tx.clone(),
-        ));
-        control_slots.push(control_slot);
-        data_slots.push(data_slot);
-    }
-    drop(events_tx);
-
-    let mut orch = Orchestrator::new(spec, control_slots, data_slots);
-    let mut sup = Supervision {
-        supervisor: Supervisor::new(spec.stages, &options.tuning, Instant::now()),
-        stats: SupervisionStats::default(),
-        restores: vec![
-            Msg::Restore(Restore {
-                barrier: 0,
-                sealed: Vec::new(),
-            });
-            spec.stages as usize
-        ],
-        gens,
-        failing: vec![false; spec.stages as usize],
-        spawner,
-    };
-
-    // --- Handshake (chaos cannot fire before Start: worker faults roll
-    // only on fresh data frames) -----------------------------------------
-    for stage in 0..spec.stages {
-        orch.control_send(
-            stage,
-            &Msg::Welcome(Welcome {
-                stages: spec.stages,
-            }),
-        )?;
-        orch.control_send(stage, &Msg::Manifest(spec.manifest_for(stage)))?;
-    }
-    let deadline = Instant::now() + spec.op_timeout;
-    let mut acked = vec![false; spec.stages as usize];
-    while acked.iter().any(|a| !a) {
-        if Instant::now() > deadline {
-            return Err(NetError::Timeout {
-                op: "handshake",
-                waited: spec.op_timeout,
-            });
-        }
-        let Some((tag, event)) = next_event(&events, spec.poll)? else {
-            continue;
-        };
-        let stage = tag / 2;
-        match event {
-            PumpEvent::Frame(Msg::ManifestAck(ack)) => {
-                if ack.stage != stage {
-                    return Err(NetError::Handshake {
-                        detail: format!("stage {stage} acked manifest for {}", ack.stage),
-                    });
-                }
-                let expect = spec.manifest_for(stage).weight_hash;
-                if ack.weight_hash != expect {
-                    return Err(NetError::Handshake {
-                        detail: format!(
-                            "stage {stage} weight hash {:#x}, expected {expect:#x}",
-                            ack.weight_hash
-                        ),
-                    });
-                }
-                acked[stage as usize] = true;
-            }
-            PumpEvent::Frame(Msg::Hello(h)) if h.stage == stage => {}
-            PumpEvent::Frame(Msg::DataHello { stage: s, .. }) if s == stage => {}
-            PumpEvent::Frame(Msg::Heartbeat(_)) => {}
-            PumpEvent::Frame(other) => {
-                return Err(NetError::Handshake {
-                    detail: format!("unexpected {other:?} from stage {stage} during handshake"),
-                })
-            }
-            PumpEvent::Dead(e) => return Err(e),
-            PumpEvent::Down | PumpEvent::Up => {}
-        }
-    }
-    for stage in 0..spec.stages {
-        orch.control_send(stage, &Msg::Start)?;
-        sup.supervisor.heard(stage, Instant::now());
-    }
-
-    // --- Serve under admission control and supervision -------------------
-    let mut admission = AdmissionQueue::new(
-        options.admission_window.unwrap_or(INGRESS_WINDOW),
-        options.admission_deadline,
-    );
-    let now = Instant::now();
-    for iteration in 0..spec.iterations {
-        for micro_batch in 0..spec.micro_batches {
-            admission.enqueue((iteration, micro_batch), now);
-        }
-    }
-    let mut completed_count = 0usize;
-    // Length of the contiguous committed prefix of outputs, in global
-    // order; it only ever advances.
-    let mut prefix = 0u64;
-    let mut barriers_done = 0u64;
-    let checkpoint_every = u64::from(options.tuning.checkpoint_every.max(1));
-    let mut last_activity = Instant::now();
-    loop {
-        let now = Instant::now();
-        for (iteration, micro_batch) in admission.admit(now) {
-            orch.inject(iteration, micro_batch)?;
-        }
-
-        if admission.idle()
-            && orch.outstanding.is_empty()
-            && orch.ingress_tx.in_flight() == 0
-            && sup.supervisor.all_healthy()
-        {
-            break;
-        }
-        if now.saturating_duration_since(last_activity) > spec.op_timeout {
-            return Err(NetError::Timeout {
-                op: "serve",
-                waited: spec.op_timeout,
-            });
-        }
-
-        orch.sweep(now, spec.resend_after)?;
-        if let Some((tag, event)) = next_event(&events, spec.poll)? {
-            last_activity = Instant::now();
-            if let Some(report) = sup.handle(&mut orch, spec, tag, event, last_activity)? {
-                return Err(NetError::Protocol {
-                    detail: format!("stage {} reported Done before Finish", report.stage),
-                });
-            }
-        }
-
-        let now = Instant::now();
-        let ticked = sup.supervisor.tick(now);
-        sup.stats.suspicions += ticked.suspected.len() as u64;
-        for stage in ticked.dead {
-            sup.fail_over(&orch, stage, now)?;
-        }
-        sup.restart_ready(&mut orch, spec, now)?;
-
-        // Completions free admission slots (and may flip on drain mode).
-        while completed_count < orch.outputs.len() {
-            completed_count += 1;
-            admission.complete();
-            if options
-                .drain_after
-                .is_some_and(|n| completed_count as u64 >= n)
-            {
-                admission.drain();
-            }
-        }
-
-        // Checkpoint barriers ride the contiguous committed prefix: every
-        // `checkpoint_every` outputs, each worker advances its watermark
-        // to the prefix, seals its state and ships it up. A stage
-        // mid-failover is skipped: its replacement is handed the stored
-        // checkpoint, and the next barrier reaches it once it serves.
+    /// Checkpoint barriers ride the contiguous committed prefix: every
+    /// `checkpoint_every` outputs, each worker advances its watermark to
+    /// the prefix, seals its state and ships it up. A stage mid-failover
+    /// is skipped: its replacement is handed the stored checkpoint, and
+    /// the next barrier reaches it once it serves.
+    fn checkpoint_barriers(&mut self, orch: &Orchestrator) -> NetResult<()> {
+        let micro_batches = u64::from(orch.spec.micro_batches);
         while orch.outputs.contains_key(&(
-            (prefix / u64::from(spec.micro_batches)) as u32,
-            (prefix % u64::from(spec.micro_batches)) as u32,
+            (self.prefix / micro_batches) as u32,
+            (self.prefix % micro_batches) as u32,
         )) {
-            prefix += 1;
+            self.prefix += 1;
         }
-        while prefix / checkpoint_every > barriers_done {
-            barriers_done += 1;
-            sup.stats.barriers += 1;
+        while self.prefix / self.checkpoint_every > self.barriers_done {
+            self.barriers_done += 1;
+            self.stats.barriers += 1;
             let req = Msg::CheckpointReq(CheckpointReq {
-                barrier: barriers_done,
-                prefix,
+                barrier: self.barriers_done,
+                prefix: self.prefix,
             });
-            for stage in (0..spec.stages).filter(|&s| !sup.failing[s as usize]) {
-                control_send_lossy(&orch, stage, &req)?;
+            for stage in (0..orch.spec.stages).filter(|&s| !self.failing[s as usize]) {
+                orch.control_send_lossy(stage, &req)?;
             }
         }
+        Ok(())
     }
-
-    // --- Sequenced drain: identical discipline to the plain run; worker
-    // chaos cannot fire here (only duplicates flow after serve) ----------
-    let mut worker_reports: Vec<CounterReport> = Vec::new();
-    for stage in 0..spec.stages {
-        orch.control_send(stage, &Msg::Finish)?;
-        let finish_deadline = Instant::now() + spec.op_timeout;
-        loop {
-            if Instant::now() > finish_deadline {
-                return Err(NetError::Timeout {
-                    op: "drain",
-                    waited: spec.op_timeout,
-                });
-            }
-            let Some((tag, event)) = next_event(&events, spec.poll)? else {
-                continue;
-            };
-            let now = Instant::now();
-            if let Some(report) = sup.handle(&mut orch, spec, tag, event, now)? {
-                if report.stage == stage {
-                    worker_reports.push(report);
-                    break;
-                }
-                if let Some(slot) = worker_reports.iter_mut().find(|r| r.stage == report.stage) {
-                    *slot = report;
-                    continue;
-                }
-                return Err(NetError::Protocol {
-                    detail: format!("expected Done from stage {stage}, got {}", report.stage),
-                });
-            }
-        }
-    }
-
-    // --- Flush to quiescence, then audit lockstep ------------------------
-    let flush_deadline = Instant::now() + spec.op_timeout;
-    let mut quiet_since = Instant::now();
-    while quiet_since.elapsed() < spec.quiet {
-        if Instant::now() > flush_deadline {
-            return Err(NetError::Timeout {
-                op: "flush",
-                waited: spec.op_timeout,
-            });
-        }
-        if let Some((tag, event)) = next_event(&events, spec.poll)? {
-            let now = Instant::now();
-            if let Some(report) = sup.handle(&mut orch, spec, tag, event, now)? {
-                if let Some(slot) = worker_reports.iter_mut().find(|r| r.stage == report.stage) {
-                    *slot = report;
-                }
-            }
-            quiet_since = Instant::now();
-        }
-    }
-
-    let host_report = orch.host_report();
-    audit_lockstep(&worker_reports, &host_report)?;
-
-    for stage in 0..spec.stages {
-        control_send_lossy(&orch, stage, &Msg::Shutdown)?;
-    }
-    for pump in &pumps {
-        pump.stop();
-    }
-
-    // --- Assemble the report: completed sessions in global order ---------
-    let (completed, outputs): (Vec<(u32, u32)>, Vec<Vec<u8>>) =
-        std::mem::take(&mut orch.outputs).into_iter().unzip();
-    let output_digest = digest_outputs(&outputs);
-    let retransmits = orch.retransmits + worker_reports.iter().map(|r| r.retransmits).sum::<u64>();
-    let sentinels = orch.sentinels + worker_reports.iter().map(|r| r.sentinels).sum::<u64>();
-    let reconnects = worker_reports.iter().map(|r| r.reconnects).sum::<u64>();
-    sup.stats.stale_rejects = stale_rejects.load(Ordering::SeqCst);
-    sup.stats.shed_sessions = admission.shed().len() as u64;
-    sup.stats.backpressure_events = admission.backpressure_events();
-    let net = NetReport {
-        transport,
-        stages: spec.stages,
-        outputs,
-        output_digest,
-        worker_reports,
-        host_report,
-        relayed_frames: orch.relayed,
-        retransmits,
-        sentinels,
-        reconnects,
-        rekeys: orch.rekeys,
-        peak_in_flight: orch.peak_in_flight,
-        lockstep_ok: true,
-    };
-    Ok(SupervisedReport {
-        net,
-        stats: sup.stats,
-        completed,
-        shed: admission.shed().to_vec(),
-    })
-}
-
-/// The worker config of one supervised incarnation: tuning-driven
-/// heartbeats and hang duration, spec-driven wire knobs. Chaos is armed
-/// only on the first incarnation — replacements are the recovery path
-/// and run fault-free, the escalation contract every retry loop in this
-/// codebase follows.
-fn supervised_worker_config(
-    spec: &NetPipelineSpec,
-    options: &SupervisedOptions,
-    stage: u32,
-    generation: u32,
-) -> WorkerConfig {
-    let mut config = WorkerConfig::with_tuning(stage, &options.tuning);
-    config.generation = generation;
-    config.policy = spec.policy;
-    config.poll = spec.poll;
-    config.op_timeout = spec.op_timeout;
-    config.quiet = spec.quiet;
-    config.resend_after = spec.resend_after;
-    config.chaos = if generation == 0 {
-        spec.injector_for(stage)
-    } else {
-        None
-    };
-    config
-}
-
-type WorkerHandle = (u32, u32, std::thread::JoinHandle<NetResult<CounterReport>>);
-
-fn lock_handles(m: &Mutex<Vec<WorkerHandle>>) -> std::sync::MutexGuard<'_, Vec<WorkerHandle>> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Joins every worker incarnation. Errors from superseded generations are
-/// the injected deaths the run recovered from and are ignored; an error
-/// from a stage's *final* generation is real and fails the run.
-fn join_supervised(
-    handles: &Mutex<Vec<WorkerHandle>>,
-    gens: &[AtomicU32],
-    result: NetResult<SupervisedReport>,
-) -> NetResult<SupervisedReport> {
-    let list: Vec<WorkerHandle> = std::mem::take(&mut *lock_handles(handles));
-    let mut worker_error = None;
-    for (stage, gen, handle) in list {
-        let final_gen = gens[stage as usize].load(Ordering::SeqCst);
-        let superseded = gen < final_gen;
-        match handle.join() {
-            Ok(Ok(_)) => {}
-            Ok(Err(e)) => {
-                if !superseded {
-                    worker_error = Some(e);
-                }
-            }
-            Err(_) => {
-                if !superseded {
-                    worker_error = Some(NetError::Protocol {
-                        detail: "worker thread panicked".to_string(),
-                    });
-                }
-            }
-        }
-    }
-    match (result, worker_error) {
-        (Ok(report), None) => Ok(report),
-        (Err(orch), Some(worker)) => Err(NetError::Protocol {
-            detail: format!("orchestrator: {orch}; worker: {worker}"),
-        }),
-        (Err(e), None) => Err(e),
-        (Ok(_), Some(e)) => Err(e),
-    }
-}
-
-/// An admission predicate for [`DuplexActive::pinned`]: the incarnation
-/// stays admitted while the stage's generation cell has not moved past
-/// `generation`. A refusal is counted as a stale reject — the same
-/// accounting the TCP acceptor keeps when it drops a superseded
-/// `DataHello`.
-fn admission_guard(
-    gens: &Arc<Vec<AtomicU32>>,
-    rejects: &Arc<AtomicU64>,
-    stage: u32,
-    generation: u32,
-) -> Box<dyn Fn() -> bool + Send> {
-    let gens = Arc::clone(gens);
-    let rejects = Arc::clone(rejects);
-    Box::new(move || {
-        if gens[stage as usize].load(Ordering::SeqCst) > generation {
-            rejects.fetch_add(1, Ordering::SeqCst);
-            false
-        } else {
-            true
-        }
-    })
-}
-
-/// Runs a supervised deployment on the in-process duplex transport with
-/// in-thread replacement spawning — the hermetic harness the failover
-/// tests and the chaos kill sweep drive.
-///
-/// # Errors
-///
-/// Handshake/protocol violations, exhausted budgets, phase timeouts,
-/// lockstep-audit violations, and a final-generation worker failure.
-pub fn run_supervised_duplex(
-    spec: &NetPipelineSpec,
-    options: &SupervisedOptions,
-) -> NetResult<SupervisedReport> {
-    spec.validate()?;
-    let stages = spec.stages as usize;
-    let gens: Arc<Vec<AtomicU32>> = Arc::new((0..stages).map(|_| AtomicU32::new(0)).collect());
-    let stale_rejects = Arc::new(AtomicU64::new(0));
-    let handles: Arc<Mutex<Vec<WorkerHandle>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut ctl_cores: Vec<Arc<DuplexCore>> = Vec::with_capacity(stages);
-    let mut data_cores: Vec<Arc<DuplexCore>> = Vec::with_capacity(stages);
-    let mut links = Vec::with_capacity(stages);
-    for stage in 0..spec.stages {
-        let (ctl_orch, ctl_worker, ctl_core) = duplex_pair(&format!("duplex-sctl{stage}"));
-        let (data_orch, data_worker, data_core) = duplex_pair(&format!("duplex-s{stage}"));
-        let worker_reattach = DuplexActive::pinned(
-            Arc::clone(&data_core),
-            1,
-            format!("duplex-s{stage}-worker"),
-            admission_guard(&gens, &stale_rejects, stage, 0),
-        );
-        links.push(SupervisedLinks {
-            stage,
-            control: Box::new(ctl_orch),
-            control_reattach: Some(Box::new(DuplexPassive::new(
-                Arc::clone(&ctl_core),
-                0,
-                format!("duplex-sctl{stage}-orch"),
-            ))),
-            data: Box::new(data_orch),
-            data_reattach: Some(Box::new(DuplexPassive::new(
-                Arc::clone(&data_core),
-                0,
-                format!("duplex-s{stage}-orch"),
-            ))),
-        });
-        let config = supervised_worker_config(spec, options, stage, 0);
-        let handle = std::thread::spawn(move || {
-            run_worker(
-                WorkerLinks {
-                    control: Box::new(ctl_worker),
-                    data: Box::new(data_worker),
-                    data_reattach: Some(Box::new(worker_reattach)),
-                },
-                config,
-            )
-        });
-        lock_handles(&handles).push((stage, 0, handle));
-        ctl_cores.push(ctl_core);
-        data_cores.push(data_core);
-    }
-    let spawner: Spawner = {
-        let spec = spec.clone();
-        let options = options.clone();
-        let handles = Arc::clone(&handles);
-        let gens = Arc::clone(&gens);
-        let rejects = Arc::clone(&stale_rejects);
-        Box::new(move |stage, generation| {
-            let ctl_core = &ctl_cores[stage as usize];
-            let data_core = &data_cores[stage as usize];
-            // Fresh link generations: the orchestrator-side passive
-            // reattach providers wake on these resets.
-            ctl_core.reset();
-            data_core.reset();
-            let ctl = duplex_handle(ctl_core, 1, format!("duplex-sctl{stage}-g{generation}"));
-            let data = duplex_handle(data_core, 1, format!("duplex-s{stage}-g{generation}"));
-            let reattach = DuplexActive::pinned(
-                Arc::clone(data_core),
-                1,
-                format!("duplex-s{stage}-g{generation}-worker"),
-                admission_guard(&gens, &rejects, stage, generation),
-            );
-            let config = supervised_worker_config(&spec, &options, stage, generation);
-            let handle = std::thread::spawn(move || {
-                run_worker(
-                    WorkerLinks {
-                        control: Box::new(ctl),
-                        data: Box::new(data),
-                        data_reattach: Some(Box::new(reattach)),
-                    },
-                    config,
-                )
-            });
-            lock_handles(&handles).push((stage, generation, handle));
-            Ok(())
-        })
-    };
-    let result = drive_supervised(
-        spec,
-        options,
-        links,
-        Some(spawner),
-        Arc::clone(&gens),
-        stale_rejects,
-    );
-    join_supervised(&handles, &gens, result)
-}
-
-/// Receives one identified connection from the acceptor with a deadline.
-fn recv_accepted(
-    rx: &mpsc::Receiver<TcpTransport>,
-    deadline: Instant,
-    op: &'static str,
-) -> NetResult<TcpTransport> {
-    let remaining = deadline
-        .saturating_duration_since(Instant::now())
-        .max(POLL_INTERVAL);
-    match rx.recv_timeout(remaining) {
-        Ok(t) => Ok(t),
-        Err(mpsc::RecvTimeoutError::Timeout) => Err(NetError::Timeout {
-            op,
-            waited: remaining,
-        }),
-        Err(mpsc::RecvTimeoutError::Disconnected) => Err(NetError::ConnectionLost {
-            link: "acceptor".to_string(),
-        }),
-    }
-}
-
-/// Per-stage queues of identified connections, one receiver per stage.
-type AcceptQueues = Vec<mpsc::Receiver<TcpTransport>>;
-
-/// Spawns the generation-aware acceptor: every connection (control *and*
-/// data, initial *and* re-dialed) identifies itself with its stage and
-/// admission generation; anything below the stage's current generation is
-/// a stale incarnation and is rejected, anything at or above it adopts
-/// the generation cell forward and is routed to the stage's queue.
-fn spawn_supervised_acceptor(
-    listener: &std::net::TcpListener,
-    stages: usize,
-    ident_timeout: Duration,
-    gens: Arc<Vec<AtomicU32>>,
-    stale_rejects: Arc<AtomicU64>,
-) -> NetResult<(AcceptQueues, AcceptQueues, std::thread::JoinHandle<()>)> {
-    use crate::frame::read_frame;
-
-    let mut ctl_txs = Vec::with_capacity(stages);
-    let mut ctl_rxs = Vec::with_capacity(stages);
-    let mut data_txs = Vec::with_capacity(stages);
-    let mut data_rxs = Vec::with_capacity(stages);
-    for _ in 0..stages {
-        let (tx, rx) = mpsc::channel::<TcpTransport>();
-        ctl_txs.push(tx);
-        ctl_rxs.push(rx);
-        let (tx, rx) = mpsc::channel::<TcpTransport>();
-        data_txs.push(tx);
-        data_rxs.push(rx);
-    }
-    let acceptor_listener = listener
-        .try_clone()
-        .map_err(|e| NetError::io("try_clone", &e))?;
-    let handle = std::thread::spawn(move || loop {
-        let Ok((stream, peer)) = acceptor_listener.accept() else {
-            return;
-        };
-        // A connected-but-silent peer gets a bounded identification
-        // window, not forever.
-        if stream.set_read_timeout(Some(ident_timeout)).is_err() {
-            continue;
-        }
-        let mut transport = TcpTransport::new(stream, format!("tcp-{peer}"));
-        let Ok(first) = read_frame(&mut transport.stream, "accept") else {
-            continue;
-        };
-        if transport.stream.set_read_timeout(None).is_err() {
-            continue;
-        }
-        let (stage, generation, is_control) = match Msg::decode(&first) {
-            Ok(Msg::Hello(h)) => (h.stage, h.generation, true),
-            Ok(Msg::DataHello { stage, generation }) => (stage, generation, false),
-            _ => continue,
-        };
-        if stage as usize >= stages {
-            continue;
-        }
-        let cell = &gens[stage as usize];
-        if generation < cell.load(Ordering::SeqCst) {
-            // A redial of a superseded incarnation racing its own death:
-            // rejected at identification, never spliced into a slot.
-            stale_rejects.fetch_add(1, Ordering::SeqCst);
-            continue;
-        }
-        cell.fetch_max(generation, Ordering::SeqCst);
-        let routed = if is_control {
-            ctl_txs[stage as usize].send(transport)
-        } else {
-            data_txs[stage as usize].send(transport)
-        };
-        if routed.is_err() {
-            return; // every receiver is gone; the run is over
-        }
-    });
-    Ok((ctl_rxs, data_rxs, handle))
-}
-
-/// Wakes and joins the acceptor thread after a run: flip the listener to
-/// nonblocking first (the flag is checked at syscall entry), then dial
-/// once to wake a thread already parked in `accept()`.
-fn shutdown_acceptor(listener: &std::net::TcpListener, handle: std::thread::JoinHandle<()>) {
-    drop(listener.set_nonblocking(true));
-    if let Ok(addr) = listener.local_addr() {
-        let _ = std::net::TcpStream::connect(addr);
-    }
-    let _ = handle.join();
-}
-
-/// Assembles the supervised per-stage links from the acceptor queues: the
-/// first identified control/data connection per stage plus reattach
-/// providers that keep pulling from the same queues for the run's life.
-fn assemble_supervised_links(
-    ctl_rxs: Vec<mpsc::Receiver<TcpTransport>>,
-    data_rxs: Vec<mpsc::Receiver<TcpTransport>>,
-    deadline: Instant,
-) -> NetResult<Vec<SupervisedLinks>> {
-    let mut links = Vec::with_capacity(ctl_rxs.len());
-    for (stage, (ctl_rx, data_rx)) in ctl_rxs.into_iter().zip(data_rxs).enumerate() {
-        let control = recv_accepted(&ctl_rx, deadline, "control accept")?;
-        let data = recv_accepted(&data_rx, deadline, "data accept")?;
-        links.push(SupervisedLinks {
-            stage: stage as u32,
-            control: Box::new(control),
-            control_reattach: Some(Box::new(TcpAcceptSlot::new(ctl_rx))),
-            data: Box::new(data),
-            data_reattach: Some(Box::new(TcpAcceptSlot::new(data_rx))),
-        });
-    }
-    Ok(links)
-}
-
-/// Runs a supervised deployment over real localhost TCP sockets, every
-/// stage worker on its own thread, replacements spawned in-process — the
-/// single-machine stand-in for the supervised multi-process deployment.
-///
-/// # Errors
-///
-/// As [`run_supervised_duplex`], plus socket-level failures.
-pub fn run_supervised_tcp_threads(
-    spec: &NetPipelineSpec,
-    options: &SupervisedOptions,
-) -> NetResult<SupervisedReport> {
-    spec.validate()?;
-    let listener =
-        std::net::TcpListener::bind(("127.0.0.1", 0)).map_err(|e| NetError::io("bind", &e))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| NetError::io("local_addr", &e))?;
-    let stages = spec.stages as usize;
-    let gens: Arc<Vec<AtomicU32>> = Arc::new((0..stages).map(|_| AtomicU32::new(0)).collect());
-    let stale_rejects = Arc::new(AtomicU64::new(0));
-    let handles: Arc<Mutex<Vec<WorkerHandle>>> = Arc::new(Mutex::new(Vec::new()));
-    for stage in 0..spec.stages {
-        let config = supervised_worker_config(spec, options, stage, 0);
-        let handle = std::thread::spawn(move || {
-            let links = dial_worker_links(addr, stage, 0, config.op_timeout)?;
-            run_worker(links, config)
-        });
-        lock_handles(&handles).push((stage, 0, handle));
-    }
-    let (ctl_rxs, data_rxs, acceptor) = spawn_supervised_acceptor(
-        &listener,
-        stages,
-        spec.op_timeout,
-        Arc::clone(&gens),
-        Arc::clone(&stale_rejects),
-    )?;
-    let links = match assemble_supervised_links(ctl_rxs, data_rxs, Instant::now() + spec.op_timeout)
-    {
-        Ok(links) => links,
-        Err(e) => {
-            shutdown_acceptor(&listener, acceptor);
-            return join_supervised(&handles, &gens, Err(e));
-        }
-    };
-    let spawner: Spawner = {
-        let spec = spec.clone();
-        let options = options.clone();
-        let handles = Arc::clone(&handles);
-        Box::new(move |stage, generation| {
-            let config = supervised_worker_config(&spec, &options, stage, generation);
-            let handle = std::thread::spawn(move || {
-                let links = dial_worker_links(addr, stage, generation, config.op_timeout)?;
-                run_worker(links, config)
-            });
-            lock_handles(&handles).push((stage, generation, handle));
-            Ok(())
-        })
-    };
-    let result = drive_supervised(
-        spec,
-        options,
-        links,
-        Some(spawner),
-        Arc::clone(&gens),
-        stale_rejects,
-    );
-    shutdown_acceptor(&listener, acceptor);
-    join_supervised(&handles, &gens, result)
-}
-
-/// Serves a supervised deployment on an already-bound listener — the
-/// entry point the `pipellm-orchestrator` binary uses with `--supervised`,
-/// where workers are real processes and an *external* respawn loop
-/// re-dials replacements at bumped generations (the CI smoke SIGKILLs a
-/// stage worker mid-run and restarts it with `--generation <n>`).
-///
-/// # Errors
-///
-/// As [`run_supervised_tcp_threads`]; with no replacement arriving before
-/// the serve deadline, the run fails with a timeout.
-pub fn serve_supervised_tcp(
-    spec: &NetPipelineSpec,
-    options: &SupervisedOptions,
-    listener: std::net::TcpListener,
-) -> NetResult<SupervisedReport> {
-    spec.validate()?;
-    let stages = spec.stages as usize;
-    let gens: Arc<Vec<AtomicU32>> = Arc::new((0..stages).map(|_| AtomicU32::new(0)).collect());
-    let stale_rejects = Arc::new(AtomicU64::new(0));
-    let (ctl_rxs, data_rxs, acceptor) = spawn_supervised_acceptor(
-        &listener,
-        stages,
-        spec.op_timeout,
-        Arc::clone(&gens),
-        Arc::clone(&stale_rejects),
-    )?;
-    let links = match assemble_supervised_links(ctl_rxs, data_rxs, Instant::now() + spec.op_timeout)
-    {
-        Ok(links) => links,
-        Err(e) => {
-            shutdown_acceptor(&listener, acceptor);
-            return Err(e);
-        }
-    };
-    let result = drive_supervised(spec, options, links, None, gens, stale_rejects);
-    shutdown_acceptor(&listener, acceptor);
-    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::orchestrator::{deploy, Wire};
 
     fn tight_tuning() -> NetTuning {
         NetTuning {
@@ -1587,7 +827,7 @@ mod tests {
             tuning: tight_tuning(),
             ..SupervisedOptions::default()
         };
-        let report = run_supervised_duplex(&spec, &options).expect("faultless run");
+        let report = deploy(&spec, Wire::Duplex, Some(&options)).expect("faultless run");
         assert_eq!(report.net.outputs, spec.expected_outputs());
         assert_eq!(report.stats.failovers, 0);
         assert_eq!(report.stats.detections, 0);
@@ -1609,7 +849,7 @@ mod tests {
             tuning: tight_tuning(),
             ..SupervisedOptions::default()
         };
-        let report = run_supervised_duplex(&spec, &options).expect("supervised chaos run");
+        let report = deploy(&spec, Wire::Duplex, Some(&options)).expect("supervised chaos run");
         assert_eq!(
             report.net.outputs,
             spec.expected_outputs(),
@@ -1636,7 +876,7 @@ mod tests {
             drain_after: Some(3),
             ..SupervisedOptions::default()
         };
-        let report = run_supervised_duplex(&spec, &options).expect("drained run");
+        let report = deploy(&spec, Wire::Duplex, Some(&options)).expect("drained run");
         let expected = spec.expected_outputs();
         assert!(report.completed.len() >= 3, "drain finishes in-flight work");
         assert!(!report.shed.is_empty(), "drain sheds the queued remainder");

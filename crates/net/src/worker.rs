@@ -46,9 +46,9 @@ use crate::link::{
 };
 use crate::proto::{
     CheckpointReq, CheckpointSave, CounterReport, DataAck, DataFrame, EdgeCounterEntry, Heartbeat,
-    Hello, ManifestAck, Msg, NetTuning, Restore, ShardManifest, HOST_NODE,
+    Hello, ManifestAck, Msg, NetTuning, RekeyEdge, Restore, ShardManifest, HOST_NODE,
 };
-use crate::pump::{Pump, PumpEvent};
+use crate::pump::{next_event, Pump, PumpEvent};
 use crate::transport::{Reattach, Transport};
 use pipellm::partition::{apply_stage, stage_weight_hash};
 use pipellm_chaos::{ChaosInjector, FaultKind, RetryPolicy};
@@ -284,10 +284,17 @@ impl Worker {
         self.processed = self.processed.split_off(&req.prefix);
         let state = CheckpointState {
             stage: self.stage,
-            generation: self.generation,
             barrier: req.barrier,
             prefix: req.prefix,
-            edges: self.report().edges,
+            edges: self
+                .edges
+                .iter()
+                .map(|(edge, crypto)| RekeyEdge {
+                    a: edge.a,
+                    b: edge.b,
+                    epoch: crypto.epoch(),
+                })
+                .collect(),
         };
         let sealed = seal_checkpoint(self.cluster_seed, &state)?;
         self.control_send(&Msg::CheckpointSave(CheckpointSave {
@@ -363,13 +370,14 @@ impl Worker {
             .ok_or(NetError::Protocol {
                 detail: "in edge missing".to_string(),
             })?;
+        let ack = DataAck {
+            src: frame.src,
+            dst: frame.dst,
+            seq: frame.seq,
+        };
         match open_data(crypto, &mut frame) {
             RxOutcome::Plain(mut bytes) => {
-                self.control_send(&Msg::AckData(DataAck {
-                    src: frame.src,
-                    dst: frame.dst,
-                    seq: frame.seq,
-                }))?;
+                self.control_send(&Msg::AckData(ack))?;
                 let key = (frame.iteration, frame.micro_batch);
                 let index = global_index(key.0, key.1, self.micro_batches);
                 // The ack alone settles a duplicate whose output is
@@ -392,11 +400,7 @@ impl Worker {
             }
             RxOutcome::Sentinel => {
                 self.sentinels += 1;
-                self.control_send(&Msg::NackData(DataAck {
-                    src: frame.src,
-                    dst: frame.dst,
-                    seq: frame.seq,
-                }))?;
+                self.control_send(&Msg::NackData(ack))?;
             }
             RxOutcome::StaleEpoch => {}
         }
@@ -494,17 +498,7 @@ impl Worker {
     fn report(&self) -> CounterReport {
         CounterReport {
             stage: self.stage,
-            edges: self
-                .edges
-                .iter()
-                .map(|(edge, crypto)| EdgeCounterEntry {
-                    a: edge.a,
-                    b: edge.b,
-                    epoch: crypto.epoch(),
-                    tx_iv: crypto.tx_iv(),
-                    rx_iv: crypto.rx_iv(),
-                })
-                .collect(),
+            edges: edge_counters(&self.edges),
             retransmits: self.retransmits,
             sentinels: self.sentinels,
             reconnects: self.reconnects,
@@ -512,17 +506,19 @@ impl Worker {
     }
 }
 
-fn next_event(
-    events: &mpsc::Receiver<(u32, PumpEvent)>,
-    poll: Duration,
-) -> NetResult<Option<(u32, PumpEvent)>> {
-    match events.recv_timeout(poll) {
-        Ok(ev) => Ok(Some(ev)),
-        Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
-        Err(mpsc::RecvTimeoutError::Disconnected) => Err(NetError::Protocol {
-            detail: "all pumps exited".to_string(),
-        }),
-    }
+/// Where every edge a node holds an end of stands — the node's half of
+/// the end-of-run lockstep audit.
+pub(crate) fn edge_counters(edges: &BTreeMap<WireEdge, EdgeCrypto>) -> Vec<EdgeCounterEntry> {
+    edges
+        .iter()
+        .map(|(edge, crypto)| EdgeCounterEntry {
+            a: edge.a,
+            b: edge.b,
+            epoch: crypto.epoch(),
+            tx_iv: crypto.tx_iv(),
+            rx_iv: crypto.rx_iv(),
+        })
+        .collect()
 }
 
 /// Runs one stage worker to completion: handshake, serve, drain, report.
@@ -992,7 +988,7 @@ mod tests {
 
     #[test]
     fn barriers_keep_the_processed_set_within_a_window_and_an_interval() {
-        // The supervised driver's cadence: at most WINDOW sessions lack
+        // A supervised run's cadence: at most WINDOW sessions lack
         // their output, a barrier every EVERY committed outputs.
         const WINDOW: u64 = 32;
         const EVERY: u64 = 4;

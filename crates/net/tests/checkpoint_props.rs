@@ -7,7 +7,7 @@
 //! constant size: what a worker seals does not grow with the run.
 
 use pipellm_net::checkpoint::{open_checkpoint, seal_checkpoint, CheckpointState};
-use pipellm_net::proto::EdgeCounterEntry;
+use pipellm_net::proto::RekeyEdge;
 use proptest::prelude::*;
 
 /// Splits a `u64` into four derived `u32` lanes, the same trick
@@ -22,23 +22,20 @@ fn quarters(x: u64) -> [u32; 4] {
 }
 
 /// A state as a worker would seal it: its in and out edge (one edge for
-/// a single-stage deployment), any counters, any watermark.
+/// a single-stage deployment), any epochs, any watermark.
 fn state_from(a: u64, b: u64, prefix: u64) -> CheckpointState {
-    let [stage, generation, barrier, edges] = quarters(a);
-    let [e_epoch, e_tx, e_rx, _] = quarters(b);
+    let [stage, barrier, edges, _] = quarters(a);
+    let [e_in, e_out, _, _] = quarters(b);
     let stage = stage % 8;
     let edges = (0..=(edges % 2))
-        .map(|i| EdgeCounterEntry {
+        .map(|i| RekeyEdge {
             a: stage + i,
             b: if i == 0 { u32::MAX } else { stage },
-            epoch: e_epoch + i,
-            tx_iv: u64::from(e_tx) << (8 * i),
-            rx_iv: u64::from(e_rx) << (16 * i),
+            epoch: if i == 0 { e_in } else { e_out },
         })
         .collect();
     CheckpointState {
         stage,
-        generation: generation % 4,
         barrier: u64::from(barrier % 64),
         prefix,
         edges,
@@ -127,7 +124,7 @@ proptest! {
         let len = |state: &CheckpointState| {
             seal_checkpoint(seed, state).expect("seal succeeds").len()
         };
-        prop_assert!(len(&a) <= 256 && len(&b) <= 256);
+        prop_assert!(len(&a) <= 64 && len(&b) <= 64);
         if a.edges.len() == b.edges.len() {
             prop_assert_eq!(len(&a), len(&b));
         }

@@ -23,7 +23,7 @@
 //!
 //! Run with: `cargo run --release --example networked_pipeline`
 
-use pipellm_repro::net::{run_duplex, run_tcp_threads, NetPipelineSpec, NetReport};
+use pipellm_repro::net::{deploy, NetPipelineSpec, NetReport, Wire};
 use std::time::Duration;
 
 fn show(label: &str, r: &NetReport) {
@@ -58,18 +58,25 @@ fn main() {
     // The reference computation: what every deployment must reproduce.
     let expected = spec.expected_outputs();
 
-    let duplex = run_duplex(&spec).expect("duplex deployment");
+    // One deployment, two switches: the wire, and (off here) supervision.
+    let duplex = deploy(&spec, Wire::Duplex, None)
+        .expect("duplex deployment")
+        .net;
     show("duplex", &duplex);
 
-    let tcp = run_tcp_threads(&spec).expect("tcp deployment");
+    let tcp = deploy(&spec, Wire::TcpThreads, None)
+        .expect("tcp deployment")
+        .net;
     show("tcp", &tcp);
 
-    let chaotic = run_tcp_threads(&NetPipelineSpec {
+    let faulty = NetPipelineSpec {
         net_fault_rate: 0.10,
         chaos_seed: 42,
         ..spec.clone()
-    })
-    .expect("chaotic tcp deployment");
+    };
+    let chaotic = deploy(&faulty, Wire::TcpThreads, None)
+        .expect("chaotic tcp deployment")
+        .net;
     show("tcp + chaos", &chaotic);
 
     assert_eq!(duplex.outputs, expected, "duplex diverged from reference");

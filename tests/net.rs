@@ -2,7 +2,13 @@
 //! be bit-identical to each other and to the in-process reference, and a
 //! chaos-injected run must recover with every edge in lockstep.
 
-use pipellm_repro::net::{run_duplex, run_tcp_threads, NetPipelineSpec};
+use pipellm_repro::net::orchestrator::dial_worker_links;
+use pipellm_repro::net::proto::Msg;
+use pipellm_repro::net::{
+    deploy, run_tcp_threads, run_worker, NetPipelineSpec, Wire, WorkerConfig,
+};
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 fn spec() -> NetPipelineSpec {
@@ -35,14 +41,61 @@ fn four_stage_tcp_matches_the_in_process_reference_bit_for_bit() {
 
 #[test]
 fn tcp_and_duplex_transports_are_interchangeable() {
-    let spec = spec();
-    let tcp = run_tcp_threads(&spec).expect("tcp run");
-    let duplex = run_duplex(&spec).expect("duplex run");
-    assert_eq!(tcp.outputs, duplex.outputs);
-    assert_eq!(
-        tcp.output_digest, duplex.output_digest,
-        "digest must not depend on the transport"
-    );
+    for stages in [1, 2, 4] {
+        let spec = NetPipelineSpec { stages, ..spec() };
+        let expected = spec.expected_outputs();
+        let [tcp, duplex] = [Wire::TcpThreads, Wire::Duplex].map(|wire| {
+            let report = deploy(&spec, wire, None)
+                .unwrap_or_else(|e| panic!("{stages} stages over {wire:?}: {e}"))
+                .net;
+            assert_eq!(report.outputs, expected, "{stages} stages over {wire:?}");
+            assert!(report.lockstep_ok);
+            report
+        });
+        assert_eq!((tcp.stages, duplex.stages), (stages, stages));
+        assert_eq!(
+            tcp.output_digest, duplex.output_digest,
+            "digest must not depend on the transport"
+        );
+    }
+}
+
+#[test]
+fn strangers_on_the_listener_do_not_abort_an_unsupervised_run() {
+    let spec = NetPipelineSpec {
+        stages: 2,
+        ..spec()
+    };
+    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+    let addr = listener.local_addr().expect("local_addr");
+    // Two strangers sit in the accept backlog ahead of every worker: one
+    // speaks the framing but identifies as nothing, one connects and
+    // leaves. Neither may cost the run anything.
+    let mut junk = TcpStream::connect(addr).expect("stranger connects");
+    junk.write_all(&Msg::Start.encode().expect("encode"))
+        .expect("stranger sends a well-framed message");
+    drop(TcpStream::connect(addr).expect("second stranger connects"));
+    let workers: Vec<_> = (0..spec.stages)
+        .map(|stage| {
+            let mut config = WorkerConfig::new(stage);
+            config.op_timeout = spec.op_timeout;
+            std::thread::spawn(move || {
+                let links = dial_worker_links(addr, stage, 0, config.op_timeout)?;
+                run_worker(links, config)
+            })
+        })
+        .collect();
+    let report = deploy(&spec, Wire::Listener(&listener), None)
+        .expect("strangers must not abort the run")
+        .net;
+    assert_eq!(report.outputs, spec.expected_outputs());
+    assert!(report.lockstep_ok);
+    for worker in workers {
+        worker
+            .join()
+            .expect("worker thread")
+            .expect("worker exits cleanly");
+    }
 }
 
 #[test]

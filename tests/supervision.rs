@@ -16,10 +16,7 @@ use pipellm_repro::analysis::interleave::{Explorer, Violation};
 use pipellm_repro::chaos::FaultKind;
 use pipellm_repro::net::checkpoint::{open_checkpoint, seal_checkpoint, CheckpointState};
 use pipellm_repro::net::transport::{duplex_pair, DuplexActive, Reattach};
-use pipellm_repro::net::{
-    run_duplex, run_supervised_duplex, run_supervised_tcp_threads, NetPipelineSpec, NetTuning,
-    SupervisedOptions,
-};
+use pipellm_repro::net::{deploy, NetPipelineSpec, NetTuning, SupervisedOptions, Wire};
 
 /// The small-but-nontrivial pipeline every test here runs: 3 stages,
 /// deterministic seed, generous op timeout so CI-load stalls never
@@ -56,8 +53,10 @@ fn tight() -> SupervisedOptions {
 #[test]
 fn supervised_faultless_run_matches_the_plain_pipeline() {
     let spec = spec();
-    let plain = run_duplex(&spec).expect("plain duplex run");
-    let supervised = run_supervised_duplex(&spec, &tight()).expect("supervised run");
+    let plain = deploy(&spec, Wire::Duplex, None)
+        .expect("plain duplex run")
+        .net;
+    let supervised = deploy(&spec, Wire::Duplex, Some(&tight())).expect("supervised run");
     assert_eq!(supervised.net.outputs, spec.expected_outputs());
     assert_eq!(
         supervised.net.outputs, plain.outputs,
@@ -77,7 +76,7 @@ fn worker_kill_mid_run_fails_over_bit_identically() {
         worker_fault_rate: 0.2,
         ..spec()
     };
-    let report = run_supervised_duplex(&spec, &tight()).expect("supervised chaos run");
+    let report = deploy(&spec, Wire::Duplex, Some(&tight())).expect("supervised chaos run");
     assert_eq!(
         report.net.outputs,
         spec.expected_outputs(),
@@ -107,7 +106,7 @@ fn worker_kill_mid_run_fails_over_over_real_tcp() {
         worker_fault_rate: 0.2,
         ..spec()
     };
-    let report = run_supervised_tcp_threads(&spec, &tight()).expect("supervised tcp run");
+    let report = deploy(&spec, Wire::TcpThreads, Some(&tight())).expect("supervised tcp run");
     assert_eq!(report.net.outputs, spec.expected_outputs());
     assert!(report.stats.failovers > 0, "{:?}", report.stats);
     assert_eq!(report.stats.failovers, report.stats.detections);
@@ -170,11 +169,8 @@ fn a_kill_with_a_full_window_in_flight_is_recovered_by_recomputation() {
     let expected = base.expected_outputs();
     for victim in [0, base.stages - 1] {
         let spec = killing_only(base.clone(), victim);
-        for (transport, run) in [
-            ("duplex", run_supervised_duplex as fn(&_, &_) -> _),
-            ("tcp", run_supervised_tcp_threads),
-        ] {
-            let report = run(&spec, &options)
+        for (transport, wire) in [("duplex", Wire::Duplex), ("tcp", Wire::TcpThreads)] {
+            let report = deploy(&spec, wire, Some(&options))
                 .unwrap_or_else(|e| panic!("stage {victim} killed over {transport}: {e}"));
             assert!(
                 report.net.outputs == expected,
@@ -192,7 +188,6 @@ fn a_kill_with_a_full_window_in_flight_is_recovered_by_recomputation() {
 fn checkpoint_restore_roundtrips_and_stale_blobs_are_refused() {
     let state = CheckpointState {
         stage: 1,
-        generation: 2,
         barrier: 4,
         prefix: 8,
         edges: Vec::new(),
@@ -230,7 +225,7 @@ fn graceful_drain_completes_in_flight_and_sheds_the_queue() {
         drain_after: Some(3),
         ..tight()
     };
-    let report = run_supervised_duplex(&spec, &options).expect("drained run");
+    let report = deploy(&spec, Wire::Duplex, Some(&options)).expect("drained run");
     let expected = spec.expected_outputs();
     assert!(report.completed.len() >= 3, "drain finishes in-flight work");
     assert!(!report.shed.is_empty(), "drain sheds the queued remainder");
@@ -290,7 +285,7 @@ fn resend_sweep_fires_at_the_configured_interval() {
         resend_after: Duration::ZERO,
         ..spec()
     };
-    let report = run_supervised_duplex(&eager, &tight()).expect("eager-resend run");
+    let report = deploy(&eager, Wire::Duplex, Some(&tight())).expect("eager-resend run");
     assert!(
         report.net.retransmits > 0,
         "a zero threshold must retransmit: {:?}",
@@ -302,7 +297,7 @@ fn resend_sweep_fires_at_the_configured_interval() {
         resend_after: Duration::from_secs(120),
         ..spec()
     };
-    let report = run_supervised_duplex(&patient, &tight()).expect("patient run");
+    let report = deploy(&patient, Wire::Duplex, Some(&tight())).expect("patient run");
     assert_eq!(report.net.retransmits, 0);
     assert_eq!(report.net.outputs, patient.expected_outputs());
 }
