@@ -9,7 +9,7 @@
 //!   structural context pass ([`context`]). It enforces the project's
 //!   crypto/net discipline — `// SAFETY:` on every `unsafe`, no panics in
 //!   lib code, IV/nonce construction confined to `crypto::channel`,
-//!   `open_*` call sites must handle `CryptoError` via the sentinel/skip
+//!   crypto open call sites must handle `CryptoError` via the sentinel/skip
 //!   protocol, frame constants confined to `net::frame`, and more. See
 //!   [`rules::RuleId`] for the catalog.
 //! - **[`interleave`]**: a miniature deterministic scheduler that

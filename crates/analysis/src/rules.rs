@@ -11,7 +11,7 @@
 //! | PL001 | every `unsafe` block/fn carries a `SAFETY:` comment |
 //! | PL002 | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` in lib code outside tests |
 //! | PL003 | no literal IVs/nonces or hand-rolled IV counter arithmetic outside `pipellm-crypto` |
-//! | PL004 | crypto `open_*` call sites must handle failure (no `?` / `unwrap` / `expect`) |
+//! | PL004 | crypto open call sites must handle failure (no `?` / `unwrap` / `expect`) |
 //! | PL005 | no `println!`/`eprintln!`/`dbg!` in lib code outside tests |
 //! | PL006 | no wall-clock reads (`Instant::now`/`SystemTime::now`) in crypto hot-path modules |
 //! | PL007 | frame magic/size constants live only in `net::frame` |
@@ -50,7 +50,7 @@ pub enum RuleId {
     NoPanicInLib,
     /// IV/nonce literal or counter arithmetic outside the crypto crate.
     IvLiteralsConfined,
-    /// Unhandled crypto `open_*` result.
+    /// Unhandled crypto open result.
     OpenMustBeHandled,
     /// Debug printing in lib code.
     NoDebugPrintInLib,
@@ -346,21 +346,23 @@ fn rule_iv_literals(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// Crypto open methods whose results must be handled at the call site.
+/// Crypto opens whose results must be handled at the call site: the
+/// fallible opens of the `crypto::channel` core (`Endpoint::open`, the
+/// `RxContext` / `DeferredOpen` in-place opens and their sentinel variants)
+/// plus `crypto::kv::open_kv_group`.
 const OPEN_METHODS: &[&str] = &[
+    "open",
     "open_in_place",
-    "open_owned",
-    "open_into",
-    "open_message",
-    "open_message_into",
+    "open_in_place_or_sentinel",
     "open_kv_group",
 ];
 
-/// PL004: a crypto `open_*` call must not `?`-propagate or
-/// `unwrap`/`expect` its result: past the lockstep point the only sound
-/// reactions to a failed open are the sentinel/skip discipline or an
-/// explicit match that keeps the endpoints in step. (The sentinel variants
-/// `open_*_or_sentinel` return the outcome by value and are always fine.)
+/// PL004: a crypto open call — a method call `.open…(` or a path call
+/// `::open…(` — must not `?`-propagate or `unwrap`/`expect` its result:
+/// past the lockstep point the only sound reactions to a failed open are
+/// the sentinel/skip discipline or an explicit match that keeps the
+/// endpoints in step. A sentinel open's error is an event to account (the
+/// frame burned its IV and must be retried), not an exit.
 fn rule_open_handled(file: &SourceFile, out: &mut Vec<Finding>) {
     if file.path.starts_with("crates/crypto/src") {
         return; // the implementation of the discipline itself
@@ -370,7 +372,7 @@ fn rule_open_handled(file: &SourceFile, out: &mut Vec<Finding>) {
             || tok.kind != TokenKind::Ident
             || !OPEN_METHODS.contains(&tok.text.as_str())
             || i == 0
-            || !file.tokens[i - 1].is_punct('.')
+            || !(file.tokens[i - 1].is_punct('.') || file.tokens[i - 1].is_punct(':'))
         {
             continue;
         }

@@ -20,13 +20,17 @@ pub fn bad_counters() -> u64 {
     iv
 }
 
-/// A `?`-propagated open.
+/// `?`-propagated opens, one per name PL004 lists.
 pub fn bad_open(rx: &mut Rx, msg: Sealed) -> Result<Vec<u8>, Err2> {
-    let plain = rx.open_owned(msg)?; // seeded PL004 (line 25)
+    let plain = rx.open(&msg)?; // seeded PL004 (line 25)
+    rx.open_in_place(&msg)?; // seeded PL004 (line 26)
+    rx.open_in_place_or_sentinel(&msg)?; // seeded PL004 (line 27)
+    kv::open_kv_group(rx, msg)?; // seeded PL004 (line 28)
     Ok(plain)
 }
 
-/// Supporting types so the fixture reads like real code (never compiled).
+/// Supporting types so the fixture reads like real code (never compiled;
+/// the other opens and `kv` are elided).
 pub struct Rx;
 /// Sealed message stand-in.
 pub struct Sealed;
@@ -35,7 +39,7 @@ pub struct Err2;
 
 impl Rx {
     /// Stand-in for the crypto open.
-    pub fn open_owned(&mut self, _m: Sealed) -> Result<Vec<u8>, Err2> {
+    pub fn open(&mut self, _m: &Sealed) -> Result<Vec<u8>, Err2> {
         Ok(Vec::new())
     }
 }

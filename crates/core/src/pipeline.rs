@@ -46,7 +46,7 @@ impl SpecEntry {
     /// pruned, and relinquished entries all hand their allocation to the
     /// next speculative seal.
     pub fn into_ciphertext_buffer(self) -> Vec<u8> {
-        self.sealed.into_bytes()
+        self.sealed.bytes
     }
 }
 
@@ -170,8 +170,9 @@ impl SpeculationQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipellm_crypto::channel::{ChannelKeys, SecureChannel};
+    use pipellm_crypto::channel::{staging_buffer, ChannelKeys, SecureChannel};
     use pipellm_gpu::memory::HostAddr;
+    use std::sync::Arc;
 
     fn chunk(n: u64) -> HostRegion {
         HostRegion {
@@ -182,7 +183,11 @@ mod tests {
 
     fn entry(iv: u64, chunk_id: u64, cookie: u64) -> SpecEntry {
         let ch = SecureChannel::new(ChannelKeys::from_seed(1));
-        let sealed = ch.host().tx().seal_speculative(iv, b"", b"x").unwrap();
+        let sealed = ch
+            .host()
+            .tx()
+            .seal_speculative_prepared(iv, Arc::from(&[][..]), staging_buffer(b"x"))
+            .unwrap();
         SpecEntry {
             chunk: chunk(chunk_id),
             iv,

@@ -596,7 +596,7 @@ impl SessionState {
         let reservation = ctx.crypto_pool_mut().reserve(avail, seal_time);
         let timing =
             ctx.submit_htod_sealed(now, reservation.end, dst, chunk, &sealed, chunk.len)?;
-        self.recycle_buf(p, sealed.into_bytes());
+        self.recycle_buf(p, sealed.bytes);
         Ok(timing.api_return)
     }
 

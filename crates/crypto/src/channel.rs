@@ -7,11 +7,28 @@
 //! receiver therefore always opens the next message at its own counter
 //! value; a ciphertext sealed at any other IV fails authentication.
 //!
-//! The speculative API ([`TxContext::seal_speculative`]) is the hook that
-//! PipeLLM's predictor uses: it seals a payload at a *future* IV without
-//! advancing the sender counter. Committing a speculative message later
-//! requires the counter to have caught up exactly — which is why the paper's
-//! error handler needs NOP padding and pipeline relinquishing.
+//! # The channel core
+//!
+//! Ten seal/open methods, one per job the paper's protocol needs:
+//!
+//! | job | method |
+//! |-----|--------|
+//! | seal at the counter (native CC `cudaMemcpyAsync`) | [`TxContext::seal_prepared`], [`TxContext::seal_batch_prepared`] |
+//! | §4.3 speculative pre-encryption at a future IV | [`TxContext::seal_speculative_prepared`], [`TxContext::seal_speculative_batch`] |
+//! | §5.3 NOP padding | a committed seal of [`TxContext::nop_message`] |
+//! | open at the receiver's own counter | [`RxContext::open_in_place`] |
+//! | §5.4 deferred open, IV reserved in wire order | [`RxContext::defer_open`], then [`DeferredOpen::open_in_place`] |
+//! | sentinel open (chaos: the IV burns, the bytes are scrubbed) | [`RxContext::open_in_place_or_sentinel`], [`DeferredOpen::open_in_place_or_sentinel`] |
+//! | copy-in / copy-out for borrowed bytes | [`Endpoint::seal`], [`Endpoint::open`] |
+//!
+//! Every seal takes a *staged* buffer: the plaintext on entry, the
+//! message's `ciphertext || tag` storage on return, so a caller that stages
+//! with [`TAG_LEN`] headroom (see [`staging_buffer`]) never copies or
+//! reallocates. Every open decrypts the caller's buffer in place and
+//! truncates the tag. A commit ([`TxContext::commit`]) is what turns a
+//! speculative message into a sendable one — it requires the counter to
+//! have caught up exactly, which is why the paper's error handler needs
+//! NOP padding and pipeline relinquishing.
 
 use crate::engine::CryptoEngine;
 use crate::gcm::{nonce_from_iv, AesGcm, BatchSealMsg, NONCE_LEN, TAG_LEN};
@@ -62,12 +79,14 @@ impl SealedMessage {
     pub fn plaintext_len(&self) -> usize {
         self.bytes.len().saturating_sub(TAG_LEN)
     }
+}
 
-    /// Consumes the message, returning its ciphertext buffer for reuse
-    /// (the PipeLLM runtime's staging-buffer pool).
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
-    }
+/// Copies `plaintext` into a fresh buffer with [`TAG_LEN`] bytes of
+/// headroom, ready for a prepared seal: the appended tag never reallocates.
+pub fn staging_buffer(plaintext: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(plaintext.len() + TAG_LEN);
+    buf.extend_from_slice(plaintext);
+    buf
 }
 
 /// Fill byte for sentinel payloads: when a frame fails authentication under
@@ -126,9 +145,13 @@ impl TxContext {
         Ok(())
     }
 
-    /// Direction this context seals for.
-    pub fn direction(&self) -> Direction {
-        self.direction
+    /// Refuses a speculative IV the counter has already consumed: sealing
+    /// under it again would repeat a GCM nonce.
+    fn check_future(&self, iv: u64) -> Result<()> {
+        if iv < self.next_iv {
+            return Err(CryptoError::IvReused { iv });
+        }
+        Ok(())
     }
 
     /// Attaches the multi-threaded crypto engine: large seals go through
@@ -137,39 +160,35 @@ impl TxContext {
         self.gcm.set_engine(engine);
     }
 
-    fn nonce(&self, iv: u64) -> [u8; NONCE_LEN] {
-        nonce_from_iv(self.direction.tag(), iv)
-    }
-
-    /// Seals `plaintext` at the current counter and advances it.
-    ///
-    /// This is what the stock CUDA library does inside `cudaMemcpyAsync`
-    /// when CC is enabled: on-the-fly encryption coupled to the transfer.
-    pub fn seal(&mut self, plaintext: &[u8]) -> Result<SealedMessage> {
-        self.seal_with_aad(&[], plaintext)
-    }
-
-    /// Seals `plaintext` with associated data at the current counter.
-    pub fn seal_with_aad(&mut self, aad: &[u8], plaintext: &[u8]) -> Result<SealedMessage> {
-        let mut buf = Vec::with_capacity(plaintext.len() + TAG_LEN);
-        buf.extend_from_slice(plaintext);
-        self.seal_prepared(Arc::from(aad), buf)
+    /// Seals one staged buffer at `iv` on the single-message path (large
+    /// buffers gang across the engine), without touching the counter.
+    fn seal_at(&self, iv: u64, aad: Arc<[u8]>, mut buf: Vec<u8>) -> Result<SealedMessage> {
+        self.check_exhaustion(iv)?;
+        self.gcm
+            .seal_vec(&nonce_from_iv(self.direction.tag(), iv), &aad, &mut buf);
+        Ok(SealedMessage {
+            iv,
+            aad,
+            bytes: buf,
+        })
     }
 
     /// Seals a staged buffer at the current counter and advances it: `buf`
     /// holds the plaintext on entry and becomes the message's
     /// `ciphertext || tag` storage — no copy, and any spare capacity the
     /// caller pooled is reused.
-    pub fn seal_prepared(&mut self, aad: Arc<[u8]>, mut buf: Vec<u8>) -> Result<SealedMessage> {
-        let iv = self.next_iv;
-        self.check_exhaustion(iv)?;
-        self.gcm.seal_vec(&self.nonce(iv), &aad, &mut buf);
+    ///
+    /// This is what the stock CUDA library does inside `cudaMemcpyAsync`
+    /// when CC is enabled: on-the-fly encryption coupled to the transfer.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::IvExhausted`] when the counter sits in the headroom;
+    /// the counter has not advanced and `buf` is dropped.
+    pub fn seal_prepared(&mut self, aad: Arc<[u8]>, buf: Vec<u8>) -> Result<SealedMessage> {
+        let sealed = self.seal_at(self.next_iv, aad, buf)?;
         self.next_iv += 1;
-        Ok(SealedMessage {
-            iv,
-            aad,
-            bytes: buf,
-        })
+        Ok(sealed)
     }
 
     /// Seals a run of staged buffers at **consecutive** committed IVs in
@@ -180,6 +199,9 @@ impl TxContext {
     /// coalesced. The exhaustion check covers the whole batch **before**
     /// any IV is consumed, so a failing batch is all-or-nothing (unlike a
     /// loop of single seals, which consumes IVs up to the failure).
+    ///
+    /// A batch of one never gangs; a single large message belongs on
+    /// [`TxContext::seal_prepared`].
     ///
     /// # Errors
     ///
@@ -192,6 +214,26 @@ impl TxContext {
         let sealed = self.seal_batch_at(self.next_iv, msgs)?;
         self.next_iv += sealed.len() as u64;
         Ok(sealed)
+    }
+
+    /// Seals a staged buffer at a **future** `iv` without advancing the
+    /// counter. This is speculative pre-encryption (paper §4.3): the
+    /// message only becomes sendable once the counter reaches `iv` exactly
+    /// and [`TxContext::commit`] consumes it.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::IvReused`] if `iv` is below the counter (that IV has
+    /// already been consumed), [`CryptoError::IvExhausted`] if it lies in
+    /// the headroom; on error `buf` is dropped.
+    pub fn seal_speculative_prepared(
+        &self,
+        iv: u64,
+        aad: Arc<[u8]>,
+        buf: Vec<u8>,
+    ) -> Result<SealedMessage> {
+        self.check_future(iv)?;
+        self.seal_at(iv, aad, buf)
     }
 
     /// Speculative twin of [`TxContext::seal_batch_prepared`]: seals the
@@ -210,34 +252,8 @@ impl TxContext {
         start_iv: u64,
         msgs: Vec<(Arc<[u8]>, Vec<u8>)>,
     ) -> Result<Vec<SealedMessage>> {
-        if start_iv < self.next_iv {
-            return Err(CryptoError::IvReused { iv: start_iv });
-        }
+        self.check_future(start_iv)?;
         self.seal_batch_at(start_iv, msgs)
-    }
-
-    /// Seals a burst of NOPs at consecutive committed IVs in one fused
-    /// submission — the batched form of [`TxContext::seal_nop_with`],
-    /// recycling `staging` buffers where provided (extra buffers beyond
-    /// `count` are dropped; missing ones are allocated).
-    ///
-    /// # Errors
-    ///
-    /// As [`TxContext::seal_batch_prepared`].
-    pub fn seal_nop_batch(
-        &mut self,
-        count: usize,
-        staging: &mut Vec<Vec<u8>>,
-    ) -> Result<Vec<SealedMessage>> {
-        let msgs = (0..count)
-            .map(|_| {
-                let mut buf = staging.pop().unwrap_or_default();
-                buf.clear();
-                buf.push(0u8);
-                (Arc::clone(&self.nop_aad), buf)
-            })
-            .collect();
-        self.seal_batch_prepared(msgs)
     }
 
     /// Shared core of the batch seals: messages land at consecutive IVs
@@ -274,54 +290,18 @@ impl TxContext {
         Ok(out)
     }
 
-    /// Seals `data` in place at the current counter, advancing it. Returns
-    /// the consumed IV and the detached tag; `data` holds the ciphertext.
-    pub fn seal_in_place(&mut self, aad: &[u8], data: &mut [u8]) -> Result<(u64, [u8; TAG_LEN])> {
-        let iv = self.next_iv;
-        self.check_exhaustion(iv)?;
-        let tag = self.gcm.seal_in_place(&self.nonce(iv), aad, data);
-        self.next_iv += 1;
-        Ok((iv, tag))
-    }
-
-    /// Seals `plaintext` at an arbitrary `iv` **without advancing** the
-    /// counter. This is speculative pre-encryption (paper §4.3): the message
-    /// only becomes sendable once the counter reaches `iv` exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::IvReused`] if `iv` is below the counter: that
-    /// IV has already been consumed and sealing under it again would repeat
-    /// a GCM nonce.
-    pub fn seal_speculative(&self, iv: u64, aad: &[u8], plaintext: &[u8]) -> Result<SealedMessage> {
-        let mut buf = Vec::with_capacity(plaintext.len() + TAG_LEN);
-        buf.extend_from_slice(plaintext);
-        self.seal_speculative_prepared(iv, Arc::from(aad), buf)
-    }
-
-    /// Speculative variant of [`TxContext::seal_prepared`]: seals a staged
-    /// plaintext buffer in place at a future `iv` without advancing the
-    /// counter.
-    ///
-    /// # Errors
-    ///
-    /// As [`TxContext::seal_speculative`]; on error `buf` is dropped.
-    pub fn seal_speculative_prepared(
-        &self,
-        iv: u64,
-        aad: Arc<[u8]>,
-        mut buf: Vec<u8>,
-    ) -> Result<SealedMessage> {
-        if iv < self.next_iv {
-            return Err(CryptoError::IvReused { iv });
-        }
-        self.check_exhaustion(iv)?;
-        self.gcm.seal_vec(&self.nonce(iv), &aad, &mut buf);
-        Ok(SealedMessage {
-            iv,
-            aad,
-            bytes: buf,
-        })
+    /// Stages a NOP (paper §5.3): a 1-byte dummy transfer whose only
+    /// purpose is to advance the IV, under the shared `b"nop"` descriptor.
+    /// Nothing is sealed here — the returned pair goes through an ordinary
+    /// committed seal ([`TxContext::seal_prepared`], or
+    /// [`TxContext::seal_batch_prepared`] for a burst). `buf` is a
+    /// recycled staging buffer; once it has held a NOP, padding allocates
+    /// nothing.
+    pub fn nop_message(&self, mut buf: Vec<u8>) -> (Arc<[u8]>, Vec<u8>) {
+        buf.clear();
+        buf.reserve(1 + TAG_LEN);
+        buf.push(0u8);
+        (Arc::clone(&self.nop_aad), buf)
     }
 
     /// Commits a previously sealed speculative message, consuming the
@@ -346,38 +326,16 @@ impl TxContext {
         self.next_iv += 1;
         Ok(())
     }
+}
 
-    /// Seals a NOP: a 1-byte dummy transfer whose only purpose is to
-    /// advance the IV (paper §5.3). The counter advances immediately.
-    ///
-    /// # Errors
-    ///
-    /// [`CryptoError::IvExhausted`] when the counter sits in the headroom.
-    pub fn seal_nop(&mut self) -> Result<SealedMessage> {
-        self.seal_nop_with(Vec::with_capacity(1 + TAG_LEN))
-    }
-
-    /// Seals a NOP into a recycled staging buffer (the descriptor is the
-    /// shared `b"nop"` AAD, so the sender allocates nothing once the
-    /// caller cycles buffers back through [`SealedMessage::into_bytes`] or
-    /// [`RxContext::open_owned`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`TxContext::seal_nop`]; on error `buf` is dropped.
-    pub fn seal_nop_with(&mut self, mut buf: Vec<u8>) -> Result<SealedMessage> {
-        let iv = self.next_iv;
-        self.check_exhaustion(iv)?;
-        let aad = Arc::clone(&self.nop_aad);
-        buf.clear();
-        buf.push(0u8);
-        self.gcm.seal_vec(&self.nonce(iv), &aad, &mut buf);
-        self.next_iv += 1;
-        Ok(SealedMessage {
-            iv,
-            aad,
-            bytes: buf,
-        })
+/// Reports an authentication failure at the receiver-side IV that was
+/// expected (the GCM layer does not know it); other errors pass through.
+fn at_iv(err: CryptoError, iv: u64) -> CryptoError {
+    match err {
+        CryptoError::AuthenticationFailed { .. } => {
+            CryptoError::AuthenticationFailed { expected_iv: iv }
+        }
+        other => other,
     }
 }
 
@@ -414,22 +372,16 @@ impl DeferredOpen {
     }
 
     /// Opens `buf` (`ciphertext || tag`) in place at the reserved IV,
-    /// truncating the tag on success.
+    /// truncating the tag on success; on failure `buf` is unchanged.
     ///
     /// # Errors
     ///
     /// [`CryptoError::AuthenticationFailed`] if the bytes were not sealed
     /// at this handle's IV under the matching key (or were tampered with).
     pub fn open_in_place(&self, aad: &[u8], buf: &mut Vec<u8>) -> Result<()> {
-        match self.gcm.open_vec(&self.nonce, aad, buf) {
-            Ok(()) => Ok(()),
-            Err(CryptoError::AuthenticationFailed { .. }) => {
-                Err(CryptoError::AuthenticationFailed {
-                    expected_iv: self.iv,
-                })
-            }
-            Err(other) => Err(other),
-        }
+        self.gcm
+            .open_vec(&self.nonce, aad, buf)
+            .map_err(|e| at_iv(e, self.iv))
     }
 
     /// Sentinel variant of [`DeferredOpen::open_in_place`]: the reserved IV
@@ -486,86 +438,35 @@ impl RxContext {
         self.gcm = Arc::new(gcm);
     }
 
-    /// Opens `message` at the receiver's own counter — the IV recorded in
-    /// the message is deliberately ignored, as in the real protocol.
-    ///
-    /// On success the counter advances. On failure it does not: the real
-    /// hardware treats an authentication failure as a fatal session error,
-    /// and the PipeLLM validator exists precisely to keep bad ciphertext
-    /// from ever reaching this point.
-    ///
-    /// # Errors
-    ///
-    /// [`CryptoError::AuthenticationFailed`] when the message was not sealed
-    /// at this counter value (or was tampered with); the error reports the
-    /// receiver-side IV that was expected.
-    pub fn open(&mut self, message: &SealedMessage) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        self.open_message_into(message, &mut out)?;
-        Ok(out)
-    }
-
-    /// Opens a borrowed message **into** a caller-supplied buffer at the
-    /// receiver's own counter: the tag is verified over the message's own
-    /// ciphertext (nothing is cloned — a failed open copies zero bytes),
-    /// then the plaintext lands in `out`, reusing its capacity. On success
-    /// the counter advances; on failure it does not and `out` is unchanged.
-    ///
-    /// # Errors
-    ///
-    /// See [`RxContext::open`].
-    pub fn open_message_into(&mut self, message: &SealedMessage, out: &mut Vec<u8>) -> Result<()> {
-        let nonce = nonce_from_iv(self.direction.tag(), self.next_iv);
-        match self
-            .gcm
-            .open_into(&nonce, &message.aad, &message.bytes, out)
-        {
-            Ok(()) => {
-                self.next_iv += 1;
-                Ok(())
-            }
-            Err(CryptoError::AuthenticationFailed { .. }) => {
-                Err(CryptoError::AuthenticationFailed {
-                    expected_iv: self.next_iv,
-                })
-            }
-            Err(other) => Err(other),
-        }
-    }
-
-    /// Opens a consumed message, decrypting its own buffer in place and
-    /// returning the plaintext without copying the ciphertext.
-    ///
-    /// # Errors
-    ///
-    /// See [`RxContext::open`].
-    pub fn open_owned(&mut self, message: SealedMessage) -> Result<Vec<u8>> {
-        let mut buf = message.bytes;
-        self.open_in_place(&message.aad, &mut buf)?;
-        Ok(buf)
+    /// Runs one open at the receiver's own counter: the counter advances
+    /// on success and stays put on failure.
+    fn open_at_counter(
+        &mut self,
+        open: impl FnOnce(&AesGcm, &[u8; NONCE_LEN]) -> Result<()>,
+    ) -> Result<()> {
+        let iv = self.next_iv;
+        open(&self.gcm, &nonce_from_iv(self.direction.tag(), iv)).map_err(|e| at_iv(e, iv))?;
+        self.next_iv += 1;
+        Ok(())
     }
 
     /// Opens `buf` (`ciphertext || tag`) at the receiver's own counter,
-    /// decrypting in place and truncating the tag. On success the counter
-    /// advances; on failure it does not and `buf` is unchanged.
+    /// decrypting in place and truncating the tag — the IV the sender
+    /// recorded is deliberately never consulted, as in the real protocol.
+    ///
+    /// On success the counter advances. On failure it does not and `buf`
+    /// is unchanged: the real hardware treats an authentication failure as
+    /// a fatal session error, and the PipeLLM validator exists precisely
+    /// to keep bad ciphertext from ever reaching this point.
     ///
     /// # Errors
     ///
-    /// See [`RxContext::open`].
+    /// [`CryptoError::AuthenticationFailed`] when the bytes were not sealed
+    /// at this counter value (or were tampered with); the error reports the
+    /// receiver-side IV that was expected. [`CryptoError::TruncatedCiphertext`]
+    /// for frames shorter than a tag.
     pub fn open_in_place(&mut self, aad: &[u8], buf: &mut Vec<u8>) -> Result<()> {
-        let nonce = nonce_from_iv(self.direction.tag(), self.next_iv);
-        match self.gcm.open_vec(&nonce, aad, buf) {
-            Ok(()) => {
-                self.next_iv += 1;
-                Ok(())
-            }
-            Err(CryptoError::AuthenticationFailed { .. }) => {
-                Err(CryptoError::AuthenticationFailed {
-                    expected_iv: self.next_iv,
-                })
-            }
-            Err(other) => Err(other),
-        }
+        self.open_at_counter(|gcm, nonce| gcm.open_vec(nonce, aad, buf))
     }
 
     /// Reserves the current counter value for a message that arrived in
@@ -580,33 +481,6 @@ impl RxContext {
             gcm: Arc::clone(&self.gcm),
             nonce: nonce_from_iv(self.direction.tag(), iv),
             iv,
-        }
-    }
-
-    /// Detached-tag variant: verifies `tag` over ciphertext `data` at the
-    /// receiver counter, then decrypts `data` in place and advances.
-    ///
-    /// # Errors
-    ///
-    /// See [`RxContext::open`].
-    pub fn open_detached(
-        &mut self,
-        aad: &[u8],
-        data: &mut [u8],
-        tag: &[u8; TAG_LEN],
-    ) -> Result<()> {
-        let nonce = nonce_from_iv(self.direction.tag(), self.next_iv);
-        match self.gcm.open_in_place(&nonce, aad, data, tag) {
-            Ok(()) => {
-                self.next_iv += 1;
-                Ok(())
-            }
-            Err(CryptoError::AuthenticationFailed { .. }) => {
-                Err(CryptoError::AuthenticationFailed {
-                    expected_iv: self.next_iv,
-                })
-            }
-            Err(other) => Err(other),
         }
     }
 
@@ -629,21 +503,7 @@ impl RxContext {
     /// exactly as [`RxContext::open_in_place`] — but note the counter *has*
     /// advanced when this returns an error.
     pub fn open_in_place_or_sentinel(&mut self, aad: &[u8], buf: &mut Vec<u8>) -> Result<()> {
-        self.open_in_place(aad, buf).inspect_err(|_| {
-            self.next_iv += 1;
-            sentinel_fill(buf);
-        })
-    }
-
-    /// Sentinel-discipline open of a consumed message: the happy path of
-    /// [`RxContext::open_owned`], with the failure semantics of
-    /// [`RxContext::open_in_place_or_sentinel`]. Always returns the buffer
-    /// (plaintext on success, sentinel payload on failure) so pooled
-    /// staging allocations survive the fault.
-    pub fn open_owned_or_sentinel(&mut self, message: SealedMessage) -> (Vec<u8>, Result<()>) {
-        let mut buf = message.bytes;
-        let outcome = self.open_in_place_or_sentinel(&message.aad, &mut buf);
-        (buf, outcome)
+        self.defer_open().open_in_place_or_sentinel(aad, buf)
     }
 
     /// Consumes the next IV without opening anything: the resynchronization
@@ -737,43 +597,32 @@ impl Endpoint {
         self.rx.set_engine(engine);
     }
 
-    /// Seals at the current counter and advances (the non-speculative path).
+    /// Copies borrowed `plaintext` into a [`staging_buffer`] and seals it,
+    /// without associated data, at the current send counter (see
+    /// [`TxContext::seal_prepared`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`TxContext::seal_prepared`].
     pub fn seal(&mut self, plaintext: &[u8]) -> Result<SealedMessage> {
-        self.tx.seal(plaintext)
+        self.tx
+            .seal_prepared(Arc::from(&[][..]), staging_buffer(plaintext))
     }
 
-    /// Seals a caller-owned buffer in place at the current send counter
-    /// (detached tag, zero-copy). Returns the consumed IV and the tag.
+    /// Opens a borrowed message at the current receive counter, leaving it
+    /// intact: the tag is verified over the message's own ciphertext (a
+    /// failed open copies nothing), then the plaintext is decrypted into a
+    /// fresh buffer. Counter accounting is [`RxContext::open_in_place`]'s.
     ///
     /// # Errors
     ///
-    /// See [`TxContext::seal_in_place`].
-    pub fn seal_in_place(&mut self, aad: &[u8], data: &mut [u8]) -> Result<(u64, [u8; TAG_LEN])> {
-        self.tx.seal_in_place(aad, data)
-    }
-
-    /// Opens at the current receive counter.
-    ///
-    /// # Errors
-    ///
-    /// See [`RxContext::open`].
+    /// As [`RxContext::open_in_place`].
     pub fn open(&mut self, message: &SealedMessage) -> Result<Vec<u8>> {
-        self.rx.open(message)
-    }
-
-    /// Verifies a detached tag and decrypts a caller-owned buffer in place
-    /// at the current receive counter (zero-copy).
-    ///
-    /// # Errors
-    ///
-    /// See [`RxContext::open`].
-    pub fn open_in_place(
-        &mut self,
-        aad: &[u8],
-        data: &mut [u8],
-        tag: &[u8; TAG_LEN],
-    ) -> Result<()> {
-        self.rx.open_detached(aad, data, tag)
+        let mut out = Vec::new();
+        self.rx.open_at_counter(|gcm, nonce| {
+            gcm.open_into(nonce, &message.aad, &message.bytes, &mut out)
+        })?;
+        Ok(out)
     }
 }
 
@@ -831,11 +680,6 @@ impl SecureChannel {
         &mut self.device
     }
 
-    /// Borrows both endpoints mutably, for driving a transfer end to end.
-    pub fn both_mut(&mut self) -> (&mut Endpoint, &mut Endpoint) {
-        (&mut self.host, &mut self.device)
-    }
-
     /// Attaches the multi-threaded crypto engine to all four contexts of
     /// the channel (both endpoints, both directions): large transfers go
     /// through the chunked gang path with bit-identical ciphertext.
@@ -857,6 +701,240 @@ mod tests {
 
     fn channel() -> SecureChannel {
         SecureChannel::new(ChannelKeys::from_seed(42))
+    }
+
+    /// Seals one committed NOP on the host's send direction.
+    fn seal_nop(ch: &mut SecureChannel, buf: Vec<u8>) -> Result<SealedMessage> {
+        let tx = ch.host_mut().tx_mut();
+        let (aad, buf) = tx.nop_message(buf);
+        tx.seal_prepared(aad, buf)
+    }
+
+    const PLAIN: &[u8] = b"kv-cache chunk 0123456789abcdef!";
+
+    /// Messages per batch row.
+    const BATCH: u64 = 3;
+
+    /// Every public seal/open method of the core.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Core {
+        SealPrepared,
+        SealBatchPrepared,
+        SealSpeculativePrepared,
+        SealSpeculativeBatch,
+        EndpointSeal,
+        OpenInPlace,
+        OpenInPlaceOrSentinel,
+        EndpointOpen,
+        DeferredOpenInPlace,
+        DeferredOpenInPlaceOrSentinel,
+    }
+
+    /// The IV-accounting contract, one row per method: `(method, IVs a
+    /// success consumes, IVs a failed open consumes, works in the caller's
+    /// buffer)`. A deferred open's one IV is its wire-order reservation,
+    /// burned whether or not the bytes authenticate; the two `Endpoint`
+    /// methods copy in / copy out by design.
+    const CORE: [(Core, u64, u64, bool); 10] = [
+        (Core::SealPrepared, 1, 0, true),
+        (Core::SealBatchPrepared, BATCH, 0, true),
+        (Core::SealSpeculativePrepared, 0, 0, true),
+        (Core::SealSpeculativeBatch, 0, 0, true),
+        (Core::EndpointSeal, 1, 0, false),
+        (Core::OpenInPlace, 1, 0, true),
+        (Core::OpenInPlaceOrSentinel, 1, 1, true),
+        (Core::EndpointOpen, 1, 0, false),
+        (Core::DeferredOpenInPlace, 1, 1, true),
+        (Core::DeferredOpenInPlaceOrSentinel, 1, 1, true),
+    ];
+
+    impl Core {
+        fn is_seal(self) -> bool {
+            matches!(
+                self,
+                Core::SealPrepared
+                    | Core::SealBatchPrepared
+                    | Core::SealSpeculativePrepared
+                    | Core::SealSpeculativeBatch
+                    | Core::EndpointSeal
+            )
+        }
+
+        /// The counter the method moves: the host's send counter for
+        /// seals, the device's receive counter for opens.
+        fn counter(self, ch: &SecureChannel) -> u64 {
+            if self.is_seal() {
+                ch.host().tx().next_iv()
+            } else {
+                ch.device().rx().next_iv()
+            }
+        }
+
+        /// Calls the method once: seals take `buf` as staged plaintext
+        /// (speculative ones at `iv`), opens as a `ciphertext || tag` frame
+        /// sealed under `b"hdr"`. Returns the outcome and the buffer the
+        /// caller holds afterwards (for a batch, its first message's).
+        fn call(self, ch: &mut SecureChannel, iv: u64, mut buf: Vec<u8>) -> (Result<()>, Vec<u8>) {
+            let aad: Arc<[u8]> = Arc::from(&b"hdr"[..]);
+            let batch = |buf: Vec<u8>| -> Vec<(Arc<[u8]>, Vec<u8>)> {
+                let rest = (1..BATCH).map(|_| (Arc::clone(&aad), staging_buffer(PLAIN)));
+                std::iter::once((Arc::clone(&aad), buf))
+                    .chain(rest)
+                    .collect()
+            };
+            let tx = ch.host_mut().tx_mut();
+            let sealed = match self {
+                Core::SealPrepared => tx.seal_prepared(aad.clone(), buf).map(|m| vec![m]),
+                Core::SealBatchPrepared => tx.seal_batch_prepared(batch(buf)),
+                Core::SealSpeculativePrepared => tx
+                    .seal_speculative_prepared(iv, aad.clone(), buf)
+                    .map(|m| vec![m]),
+                Core::SealSpeculativeBatch => tx.seal_speculative_batch(iv, batch(buf)),
+                Core::EndpointSeal => ch.host_mut().seal(&buf).map(|m| vec![m]),
+                Core::EndpointOpen => {
+                    let message = SealedMessage {
+                        iv,
+                        aad,
+                        bytes: buf,
+                    };
+                    return match ch.device_mut().open(&message) {
+                        Ok(plain) => (Ok(()), plain),
+                        Err(e) => (Err(e), message.bytes),
+                    };
+                }
+                open => {
+                    let rx = ch.device_mut().rx_mut();
+                    let outcome = match open {
+                        Core::OpenInPlace => rx.open_in_place(&aad, &mut buf),
+                        Core::OpenInPlaceOrSentinel => rx.open_in_place_or_sentinel(&aad, &mut buf),
+                        Core::DeferredOpenInPlace => rx.defer_open().open_in_place(&aad, &mut buf),
+                        _ => rx.defer_open().open_in_place_or_sentinel(&aad, &mut buf),
+                    };
+                    return (outcome, buf);
+                }
+            };
+            match sealed {
+                Ok(mut messages) => (Ok(()), messages.swap_remove(0).bytes),
+                Err(e) => (Err(e), Vec::new()),
+            }
+        }
+    }
+
+    /// A genuine frame the host sealed under `b"hdr"` at the device's next IV.
+    fn frame(ch: &mut SecureChannel) -> Vec<u8> {
+        let tx = ch.host_mut().tx_mut();
+        let sealed = tx.seal_prepared(Arc::from(&b"hdr"[..]), staging_buffer(PLAIN));
+        sealed.unwrap().bytes
+    }
+
+    #[test]
+    fn in_place_seal_and_open_roundtrip_in_lockstep() {
+        // Contract: a success consumes exactly the IVs its row claims, and
+        // a buffer staged with tag headroom keeps its allocation through
+        // seal and in-place open.
+        for (m, ivs, _, in_place) in CORE {
+            let mut ch = channel();
+            let buf = if m.is_seal() {
+                staging_buffer(PLAIN)
+            } else {
+                frame(&mut ch)
+            };
+            let (ptr, before) = (buf.as_ptr(), m.counter(&ch));
+            let (outcome, out) = m.call(&mut ch, before + 2, buf);
+            assert_eq!(outcome, Ok(()), "{m:?}");
+            assert_eq!(m.counter(&ch) - before, ivs, "{m:?}");
+            if m.is_seal() {
+                assert_eq!(out.len(), PLAIN.len() + TAG_LEN, "{m:?}");
+                assert_ne!(&out[..PLAIN.len()], PLAIN, "{m:?} sealed nothing");
+            } else {
+                assert_eq!(out, PLAIN, "{m:?}");
+            }
+            if in_place {
+                assert_eq!(out.as_ptr(), ptr, "{m:?} moved the staged buffer");
+            }
+        }
+    }
+
+    #[test]
+    fn open_owned_decrypts_the_message_buffer_in_place() {
+        let mut ch = channel();
+        let sealed = ch.host_mut().seal(b"zero-copy payload").unwrap();
+        let (aad, mut opened) = (sealed.aad, sealed.bytes);
+        let ptr = opened.as_ptr();
+        let rx = ch.device_mut().rx_mut();
+        rx.open_in_place(&aad, &mut opened).unwrap();
+        assert_eq!(opened, b"zero-copy payload");
+        assert_eq!(
+            opened.as_ptr(),
+            ptr,
+            "plaintext reuses the ciphertext buffer"
+        );
+    }
+
+    #[test]
+    fn in_place_open_fails_without_touching_the_buffer() {
+        // Contract: a failed plain open consumes no IV and leaves the buffer
+        // byte-identical; a failed sentinel open consumes exactly one IV and
+        // leaves only sentinel bytes.
+        for (m, _, ivs, _) in CORE.into_iter().filter(|row| !row.0.is_seal()) {
+            let mut ch = channel();
+            let mut tampered = frame(&mut ch);
+            tampered[3] ^= 0x40;
+            let before = m.counter(&ch);
+            let (outcome, out) = m.call(&mut ch, before, tampered.clone());
+            let rejected = Err(CryptoError::AuthenticationFailed { expected_iv: 1 });
+            assert_eq!(outcome, rejected, "{m:?}");
+            assert_eq!(m.counter(&ch) - before, ivs, "{m:?}");
+            let sentinel = matches!(
+                m,
+                Core::OpenInPlaceOrSentinel | Core::DeferredOpenInPlaceOrSentinel
+            );
+            let want = if sentinel {
+                vec![SENTINEL_BYTE; PLAIN.len()]
+            } else {
+                tampered
+            };
+            assert_eq!(out, want, "{m:?}");
+        }
+    }
+
+    #[test]
+    fn speculative_seal_below_counter_is_refused() {
+        // Contract: a speculative seal never advances the counter (its row
+        // claims no IV) and refuses an IV the counter already consumed.
+        for m in [Core::SealSpeculativePrepared, Core::SealSpeculativeBatch] {
+            let mut ch = channel();
+            ch.host_mut().seal(b"x").unwrap();
+            ch.host_mut().seal(b"y").unwrap();
+            // Counter is now 3; sealing at 2 would reuse a nonce.
+            let (outcome, _) = m.call(&mut ch, 2, staging_buffer(PLAIN));
+            assert_eq!(outcome, Err(CryptoError::IvReused { iv: 2 }), "{m:?}");
+            assert_eq!(ch.host().tx().next_iv(), 3, "{m:?}");
+        }
+    }
+
+    #[test]
+    fn seals_inside_exhaustion_headroom_are_refused() {
+        // Contract: no seal uses an IV inside the headroom, and a batch that
+        // would reach it fails whole, consuming nothing.
+        for (m, ..) in CORE.into_iter().filter(|row| row.0.is_seal()) {
+            let batch = matches!(m, Core::SealBatchPrepared | Core::SealSpeculativeBatch);
+            // Two IVs short of the limit a single seal still fits; a batch
+            // of three would need the first headroom IV.
+            for start in [IV_LIMIT - (BATCH - 1), IV_LIMIT] {
+                let keys = ChannelKeys::from_seed(3);
+                let mut ch = SecureChannel::with_initial_ivs(keys, start, 1);
+                let (outcome, out) = m.call(&mut ch, start, staging_buffer(PLAIN));
+                if batch || start == IV_LIMIT {
+                    let exhausted = matches!(outcome, Err(CryptoError::IvExhausted { .. }));
+                    assert!(exhausted, "{m:?} at {start}");
+                    assert!(out.is_empty(), "{m:?} sealed part of a refused call");
+                    assert_eq!(ch.host().tx().next_iv(), start, "{m:?}");
+                } else {
+                    assert_eq!(outcome, Ok(()), "{m:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -919,7 +997,11 @@ mod tests {
     fn speculative_seal_at_future_iv_opens_after_nops() {
         let mut ch = channel();
         // Speculatively seal at IV 4 while the counter is 1.
-        let spec = ch.host().tx().seal_speculative(4, b"", b"future").unwrap();
+        let spec = ch
+            .host()
+            .tx()
+            .seal_speculative_prepared(4, Arc::from(&[][..]), staging_buffer(b"future"))
+            .unwrap();
         // Committing now is an IV mismatch (recoverable).
         assert!(matches!(
             ch.host_mut().tx_mut().commit(&spec),
@@ -927,7 +1009,7 @@ mod tests {
         ));
         // Pad NOPs to advance 1→4, delivering each so the device follows.
         for _ in 0..3 {
-            let nop = ch.host_mut().tx_mut().seal_nop().unwrap();
+            let nop = seal_nop(&mut ch, Vec::new()).unwrap();
             ch.device_mut().open(&nop).unwrap();
         }
         ch.host_mut().tx_mut().commit(&spec).unwrap();
@@ -935,21 +1017,13 @@ mod tests {
     }
 
     #[test]
-    fn speculative_seal_below_counter_is_refused() {
-        let mut ch = channel();
-        ch.host_mut().seal(b"x").unwrap();
-        ch.host_mut().seal(b"y").unwrap();
-        // Counter is now 3; sealing at 2 would reuse a nonce.
-        assert!(matches!(
-            ch.host().tx().seal_speculative(2, b"", b"stale"),
-            Err(CryptoError::IvReused { iv: 2 })
-        ));
-    }
-
-    #[test]
     fn commit_of_stale_speculative_is_irrecoverable() {
         let mut ch = channel();
-        let spec = ch.host().tx().seal_speculative(1, b"", b"chunk").unwrap();
+        let spec = ch
+            .host()
+            .tx()
+            .seal_speculative_prepared(1, Arc::from(&[][..]), staging_buffer(b"chunk"))
+            .unwrap();
         // Some other transfer consumes IV 1 first.
         let other = ch.host_mut().seal(b"interloper").unwrap();
         ch.device_mut().open(&other).unwrap();
@@ -962,8 +1036,9 @@ mod tests {
     #[test]
     fn nop_advances_both_sides_and_carries_one_byte() {
         let mut ch = channel();
-        let nop = ch.host_mut().tx_mut().seal_nop().unwrap();
+        let nop = seal_nop(&mut ch, Vec::new()).unwrap();
         assert_eq!(nop.plaintext_len(), 1);
+        assert_eq!(&*nop.aad, b"nop");
         let opened = ch.device_mut().open(&nop).unwrap();
         assert_eq!(opened, vec![0u8]);
         assert_eq!(ch.host().tx().next_iv(), 2);
@@ -971,56 +1046,17 @@ mod tests {
     }
 
     #[test]
-    fn in_place_seal_and_open_roundtrip_in_lockstep() {
-        let mut ch = channel();
-        let mut buf = *b"kv-cache chunk 0123456789abcdef!";
-        let original = buf;
-        let (iv, tag) = ch.host_mut().seal_in_place(b"hdr", &mut buf).unwrap();
-        assert_eq!(iv, 1);
-        assert_ne!(buf, original, "buffer holds ciphertext after sealing");
-        ch.device_mut()
-            .open_in_place(b"hdr", &mut buf, &tag)
-            .unwrap();
-        assert_eq!(buf, original);
-        assert_eq!(ch.host().tx().next_iv(), 2);
-        assert_eq!(ch.device().rx().next_iv(), 2);
-        // The in-place stream interleaves with message-based traffic.
-        let sealed = ch.host_mut().seal(b"next").unwrap();
-        assert_eq!(ch.device_mut().open(&sealed).unwrap(), b"next");
-    }
-
-    #[test]
-    fn in_place_open_fails_without_touching_the_buffer() {
-        let mut ch = channel();
-        let mut buf = [7u8; 48];
-        let (_, tag) = ch.host_mut().seal_in_place(b"", &mut buf).unwrap();
-        let ciphertext = buf;
-        let mut wrong = tag;
-        wrong[0] ^= 1;
-        let err = ch
-            .device_mut()
-            .open_in_place(b"", &mut buf, &wrong)
-            .unwrap_err();
-        assert_eq!(err, CryptoError::AuthenticationFailed { expected_iv: 1 });
-        assert_eq!(buf, ciphertext, "failed open must not corrupt the buffer");
-        assert_eq!(
-            ch.device().rx().next_iv(),
-            1,
-            "failed open must not advance"
-        );
-        ch.device_mut().open_in_place(b"", &mut buf, &tag).unwrap();
-        assert_eq!(buf, [7u8; 48]);
-    }
-
-    #[test]
     fn nop_staging_buffer_is_reused_without_reallocating() {
         let mut ch = channel();
-        let nop = ch.host_mut().tx_mut().seal_nop().unwrap();
-        ch.device_mut().open(&nop).unwrap();
-        let recycled = nop.into_bytes();
+        let nop = seal_nop(&mut ch, Vec::new()).unwrap();
+        let mut recycled = nop.bytes;
+        ch.device_mut()
+            .rx_mut()
+            .open_in_place(&nop.aad, &mut recycled)
+            .unwrap();
         let ptr = recycled.as_ptr();
         let capacity = recycled.capacity();
-        let nop2 = ch.host_mut().tx_mut().seal_nop_with(recycled).unwrap();
+        let nop2 = seal_nop(&mut ch, recycled).unwrap();
         assert_eq!(
             nop2.bytes.as_ptr(),
             ptr,
@@ -1028,20 +1064,6 @@ mod tests {
         );
         assert_eq!(nop2.bytes.capacity(), capacity);
         assert_eq!(ch.device_mut().open(&nop2).unwrap(), vec![0u8]);
-    }
-
-    #[test]
-    fn open_owned_decrypts_the_message_buffer_in_place() {
-        let mut ch = channel();
-        let sealed = ch.host_mut().seal(b"zero-copy payload").unwrap();
-        let ptr = sealed.bytes.as_ptr();
-        let opened = ch.device_mut().rx_mut().open_owned(sealed).unwrap();
-        assert_eq!(opened, b"zero-copy payload");
-        assert_eq!(
-            opened.as_ptr(),
-            ptr,
-            "plaintext reuses the ciphertext buffer"
-        );
     }
 
     #[test]
@@ -1066,44 +1088,15 @@ mod tests {
     }
 
     #[test]
-    fn seals_inside_exhaustion_headroom_are_refused() {
-        let mut ch = SecureChannel::with_initial_ivs(ChannelKeys::from_seed(3), IV_LIMIT - 1, 1);
-        assert_eq!(ch.host().tx().remaining_ivs(), 1);
-        ch.host_mut().seal(b"last one").unwrap();
-        assert_eq!(ch.host().tx().remaining_ivs(), 0);
-        assert!(matches!(
-            ch.host_mut().seal(b"x"),
-            Err(CryptoError::IvExhausted { iv: IV_LIMIT })
-        ));
-        assert!(matches!(
-            ch.host_mut().tx_mut().seal_nop(),
-            Err(CryptoError::IvExhausted { .. })
-        ));
-        let mut buf = [0u8; 4];
-        assert!(matches!(
-            ch.host_mut().seal_in_place(b"", &mut buf),
-            Err(CryptoError::IvExhausted { .. })
-        ));
-        // Speculative seals cannot reserve IVs inside the headroom either.
-        assert!(matches!(
-            ch.host().tx().seal_speculative(IV_LIMIT, b"", b"y"),
-            Err(CryptoError::IvExhausted { .. })
-        ));
-        // The counter never advanced into the headroom, and the other
-        // direction is unaffected.
-        assert_eq!(ch.host().tx().next_iv(), IV_LIMIT);
-        ch.device_mut().seal(b"fine").unwrap();
-    }
-
-    #[test]
     fn sentinel_open_consumes_iv_and_keeps_lockstep() {
         let mut ch = channel();
-        let mut corrupted = ch.host_mut().seal(b"doomed frame").unwrap();
-        corrupted.bytes[3] ^= 0x40;
+        let corrupted = ch.host_mut().seal(b"doomed frame").unwrap();
         let follower = ch.host_mut().seal(b"survivor").unwrap();
-        let (buf, outcome) = ch.device_mut().rx_mut().open_owned_or_sentinel(corrupted);
+        let mut buf = corrupted.bytes;
+        buf[3] ^= 0x40;
+        let rx = ch.device_mut().rx_mut();
         assert!(matches!(
-            outcome,
+            rx.open_in_place_or_sentinel(&corrupted.aad, &mut buf),
             Err(CryptoError::AuthenticationFailed { expected_iv: 1 })
         ));
         // The failed frame burned IV 1: sentinel payload, counter advanced.
@@ -1116,9 +1109,13 @@ mod tests {
     #[test]
     fn sentinel_open_of_truncated_frame_yields_empty_sentinel() {
         let mut ch = channel();
-        let mut sealed = ch.host_mut().seal(b"cut short").unwrap();
-        sealed.bytes.truncate(5); // shorter than the 16-byte tag
-        let (buf, outcome) = ch.device_mut().rx_mut().open_owned_or_sentinel(sealed);
+        let sealed = ch.host_mut().seal(b"cut short").unwrap();
+        let mut buf = sealed.bytes;
+        buf.truncate(5); // shorter than the 16-byte tag
+        let outcome = ch
+            .device_mut()
+            .rx_mut()
+            .open_in_place_or_sentinel(&sealed.aad, &mut buf);
         assert!(matches!(
             outcome,
             Err(CryptoError::TruncatedCiphertext { got: 5 })

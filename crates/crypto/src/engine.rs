@@ -5,7 +5,8 @@
 //! running AES-GCM across multiple threads (§7.2: encryption "scales
 //! near-linearly" with thread count until it saturates PCIe). This module
 //! is the real-bytes counterpart of the simulator's k-server
-//! [`WorkerPool`] timeline: one [`CryptoEngine`] owns `k` OS threads
+//! `WorkerPool` timeline (`pipellm_sim::resource::WorkerPool`): one
+//! [`CryptoEngine`] owns `k` OS threads
 //! (spawned once, parked on a condvar) and serves two kinds of work:
 //!
 //! - **Scoped chunk gangs** ([`CryptoEngine::run_scoped`]): the chunked

@@ -11,10 +11,11 @@
 //!
 //! Opening supports the PipeLLM §5.4 discipline through
 //! [`crate::channel::RxContext::defer_open`]: each block's IV is reserved
-//! at the receiver in wire order while the actual decryptions run later,
-//! off the critical path and possibly out of order with one another.
+//! at the receiver in wire order while the actual decryptions
+//! ([`crate::channel::DeferredOpen::open_in_place`]) run later, off the
+//! critical path and possibly out of order with one another.
 
-use crate::channel::{DeferredOpen, RxContext, SealedMessage, TxContext};
+use crate::channel::{RxContext, SealedMessage, TxContext};
 use crate::Result;
 use std::sync::Arc;
 
@@ -98,57 +99,21 @@ pub fn seal_kv_group(
     })
 }
 
-/// Opens every block of `sealed` in wire order at `rx`'s counter,
-/// returning the plaintexts (the synchronous path — native CC semantics).
+/// Opens every block of `sealed` in wire order at `rx`'s counter, each in
+/// its own ciphertext buffer, returning the plaintexts (the synchronous
+/// path — native CC semantics).
 ///
 /// # Errors
 ///
 /// [`crate::CryptoError::AuthenticationFailed`] on the first block that
 /// does not verify; earlier blocks have advanced the counter.
-pub fn open_kv_group(rx: &mut RxContext, sealed: &SealedKvGroup) -> Result<Vec<Vec<u8>>> {
-    sealed.blocks.iter().map(|block| rx.open(block)).collect()
-}
-
-/// One block whose decryption is decoupled from its arrival: the IV is
-/// already reserved at the receiver; [`DeferredKvBlock::open`] performs
-/// the actual decryption whenever the pipeline schedules it.
-#[derive(Debug, Clone)]
-pub struct DeferredKvBlock {
-    /// Index of the block within its group.
-    pub index: u32,
-    /// The sealed block (ciphertext at rest).
-    pub sealed: SealedMessage,
-    /// Decryption handle at the reserved counter value.
-    pub open: DeferredOpen,
-}
-
-impl DeferredKvBlock {
-    /// Opens the block in place, consuming it and returning the plaintext
-    /// in the recycled ciphertext buffer.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::CryptoError::AuthenticationFailed`] if the ciphertext was
-    /// not sealed at the reserved IV under the matching key.
-    pub fn open(self) -> Result<Vec<u8>> {
-        let mut buf = self.sealed.bytes;
-        self.open.open_in_place(&self.sealed.aad, &mut buf)?;
-        Ok(buf)
-    }
-}
-
-/// Accepts a sealed KV group at `rx` in wire order, reserving one IV per
-/// block *now*, and returns per-block deferred-open handles so the actual
-/// decryptions can run later and out of order (the PipeLLM swap-out path).
-pub fn defer_kv_group(rx: &mut RxContext, sealed: SealedKvGroup) -> Vec<DeferredKvBlock> {
+pub fn open_kv_group(rx: &mut RxContext, sealed: SealedKvGroup) -> Result<Vec<Vec<u8>>> {
     sealed
         .blocks
         .into_iter()
-        .enumerate()
-        .map(|(index, block)| DeferredKvBlock {
-            index: index as u32,
-            open: rx.defer_open(),
-            sealed: block,
+        .map(|block| {
+            let mut buf = block.bytes;
+            rx.open_in_place(&block.aad, &mut buf).map(|()| buf)
         })
         .collect()
 }
@@ -182,7 +147,7 @@ mod tests {
         for (block, plain) in sealed.blocks.iter().zip(&blocks) {
             assert_ne!(&block.bytes[..plain.len()], plain.as_slice());
         }
-        let opened = open_kv_group(ch.host_mut().rx_mut(), &sealed).unwrap();
+        let opened = open_kv_group(ch.host_mut().rx_mut(), sealed).unwrap();
         assert_eq!(opened, blocks);
     }
 
@@ -195,13 +160,13 @@ mod tests {
         let sealed = seal_kv_group(a.device_mut().tx_mut(), 0, 1, &refs, &mut Vec::new()).unwrap();
         // Session B's keys cannot open session A's swapped-out KV.
         assert!(matches!(
-            open_kv_group(b.host_mut().rx_mut(), &sealed),
+            open_kv_group(b.host_mut().rx_mut(), sealed.clone()),
             Err(CryptoError::AuthenticationFailed { .. })
         ));
         // Session A still can: B's failed attempt never advanced B's state
         // into A's stream.
         assert_eq!(
-            open_kv_group(a.host_mut().rx_mut(), &sealed).unwrap(),
+            open_kv_group(a.host_mut().rx_mut(), sealed).unwrap(),
             blocks
         );
     }
@@ -214,7 +179,7 @@ mod tests {
         let mut sealed =
             seal_kv_group(ch.device_mut().tx_mut(), 0, 3, &refs, &mut Vec::new()).unwrap();
         sealed.blocks.swap(0, 1);
-        assert!(open_kv_group(ch.host_mut().rx_mut(), &sealed).is_err());
+        assert!(open_kv_group(ch.host_mut().rx_mut(), sealed).is_err());
     }
 
     #[test]
@@ -227,7 +192,7 @@ mod tests {
         // Claiming the block belongs to another group flips the AAD.
         sealed.blocks[0].aad = kv_block_aad(0, 11, 0, 4, 96);
         assert!(matches!(
-            open_kv_group(ch.host_mut().rx_mut(), &sealed),
+            open_kv_group(ch.host_mut().rx_mut(), sealed),
             Err(CryptoError::AuthenticationFailed { expected_iv: 1 })
         ));
     }
@@ -238,20 +203,23 @@ mod tests {
         let blocks = group_plaintexts();
         let refs: Vec<&[u8]> = blocks.iter().map(Vec::as_slice).collect();
         let sealed = seal_kv_group(ch.device_mut().tx_mut(), 0, 2, &refs, &mut Vec::new()).unwrap();
-        let mut deferred = defer_kv_group(ch.host_mut().rx_mut(), sealed);
+        // The host accepts the group in wire order, reserving every IV now.
+        let rx = ch.host_mut().rx_mut();
+        let mut deferred: Vec<_> = sealed
+            .blocks
+            .into_iter()
+            .map(|block| (rx.defer_open(), block))
+            .collect();
         // The counter advanced at arrival time: both endpoints agree.
         assert_eq!(ch.host().rx().next_iv(), ch.device().tx().next_iv());
         // Open in scrambled order; every block still authenticates.
         deferred.reverse();
-        let last = deferred.remove(1);
-        let mut opened: Vec<(u32, Vec<u8>)> = deferred
-            .into_iter()
-            .map(|d| (d.index, d.open().unwrap()))
-            .collect();
-        opened.push((last.index, last.open().unwrap()));
-        opened.sort_by_key(|(i, _)| *i);
-        let plain: Vec<Vec<u8>> = opened.into_iter().map(|(_, p)| p).collect();
-        assert_eq!(plain, blocks);
+        deferred.swap(0, 2);
+        for (open, block) in deferred {
+            let mut buf = block.bytes;
+            open.open_in_place(&block.aad, &mut buf).unwrap();
+            assert_eq!(buf, blocks[open.iv() as usize - 1]);
+        }
         // Later traffic on the channel proceeds undisturbed.
         let next = ch.device_mut().seal(b"post-group traffic").unwrap();
         assert_eq!(ch.host_mut().open(&next).unwrap(), b"post-group traffic");
@@ -268,11 +236,11 @@ mod tests {
             &mut Vec::new(),
         )
         .unwrap();
-        let mut deferred = defer_kv_group(ch.host_mut().rx_mut(), sealed);
-        let mut block = deferred.remove(0);
-        block.sealed.bytes[0] ^= 1;
+        let open = ch.host_mut().rx_mut().defer_open();
+        let mut buf = sealed.blocks[0].bytes.clone();
+        buf[0] ^= 1;
         assert!(matches!(
-            block.open(),
+            open.open_in_place(&sealed.blocks[0].aad, &mut buf),
             Err(CryptoError::AuthenticationFailed { expected_iv: 1 })
         ));
     }

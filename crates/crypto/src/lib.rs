@@ -24,7 +24,11 @@
 //!   the CPU-side and GPU-side encryption engines with the exact IV
 //!   discipline PipeLLM exploits and must not break: each encryption consumes
 //!   the next IV, IVs never repeat, and decrypting with the wrong IV fails
-//!   authentication.
+//!   authentication. Its core is ten seal/open methods, one per protocol
+//!   job: committed and speculative seals of staged buffers (single and
+//!   batched), in-place opens at the counter and at a deferred
+//!   reservation (each with a sentinel variant), and the copying
+//!   [`channel::Endpoint::seal`] / [`channel::Endpoint::open`].
 //! - [`cost`]: a calibrated throughput model for the CPU encryption engine,
 //!   used by the timing layer (`pipellm-sim`) so benchmarks can move
 //!   *virtual* multi-gigabyte payloads without encrypting them.
@@ -35,7 +39,8 @@
 //! - [`session`]: the multi-tenant session layer — [`session::SessionId`]
 //!   and [`session::SessionManager`], which derive per-session
 //!   [`channel::ChannelKeys`] from a root secret, own one channel pair per
-//!   session, and rekey sessions whose IV counters approach exhaustion.
+//!   session, and rekey sessions whose IV counters approach exhaustion —
+//!   plus the per-device and per-edge key roots of a cluster.
 //! - [`reuse`]: the **deliberately insecure** ciphertext-reuse strawman of
 //!   the paper's §8.2 (static per-chunk nonces), built to demonstrate the
 //!   replay attack the IV discipline prevents and to quantify the

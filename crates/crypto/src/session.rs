@@ -12,9 +12,11 @@
 //!   runtime's transfer API;
 //! - [`SessionManager`]: derives per-session [`ChannelKeys`] from a root
 //!   secret (the stand-in for the per-tenant SPDM exchange), owns one
-//!   channel pair ([`SecureChannel`]) per session, and rekeys sessions
-//!   whose IV counters approach the exhaustion headroom
-//!   ([`crate::channel::IV_LIMIT`]).
+//!   [`SecureChannel`] per session, and rekeys sessions whose IV counters
+//!   approach the exhaustion headroom ([`crate::channel::IV_LIMIT`]);
+//! - [`device_key_seed`] / [`edge_key_seed`]: the per-device and per-edge
+//!   key roots a cluster seed fans out into, derived identically by the
+//!   in-process cluster and by every process of a networked deployment.
 //!
 //! Key separation is structural: two sessions (or two epochs of one
 //! session) never share a key, so ciphertext sealed under one session can
@@ -26,10 +28,6 @@ use crate::engine::CryptoEngine;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-
-/// A channel pair: both directions (H2D and D2H) of one session's secure
-/// link, i.e. the host and device endpoints with mirrored key material.
-pub type ChannelPair = SecureChannel;
 
 /// Opaque identity of one tenant session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -54,7 +52,7 @@ struct Session {
     /// Key epoch: bumped by every rekey, mixed into the derivation so the
     /// new keys share nothing with the old ones.
     epoch: u32,
-    channel: ChannelPair,
+    channel: SecureChannel,
 }
 
 /// Derives per-session channel keys from a root secret and owns the
@@ -69,7 +67,6 @@ struct Session {
 pub struct SessionManager {
     root: [u8; 32],
     next_id: u64,
-    rekey_headroom: u64,
     sessions: BTreeMap<SessionId, Session>,
     /// Shared multi-threaded crypto engine, installed on every session's
     /// channel pair (existing, newly opened, and rekeyed alike).
@@ -81,7 +78,6 @@ impl fmt::Debug for SessionManager {
         f.debug_struct("SessionManager")
             .field("sessions", &self.sessions.len())
             .field("next_id", &self.next_id)
-            .field("rekey_headroom", &self.rekey_headroom)
             .finish()
     }
 }
@@ -93,6 +89,21 @@ impl fmt::Debug for SessionManager {
 pub fn derive_subseed(seed: u64, tag: u64) -> u64 {
     let mut state = seed ^ tag.wrapping_mul(0x2545_f491_4f6c_dd1d);
     mix(&mut state)
+}
+
+/// The key-derivation root of device `device`'s host↔device channel,
+/// derived from the cluster-wide seed. Both ends of a networked deployment
+/// derive it independently from the shared cluster seed, so nothing
+/// key-like ever crosses the wire.
+pub fn device_key_seed(cluster_seed: u64, device: u64) -> u64 {
+    derive_subseed(cluster_seed, 0x01_0000 | device)
+}
+
+/// The key-derivation root of the device-to-device edge joining `a < b`,
+/// derived from the cluster-wide seed and the edge identity: the two
+/// endpoints of an edge derive the same root, and no two edges share one.
+pub fn edge_key_seed(cluster_seed: u64, a: u64, b: u64) -> u64 {
+    derive_subseed(cluster_seed, 0x02_0000 | (a << 24) | b)
 }
 
 /// SplitMix64 step shared by the derivation sponge.
@@ -132,7 +143,6 @@ impl SessionManager {
         SessionManager {
             root,
             next_id: 0,
-            rekey_headroom: IV_HEADROOM,
             sessions: BTreeMap::new(),
             engine: None,
         }
@@ -147,14 +157,6 @@ impl SessionManager {
             chunk.copy_from_slice(&mix(&mut state).to_le_bytes());
         }
         Self::new(root)
-    }
-
-    /// Sets how many IVs may remain before [`SessionManager::needs_rekey`]
-    /// reports a session as due (defaults to the channel's own
-    /// [`IV_HEADROOM`]).
-    pub fn with_rekey_headroom(mut self, headroom: u64) -> Self {
-        self.rekey_headroom = headroom;
-        self
     }
 
     /// Installs the shared multi-threaded crypto engine on every live
@@ -228,12 +230,12 @@ impl SessionManager {
     }
 
     /// The session's channel pair.
-    pub fn channel(&self, id: SessionId) -> Option<&ChannelPair> {
+    pub fn channel(&self, id: SessionId) -> Option<&SecureChannel> {
         self.sessions.get(&id).map(|s| &s.channel)
     }
 
     /// Mutable access to the session's channel pair.
-    pub fn channel_mut(&mut self, id: SessionId) -> Option<&mut ChannelPair> {
+    pub fn channel_mut(&mut self, id: SessionId) -> Option<&mut SecureChannel> {
         self.sessions.get_mut(&id).map(|s| &mut s.channel)
     }
 
@@ -243,11 +245,11 @@ impl SessionManager {
     }
 
     /// Whether either direction of the session's channel has fewer than
-    /// the configured headroom of IVs left before exhaustion.
+    /// [`IV_HEADROOM`] IVs left before exhaustion.
     pub fn needs_rekey(&self, id: SessionId) -> Option<bool> {
         self.sessions.get(&id).map(|s| {
-            s.channel.host().tx().remaining_ivs() < self.rekey_headroom
-                || s.channel.device().tx().remaining_ivs() < self.rekey_headroom
+            s.channel.host().tx().remaining_ivs() < IV_HEADROOM
+                || s.channel.device().tx().remaining_ivs() < IV_HEADROOM
         })
     }
 
@@ -257,22 +259,37 @@ impl SessionManager {
     /// the old epoch is invalidated (it will fail authentication), so the
     /// caller must drain speculative state first.
     ///
-    /// Returns the new epoch.
+    /// Returns the new epoch, or `None` for an unknown session or one
+    /// whose epoch space is exhausted.
     pub fn rekey(&mut self, id: SessionId) -> Option<u32> {
-        let epoch = self.sessions.get(&id)?.epoch + 1;
-        let keys = self.derive_keys(id, epoch);
-        let mut channel = SecureChannel::new(keys);
+        let next = self.sessions.get(&id)?.epoch.checked_add(1)?;
+        self.rekey_to(id, next)
+    }
+
+    /// Fast-forwards the session straight to `epoch`: the keys are derived
+    /// for that epoch directly ([`SessionManager::derive_keys`] is a
+    /// function of the epoch, not of the steps that led to it) and both IV
+    /// counters restart at 1, so a jump of any size costs one derivation.
+    ///
+    /// Returns the new epoch, or `None` — leaving the session untouched —
+    /// for an unknown session or an `epoch` not ahead of the current one:
+    /// re-entering an epoch would restart its counters and repeat nonces.
+    pub fn rekey_to(&mut self, id: SessionId, epoch: u32) -> Option<u32> {
+        if epoch <= self.sessions.get(&id)?.epoch {
+            return None;
+        }
+        let mut channel = SecureChannel::new(self.derive_keys(id, epoch));
         if let Some(engine) = &self.engine {
             channel.set_engine(engine);
         }
-        let session = self.sessions.get_mut(&id).expect("checked above");
+        let session = self.sessions.get_mut(&id)?;
         session.epoch = epoch;
         session.channel = channel;
         Some(epoch)
     }
 
     /// The IV-exhaustion-aware rekey hook: rekeys the session iff it is
-    /// inside the configured headroom. Returns whether a rekey happened.
+    /// inside the headroom. Returns whether a rekey happened.
     pub fn maybe_rekey(&mut self, id: SessionId) -> Option<bool> {
         if self.needs_rekey(id)? {
             self.rekey(id);
@@ -360,6 +377,30 @@ mod tests {
         );
         let fresh = ch.host_mut().seal(b"new").unwrap();
         assert_eq!(ch.device_mut().open(&fresh).unwrap(), b"new");
+    }
+
+    #[test]
+    fn direct_jump_opens_what_stepwise_rekeys_sealed() {
+        let mut stepwise = SessionManager::from_seed(6);
+        let mut direct = stepwise.clone();
+        let id = stepwise.open();
+        assert_eq!(direct.open(), id);
+        for _ in 0..5 {
+            stepwise.rekey(id).unwrap();
+        }
+        assert_eq!(direct.rekey_to(id, 5), Some(5));
+        let sealed = stepwise
+            .channel_mut(id)
+            .unwrap()
+            .host_mut()
+            .seal(b"epoch five")
+            .unwrap();
+        let ch = direct.channel_mut(id).unwrap();
+        assert_eq!(ch.device_mut().open(&sealed).unwrap(), b"epoch five");
+        // Never backwards, never in place: both would repeat nonces.
+        assert_eq!(direct.rekey_to(id, 5), None);
+        assert_eq!(direct.rekey_to(id, 2), None);
+        assert_eq!(direct.epoch(id), Some(5));
     }
 
     #[test]

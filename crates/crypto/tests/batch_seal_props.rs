@@ -141,7 +141,7 @@ proptest! {
         );
         // The receiver walks the batch in lockstep.
         for (sealed, (pt, _)) in sealed.iter().zip(&msgs) {
-            let opened = many.device_mut().rx_mut().open(sealed).expect("authentic");
+            let opened = many.device_mut().open(sealed).expect("authentic");
             prop_assert_eq!(&opened, pt);
         }
     }
@@ -172,7 +172,8 @@ proptest! {
         sealed[v].bytes[idx] ^= 1 << bit;
         let rx_start = ch.device().rx().next_iv();
         for (i, frame) in sealed.into_iter().enumerate() {
-            let (buf, outcome) = ch.device_mut().rx_mut().open_owned_or_sentinel(frame);
+            let mut buf = frame.bytes;
+            let outcome = ch.device_mut().rx_mut().open_in_place_or_sentinel(&frame.aad, &mut buf);
             if i == v {
                 prop_assert!(outcome.is_err(), "damaged frame must be rejected");
                 prop_assert!(

@@ -6,7 +6,7 @@
 //! frame still consumes its IV, so an arbitrary fault stream never breaks
 //! lockstep and never reuses an IV.
 
-use pipellm_crypto::channel::{ChannelKeys, SecureChannel, SENTINEL_BYTE};
+use pipellm_crypto::channel::{staging_buffer, ChannelKeys, SecureChannel, SENTINEL_BYTE};
 use pipellm_crypto::CryptoError;
 use proptest::prelude::*;
 
@@ -22,8 +22,9 @@ fn leaks_window_of(haystack: &[u8], needle: &[u8]) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Flipping any bit of the sealed frame makes `open` fail cleanly with
-    /// the receiver's counter untouched and the output buffer unwritten.
+    /// Flipping any bit of the sealed frame makes the in-place open fail
+    /// cleanly with the receiver's counter untouched and the frame's buffer
+    /// byte-identical (nothing decrypted into it).
     #[test]
     fn any_bit_flip_is_rejected_without_output(
         seed in any::<u64>(),
@@ -35,11 +36,11 @@ proptest! {
         let mut sealed = ch.host_mut().seal(&plaintext).expect("seal");
         let idx = flip_at.index(sealed.bytes.len());
         sealed.bytes[idx] ^= 1 << bit;
-        let mut out = vec![0xAA; 16];
-        let err = ch.device_mut().rx_mut().open_message_into(&sealed, &mut out);
+        let mut buf = sealed.bytes.clone();
+        let err = ch.device_mut().rx_mut().open_in_place(&sealed.aad, &mut buf);
         prop_assert!(matches!(err, Err(CryptoError::AuthenticationFailed { expected_iv: 1 })));
         prop_assert_eq!(ch.device().rx().next_iv(), 1, "plain open must not advance");
-        prop_assert_eq!(&out, &vec![0xAA; 16], "failed open must not write output");
+        prop_assert_eq!(&buf, &sealed.bytes, "failed open must not touch the buffer");
     }
 
     /// Truncating the frame at any length — above or below the tag size —
@@ -52,10 +53,10 @@ proptest! {
         cut_at in any::<prop::sample::Index>(),
     ) {
         let mut ch = SecureChannel::new(ChannelKeys::from_seed(seed));
-        let mut sealed = ch.host_mut().seal(&plaintext).expect("seal");
-        let keep = cut_at.index(sealed.bytes.len()); // strictly shorter
-        sealed.bytes.truncate(keep);
-        let (buf, outcome) = ch.device_mut().rx_mut().open_owned_or_sentinel(sealed);
+        let sealed = ch.host_mut().seal(&plaintext).expect("seal");
+        let mut buf = sealed.bytes;
+        buf.truncate(cut_at.index(buf.len())); // strictly shorter
+        let outcome = ch.device_mut().rx_mut().open_in_place_or_sentinel(&sealed.aad, &mut buf);
         prop_assert!(outcome.is_err(), "truncated frame must be rejected");
         prop_assert!(buf.iter().all(|&b| b == SENTINEL_BYTE), "buffer must be scrubbed");
         prop_assert!(!leaks_window_of(&buf, &plaintext), "plaintext escaped");
@@ -76,7 +77,7 @@ proptest! {
         let mut sealed = ch
             .host_mut()
             .tx_mut()
-            .seal_with_aad(&aad, &plaintext)
+            .seal_prepared(aad.clone().into(), staging_buffer(&plaintext))
             .expect("seal");
         let mut tampered = aad.clone();
         let idx = flip_at.index(tampered.len());
@@ -117,8 +118,9 @@ proptest! {
                         let keep = (seed as usize + i) % sealed.bytes.len();
                         sealed.bytes.truncate(keep);
                     }
-                    let (buf, outcome) =
-                        ch.device_mut().rx_mut().open_owned_or_sentinel(sealed);
+                    let mut buf = sealed.bytes;
+                    let outcome =
+                        ch.device_mut().rx_mut().open_in_place_or_sentinel(&sealed.aad, &mut buf);
                     prop_assert!(outcome.is_err());
                     prop_assert!(!leaks_window_of(&buf, &secret), "plaintext escaped");
                 }

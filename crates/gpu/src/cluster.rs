@@ -38,7 +38,7 @@ use crate::timing::IoTimingModel;
 use pipellm_chaos::{ChaosInjector, FaultSite};
 use pipellm_crypto::channel::{Endpoint, SealedMessage};
 use pipellm_crypto::engine::CryptoEngine;
-use pipellm_crypto::session::{derive_subseed, SessionId, SessionManager};
+use pipellm_crypto::session::{device_key_seed, edge_key_seed, SessionId, SessionManager};
 use pipellm_crypto::CryptoError;
 use pipellm_sim::cluster::{EdgeTimeline, TimelineRow, TimelineSummary};
 use pipellm_sim::time::SimTime;
@@ -80,28 +80,6 @@ impl fmt::Display for EdgeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "edge{}-{}", self.a, self.b)
     }
-}
-
-/// The key-derivation root of device `i`'s host↔device channel, derived
-/// from the cluster-wide seed. Exposed so a networked deployment can stand
-/// up the *same* per-device channels on real sockets that
-/// [`ClusterContext::new`] builds in process: both ends derive the root
-/// independently from the shared cluster seed, and nothing key-like ever
-/// crosses the wire.
-pub fn device_key_seed(cluster_seed: u64, device: usize) -> u64 {
-    derive_subseed(cluster_seed, 0x01_0000 | device as u64)
-}
-
-/// The key-derivation root of the edge joining devices `a < b`, derived
-/// from the cluster-wide seed and the edge identity. The networked
-/// deployment derives the identical root for the worker pair at the two
-/// ends of the edge, so remote stage processes speak exactly the channels
-/// the in-process cluster would.
-pub fn edge_key_seed(cluster_seed: u64, edge: EdgeId) -> u64 {
-    derive_subseed(
-        cluster_seed,
-        0x02_0000 | ((edge.a as u64) << 24) | edge.b as u64,
-    )
 }
 
 /// NVLink timing calibration for the inter-GPU links.
@@ -253,7 +231,7 @@ impl ClusterContext {
                     timing: config.timing,
                     device_capacity: config.device_capacity,
                     crypto_threads: config.crypto_threads,
-                    seed: device_key_seed(config.seed, i),
+                    seed: device_key_seed(config.seed, i as u64),
                     engine: Some(Arc::clone(&engine)),
                     chaos: config.chaos.clone(),
                 })
@@ -264,7 +242,8 @@ impl ClusterContext {
         for a in 0..n {
             for b in (a + 1)..n {
                 let id = EdgeId { a, b };
-                let mut sessions = SessionManager::from_seed(edge_key_seed(config.seed, id));
+                let mut sessions =
+                    SessionManager::from_seed(edge_key_seed(config.seed, a as u64, b as u64));
                 sessions.set_engine(Arc::clone(&engine));
                 let default = sessions.open();
                 debug_assert_eq!(default, SessionId::DEFAULT);
@@ -877,9 +856,12 @@ impl ClusterContext {
             });
         }
         let kind = sealed_kind(sealed);
-        let opened = Self::receiver_endpoint(edge, active, src_is_a)
-            .rx_mut()
-            .open(sealed)?;
+        let opened = match Self::receiver_endpoint(edge, active, src_is_a).open(sealed) {
+            Ok(plaintext) => plaintext,
+            // As on the host channel: a failed open leaves both counters
+            // untouched and stays the recoverable speculative-submit signal.
+            Err(e) => return Err(GpuError::Crypto(e)),
+        };
         Self::sender_endpoint(edge, active, src_is_a)
             .tx_mut()
             .commit(sealed)
@@ -934,9 +916,9 @@ impl ClusterContext {
         let src_is_a = src_dev < dst_dev;
         let (src_ctx, _dst_ctx, edge) = self.split(src_dev, dst_dev);
         let staging = std::mem::take(&mut edge.nop_staging);
-        let nop = Self::sender_endpoint(edge, active, src_is_a)
-            .tx_mut()
-            .seal_nop_with(staging)?;
+        let tx = Self::sender_endpoint(edge, active, src_is_a).tx_mut();
+        let (aad, buf) = tx.nop_message(staging);
+        let nop = tx.seal_prepared(aad, buf)?;
         let enc = src_ctx.crypto_pool_mut().reserve(now, nop_time);
         let wire = edge.timeline.nop(enc.end);
         edge.nop_staging = open_delivered(
@@ -951,7 +933,7 @@ impl ClusterContext {
     }
 
     /// Sends a burst of `count` NOPs over the `src → dst` direction in
-    /// **one fused batch submission** ([`seal_nop_batch`]): the whole pad
+    /// **one fused batch submission** ([`seal_batch_prepared`]): the whole pad
     /// run seals with a single crypto dispatch (priced as
     /// [`CpuCryptoModel::batch_seal_time`]) instead of one pool
     /// round-trip per NOP — the common case when a speculative entry's
@@ -968,7 +950,7 @@ impl ClusterContext {
     /// Panics if `src_dev == dst_dev` or either index is out of range —
     /// programming errors, as on the CUDA peer-copy API.
     ///
-    /// [`seal_nop_batch`]: pipellm_crypto::channel::TxContext::seal_nop_batch
+    /// [`seal_batch_prepared`]: pipellm_crypto::channel::TxContext::seal_batch_prepared
     /// [`CpuCryptoModel::batch_seal_time`]: pipellm_crypto::cost::CpuCryptoModel::batch_seal_time
     pub fn send_edge_nops(
         &mut self,
@@ -991,10 +973,12 @@ impl ClusterContext {
         let cc_control = self.timing.cc_control;
         let src_is_a = src_dev < dst_dev;
         let (src_ctx, _dst_ctx, edge) = self.split(src_dev, dst_dev);
-        let mut staging = vec![std::mem::take(&mut edge.nop_staging)];
-        let nops = Self::sender_endpoint(edge, active, src_is_a)
-            .tx_mut()
-            .seal_nop_batch(count, &mut staging)?;
+        let mut staging = Some(std::mem::take(&mut edge.nop_staging));
+        let tx = Self::sender_endpoint(edge, active, src_is_a).tx_mut();
+        let msgs = (0..count)
+            .map(|_| tx.nop_message(staging.take().unwrap_or_default()))
+            .collect();
+        let nops = tx.seal_batch_prepared(msgs)?;
         let enc = src_ctx.crypto_pool_mut().reserve(now, batch_time);
         let mut at = enc.end;
         for nop in nops {

@@ -134,10 +134,14 @@ pub(crate) fn open_delivered(
     sealed: SealedMessage,
     stage: &'static str,
 ) -> Result<Vec<u8>, GpuError> {
-    let iv = sealed.iv;
-    match rx.open_owned(sealed) {
-        Ok(plaintext) => Ok(plaintext),
-        Err(source) => Err(GpuError::ChannelDesync { stage, iv, source }),
+    let mut buf = sealed.bytes;
+    match rx.open_in_place(&sealed.aad, &mut buf) {
+        Ok(()) => Ok(buf),
+        Err(source) => Err(GpuError::ChannelDesync {
+            stage,
+            iv: sealed.iv,
+            source,
+        }),
     }
 }
 
@@ -974,11 +978,9 @@ impl CudaContext {
             return Err(GpuError::CcDisabled);
         }
         let staging = std::mem::take(&mut self.nop_staging);
-        let nop = self
-            .channel_mut()
-            .host_mut()
-            .tx_mut()
-            .seal_nop_with(staging)?;
+        let tx = self.channel_mut().host_mut().tx_mut();
+        let (aad, buf) = tx.nop_message(staging);
+        let nop = tx.seal_prepared(aad, buf)?;
         let enc = self.crypto_pool.reserve(now, self.timing.crypto.nop_time());
         let wire = self.link.transfer(enc.end, 1);
         // The receiver opens the message's own buffer in place, and that
@@ -1224,15 +1226,17 @@ impl CudaContext {
         sealed: SealedMessage,
     ) -> Result<(), GpuError> {
         let kind = sealed_kind(&sealed);
-        let opened = match self.channel_mut().device_mut().rx_mut().open_owned(sealed) {
-            Ok(plaintext) => plaintext,
+        let mut opened = sealed.bytes;
+        let rx = self.channel_mut().device_mut().rx_mut();
+        match rx.open_in_place(&sealed.aad, &mut opened) {
+            Ok(()) => {}
             // A mismatched/reused IV here is the *recoverable*
             // speculative-submit signal: the interposer inserts NOPs to
             // advance the counter (or re-seals) and retries, so the error
             // keeps its Crypto classification rather than being escalated
             // to a channel desync.
             Err(e) => return Err(GpuError::Crypto(e)),
-        };
+        }
         self.device_mem
             .store(dst, Payload::from_plaintext(kind, opened))?;
         Ok(())

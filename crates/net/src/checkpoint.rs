@@ -34,9 +34,8 @@
 use crate::error::{NetError, NetResult};
 use crate::frame::{Reader, Writer};
 use crate::proto::RekeyEdge;
-use pipellm_crypto::channel::{ChannelKeys, SealedMessage, SecureChannel};
+use pipellm_crypto::channel::{staging_buffer, ChannelKeys, SecureChannel};
 use pipellm_crypto::session::derive_subseed;
-use std::sync::Arc;
 
 /// Domain-separation tag of the checkpoint key schedule ("ckpt").
 const CHECKPOINT_TAG: u64 = 0x636B_7074;
@@ -139,7 +138,7 @@ pub fn seal_checkpoint(cluster_seed: u64, state: &CheckpointState) -> NetResult<
     let sealed = channel
         .host_mut()
         .tx_mut()
-        .seal_with_aad(&aad, &state.encode())?;
+        .seal_prepared(aad.into(), staging_buffer(&state.encode()))?;
     Ok(sealed.bytes)
 }
 
@@ -163,12 +162,17 @@ pub fn open_checkpoint(
 ) -> NetResult<CheckpointState> {
     let mut channel = checkpoint_channel(cluster_seed, stage, barrier);
     let aad = checkpoint_aad(stage, barrier);
-    let message = SealedMessage {
-        iv: channel.device().rx().next_iv(),
-        aad: Arc::from(aad.into_boxed_slice()),
-        bytes: sealed.to_vec(),
-    };
-    let plain = channel.device_mut().rx_mut().open(&message)?;
+    let mut plain = sealed.to_vec();
+    match channel
+        .device_mut()
+        .rx_mut()
+        .open_in_place(&aad, &mut plain)
+    {
+        Ok(()) => {}
+        // A one-shot channel: a failed open has no lockstep to keep, only
+        // a verdict to report.
+        Err(e) => return Err(NetError::Crypto(e)),
+    }
     let state = CheckpointState::decode(&plain)?;
     if state.stage != stage || state.barrier != barrier {
         return Err(NetError::Protocol {

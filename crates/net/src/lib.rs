@@ -16,7 +16,7 @@
 //! Inter-stage hops `s → s+1` are relayed through the orchestrator, which
 //! forwards ciphertext it cannot read: edge keys are derived from the
 //! cluster seed and the edge identity
-//! ([`pipellm_gpu::cluster::edge_key_seed`]) at the two *workers*, so the
+//! ([`pipellm_crypto::session::edge_key_seed`]) at the two *workers*, so the
 //! relay never holds a byte of plaintext or key material for the edges it
 //! forwards — the host is exactly the untrusted bounce buffer the paper's
 //! threat model assumes.

@@ -1,14 +1,14 @@
 //! Per-edge crypto state and the send/receive discipline of a data link.
 //!
 //! An edge of the networked deployment is exactly an edge of the
-//! in-process [`pipellm_gpu::cluster::ClusterContext`]: a
+//! in-process `pipellm_gpu::cluster::ClusterContext`: a
 //! [`SessionManager`] whose root is derived from the cluster seed and the
 //! edge identity, carrying one [`SecureChannel`] for the default session
 //! with an incrementing-IV counter per direction. Worker↔worker edges use
-//! [`pipellm_gpu::cluster::edge_key_seed`]; a worker's ingress/egress edge
-//! to the host uses [`pipellm_gpu::cluster::device_key_seed`] — the same
-//! roots the in-process cluster derives, which is why ciphertext sealed by
-//! a remote worker is bit-compatible with the cluster path.
+//! [`edge_key_seed`]; a worker's ingress/egress edge to the host uses
+//! [`device_key_seed`] — the same roots the in-process cluster derives,
+//! which is why ciphertext sealed by a remote worker is bit-compatible
+//! with the cluster path.
 //!
 //! The send path ([`LinkSender::send`]) is where chaos meets the wire: each
 //! outgoing data frame rolls the injector at
@@ -36,9 +36,8 @@ use crate::error::{NetError, NetResult};
 use crate::proto::{DataFrame, Msg, HOST_NODE};
 use crate::transport::FrameSender;
 use pipellm_chaos::{ChaosInjector, FaultKind, FaultSite, RetryPolicy};
-use pipellm_crypto::channel::SealedMessage;
-use pipellm_crypto::session::{SessionId, SessionManager};
-use pipellm_gpu::cluster::{device_key_seed, edge_key_seed, EdgeId};
+use pipellm_crypto::channel::{staging_buffer, SealedMessage};
+use pipellm_crypto::session::{device_key_seed, edge_key_seed, SessionId, SessionManager};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -88,13 +87,12 @@ impl fmt::Display for WireEdge {
 /// Which endpoint of the edge's [`SecureChannel`] this node plays.
 ///
 /// On a worker↔worker edge the lower stage is the channel-host endpoint
-/// (the convention [`pipellm_gpu::cluster::ClusterContext`] fixes); on a
+/// (the convention `pipellm_gpu::cluster::ClusterContext` fixes); on a
 /// host edge the orchestrator is always the channel-host endpoint and the
 /// worker the channel-device endpoint, mirroring the in-process
-/// host↔device channel of that worker's [`CudaContext`].
+/// host↔device channel of that worker's `CudaContext`.
 ///
 /// [`SecureChannel`]: pipellm_crypto::channel::SecureChannel
-/// [`CudaContext`]: pipellm_gpu::context::CudaContext
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// This node drives the channel's host endpoint.
@@ -134,12 +132,9 @@ impl EdgeCrypto {
     /// opens the default session.
     pub fn new(cluster_seed: u64, edge: WireEdge, role: Role) -> Self {
         let seed = if edge.b == HOST_NODE {
-            device_key_seed(cluster_seed, edge.a as usize)
+            device_key_seed(cluster_seed, u64::from(edge.a))
         } else {
-            edge_key_seed(
-                cluster_seed,
-                EdgeId::between(edge.a as usize, edge.b as usize),
-            )
+            edge_key_seed(cluster_seed, u64::from(edge.a), u64::from(edge.b))
         };
         let mut sessions = SessionManager::from_seed(seed);
         let default = sessions.open();
@@ -163,12 +158,11 @@ impl EdgeCrypto {
 
     /// Fast-forwards the default session to `target` epoch (fresh keys,
     /// both IV counters restarted at 1 — never reusing a counter of the
-    /// previous epoch). A target at or below the current epoch is a no-op:
-    /// rekey messages can arrive duplicated or late.
+    /// previous epoch), in one key derivation however far ahead `target`
+    /// lies. A target at or below the current epoch is a no-op: rekey
+    /// messages can arrive duplicated or late.
     pub fn rekey_to(&mut self, target: u32) {
-        while self.epoch() < target {
-            self.sessions.rekey(SessionId::DEFAULT);
-        }
+        self.sessions.rekey_to(SessionId::DEFAULT, target);
     }
 
     /// Seals `plaintext` under `aad` on this node's sending direction,
@@ -188,14 +182,16 @@ impl EdgeCrypto {
             Role::ChannelHost => ch.host_mut(),
             Role::ChannelDevice => ch.device_mut(),
         };
-        Ok(endpoint.tx_mut().seal_with_aad(aad, plaintext)?)
+        Ok(endpoint
+            .tx_mut()
+            .seal_prepared(aad.into(), staging_buffer(plaintext))?)
     }
 
     /// Opens a received frame at this node's receiving direction under the
     /// sentinel discipline: the IV is consumed whether or not the bytes
     /// authenticate, and on failure the returned buffer holds only
     /// sentinel bytes (no ciphertext escapes as plaintext).
-    pub fn open_or_sentinel(&mut self, aad: &[u8], sealed: Vec<u8>) -> (Vec<u8>, bool) {
+    pub fn open_or_sentinel(&mut self, aad: &[u8], mut sealed: Vec<u8>) -> (Vec<u8>, bool) {
         let Some(ch) = self.sessions.channel_mut(SessionId::DEFAULT) else {
             return (Vec::new(), false);
         };
@@ -203,14 +199,11 @@ impl EdgeCrypto {
             Role::ChannelHost => ch.host_mut(),
             Role::ChannelDevice => ch.device_mut(),
         };
-        let rx = endpoint.rx_mut();
-        let message = SealedMessage {
-            iv: rx.next_iv(),
-            aad: aad.into(),
-            bytes: sealed,
-        };
-        let (buf, outcome) = rx.open_owned_or_sentinel(message);
-        (buf, outcome.is_ok())
+        let ok = endpoint
+            .rx_mut()
+            .open_in_place_or_sentinel(aad, &mut sealed)
+            .is_ok();
+        (sealed, ok)
     }
 
     /// This node's next send IV on the edge.
@@ -646,7 +639,7 @@ mod tests {
 
     #[test]
     fn edge_keys_match_the_in_process_cluster() {
-        use pipellm_gpu::cluster::{ClusterConfig, ClusterContext};
+        use pipellm_gpu::cluster::{ClusterConfig, ClusterContext, EdgeId};
         // Seal on the in-process cluster edge 0-1, open with the net-side
         // EdgeCrypto derived from the same cluster seed: same keys.
         let seed = 0xA5A5;
@@ -701,6 +694,22 @@ mod tests {
             RxOutcome::Plain(b"new world".to_vec())
         );
         assert_eq!(rx.epoch(), 2);
+    }
+
+    #[test]
+    fn a_far_future_epoch_fast_forwards_in_one_derivation() {
+        // The epoch of a data frame is read before its tag is checked, so
+        // the jump it drives must not cost one rekey per skipped epoch.
+        let (mut tx, mut rx) = pair(WireEdge::between(1, 2));
+        let started = Instant::now();
+        tx.rekey_to(1 << 20);
+        let mut frame = frame_for(&mut tx, 1, 2, 0, 0, b"far ahead");
+        assert_eq!(
+            open_data(&mut rx, &mut frame),
+            RxOutcome::Plain(b"far ahead".to_vec())
+        );
+        assert!(started.elapsed() < Duration::from_secs(1));
+        assert_eq!(rx.epoch(), 1 << 20);
     }
 
     #[test]

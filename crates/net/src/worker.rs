@@ -13,7 +13,8 @@
 //! 2. wait `Welcome{stages}`, then the `ShardManifest`; verify the shard's
 //!    weight hash locally and reply `ManifestAck`;
 //! 3. derive the in/out edge crypto from the manifest's cluster seed (the
-//!    same roots [`pipellm_gpu::cluster::ClusterContext`] derives);
+//!    same roots the in-process `pipellm_gpu::cluster::ClusterContext`
+//!    derives);
 //! 4. on `Start`, serve: open each incoming frame under the sentinel
 //!    discipline, ACK/NACK it, run [`apply_stage`] over the stage's layer
 //!    range, and seal the result onto the out edge;

@@ -4,8 +4,9 @@
 //!
 //! Run with: `cargo run --example secure_channel`
 
-use pipellm_crypto::channel::{ChannelKeys, SecureChannel};
+use pipellm_crypto::channel::{staging_buffer, ChannelKeys, SecureChannel};
 use pipellm_crypto::CryptoError;
+use std::sync::Arc;
 
 fn main() {
     let mut ch = SecureChannel::new(ChannelKeys::from_seed(2024));
@@ -35,11 +36,16 @@ fn main() {
 
     // 3. Speculative pre-encryption: seal at a *future* IV without
     //    advancing the counter (what PipeLLM's predictor does).
+    //    The plaintext is staged once; the buffer becomes the ciphertext.
     let future_iv = ch.host().tx().next_iv() + 2;
     let spec = ch
         .host()
         .tx()
-        .seal_speculative(future_iv, b"", b"predicted KV block")
+        .seal_speculative_prepared(
+            future_iv,
+            Arc::from(&[][..]),
+            staging_buffer(b"predicted KV block"),
+        )
         .expect("future IV");
     println!(
         "speculatively sealed at IV={future_iv} while counter is {}",
@@ -54,13 +60,12 @@ fn main() {
         .expect_err("counter is behind");
     println!("early commit: {early}");
 
-    // …fixed by NOP padding (§5.3): 1-byte dummies that advance both sides.
+    // …fixed by NOP padding (§5.3): 1-byte dummies, sealed like any other
+    // committed transfer, that advance both sides.
     while ch.host().tx().next_iv() < future_iv {
-        let nop = ch
-            .host_mut()
-            .tx_mut()
-            .seal_nop()
-            .expect("IVs not exhausted");
+        let tx = ch.host_mut().tx_mut();
+        let (aad, buf) = tx.nop_message(Vec::new());
+        let nop = tx.seal_prepared(aad, buf).expect("IVs not exhausted");
         ch.device_mut().open(&nop).expect("nop is authentic");
     }
     ch.host_mut()
@@ -79,7 +84,11 @@ fn main() {
 
     // 4. A stale speculation (its IV consumed by other traffic) is
     //    irrecoverable: sealing below the counter would reuse a GCM nonce.
-    let stale = ch.host().tx().seal_speculative(1, b"", b"too late");
+    let stale = ch.host().tx().seal_speculative_prepared(
+        1,
+        Arc::from(&[][..]),
+        staging_buffer(b"too late"),
+    );
     println!(
         "sealing at a consumed IV: {}",
         stale.expect_err("nonce reuse refused")

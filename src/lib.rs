@@ -16,7 +16,7 @@
 //! - [`net`] — the networked multi-process deployment: orchestrator and
 //!   stage workers over encrypted, length-framed byte streams;
 //! - [`serving`] — vLLM/FlexGen/PEFT-like engines;
-//! - [`bench`] — the experiment harness regenerating the paper's figures;
+//! - [`bench`](mod@bench) — the experiment harness regenerating the paper's figures;
 //! - [`analysis`] — the `pipellm-lint` static analyzer and the exhaustive
 //!   interleaving checker (including the supervisor failover model).
 //!

@@ -5,10 +5,11 @@
 //! interleavings.
 
 use pipellm_repro::crypto::aes::Aes;
-use pipellm_repro::crypto::channel::{ChannelKeys, SecureChannel};
+use pipellm_repro::crypto::channel::{staging_buffer, ChannelKeys, SecureChannel};
 use pipellm_repro::crypto::gcm::AesGcm;
 use pipellm_repro::crypto::CryptoError;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -132,7 +133,7 @@ proptest! {
         // Speculate a message `spec_ahead` transfers into the future.
         let spec_iv = ch.host().tx().next_iv() + spec_ahead;
         let spec = ch.host().tx()
-            .seal_speculative(spec_iv, b"", b"spec")
+            .seal_speculative_prepared(spec_iv, Arc::from(&[][..]), staging_buffer(b"spec"))
             .expect("future IV is legal");
 
         let mut sent = 0u64;
@@ -158,13 +159,15 @@ proptest! {
     }
 }
 
-/// NOP padding advances both endpoints and never breaks the stream.
+/// NOP padding — a committed batch of 1-byte messages — advances both
+/// endpoints and never breaks the stream.
 #[test]
 fn nops_interleave_freely_with_data() {
     let mut ch = SecureChannel::new(ChannelKeys::from_seed(3));
     for round in 0..10u8 {
-        for _ in 0..round % 3 {
-            let nop = ch.host_mut().tx_mut().seal_nop().unwrap();
+        let tx = ch.host_mut().tx_mut();
+        let pad = (0..round % 3).map(|_| tx.nop_message(Vec::new())).collect();
+        for nop in tx.seal_batch_prepared(pad).unwrap() {
             ch.device_mut().open(&nop).expect("nop authentic");
         }
         let sealed = ch.host_mut().seal(&[round]).expect("fresh");

@@ -72,9 +72,9 @@ fn cross_session_kv_open_fails_authentication() {
     let blocks: Vec<Vec<u8>> = (0..2).map(|i| vec![0x60 + i; 512]).collect();
     let refs: Vec<&[u8]> = blocks.iter().map(Vec::as_slice).collect();
     let sealed = seal_kv_group(a.device_mut().tx_mut(), 0, 9, &refs, &mut Vec::new()).unwrap();
-    assert!(open_kv_group(b.host_mut().rx_mut(), &sealed).is_err());
+    assert!(open_kv_group(b.host_mut().rx_mut(), sealed.clone()).is_err());
     assert_eq!(
-        open_kv_group(a.host_mut().rx_mut(), &sealed).unwrap(),
+        open_kv_group(a.host_mut().rx_mut(), sealed).unwrap(),
         blocks
     );
 }

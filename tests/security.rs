@@ -108,8 +108,9 @@ fn speculation_never_ships_stale_ciphertext() {
 #[test]
 fn nops_are_visible_but_content_free() {
     let mut ch = SecureChannel::new(ChannelKeys::from_seed(11));
-    let n1 = ch.host_mut().tx_mut().seal_nop().unwrap();
-    let n2 = ch.host_mut().tx_mut().seal_nop().unwrap();
+    let tx = ch.host_mut().tx_mut();
+    let pad = vec![tx.nop_message(Vec::new()), tx.nop_message(Vec::new())];
+    let [n1, n2]: [_; 2] = tx.seal_batch_prepared(pad).unwrap().try_into().unwrap();
     // Visible: NOPs are distinct wire messages with 1-byte payloads.
     assert_eq!(n1.plaintext_len(), 1);
     assert_ne!(n1.bytes, n2.bytes, "fresh IVs still decorrelate NOPs");
