@@ -34,9 +34,10 @@
 //! - PL008 applies only to `pipellm-net` lib code: heartbeat intervals,
 //!   suspect/dead deadlines, resend/backoff and quiet windows are tuning
 //!   knobs the supervisor, workers and benches must agree on, so their
-//!   values live in `net::proto` (`NetTuning` and the `PIPELLM_*` env
-//!   overrides) — a `Duration::from_millis(300)` buried in `worker.rs`
-//!   is a fork of that contract.
+//!   defaults live in `net::proto`, a run sets them on `NetPipelineSpec`
+//!   or `SupervisedOptions`, and workers receive them in their
+//!   `ShardManifest` — a `Duration::from_millis(300)` buried in
+//!   `worker.rs` is a fork of that contract.
 
 use crate::context::SourceFile;
 use crate::lexer::{Delim, TokenKind};
@@ -566,10 +567,11 @@ const DURATION_CTORS: &[&str] = &["from_millis", "from_secs", "from_micros", "fr
 /// `Duration::from_*(<integer literal>)` is a forked timing knob: the
 /// heartbeat interval, suspect/dead deadlines, resend sweep, quiet window
 /// and dial/backoff pacing are a *contract* between the supervisor, the
-/// workers, the chaos benches and the deterministic models, and the single
-/// place that contract is written down (and env-overridable) is
-/// `net::proto` (`NetTuning`). Everywhere else must name a proto constant
-/// or take a tuning struct.
+/// workers, the chaos benches and the deterministic models. Its defaults
+/// are written down once, as `net::proto` constants; a run sets them on
+/// `NetPipelineSpec` / `SupervisedOptions`, and a worker reads them from
+/// its `ShardManifest`. Everywhere else must name a proto constant or
+/// read one of those fields.
 fn rule_timing_confined(file: &SourceFile, out: &mut Vec<Finding>) {
     if !file.path.starts_with("crates/net/src") || file.path == "crates/net/src/proto.rs" {
         return;
@@ -598,7 +600,7 @@ fn rule_timing_confined(file: &SourceFile, out: &mut Vec<Finding>) {
                 RuleId::SupervisionTimingConfined,
                 tok.line,
                 format!(
-                    "`Duration::{}(…)` literal in net lib code — name a `net::proto` constant or take a `NetTuning`",
+                    "`Duration::{}(…)` literal in net lib code — name a `net::proto` constant or read a `NetPipelineSpec` / `SupervisedOptions` / `ShardManifest` field",
                     file.tokens[i + 3].text
                 ),
             ));

@@ -17,7 +17,7 @@
 //!   restart time, not collapse.
 
 use pipellm_chaos::{ChaosInjector, FaultPlan};
-use pipellm_net::{deploy, NetPipelineSpec, NetTuning, SupervisedOptions, Wire};
+use pipellm_net::{deploy, NetPipelineSpec, SupervisedOptions, Wire};
 use pipellm_serving::engine::ServingEngine;
 use pipellm_serving::pipeline::{PipelineConfig, PipelineEngine, PipelineSystem};
 use pipellm_serving::resilience::ResilienceStats;
@@ -208,15 +208,11 @@ pub fn net_kill_spec(rate: f64, smoke: bool) -> NetPipelineSpec {
 /// Supervision tuning for the sweep — tightened deadlines so a kill is
 /// detected and failed over in tens of milliseconds.
 pub fn net_kill_options() -> SupervisedOptions {
-    let tuning = NetTuning {
+    SupervisedOptions {
         heartbeat_interval: Duration::from_millis(10),
         suspect_after: Duration::from_millis(80),
         dead_after: Duration::from_millis(200),
         checkpoint_every: 2,
-        ..NetTuning::default()
-    };
-    SupervisedOptions {
-        tuning,
         ..SupervisedOptions::default()
     }
 }

@@ -5,6 +5,10 @@
 //! handshake, sealed ingress, ciphertext relay, sequenced drain, lockstep
 //! audit. Exits non-zero on any protocol, crypto, or audit failure.
 //!
+//! This process decides every setting of the run: the flags fill in the
+//! `NetPipelineSpec`, `--supervised` adds the `SupervisedOptions`, and each
+//! worker is told its share of them in its shard manifest.
+//!
 //! ```text
 //! pipellm-orchestrator --listen 127.0.0.1:7070 --stages 4 [--layers 8]
 //!     [--iterations 2] [--micro-batches 2] [--activation-bytes 4096]
@@ -18,60 +22,55 @@
 //! `stage-worker` restarted with `--generation <n>`) is readmitted,
 //! handed the latest sealed checkpoint, and every adjacent edge is
 //! force-rekeyed — the run completes bit-identical to its fault-free
-//! reference. Heartbeat and deadline tuning comes from `PIPELLM_*`
-//! environment variables ([`pipellm_net::NetTuning::from_env`]).
+//! reference. `PIPELLM_HEARTBEAT_MS`, `PIPELLM_SUSPECT_AFTER_MS` and
+//! `PIPELLM_DEAD_AFTER_MS` override its deadlines in milliseconds (unset or
+//! unparsable: the default); the workers follow through their manifests.
 
-use pipellm_net::{deploy, NetPipelineSpec, NetTuning, SupervisedOptions, Wire};
+mod cli;
+
+use cli::{flag, int};
+use pipellm_net::{deploy, NetPipelineSpec, SupervisedOptions, Wire};
 use std::net::TcpListener;
 use std::process::ExitCode;
+use std::time::Duration;
 
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn parse_u64(s: &str) -> Result<u64, String> {
-    let parsed = if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16)
-    } else {
-        s.parse()
+/// The supervised run's options: defaults, with the three deadlines taken
+/// from the environment where set.
+fn supervised_options() -> SupervisedOptions {
+    let ms = |key: &str, default: Duration| {
+        std::env::var(key)
+            .ok()
+            .and_then(|v| v.trim().parse().ok())
+            .map_or(default, Duration::from_millis)
     };
-    parsed.map_err(|_| format!("not a number: {s}"))
+    let default = SupervisedOptions::default();
+    SupervisedOptions {
+        heartbeat_interval: ms("PIPELLM_HEARTBEAT_MS", default.heartbeat_interval),
+        suspect_after: ms("PIPELLM_SUSPECT_AFTER_MS", default.suspect_after),
+        dead_after: ms("PIPELLM_DEAD_AFTER_MS", default.dead_after),
+        ..default
+    }
 }
 
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let listen = arg_value(&args, "--listen").unwrap_or_else(|| "127.0.0.1:7070".to_string());
-    let mut spec = NetPipelineSpec::default();
-    if let Some(v) = arg_value(&args, "--stages") {
-        spec.stages = parse_u64(&v)? as u32;
-    }
-    if let Some(v) = arg_value(&args, "--layers") {
-        spec.layers = parse_u64(&v)? as u32;
-    }
-    if let Some(v) = arg_value(&args, "--iterations") {
-        spec.iterations = parse_u64(&v)? as u32;
-    }
-    if let Some(v) = arg_value(&args, "--micro-batches") {
-        spec.micro_batches = parse_u64(&v)? as u32;
-    }
-    if let Some(v) = arg_value(&args, "--activation-bytes") {
-        spec.activation_bytes = parse_u64(&v)? as usize;
-    }
-    if let Some(v) = arg_value(&args, "--seed") {
-        spec.seed = parse_u64(&v)?;
-    }
-    if let Some(v) = arg_value(&args, "--chaos-seed") {
-        spec.chaos_seed = parse_u64(&v)?;
-    }
-    if let Some(v) = arg_value(&args, "--fault-rate") {
-        spec.net_fault_rate = v.parse().map_err(|_| format!("not a rate: {v}"))?;
-    }
-    if let Some(v) = arg_value(&args, "--worker-fault-rate") {
-        spec.worker_fault_rate = v.parse().map_err(|_| format!("not a rate: {v}"))?;
-    }
+    let listen = flag(&args, "--listen", "127.0.0.1:7070".to_string(), |v| {
+        Ok(v.into())
+    })?;
+    let rate = |v: &str| v.parse().map_err(|_| format!("not a rate: {v}"));
+    let d = NetPipelineSpec::default();
+    let spec = NetPipelineSpec {
+        stages: flag(&args, "--stages", d.stages, int)?,
+        layers: flag(&args, "--layers", d.layers, int)?,
+        iterations: flag(&args, "--iterations", d.iterations, int)?,
+        micro_batches: flag(&args, "--micro-batches", d.micro_batches, int)?,
+        activation_bytes: flag(&args, "--activation-bytes", d.activation_bytes, int)?,
+        seed: flag(&args, "--seed", d.seed, int)?,
+        chaos_seed: flag(&args, "--chaos-seed", d.chaos_seed, int)?,
+        net_fault_rate: flag(&args, "--fault-rate", d.net_fault_rate, rate)?,
+        worker_fault_rate: flag(&args, "--worker-fault-rate", d.worker_fault_rate, rate)?,
+        ..d
+    };
     let supervised = args.iter().any(|a| a == "--supervised");
     spec.validate().map_err(|e| e.to_string())?;
 
@@ -85,10 +84,7 @@ fn run() -> Result<(), String> {
         if supervised { ", supervised" } else { "" },
     );
     let expected = spec.expected_outputs();
-    let options = supervised.then(|| SupervisedOptions {
-        tuning: NetTuning::from_env(),
-        ..SupervisedOptions::default()
-    });
+    let options = supervised.then(supervised_options);
     let run =
         deploy(&spec, Wire::Listener(&listener), options.as_ref()).map_err(|e| e.to_string())?;
     if supervised {
@@ -107,11 +103,14 @@ fn run() -> Result<(), String> {
     let report = run.net;
     let bit_identical = report.outputs == expected;
     println!(
-        "orchestrator: done. digest {:#018x}, relayed {}, retransmits {}, sentinels {}, reconnects {}, rekeys {}, lockstep {}, bit-identical {}",
+        "orchestrator: done. digest {:#018x}, relayed {}, retransmits {}, sentinels {}, egress-sentinels {}, reconnects {}, rekeys {}, lockstep {}, bit-identical {}",
         report.output_digest,
         report.relayed_frames,
         report.retransmits,
         report.sentinels,
+        // Opens that failed here, on frames the last stage sealed: only
+        // that worker's own chaos plan corrupts them.
+        report.host_report.sentinels,
         report.reconnects,
         report.rekeys,
         report.lockstep_ok,

@@ -8,10 +8,11 @@
 //! ships the blob to the orchestrator. IV positions are deliberately not
 //! part of it: the dead incarnation may have burned counters past the seal
 //! point, so a restore is always followed by a forced rekey (epoch + 1,
-//! IVs back to 1) and no position inside an epoch is ever resumed. The orchestrator is outside the
-//! trust boundary: it stores and relays the checkpoint but cannot read or
-//! forge it, because the sealing key is derived from the cluster seed,
-//! which workers derive locally and never put on the wire.
+//! IVs back to 1) and no position inside an epoch is ever resumed. The
+//! orchestrator stores and relays the checkpoint without opening it, but
+//! could open or forge it: the sealing key derives from the cluster seed,
+//! which it sends to every worker in the clear shard manifest (ROADMAP.md
+//! item 2, "The relay must not hold the keys").
 //!
 //! # Key schedule
 //!

@@ -14,12 +14,23 @@
 //! the orchestrator — a *control* channel (handshake, manifests, acks,
 //! rekeys, shutdown) and a *data* channel (sealed activation frames).
 //! Inter-stage hops `s → s+1` are relayed through the orchestrator, which
-//! forwards ciphertext it cannot read: edge keys are derived from the
-//! cluster seed and the edge identity
-//! ([`pipellm_crypto::session::edge_key_seed`]) at the two *workers*, so the
-//! relay never holds a byte of plaintext or key material for the edges it
-//! forwards — the host is exactly the untrusted bounce buffer the paper's
-//! threat model assumes.
+//! forwards the sealed frames without opening them: edge keys are derived
+//! from the cluster seed and the edge identity
+//! ([`pipellm_crypto::session::edge_key_seed`]) at the two workers. The
+//! relay could open them all the same. It picks the cluster seed and
+//! sends it to every worker in the clear [`proto::ShardManifest`], so it
+//! holds the root of every edge key and every checkpoint key. The
+//! untrusted bounce buffer of the paper's threat model is therefore not
+//! what this crate builds yet; ROADMAP.md item 2 ("The relay must not hold
+//! the keys") tracks provisioning worker keys out of band.
+//!
+//! # One source of settings
+//!
+//! A run's settable values are the fields of [`NetPipelineSpec`] and
+//! [`SupervisedOptions`], read by the orchestrator alone; the rest are
+//! [`proto`] constants. A worker starts from a [`WorkerConfig`] (stage,
+//! generation, deadline) and learns everything else from its manifest.
+//! The library reads no environment.
 //!
 //! # One deployment, two switches
 //!
@@ -27,7 +38,7 @@
 //! workers are attached over — in-process duplex threads, localhost TCP
 //! threads, or a bound listener that real `stage-worker` processes dial —
 //! and `Option<&SupervisedOptions>`. Whatever their setting, one driver
-//! runs one lifecycle: **handshake** (welcome → shard manifest → ack →
+//! runs one lifecycle: **handshake** (shard manifest → ack →
 //! start) → **serve** (at most an admission window of sessions in flight)
 //! → **sequenced drain** (`Finish` flows downstream stage by stage) →
 //! **flush** to quiescence → **lockstep audit** of every edge's counters →
@@ -77,8 +88,8 @@ pub use error::{NetError, NetResult};
 pub use orchestrator::{
     deploy, run_supervised_tcp_threads, run_tcp_threads, NetPipelineSpec, NetReport, Wire,
 };
-pub use proto::{NetTuning, PROTO_VERSION};
+pub use proto::PROTO_VERSION;
 pub use supervisor::{
     AdmissionQueue, SupervisedOptions, SupervisedReport, SupervisionStats, Supervisor, WorkerHealth,
 };
-pub use worker::{run_worker, wire_retry_policy, WorkerConfig, WorkerLinks};
+pub use worker::{run_worker, WorkerConfig, WorkerLinks};

@@ -16,7 +16,7 @@
 //! flight (the receiver's sentinel open consumes the IV and NACKs for a
 //! fresh-IV retransmit) and [`FaultKind::ConnectionDrop`] kills the whole
 //! connection (recovered by reconnect + epoch bump on every adjacent
-//! edge). Retransmits beyond [`RetryPolicy::max_retries`] run under
+//! edge). Retransmits beyond [`WIRE_RETRY`]`.max_retries` run under
 //! [`ChaosInjector::suppress`], the same escalation contract the
 //! in-process retry loop follows.
 //!
@@ -33,9 +33,9 @@
 //! [`SecureChannel`]: pipellm_crypto::channel::SecureChannel
 
 use crate::error::{NetError, NetResult};
-use crate::proto::{DataFrame, Msg, HOST_NODE};
+use crate::proto::{DataFrame, Msg, HOST_NODE, WIRE_RETRY};
 use crate::transport::FrameSender;
-use pipellm_chaos::{ChaosInjector, FaultKind, FaultSite, RetryPolicy};
+use pipellm_chaos::{ChaosInjector, FaultKind, FaultSite};
 use pipellm_crypto::channel::{staging_buffer, SealedMessage};
 use pipellm_crypto::session::{device_key_seed, edge_key_seed, SessionId, SessionManager};
 use std::collections::btree_map::Entry;
@@ -256,8 +256,9 @@ pub struct PendingFrame {
 ///   monotonically and frames are only ever appended or removed, so an
 ///   ack or NACK finds its frame by binary search and the rekey walk sees
 ///   the frames oldest first.
-/// * `payloads` counts the outstanding frames per `(iteration,
-///   micro_batch)`, so [`LinkTx::has_payload`] never scans.
+/// * `payloads` holds the sequence numbers of the outstanding frames per
+///   `(iteration, micro_batch)`, so [`LinkTx::has_payload`] never scans
+///   and [`LinkTx::retire`] finds its frames by binary search.
 /// * `oldest_sent`, when set, is no later than any outstanding frame's
 ///   `last_sent`. [`LinkTx::sweep`] compares it with the clock reading it
 ///   is handed and visits the frames only when one of them can be due.
@@ -267,7 +268,7 @@ pub struct PendingFrame {
 pub struct LinkTx {
     next_seq: u64,
     unacked: VecDeque<PendingFrame>,
-    payloads: BTreeMap<(u32, u32), usize>,
+    payloads: BTreeMap<(u32, u32), Vec<u64>>,
     oldest_sent: Option<Instant>,
 }
 
@@ -283,7 +284,10 @@ impl LinkTx {
     ) -> &mut PendingFrame {
         let seq = self.next_seq;
         self.next_seq += 1;
-        *self.payloads.entry((iteration, micro_batch)).or_insert(0) += 1;
+        self.payloads
+            .entry((iteration, micro_batch))
+            .or_default()
+            .push(seq);
         self.unacked.push_back(PendingFrame {
             seq,
             iteration,
@@ -353,15 +357,24 @@ impl LinkTx {
         let Some(frame) = self.position(seq).and_then(|i| self.unacked.remove(i)) else {
             return false;
         };
-        if let Entry::Occupied(mut count) =
-            self.payloads.entry((frame.iteration, frame.micro_batch))
+        if let Entry::Occupied(mut seqs) = self.payloads.entry((frame.iteration, frame.micro_batch))
         {
-            *count.get_mut() -= 1;
-            if *count.get() == 0 {
-                count.remove();
+            seqs.get_mut().retain(|&s| s != seq);
+            if seqs.get().is_empty() {
+                seqs.remove();
             }
         }
         true
+    }
+
+    /// Acknowledges every outstanding frame carrying `(iteration,
+    /// micro_batch)` — for a sender that learned some other way that the
+    /// receiver consumed the payload. Their own acks then find nothing.
+    pub fn retire(&mut self, iteration: u32, micro_batch: u32) {
+        let seqs = self.payloads.get(&(iteration, micro_batch)).cloned();
+        for seq in seqs.unwrap_or_default() {
+            self.ack(seq);
+        }
     }
 
     /// The outstanding frame with `seq`, if any.
@@ -468,8 +481,6 @@ pub struct LinkSender<'a> {
     pub dst: u32,
     /// Fault injector rolled at [`FaultSite::NetLink`], if chaos is on.
     pub chaos: Option<&'a Arc<ChaosInjector>>,
-    /// Retransmit escalation budget.
-    pub policy: &'a RetryPolicy,
     /// Where the data connection's sender half lives.
     pub slot: &'a SenderSlot,
     /// Link label for error messages.
@@ -479,8 +490,8 @@ pub struct LinkSender<'a> {
 impl LinkSender<'_> {
     /// Seals `pending` on the edge and pushes it through the slot, rolling
     /// the chaos injector at [`FaultSite::NetLink`] on the way. Attempts
-    /// beyond `policy.max_retries` are the escalation path and run with
-    /// injection suppressed — recovery must be able to win.
+    /// beyond [`WIRE_RETRY`]`.max_retries` are the escalation path and run
+    /// with injection suppressed — recovery must be able to win.
     ///
     /// Every call consumes exactly one send IV (the epoch's counters
     /// advance even for frames chaos destroys; the receiver or the rekey
@@ -507,7 +518,7 @@ impl LinkSender<'_> {
         // Roll chaos: the escalation attempt (budget exhausted) suppresses
         // injection but still advances the site's fault sequence, keeping
         // the stream deterministic for every later roll.
-        let escalating = pending.attempts > self.policy.max_retries;
+        let escalating = pending.attempts > WIRE_RETRY.max_retries;
         let fault = if let Some(injector) = self.chaos {
             if escalating {
                 let _quiet = injector.suppress();

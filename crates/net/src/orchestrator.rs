@@ -1,13 +1,16 @@
 //! The orchestrator: handshake driver, ciphertext relay, and auditor.
 //!
 //! The orchestrator is the hub of the star topology. It drives the
-//! versioned handshake (welcome → shard manifests → acks → start), seals
+//! versioned handshake (shard manifests → acks → start), seals
 //! model inputs onto stage 0's host edge — at most
 //! [`INGRESS_WINDOW`] sessions in flight at once, the next input admitted
-//! as an output arrives — relays worker↔worker data
-//! frames *without being able to read them* (edge keys are end-to-end),
-//! opens the last stage's outputs on the egress host edge, and sequences
-//! the drain/report/shutdown at the end of a run.
+//! as an output arrives — relays worker↔worker data frames without
+//! opening them, opens the last stage's outputs on the egress host edge,
+//! and sequences the drain/report/shutdown at the end of a run. It could
+//! open the relayed frames too: their keys derive from the cluster seed
+//! its own manifests carry (ROADMAP.md item 2). The [`NetPipelineSpec`]
+//! and [`SupervisedOptions`] are its only inputs; workers learn what they
+//! need of them from their [`ShardManifest`]s.
 //!
 //! Recovery is orchestrator-coordinated: when a worker announces
 //! `LinkRestored` after its data connection was dropped and re-dialed, the
@@ -34,8 +37,8 @@ use crate::link::{
     LinkTx, RxOutcome, SenderSlot, WireEdge,
 };
 use crate::proto::{
-    CounterReport, DataAck, DataFrame, EdgeCounterEntry, ManifestAck, Msg, NetTuning, RekeyEdge,
-    ShardManifest, Welcome, DIAL_RETRY, HOST_NODE, INGRESS_WINDOW, OP_TIMEOUT, POLL_INTERVAL,
+    chaos_injector, CounterReport, DataAck, DataFrame, EdgeCounterEntry, ManifestAck, Msg,
+    RekeyEdge, ShardManifest, DIAL_RETRY, HOST_NODE, INGRESS_WINDOW, OP_TIMEOUT, POLL_INTERVAL,
     QUIET_WINDOW, RESEND_AFTER,
 };
 use crate::pump::{next_event, Pump, PumpEvent};
@@ -46,9 +49,9 @@ use crate::transport::{
     duplex_handle, duplex_pair, DuplexActive, DuplexCore, DuplexPassive, Reattach, TcpAcceptSlot,
     TcpDial, TcpTransport, Transport,
 };
-use crate::worker::{edge_counters, run_worker, wire_retry_policy, WorkerConfig, WorkerLinks};
+use crate::worker::{edge_counters, run_worker, WorkerConfig, WorkerLinks};
 use pipellm::partition::{apply_stage, iteration_input, stage_weight_hash, StagePartition};
-use pipellm_chaos::{ChaosInjector, FaultPlan, RetryPolicy};
+use pipellm_chaos::ChaosInjector;
 use pipellm_crypto::session::derive_subseed;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::TcpListener;
@@ -57,7 +60,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Everything that defines one networked pipeline run.
+/// Everything that defines one networked pipeline run but supervision.
 #[derive(Debug, Clone)]
 pub struct NetPipelineSpec {
     /// Pipeline stages (one worker process per stage).
@@ -82,16 +85,11 @@ pub struct NetPipelineSpec {
     pub worker_fault_rate: f64,
     /// Seed of the fault plans (decorrelated per node).
     pub chaos_seed: u64,
-    /// Wire-scale retry policy for reconnects and retransmits.
-    pub policy: RetryPolicy,
-    /// Receive-poll granularity.
-    pub poll: Duration,
-    /// Per-phase deadline (handshake, serve idle, drain, shutdown).
+    /// Per-phase deadline (handshake, serve idle, drain, shutdown) of the
+    /// orchestrator and of the workers it spawns itself.
     pub op_timeout: Duration,
-    /// Silence window declaring a drained data plane.
-    pub quiet: Duration,
     /// Age at which an unacknowledged frame is retransmitted by the
-    /// level-triggered sweep.
+    /// level-triggered sweep, at the host and at every worker.
     pub resend_after: Duration,
 }
 
@@ -107,10 +105,7 @@ impl Default for NetPipelineSpec {
             net_fault_rate: 0.0,
             worker_fault_rate: 0.0,
             chaos_seed: 0xC0A5,
-            policy: wire_retry_policy(),
-            poll: POLL_INTERVAL,
             op_timeout: OP_TIMEOUT,
-            quiet: QUIET_WINDOW,
             resend_after: RESEND_AFTER,
         }
     }
@@ -122,7 +117,9 @@ impl NetPipelineSpec {
     /// # Errors
     ///
     /// [`NetError::Protocol`] on zero stages/iterations/micro-batches or a
-    /// layer count below the stage count.
+    /// layer count below the stage count; [`NetError::Malformed`] on
+    /// anything its workers' manifests would be refused for (a fault rate
+    /// outside `[0, 1]`, a zero resend threshold).
     pub fn validate(&self) -> NetResult<()> {
         if self.stages == 0 || self.iterations == 0 || self.micro_batches == 0 {
             return Err(NetError::Protocol {
@@ -134,11 +131,18 @@ impl NetPipelineSpec {
                 detail: format!("{} layers cannot cover {} stages", self.layers, self.stages),
             });
         }
-        Ok(())
+        self.manifest_for(0, None).validate()
     }
 
-    /// The shard manifest of `stage` under this spec's balanced partition.
-    pub fn manifest_for(&self, stage: u32) -> ShardManifest {
+    /// The shard manifest of `stage` under this spec's balanced partition,
+    /// with `supervision`'s worker-side settings (the defaults' if `None`).
+    pub fn manifest_for(
+        &self,
+        stage: u32,
+        supervision: Option<&SupervisedOptions>,
+    ) -> ShardManifest {
+        let default = SupervisedOptions::default();
+        let timing = supervision.unwrap_or(&default);
         let partition = StagePartition::balanced(self.layers, self.stages as usize);
         let range = partition.layers_of(stage as usize);
         ShardManifest {
@@ -152,6 +156,12 @@ impl NetPipelineSpec {
             micro_batches: self.micro_batches,
             iterations: self.iterations,
             cluster_seed: self.seed,
+            resend_after: self.resend_after,
+            heartbeat_interval: timing.heartbeat_interval,
+            hang_for: timing.dead_after.saturating_mul(2),
+            chaos_seed: derive_subseed(self.chaos_seed, u64::from(stage)),
+            net_fault_rate: self.net_fault_rate,
+            worker_fault_rate: self.worker_fault_rate,
         }
     }
 
@@ -180,53 +190,16 @@ impl NetPipelineSpec {
 
     /// The per-node fault injector for this spec, or `None` when the rate
     /// is zero. `node` is a stage index or [`HOST_NODE`]; each node rolls
-    /// an independent deterministic stream.
+    /// an independent deterministic stream. A stage's is the injector its
+    /// first incarnation builds from its manifest's chaos plan.
     pub fn injector_for(&self, node: u32) -> Option<Arc<ChaosInjector>> {
         let worker_rate = if node == HOST_NODE {
             0.0 // the orchestrator process is the trusted computing base here
         } else {
             self.worker_fault_rate
         };
-        if self.net_fault_rate <= 0.0 && worker_rate <= 0.0 {
-            return None;
-        }
         let seed = derive_subseed(self.chaos_seed, u64::from(node));
-        Some(Arc::new(ChaosInjector::new(
-            FaultPlan::new(seed)
-                .with_net_rate(self.net_fault_rate)
-                .with_stage_rate(worker_rate),
-        )))
-    }
-
-    /// The two messages that open `stage`'s handshake — at the start of
-    /// the run and again when a replacement incarnation is readmitted.
-    pub(crate) fn admission_msgs(&self, stage: u32) -> [Msg; 2] {
-        [
-            Msg::Welcome(Welcome {
-                stages: self.stages,
-            }),
-            Msg::Manifest(self.manifest_for(stage)),
-        ]
-    }
-
-    /// Checks `stage`'s reply to its manifest: it must name itself and
-    /// have hashed its shard's weights to the value the manifest carried.
-    pub(crate) fn check_manifest_ack(&self, stage: u32, ack: &ManifestAck) -> NetResult<()> {
-        if ack.stage != stage {
-            return Err(NetError::Handshake {
-                detail: format!("stage {stage} acked manifest for {}", ack.stage),
-            });
-        }
-        let expect = self.manifest_for(stage).weight_hash;
-        if ack.weight_hash != expect {
-            return Err(NetError::Handshake {
-                detail: format!(
-                    "stage {stage} weight hash {:#x}, expected {expect:#x}",
-                    ack.weight_hash
-                ),
-            });
-        }
-        Ok(())
+        chaos_injector(seed, self.net_fault_rate, worker_rate)
     }
 }
 
@@ -245,7 +218,7 @@ pub struct NetReport {
     pub worker_reports: Vec<CounterReport>,
     /// The orchestrator's own counter report (host edges).
     pub host_report: CounterReport,
-    /// Worker↔worker frames relayed (ciphertext the host could not read).
+    /// Worker↔worker frames relayed as ciphertext, never opened here.
     pub relayed_frames: u64,
     /// Total retransmitted frames across all nodes.
     pub retransmits: u64,
@@ -298,6 +271,9 @@ pub(crate) struct StageLinks {
 
 pub(crate) struct Orchestrator {
     pub(crate) spec: NetPipelineSpec,
+    /// Per stage, the manifest every incarnation of it is admitted with —
+    /// at the start of the run and again on readmission.
+    pub(crate) manifests: Vec<ShardManifest>,
     pub(crate) edges: BTreeMap<WireEdge, EdgeCrypto>,
     /// Authoritative epoch of every edge in the deployment.
     pub(crate) edge_epochs: BTreeMap<WireEdge, u32>,
@@ -320,6 +296,7 @@ pub(crate) struct Orchestrator {
 impl Orchestrator {
     pub(crate) fn new(
         spec: &NetPipelineSpec,
+        supervision: Option<&SupervisedOptions>,
         control_slots: Vec<SenderSlot>,
         data_slots: Vec<SenderSlot>,
     ) -> Self {
@@ -340,6 +317,9 @@ impl Orchestrator {
         Orchestrator {
             chaos: spec.injector_for(HOST_NODE),
             spec: spec.clone(),
+            manifests: (0..spec.stages)
+                .map(|stage| spec.manifest_for(stage, supervision))
+                .collect(),
             edges,
             edge_epochs,
             control_slots,
@@ -354,6 +334,26 @@ impl Orchestrator {
             reconnects: 0,
             rekeys: 0,
         }
+    }
+
+    /// Checks `stage`'s reply to its manifest: it must name itself and
+    /// have hashed its shard's weights to the value the manifest carried.
+    pub(crate) fn check_manifest_ack(&self, stage: u32, ack: &ManifestAck) -> NetResult<()> {
+        if ack.stage != stage {
+            return Err(NetError::Handshake {
+                detail: format!("stage {stage} acked manifest for {}", ack.stage),
+            });
+        }
+        let expect = self.manifests[stage as usize].weight_hash;
+        if ack.weight_hash != expect {
+            return Err(NetError::Handshake {
+                detail: format!(
+                    "stage {stage} weight hash {:#x}, expected {expect:#x}",
+                    ack.weight_hash
+                ),
+            });
+        }
+        Ok(())
     }
 
     pub(crate) fn ingress_edge(&self) -> WireEdge {
@@ -393,7 +393,6 @@ impl Orchestrator {
             src: HOST_NODE,
             dst: 0,
             chaos: self.chaos.as_ref(),
-            policy: &self.spec.policy,
             slot: &self.data_slots[0],
             link: "data-0",
         };
@@ -454,6 +453,10 @@ impl Orchestrator {
                     let key = (frame.iteration, frame.micro_batch);
                     self.outstanding.remove(&key);
                     self.outputs.entry(key).or_insert(bytes);
+                    // The output proves stage 0 consumed the input, whose
+                    // ack races it on another connection: retire the input
+                    // now, so the ingress set never outgrows the window.
+                    self.ingress_tx.retire(key.0, key.1);
                 }
                 RxOutcome::Sentinel => {
                     self.sentinels += 1;
@@ -687,10 +690,8 @@ fn lifecycle(
 ) -> NetResult<(Vec<CounterReport>, AdmissionQueue)> {
     // --- Handshake (chaos cannot fire before Start: worker faults roll
     // only on fresh data frames) -----------------------------------------
-    for stage in 0..spec.stages {
-        for msg in spec.admission_msgs(stage) {
-            orch.control_send(stage, &msg)?;
-        }
+    for (stage, manifest) in (0..).zip(&orch.manifests) {
+        orch.control_send(stage, &Msg::Manifest(*manifest))?;
     }
     let deadline = Instant::now() + spec.op_timeout;
     let mut acked = vec![false; spec.stages as usize];
@@ -701,13 +702,13 @@ fn lifecycle(
                 waited: spec.op_timeout,
             });
         }
-        let Some((tag, event)) = next_event(events, spec.poll)? else {
+        let Some((tag, event)) = next_event(events, POLL_INTERVAL)? else {
             continue;
         };
         let stage = tag / 2;
         match event {
             PumpEvent::Frame(Msg::ManifestAck(ack)) => {
-                spec.check_manifest_ack(stage, &ack)?;
+                orch.check_manifest_ack(stage, &ack)?;
                 acked[stage as usize] = true;
             }
             PumpEvent::Frame(Msg::Hello(h)) if h.stage == stage => {}
@@ -764,7 +765,7 @@ fn lifecycle(
             });
         }
         orch.sweep(now, spec.resend_after)?;
-        if let Some((tag, event)) = next_event(events, spec.poll)? {
+        if let Some((tag, event)) = next_event(events, POLL_INTERVAL)? {
             last_activity = Instant::now();
             if let Some(report) = dispatch(orch, sup, tag, event)? {
                 return Err(NetError::Protocol {
@@ -799,7 +800,7 @@ fn lifecycle(
                     waited: spec.op_timeout,
                 });
             }
-            let Some((tag, event)) = next_event(events, spec.poll)? else {
+            let Some((tag, event)) = next_event(events, POLL_INTERVAL)? else {
                 continue;
             };
             if let Some(report) = dispatch(orch, sup, tag, event)? {
@@ -824,14 +825,14 @@ fn lifecycle(
     // duplicates are opened here and their updated Dones collected. ------
     let flush_deadline = Instant::now() + spec.op_timeout;
     let mut quiet_since = Instant::now();
-    while quiet_since.elapsed() < spec.quiet {
+    while quiet_since.elapsed() < QUIET_WINDOW {
         if Instant::now() > flush_deadline {
             return Err(NetError::Timeout {
                 op: "flush",
                 waited: spec.op_timeout,
             });
         }
-        if let Some((tag, event)) = next_event(events, spec.poll)? {
+        if let Some((tag, event)) = next_event(events, POLL_INTERVAL)? {
             if let Some(report) = dispatch(orch, sup, tag, event)? {
                 if let Some(slot) = worker_reports.iter_mut().find(|r| r.stage == report.stage) {
                     *slot = report;
@@ -929,8 +930,6 @@ pub(crate) fn drive(
                 receiver,
                 reattach,
                 slot.clone(),
-                spec.policy,
-                spec.poll,
                 events_tx.clone(),
             ));
             slots.push(slot);
@@ -938,7 +937,7 @@ pub(crate) fn drive(
     }
     drop(events_tx);
 
-    let mut orch = Orchestrator::new(spec, control_slots, data_slots);
+    let mut orch = Orchestrator::new(spec, supervision, control_slots, data_slots);
     let mut sup = supervision.map(|options| Supervision::new(spec, options, gens, spawner));
     let served = lifecycle(spec, supervision, &mut orch, &mut sup, &events);
     for pump in &pumps {
@@ -1044,18 +1043,18 @@ pub fn run_supervised_tcp_threads(
     deploy(spec, Wire::TcpThreads, Some(options))
 }
 
-/// Dials the two connections of `stage` against `addr` and identifies them
-/// (`Hello` rides later in the worker's own handshake; the transport-level
-/// identification here is what the acceptor routes on). `generation` is
-/// the incarnation the connections identify as — the acceptor rejects
-/// anything below the stage's current generation.
+/// Dials the two connections of `config`'s incarnation against `addr`
+/// within its deadline and identifies them (`Hello` rides later in the
+/// worker's own handshake; the transport-level identification here is
+/// what the acceptor routes on). The connections identify as the config's
+/// generation — the acceptor rejects anything below the stage's current
+/// generation.
 pub fn dial_worker_links(
     addr: std::net::SocketAddr,
-    stage: u32,
-    generation: u32,
-    timeout: Duration,
+    config: &WorkerConfig,
 ) -> NetResult<WorkerLinks> {
-    let deadline = Instant::now() + timeout;
+    let (stage, generation) = (config.stage, config.generation);
+    let deadline = Instant::now() + config.op_timeout;
     let control = loop {
         match TcpTransport::connect(addr, format!("tcp-ctl{stage}")) {
             Ok(t) => break t,
@@ -1109,45 +1108,28 @@ impl Crew {
         }
     }
 
-    /// The worker config of one incarnation: tuning-driven heartbeats and
-    /// hang duration (the default tuning without supervision), spec-driven
-    /// wire knobs. Chaos is armed only on the first incarnation —
-    /// replacements are the recovery path and run fault-free, the
-    /// escalation contract every retry loop in this codebase follows.
-    fn worker_config(&self, stage: u32, generation: u32) -> WorkerConfig {
-        let default = NetTuning::default();
-        let tuning = self.supervision.as_ref().map_or(&default, |o| &o.tuning);
-        let mut config = WorkerConfig::with_tuning(stage, tuning);
-        config.generation = generation;
-        config.policy = self.spec.policy;
-        config.poll = self.spec.poll;
-        config.op_timeout = self.spec.op_timeout;
-        config.quiet = self.spec.quiet;
-        config.resend_after = self.spec.resend_after;
-        if generation == 0 {
-            config.chaos = self.spec.injector_for(stage);
-        }
-        config
-    }
-
     /// Spawns incarnation `generation` of `stage` on a thread: `connect`
-    /// its links, then run the worker over them.
+    /// its links, then run the worker over them. Everything else the
+    /// worker needs arrives in its manifest.
     fn spawn(
         &self,
         stage: u32,
         generation: u32,
-        connect: impl FnOnce() -> NetResult<WorkerLinks> + Send + 'static,
+        connect: impl FnOnce(&WorkerConfig) -> NetResult<WorkerLinks> + Send + 'static,
     ) {
-        let config = self.worker_config(stage, generation);
-        let handle = std::thread::spawn(move || run_worker(connect()?, config));
+        let config = WorkerConfig {
+            stage,
+            generation,
+            op_timeout: self.spec.op_timeout,
+        };
+        let handle = std::thread::spawn(move || run_worker(connect(&config)?, config));
         self.lock_handles().push((stage, generation, handle));
     }
 
     /// An incarnation dialing `addr` over TCP.
     fn spawn_dialer(&self, addr: std::net::SocketAddr, stage: u32, generation: u32) {
-        let timeout = self.spec.op_timeout;
-        self.spawn(stage, generation, move || {
-            dial_worker_links(addr, stage, generation, timeout)
+        self.spawn(stage, generation, move |config| {
+            dial_worker_links(addr, config)
         });
     }
 
@@ -1178,7 +1160,7 @@ impl Crew {
                 admitted
             }),
         );
-        self.spawn(stage, generation, move || {
+        self.spawn(stage, generation, move |_| {
             Ok(WorkerLinks {
                 control: Box::new(ctl),
                 data: Box::new(data),
@@ -1500,6 +1482,54 @@ mod tests {
             "peak in flight {}",
             report.peak_in_flight
         );
+    }
+
+    #[test]
+    fn an_output_retires_its_input_before_the_ingress_ack_arrives() {
+        // Stage 0 acks its input on the control connection, the last stage
+        // sends the output on the data connection, and nothing orders the
+        // two: the output alone must free the ingress slot, and the late
+        // NACK or ack must find nothing to resend or drop.
+        let spec = NetPipelineSpec {
+            stages: 1,
+            layers: 1,
+            ..small_spec()
+        };
+        let slots = ["ctl", "data"].map(|label| {
+            let (near, far, _) = duplex_pair(label);
+            let slot = empty_slot();
+            install_sender(&slot, Box::new(near).split().unwrap().0);
+            (vec![slot], far)
+        });
+        let [(control, _ctl_far), (data, _data_far)] = slots;
+        let mut orch = Orchestrator::new(&spec, None, control, data);
+        orch.inject(0, 0).unwrap();
+        assert_eq!(orch.ingress_tx.in_flight(), 1);
+
+        let edge = WireEdge::between(0, HOST_NODE);
+        let mut stage = EdgeCrypto::new(spec.seed, edge, role_at(edge, 0));
+        let aad = DataFrame::bind_aad(0, HOST_NODE, 0, 0, 0, 3);
+        let output = DataFrame {
+            src: 0,
+            dst: HOST_NODE,
+            seq: 0,
+            epoch: 0,
+            iteration: 0,
+            micro_batch: 0,
+            sealed: stage.seal(&aad, b"out").unwrap().bytes,
+        };
+        orch.handle_data(0, output).unwrap();
+        assert_eq!(orch.outputs[&(0, 0)], b"out");
+        assert_eq!(orch.ingress_tx.in_flight(), 0, "input retired");
+
+        let ack = DataAck {
+            src: HOST_NODE,
+            dst: 0,
+            seq: 0,
+        };
+        orch.handle_ack(ack, true).unwrap();
+        orch.handle_ack(ack, false).unwrap();
+        assert_eq!((orch.ingress_tx.in_flight(), orch.retransmits), (0, 0));
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! ```text
 //! worker s                         orchestrator
 //!    | -- control: Hello{stage:s} ------> |   (version checked by framing)
-//!    | <------ Welcome{stages:N} -------- |
 //!    | -- data:   DataHello{stage:s} ---> |   (second connection)
 //!    | <------ Manifest{shard} ---------- |
 //!    | -- ManifestAck{weight_hash} -----> |   (hash must match)
@@ -18,12 +17,13 @@
 //!
 //! # Shard manifest
 //!
-//! The [`ShardManifest`] tells a worker everything it needs to stand up
-//! its stage: the layer range it owns, the expected weight hash for that
-//! shard ([`pipellm::partition::stage_weight_hash`]), the run geometry
-//! (micro-batches, iterations, activation size), and the cluster seed from
-//! which the worker derives — locally, never from the wire — its edge and
-//! host-channel key roots.
+//! The [`ShardManifest`] is the only way a worker learns a run's settings:
+//! its layer range and that shard's expected weight hash
+//! ([`pipellm::partition::stage_weight_hash`]), the run geometry, its
+//! resend threshold, heartbeat interval, hang duration and chaos plan, and
+//! the cluster seed it derives its edge and host-channel keys from. The
+//! seed travels in the clear, so whoever reads a control connection — the
+//! orchestrator included — can derive every key (ROADMAP.md item 2).
 //!
 //! Every encoder returns a complete frame ([`Msg::encode`]); every decoder
 //! consumes a complete frame ([`Msg::decode`]) and rejects anything
@@ -31,6 +31,8 @@
 
 use crate::error::{NetError, NetResult};
 use crate::frame::{decode_frame, encode_frame, Reader, Writer};
+use pipellm_chaos::{ChaosInjector, FaultPlan, RetryPolicy};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Protocol version spoken by this build; carried in every frame header.
@@ -38,8 +40,13 @@ use std::time::Duration;
 /// v2: [`Hello`] and [`Msg::DataHello`] carry the worker's admission
 /// generation, and the supervision messages ([`Msg::Heartbeat`],
 /// [`Msg::HeartbeatAck`], [`Msg::CheckpointReq`], [`Msg::CheckpointSave`],
-/// [`Msg::Restore`]) exist. v1 peers are rejected by the framing layer.
-pub const PROTO_VERSION: u8 = 2;
+/// [`Msg::Restore`]) exist.
+///
+/// v3: the [`ShardManifest`] carries the worker-side settings of the run
+/// (resend threshold, heartbeat interval, hang duration, the stage's chaos
+/// plan), and the `Welcome` that repeated its stage count is gone. Older
+/// peers are rejected by the framing layer.
+pub const PROTO_VERSION: u8 = 3;
 
 /// Node id of the orchestrator/host in `src`/`dst` fields and edge ids.
 pub const HOST_NODE: u32 = u32::MAX;
@@ -50,7 +57,9 @@ pub const HOST_NODE: u32 = u32::MAX;
 // Every heartbeat, deadline, retry and sweep interval of the networked
 // deployment is defined here — and only here (pipellm-lint PL008 rejects
 // magic `Duration` literals in the orchestrator/worker/supervisor modules).
-// [`NetTuning`] carries the resolved values and supports env overrides.
+// The ones a run may set are fields of `NetPipelineSpec` and
+// `SupervisedOptions`, defaulting to these constants; the orchestrator
+// pushes what a worker needs of them in its [`ShardManifest`].
 // ---------------------------------------------------------------------------
 
 /// Default interval between worker heartbeats on the control channel.
@@ -67,30 +76,29 @@ pub const DEAD_AFTER: Duration = Duration::from_millis(600);
 /// level-triggered resend sweep.
 pub const RESEND_AFTER: Duration = Duration::from_millis(300);
 
-/// Default event-loop poll interval for orchestrator and workers.
+/// Event-loop poll interval of the orchestrator, the workers and the pumps.
 pub const POLL_INTERVAL: Duration = Duration::from_millis(10);
 
 /// Default whole-operation deadline for handshake and drain phases.
 pub const OP_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Default quiet window a worker waits after its last send before
-/// reporting `Done` — absorbs straggler retransmits.
+/// Silence that declares a data plane drained, before a worker's `Done`
+/// and before the orchestrator's audit — absorbs straggler retransmits.
 pub const QUIET_WINDOW: Duration = Duration::from_millis(60);
 
 /// Default number of completed outputs between sealed checkpoint barriers.
 pub const CHECKPOINT_EVERY: u32 = 4;
 
-/// Default reconnect attempts before a transport link is declared dead.
-pub const WIRE_MAX_RETRIES: u32 = 4;
-
-/// Default base backoff of the reconnect retry schedule.
-pub const WIRE_BACKOFF_BASE: Duration = Duration::from_millis(5);
-
-/// Default backoff cap of the reconnect retry schedule.
-pub const WIRE_BACKOFF_CAP: Duration = Duration::from_millis(100);
-
-/// Default per-attempt timeout of one reconnect operation.
-pub const WIRE_OP_TIMEOUT: Duration = Duration::from_secs(2);
+/// Retry policy of every reconnect and retransmit escalation on the wire:
+/// unlike the chaos crate's microsecond-scale defaults (tuned for the
+/// simulated pipeline), real sockets need milliseconds of backoff.
+pub const WIRE_RETRY: RetryPolicy = RetryPolicy {
+    max_retries: 4,
+    base_backoff: Duration::from_millis(5),
+    max_backoff: Duration::from_millis(100),
+    jitter: 0.25,
+    op_timeout: Duration::from_secs(2),
+};
 
 /// Sleep between connect attempts while dialing the orchestrator.
 pub const DIAL_RETRY: Duration = Duration::from_millis(5);
@@ -101,107 +109,15 @@ pub const DIAL_RETRY: Duration = Duration::from_millis(5);
 /// plaintext held for retransmission, and keeps a resend sweep from
 /// retransmitting frames that are merely queued behind others.
 ///
-/// A constant, not a [`NetTuning`] field: a 2-to-4-stage pipeline holds a
+/// A constant, not a spec field: a 2-to-4-stage pipeline holds a
 /// handful of sessions per stage, so this is several times deeper than
 /// what keeps every stage busy, and nothing running today wants another
 /// value (the supervised benchmark workloads already ask for 32).
 pub const INGRESS_WINDOW: usize = 32;
 
-/// Every configurable timing knob of the networked deployment.
-///
-/// Defaults come from the module constants above; [`NetTuning::from_env`]
-/// overrides them from `PIPELLM_*` environment variables so a deployment
-/// can be retuned without a rebuild. [`NetTuning::from_lookup`] is the
-/// pure, testable core.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetTuning {
-    /// Retransmit sweep threshold (`PIPELLM_RESEND_AFTER_MS`).
-    pub resend_after: Duration,
-    /// Worker heartbeat interval (`PIPELLM_HEARTBEAT_MS`).
-    pub heartbeat_interval: Duration,
-    /// Supervisor suspicion deadline (`PIPELLM_SUSPECT_AFTER_MS`).
-    pub suspect_after: Duration,
-    /// Supervisor death deadline (`PIPELLM_DEAD_AFTER_MS`).
-    pub dead_after: Duration,
-    /// Event-loop poll interval (`PIPELLM_POLL_MS`).
-    pub poll_interval: Duration,
-    /// Handshake/drain deadline (`PIPELLM_OP_TIMEOUT_MS`).
-    pub op_timeout: Duration,
-    /// Worker pre-`Done` quiet window (`PIPELLM_QUIET_MS`).
-    pub quiet_window: Duration,
-    /// Outputs per checkpoint barrier (`PIPELLM_CHECKPOINT_EVERY`).
-    pub checkpoint_every: u32,
-    /// Reconnect attempts per link (`PIPELLM_MAX_RETRIES`).
-    pub max_retries: u32,
-    /// Reconnect backoff base (`PIPELLM_BACKOFF_BASE_MS`).
-    pub backoff_base: Duration,
-    /// Reconnect backoff cap (`PIPELLM_BACKOFF_CAP_MS`).
-    pub backoff_cap: Duration,
-    /// Per-reconnect-attempt timeout (`PIPELLM_WIRE_OP_TIMEOUT_MS`).
-    pub wire_op_timeout: Duration,
-}
-
-impl Default for NetTuning {
-    fn default() -> Self {
-        NetTuning {
-            resend_after: RESEND_AFTER,
-            heartbeat_interval: HEARTBEAT_INTERVAL,
-            suspect_after: SUSPECT_AFTER,
-            dead_after: DEAD_AFTER,
-            poll_interval: POLL_INTERVAL,
-            op_timeout: OP_TIMEOUT,
-            quiet_window: QUIET_WINDOW,
-            checkpoint_every: CHECKPOINT_EVERY,
-            max_retries: WIRE_MAX_RETRIES,
-            backoff_base: WIRE_BACKOFF_BASE,
-            backoff_cap: WIRE_BACKOFF_CAP,
-            wire_op_timeout: WIRE_OP_TIMEOUT,
-        }
-    }
-}
-
-impl NetTuning {
-    /// Resolves the tuning from process environment variables.
-    pub fn from_env() -> Self {
-        Self::from_lookup(|key| std::env::var(key).ok())
-    }
-
-    /// Resolves the tuning from an arbitrary key lookup — the pure core
-    /// of [`NetTuning::from_env`], so tests need not mutate the process
-    /// environment. Unset or unparsable keys keep their defaults.
-    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
-        let ms = |key: &str, default: Duration| -> Duration {
-            lookup(key)
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .map(Duration::from_millis)
-                .unwrap_or(default)
-        };
-        let count = |key: &str, default: u32| -> u32 {
-            lookup(key)
-                .and_then(|v| v.trim().parse::<u32>().ok())
-                .unwrap_or(default)
-        };
-        NetTuning {
-            resend_after: ms("PIPELLM_RESEND_AFTER_MS", RESEND_AFTER),
-            heartbeat_interval: ms("PIPELLM_HEARTBEAT_MS", HEARTBEAT_INTERVAL),
-            suspect_after: ms("PIPELLM_SUSPECT_AFTER_MS", SUSPECT_AFTER),
-            dead_after: ms("PIPELLM_DEAD_AFTER_MS", DEAD_AFTER),
-            poll_interval: ms("PIPELLM_POLL_MS", POLL_INTERVAL),
-            op_timeout: ms("PIPELLM_OP_TIMEOUT_MS", OP_TIMEOUT),
-            quiet_window: ms("PIPELLM_QUIET_MS", QUIET_WINDOW),
-            checkpoint_every: count("PIPELLM_CHECKPOINT_EVERY", CHECKPOINT_EVERY).max(1),
-            max_retries: count("PIPELLM_MAX_RETRIES", WIRE_MAX_RETRIES),
-            backoff_base: ms("PIPELLM_BACKOFF_BASE_MS", WIRE_BACKOFF_BASE),
-            backoff_cap: ms("PIPELLM_BACKOFF_CAP_MS", WIRE_BACKOFF_CAP),
-            wire_op_timeout: ms("PIPELLM_WIRE_OP_TIMEOUT_MS", WIRE_OP_TIMEOUT),
-        }
-    }
-}
-
 /// Frame kind bytes.
 mod kind {
     pub const HELLO: u8 = 0x01;
-    pub const WELCOME: u8 = 0x02;
     pub const MANIFEST: u8 = 0x03;
     pub const MANIFEST_ACK: u8 = 0x04;
     pub const START: u8 = 0x05;
@@ -235,15 +151,8 @@ pub struct Hello {
     pub generation: u32,
 }
 
-/// Orchestrator's reply to [`Hello`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Welcome {
-    /// Total pipeline stages in the deployment.
-    pub stages: u32,
-}
-
 /// The shard assignment: everything a worker needs to serve its stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardManifest {
     /// The stage this manifest is for.
     pub stage: u32,
@@ -264,24 +173,67 @@ pub struct ShardManifest {
     /// Iterations to run.
     pub iterations: u32,
     /// Cluster-wide key-derivation seed; per-edge and host-channel roots
-    /// are derived from it locally at each endpoint.
+    /// are derived from it at each endpoint. Sent in the clear.
     pub cluster_seed: u64,
+    /// Age at which the worker's resend sweep retransmits a frame; not 0.
+    pub resend_after: Duration,
+    /// Interval between the worker's control-channel heartbeats.
+    pub heartbeat_interval: Duration,
+    /// How long an injected [`pipellm_chaos::FaultKind::StageHang`] wedges
+    /// the worker: past the death deadline, so a hang is detected as one.
+    pub hang_for: Duration,
+    /// Seed of this stage's fault plan, already decorrelated per node.
+    pub chaos_seed: u64,
+    /// Fault rate at the stage's net link, in `[0, 1]`.
+    pub net_fault_rate: f64,
+    /// Per-fresh-frame probability the stage dies or hangs, in `[0, 1]`.
+    pub worker_fault_rate: f64,
 }
 
 impl ShardManifest {
-    fn validate(&self) -> NetResult<()> {
-        if self.stages == 0 || self.stage >= self.stages {
-            return Err(NetError::Malformed {
-                what: "manifest stage out of range",
-            });
-        }
-        if self.layer_start > self.layer_end || self.layer_end > self.layers {
-            return Err(NetError::Malformed {
-                what: "manifest layer range out of bounds",
-            });
-        }
-        Ok(())
+    /// Rejects a manifest no worker can serve. Its bytes come from
+    /// outside the worker, so every field the worker acts on is checked.
+    pub(crate) fn validate(&self) -> NetResult<()> {
+        let what = if self.stages == 0 || self.stage >= self.stages {
+            "manifest stage out of range"
+        } else if self.layer_start > self.layer_end || self.layer_end > self.layers {
+            "manifest layer range out of bounds"
+        } else if self.resend_after.is_zero() {
+            "manifest resend threshold is zero"
+        } else if ![self.net_fault_rate, self.worker_fault_rate]
+            .iter()
+            .all(|rate| (0.0..=1.0).contains(rate))
+        {
+            // NaN and the infinities fail the range test too.
+            "manifest fault rate not in [0, 1]"
+        } else {
+            return Ok(());
+        };
+        Err(NetError::Malformed { what })
     }
+}
+
+/// The fault injector of one node's chaos plan, or `None` when both rates
+/// are zero: what `NetPipelineSpec::injector_for` returns, and what each
+/// worker builds from the plan its manifest carries.
+pub fn chaos_injector(
+    seed: u64,
+    net_fault_rate: f64,
+    worker_fault_rate: f64,
+) -> Option<Arc<ChaosInjector>> {
+    if net_fault_rate <= 0.0 && worker_fault_rate <= 0.0 {
+        return None;
+    }
+    Some(Arc::new(ChaosInjector::new(
+        FaultPlan::new(seed)
+            .with_net_rate(net_fault_rate)
+            .with_stage_rate(worker_fault_rate),
+    )))
+}
+
+/// A duration on the wire: whole nanoseconds, saturating (at ~584 years).
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Worker's acknowledgement of its manifest, echoing the weight hash it
@@ -386,7 +338,7 @@ pub struct EdgeCounterEntry {
 
 /// A liveness beacon on the control channel, and its echo.
 ///
-/// Workers send one every [`NetTuning::heartbeat_interval`]; the
+/// Workers send one every [`ShardManifest::heartbeat_interval`]; the
 /// orchestrator echoes each as [`Msg::HeartbeatAck`]. Sequence numbers
 /// are monotone per worker incarnation, so a reordered or replayed
 /// beacon can never un-suspect a worker.
@@ -403,7 +355,7 @@ pub struct Heartbeat {
 /// Orchestrator-initiated checkpoint barrier.
 ///
 /// Broadcast when the contiguous prefix of completed outputs crosses a
-/// multiple of [`NetTuning::checkpoint_every`]. Workers advance their
+/// multiple of `SupervisedOptions::checkpoint_every`. Workers advance their
 /// watermark to `prefix` (a duplicate input below it is only acknowledged
 /// from then on), seal their recovery state, and reply with
 /// [`Msg::CheckpointSave`].
@@ -419,10 +371,11 @@ pub struct CheckpointReq {
 
 /// A worker's sealed recovery state for one barrier.
 ///
-/// The payload is AEAD-sealed under a key derived from the cluster seed —
-/// which the orchestrator never holds — so the supervisor stores and
-/// relays it without being able to read (or forge) the enclosed
-/// watermark and edge epochs — 64 bytes, no activations.
+/// The payload is AEAD-sealed under a key derived from the cluster seed,
+/// so the supervisor stores and relays it as an opaque blob — the
+/// watermark and edge epochs, 64 bytes, no activations. The seed rides
+/// every manifest in the clear, so the seal hides the state from no one
+/// who read a manifest, the orchestrator included (ROADMAP.md item 2).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointSave {
     /// The checkpointing stage.
@@ -464,12 +417,10 @@ pub struct CounterReport {
 }
 
 /// Every message in the protocol.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
     /// Control-channel greeting.
     Hello(Hello),
-    /// Greeting reply.
-    Welcome(Welcome),
     /// Shard assignment.
     Manifest(ShardManifest),
     /// Shard acknowledgement.
@@ -518,7 +469,6 @@ impl Msg {
     fn kind(&self) -> u8 {
         match self {
             Msg::Hello(_) => kind::HELLO,
-            Msg::Welcome(_) => kind::WELCOME,
             Msg::Manifest(_) => kind::MANIFEST,
             Msg::ManifestAck(_) => kind::MANIFEST_ACK,
             Msg::Start => kind::START,
@@ -551,7 +501,6 @@ impl Msg {
                 w.u32(h.stage);
                 w.u32(h.generation);
             }
-            Msg::Welcome(wl) => w.u32(wl.stages),
             Msg::Manifest(m) => {
                 w.u32(m.stage);
                 w.u32(m.stages);
@@ -563,6 +512,12 @@ impl Msg {
                 w.u32(m.micro_batches);
                 w.u32(m.iterations);
                 w.u64(m.cluster_seed);
+                w.u64(nanos(m.resend_after));
+                w.u64(nanos(m.heartbeat_interval));
+                w.u64(nanos(m.hang_for));
+                w.u64(m.chaos_seed);
+                w.u64(m.net_fault_rate.to_bits());
+                w.u64(m.worker_fault_rate.to_bits());
             }
             Msg::ManifestAck(a) => {
                 w.u32(a.stage);
@@ -645,15 +600,6 @@ impl Msg {
                 stage: r.u32()?,
                 generation: r.u32()?,
             }),
-            kind::WELCOME => {
-                let stages = r.u32()?;
-                if stages == 0 {
-                    return Err(NetError::Malformed {
-                        what: "welcome with zero stages",
-                    });
-                }
-                Msg::Welcome(Welcome { stages })
-            }
             kind::MANIFEST => {
                 let m = ShardManifest {
                     stage: r.u32()?,
@@ -666,6 +612,12 @@ impl Msg {
                     micro_batches: r.u32()?,
                     iterations: r.u32()?,
                     cluster_seed: r.u64()?,
+                    resend_after: Duration::from_nanos(r.u64()?),
+                    heartbeat_interval: Duration::from_nanos(r.u64()?),
+                    hang_for: Duration::from_nanos(r.u64()?),
+                    chaos_seed: r.u64()?,
+                    net_fault_rate: f64::from_bits(r.u64()?),
+                    worker_fault_rate: f64::from_bits(r.u64()?),
                 };
                 m.validate()?;
                 Msg::Manifest(m)
@@ -776,6 +728,10 @@ impl Msg {
 mod tests {
     use super::*;
 
+    fn manifest() -> ShardManifest {
+        crate::NetPipelineSpec::default().manifest_for(1, None)
+    }
+
     fn roundtrip(msg: Msg) {
         let frame = msg.encode().unwrap();
         assert_eq!(Msg::decode(&frame).unwrap(), msg);
@@ -787,19 +743,7 @@ mod tests {
             stage: 3,
             generation: 2,
         }));
-        roundtrip(Msg::Welcome(Welcome { stages: 4 }));
-        roundtrip(Msg::Manifest(ShardManifest {
-            stage: 1,
-            stages: 4,
-            layers: 16,
-            layer_start: 4,
-            layer_end: 8,
-            weight_hash: 0xDEAD_BEEF,
-            activation_bytes: 256 * 1024,
-            micro_batches: 4,
-            iterations: 3,
-            cluster_seed: 0x51ce,
-        }));
+        roundtrip(Msg::Manifest(manifest()));
         roundtrip(Msg::ManifestAck(ManifestAck {
             stage: 1,
             weight_hash: 0xDEAD_BEEF,
@@ -878,15 +822,7 @@ mod tests {
     fn invalid_manifest_geometry_rejects() {
         let mut m = ShardManifest {
             stage: 4,
-            stages: 4,
-            layers: 16,
-            layer_start: 0,
-            layer_end: 4,
-            weight_hash: 0,
-            activation_bytes: 1,
-            micro_batches: 1,
-            iterations: 1,
-            cluster_seed: 0,
+            ..manifest()
         };
         // stage >= stages: encode succeeds (pure data) but decode rejects.
         let frame = Msg::Manifest(m).encode().unwrap();
@@ -931,33 +867,5 @@ mod tests {
             Msg::decode(&frame),
             Err(NetError::TrailingBytes { extra: 1 })
         ));
-    }
-
-    #[test]
-    fn tuning_defaults_match_the_module_constants() {
-        let t = NetTuning::from_lookup(|_| None);
-        assert_eq!(t, NetTuning::default());
-        assert_eq!(t.resend_after, RESEND_AFTER);
-        assert_eq!(t.heartbeat_interval, HEARTBEAT_INTERVAL);
-        assert!(t.suspect_after < t.dead_after);
-    }
-
-    #[test]
-    fn tuning_lookup_overrides_and_ignores_garbage() {
-        let t = NetTuning::from_lookup(|key| match key {
-            "PIPELLM_RESEND_AFTER_MS" => Some("75".to_string()),
-            "PIPELLM_HEARTBEAT_MS" => Some(" 20 ".to_string()),
-            "PIPELLM_DEAD_AFTER_MS" => Some("not-a-number".to_string()),
-            "PIPELLM_CHECKPOINT_EVERY" => Some("0".to_string()),
-            "PIPELLM_MAX_RETRIES" => Some("9".to_string()),
-            _ => None,
-        });
-        assert_eq!(t.resend_after, Duration::from_millis(75));
-        assert_eq!(t.heartbeat_interval, Duration::from_millis(20));
-        // Unparsable values keep the default.
-        assert_eq!(t.dead_after, DEAD_AFTER);
-        // A zero barrier stride would never checkpoint; clamped to 1.
-        assert_eq!(t.checkpoint_every, 1);
-        assert_eq!(t.max_retries, 9);
     }
 }

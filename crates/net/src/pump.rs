@@ -4,7 +4,7 @@
 //! decodes frames into [`Msg`]s, and feeds them to the owning event loop
 //! through an `mpsc` channel. When the connection dies the pump runs the
 //! bounded reconnect path: it reports [`PumpEvent::Down`], drives the
-//! link's [`Reattach`] provider under the wire [`RetryPolicy`] (per-attempt
+//! link's [`Reattach`] provider under [`WIRE_RETRY`] (per-attempt
 //! timeout, exponential deterministically-jittered backoff), installs the
 //! fresh sender half into the link's [`SenderSlot`], and reports
 //! [`PumpEvent::Up`]. A link with no provider — or one whose retry budget
@@ -17,9 +17,8 @@
 
 use crate::error::{NetError, NetResult};
 use crate::link::{install_sender, SenderSlot};
-use crate::proto::Msg;
+use crate::proto::{Msg, POLL_INTERVAL, WIRE_RETRY};
 use crate::transport::{FrameReceiver, Reattach};
-use pipellm_chaos::RetryPolicy;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -67,20 +66,17 @@ impl Pump {
     /// Spawns a pump over `receiver`. `reattach` enables the reconnect
     /// path; `slot` is where reconnected sender halves are installed.
     /// Events arrive on `events` tagged with `tag`.
-    #[allow(clippy::too_many_arguments)]
     pub fn spawn(
         tag: u32,
         receiver: Box<dyn FrameReceiver>,
         reattach: Option<Box<dyn Reattach>>,
         slot: SenderSlot,
-        policy: RetryPolicy,
-        poll: Duration,
         events: mpsc::Sender<(u32, PumpEvent)>,
     ) -> Pump {
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
-            pump_loop(tag, receiver, reattach, slot, policy, poll, events, &flag);
+            pump_loop(tag, receiver, reattach, slot, events, &flag);
         });
         Pump {
             stop,
@@ -103,14 +99,11 @@ impl Drop for Pump {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn pump_loop(
     tag: u32,
     mut receiver: Box<dyn FrameReceiver>,
     mut reattach: Option<Box<dyn Reattach>>,
     slot: SenderSlot,
-    policy: RetryPolicy,
-    poll: Duration,
     events: mpsc::Sender<(u32, PumpEvent)>,
     stop: &AtomicBool,
 ) {
@@ -121,7 +114,7 @@ fn pump_loop(
         if stop.load(Ordering::Relaxed) {
             return;
         }
-        match receiver.recv_frame(poll) {
+        match receiver.recv_frame(POLL_INTERVAL) {
             Ok(frame) => match Msg::decode(&frame) {
                 Ok(msg) => {
                     (failures, frameless) = (0, false);
@@ -148,14 +141,7 @@ fn pump_loop(
                 if events.send((tag, PumpEvent::Down)).is_err() {
                     return;
                 }
-                match reconnect(
-                    provider.as_mut(),
-                    &policy,
-                    tag,
-                    stop,
-                    &mut failures,
-                    frameless,
-                ) {
+                match reconnect(provider.as_mut(), tag, stop, &mut failures, frameless) {
                     Ok(transport) => match transport.split() {
                         Ok((sender, new_receiver)) => {
                             install_sender(&slot, sender);
@@ -184,14 +170,13 @@ fn pump_loop(
     }
 }
 
-/// Bounded reconnect: one initial attempt plus `policy.max_retries`
-/// retries, each bounded by `policy.op_timeout`, with the policy's
+/// Bounded reconnect: one initial attempt plus [`WIRE_RETRY`]'s
+/// `max_retries` retries, each bounded by its `op_timeout`, with its
 /// deterministic jittered backoff between attempts. `failures` is the
 /// budget spent since a frame was last delivered; `failed` charges the
 /// previous attachment's frameless death like a dial that failed.
 fn reconnect(
     provider: &mut dyn Reattach,
-    policy: &RetryPolicy,
     tag: u32,
     stop: &AtomicBool,
     failures: &mut u32,
@@ -204,16 +189,16 @@ fn reconnect(
             });
         }
         if failed {
-            if !policy.allows(*failures) {
+            if !WIRE_RETRY.allows(*failures) {
                 return Err(NetError::RetriesExhausted {
                     op: "reattach",
                     attempts: *failures + 1,
                 });
             }
-            std::thread::sleep(policy.backoff_after(*failures, u64::from(tag)));
+            std::thread::sleep(WIRE_RETRY.backoff_after(*failures, u64::from(tag)));
             *failures += 1;
         }
-        match provider.reattach(policy.op_timeout) {
+        match provider.reattach(WIRE_RETRY.op_timeout) {
             Ok(t) => return Ok(t),
             Err(_) => failed = true,
         }
@@ -242,13 +227,7 @@ mod tests {
 
     #[test]
     fn attachments_that_die_frameless_spend_the_retry_budget() {
-        let policy = RetryPolicy {
-            max_retries: 3,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(2),
-            jitter: 0.0,
-            op_timeout: Duration::from_secs(1),
-        };
+        let dials_allowed = WIRE_RETRY.max_retries + 1;
         let dials = Arc::new(AtomicU32::new(0));
         let (first, _peer, core) = duplex_pair("first");
         core.kill();
@@ -259,8 +238,6 @@ mod tests {
             receiver,
             Some(Box::new(DeadOnArrival(Arc::clone(&dials)))),
             empty_slot(),
-            policy,
-            Duration::from_millis(5),
             events_tx,
         );
         let mut ups = 0;
@@ -268,7 +245,7 @@ mod tests {
             match events.recv_timeout(Duration::from_secs(30)) {
                 Ok((7, PumpEvent::Up)) => {
                     ups += 1;
-                    assert!(ups <= policy.max_retries + 1, "redial busy-loop");
+                    assert!(ups <= dials_allowed, "redial busy-loop");
                 }
                 Ok((7, PumpEvent::Down)) => {}
                 Ok((7, PumpEvent::Dead(e))) => break e,
@@ -276,10 +253,10 @@ mod tests {
             }
         };
         assert!(
-            matches!(dead, NetError::RetriesExhausted { attempts: 4, .. }),
+            matches!(dead, NetError::RetriesExhausted { attempts, .. } if attempts == dials_allowed),
             "{dead}"
         );
-        assert_eq!(dials.load(Ordering::SeqCst), policy.max_retries + 1);
-        assert_eq!(ups, policy.max_retries + 1, "each dial itself succeeded");
+        assert_eq!(dials.load(Ordering::SeqCst), dials_allowed);
+        assert_eq!(ups, dials_allowed, "each dial itself succeeded");
     }
 }

@@ -19,10 +19,10 @@
 //!    incarnation is spawned (or, in the multi-process deployment, an
 //!    external respawn loop re-dials at the next generation);
 //! 3. the replacement is re-admitted through the normal handshake
-//!    (welcome → manifest → ack) and handed the latest AEAD-sealed
+//!    (manifest → ack) and handed the latest AEAD-sealed
 //!    checkpoint the dead incarnation shipped (watermark and edge epochs,
-//!    no activations) — the orchestrator relays the blob *without being
-//!    able to read it* (its keys derive from the workers' cluster seed);
+//!    no activations) — the orchestrator relays the blob without opening
+//!    it;
 //! 4. every adjacent edge is force-rekeyed — epoch bumped, IV counters
 //!    reset to 1 — so no counter the dead incarnation burned is ever
 //!    reused;
@@ -40,7 +40,10 @@
 use crate::error::{NetError, NetResult};
 use crate::link::kill_slot;
 use crate::orchestrator::{NetPipelineSpec, NetReport, Orchestrator};
-use crate::proto::{CheckpointReq, CounterReport, Msg, NetTuning, Restore};
+use crate::proto::{
+    CheckpointReq, CounterReport, Msg, Restore, CHECKPOINT_EVERY, DEAD_AFTER, HEARTBEAT_INTERVAL,
+    SUSPECT_AFTER,
+};
 use crate::pump::PumpEvent;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -84,12 +87,18 @@ pub struct SupervisionStats {
     pub backpressure_events: u64,
 }
 
-/// Knobs of a supervised run, on top of the [`NetPipelineSpec`].
-#[derive(Debug, Clone, Default)]
+/// Knobs of a supervised run, on top of the [`NetPipelineSpec`]; workers get
+/// theirs (heartbeat interval, a hang of 2 × `dead_after`) in the manifest.
+#[derive(Debug, Clone)]
 pub struct SupervisedOptions {
-    /// Timing tuning (heartbeat interval, suspicion/death deadlines,
-    /// checkpoint cadence); env-overridable via [`NetTuning::from_env`].
-    pub tuning: NetTuning,
+    /// Interval between worker heartbeats.
+    pub heartbeat_interval: Duration,
+    /// Silence after which a worker is suspected.
+    pub suspect_after: Duration,
+    /// Silence after which a worker is declared dead and failed over.
+    pub dead_after: Duration,
+    /// Committed outputs between checkpoint barriers (0 is taken as 1).
+    pub checkpoint_every: u32,
     /// Max sessions in flight at once; `None` is the deployment's
     /// [`crate::proto::INGRESS_WINDOW`].
     pub admission_window: Option<usize>,
@@ -100,6 +109,20 @@ pub struct SupervisedOptions {
     /// drain mode (shed everything still queued, finish what is in
     /// flight); `None` serves the full load.
     pub drain_after: Option<u64>,
+}
+
+impl Default for SupervisedOptions {
+    fn default() -> Self {
+        SupervisedOptions {
+            heartbeat_interval: HEARTBEAT_INTERVAL,
+            suspect_after: SUSPECT_AFTER,
+            dead_after: DEAD_AFTER,
+            checkpoint_every: CHECKPOINT_EVERY,
+            admission_window: None,
+            admission_deadline: None,
+            drain_after: None,
+        }
+    }
 }
 
 /// Verdict on one received heartbeat.
@@ -143,11 +166,11 @@ pub struct Supervisor {
 
 impl Supervisor {
     /// A supervisor for `stages` workers, all healthy as of `now`, at
-    /// generation 0, under `tuning`'s deadlines.
-    pub fn new(stages: u32, tuning: &NetTuning, now: Instant) -> Self {
+    /// generation 0, under `options`' deadlines.
+    pub fn new(stages: u32, options: &SupervisedOptions, now: Instant) -> Self {
         Supervisor {
-            suspect_after: tuning.suspect_after,
-            dead_after: tuning.dead_after,
+            suspect_after: options.suspect_after,
+            dead_after: options.dead_after,
             states: (0..stages)
                 .map(|_| StageState {
                     health: WorkerHealth::Healthy,
@@ -435,7 +458,7 @@ impl Supervision {
         spawner: Option<Spawner>,
     ) -> Self {
         Supervision {
-            supervisor: Supervisor::new(spec.stages, &options.tuning, Instant::now()),
+            supervisor: Supervisor::new(spec.stages, options, Instant::now()),
             stats: SupervisionStats::default(),
             restores: vec![
                 Msg::Restore(Restore {
@@ -447,7 +470,7 @@ impl Supervision {
             gens,
             failing: vec![false; spec.stages as usize],
             spawner,
-            checkpoint_every: u64::from(options.tuning.checkpoint_every.max(1)),
+            checkpoint_every: u64::from(options.checkpoint_every.max(1)),
             prefix: 0,
             barriers_done: 0,
         }
@@ -530,10 +553,9 @@ impl Supervision {
                         detail: format!("unexpected ManifestAck from live stage {stage}"),
                     });
                 }
-                orch.spec.check_manifest_ack(stage, &ack)?;
+                orch.check_manifest_ack(stage, &ack)?;
                 // Relay the latest sealed checkpoint — or an empty restore
-                // meaning "serve from scratch". The blob is opaque here;
-                // only the worker holds the key that opens it.
+                // meaning "serve from scratch" — as an opaque blob.
                 orch.control_send_lossy(stage, &self.restores[stage as usize])?;
                 self.stats.restores_sent += 1;
                 self.supervisor.note_manifest_acked(stage);
@@ -558,9 +580,8 @@ impl Supervision {
                         let cell = self.gens[stage as usize].load(Ordering::SeqCst);
                         self.supervisor.adopt_generation(stage, cell);
                         self.supervisor.note_control_up(stage);
-                        for msg in orch.spec.admission_msgs(stage) {
-                            orch.control_send_lossy(stage, &msg)?;
-                        }
+                        let manifest = Msg::Manifest(orch.manifests[stage as usize]);
+                        orch.control_send_lossy(stage, &manifest)?;
                     } else {
                         self.supervisor.note_data_up(stage);
                     }
@@ -659,13 +680,13 @@ mod tests {
     use super::*;
     use crate::orchestrator::{deploy, Wire};
 
-    fn tight_tuning() -> NetTuning {
-        NetTuning {
+    fn tight() -> SupervisedOptions {
+        SupervisedOptions {
             heartbeat_interval: Duration::from_millis(10),
             suspect_after: Duration::from_millis(60),
             dead_after: Duration::from_millis(150),
             checkpoint_every: 2,
-            ..NetTuning::default()
+            ..SupervisedOptions::default()
         }
     }
 
@@ -757,7 +778,7 @@ mod tests {
     #[test]
     fn heartbeats_must_be_monotone_and_current_generation() {
         let base = Instant::now();
-        let mut sup = Supervisor::new(2, &tight_tuning(), base);
+        let mut sup = Supervisor::new(2, &tight(), base);
         assert_eq!(sup.heartbeat(0, 0, 1, base), BeatVerdict::Accepted);
         assert_eq!(sup.heartbeat(0, 0, 1, base), BeatVerdict::Stale, "replay");
         assert_eq!(sup.heartbeat(0, 0, 2, base), BeatVerdict::Accepted);
@@ -777,21 +798,21 @@ mod tests {
 
     #[test]
     fn silence_crosses_suspicion_then_death_exactly_once() {
-        let tuning = tight_tuning();
+        let options = tight();
         let base = Instant::now();
-        let mut sup = Supervisor::new(2, &tuning, base);
+        let mut sup = Supervisor::new(2, &options, base);
         assert!(sup
             .tick(base + Duration::from_millis(10))
             .suspected
             .is_empty());
-        let t1 = base + tuning.suspect_after + Duration::from_millis(1);
+        let t1 = base + options.suspect_after + Duration::from_millis(1);
         assert_eq!(sup.tick(t1).suspected, vec![0, 1]);
         assert_eq!(sup.health(0), WorkerHealth::Suspected);
         assert!(sup.tick(t1).suspected.is_empty(), "reported once");
         // Stage 1 shows life and recovers; stage 0 stays silent and dies.
         sup.heard(1, t1);
         assert_eq!(sup.health(1), WorkerHealth::Healthy);
-        let t2 = base + tuning.dead_after + Duration::from_millis(1);
+        let t2 = base + options.dead_after + Duration::from_millis(1);
         let ticked = sup.tick(t2);
         assert_eq!(ticked.dead, vec![0]);
         assert_eq!(sup.health(0), WorkerHealth::Dead);
@@ -805,7 +826,7 @@ mod tests {
     #[test]
     fn readmission_requires_all_three_steps() {
         let base = Instant::now();
-        let mut sup = Supervisor::new(1, &tight_tuning(), base);
+        let mut sup = Supervisor::new(1, &tight(), base);
         sup.begin_failover(0, 1, base);
         assert_eq!(sup.generation(0), 1);
         assert!(!sup.ready_to_restart(0));
@@ -823,11 +844,7 @@ mod tests {
     #[test]
     fn faultless_supervised_duplex_matches_reference() {
         let spec = small_spec();
-        let options = SupervisedOptions {
-            tuning: tight_tuning(),
-            ..SupervisedOptions::default()
-        };
-        let report = deploy(&spec, Wire::Duplex, Some(&options)).expect("faultless run");
+        let report = deploy(&spec, Wire::Duplex, Some(&tight())).expect("faultless run");
         assert_eq!(report.net.outputs, spec.expected_outputs());
         assert_eq!(report.stats.failovers, 0);
         assert_eq!(report.stats.detections, 0);
@@ -845,11 +862,7 @@ mod tests {
             iterations: 3,
             ..small_spec()
         };
-        let options = SupervisedOptions {
-            tuning: tight_tuning(),
-            ..SupervisedOptions::default()
-        };
-        let report = deploy(&spec, Wire::Duplex, Some(&options)).expect("supervised chaos run");
+        let report = deploy(&spec, Wire::Duplex, Some(&tight())).expect("supervised chaos run");
         assert_eq!(
             report.net.outputs,
             spec.expected_outputs(),
@@ -871,10 +884,9 @@ mod tests {
             ..small_spec()
         };
         let options = SupervisedOptions {
-            tuning: tight_tuning(),
             admission_window: Some(2),
             drain_after: Some(3),
-            ..SupervisedOptions::default()
+            ..tight()
         };
         let report = deploy(&spec, Wire::Duplex, Some(&options)).expect("drained run");
         let expected = spec.expected_outputs();

@@ -4,14 +4,16 @@
 //! to the orchestrator — a reliable control link (handshake, acks, rekeys,
 //! lifecycle) and a chaos-exposed data link (sealed activation frames) —
 //! and never talks to another worker directly: inter-stage frames are
-//! relayed by the orchestrator, which cannot read them because each edge's
-//! keys are derived end-to-end from the cluster seed.
+//! relayed by the orchestrator as ciphertext, sealed under edge keys both
+//! ends derive from the cluster seed.
 //!
 //! Lifecycle, in lockstep with the orchestrator's script:
 //!
 //! 1. `Hello{stage}` on control, `DataHello{stage}` on data;
-//! 2. wait `Welcome{stages}`, then the `ShardManifest`; verify the shard's
-//!    weight hash locally and reply `ManifestAck`;
+//! 2. wait for the `ShardManifest` — the only source of the run's
+//!    settings (resend threshold, heartbeat interval, hang duration, chaos
+//!    plan); verify the shard's weight hash locally and reply
+//!    `ManifestAck`;
 //! 3. derive the in/out edge crypto from the manifest's cluster seed (the
 //!    same roots the in-process `pipellm_gpu::cluster::ClusterContext`
 //!    derives);
@@ -23,9 +25,10 @@
 //!
 //! Failure handling: a NACK retransmits one frame at a fresh IV; a dropped
 //! data connection is reattached by the pump under the bounded
-//! [`RetryPolicy`], after which the worker announces `LinkRestored` and
-//! the orchestrator rekeys every adjacent edge — fresh keys, IV counters
-//! back to 1 — before unacked frames are retransmitted in order.
+//! [`crate::proto::WIRE_RETRY`], after which the worker announces
+//! `LinkRestored` and the orchestrator rekeys every adjacent edge — fresh
+//! keys, IV counters back to 1 — before unacked frames are retransmitted
+//! in order.
 //!
 //! Recovery is by recomputation: the only plaintext a worker holds is the
 //! out edge's unacknowledged frames ([`LinkTx`]). Of the work it did it
@@ -46,13 +49,14 @@ use crate::link::{
     LinkTx, RxOutcome, SenderSlot, WireEdge,
 };
 use crate::proto::{
-    CheckpointReq, CheckpointSave, CounterReport, DataAck, DataFrame, EdgeCounterEntry, Heartbeat,
-    Hello, ManifestAck, Msg, NetTuning, RekeyEdge, Restore, ShardManifest, HOST_NODE,
+    chaos_injector, CheckpointReq, CheckpointSave, CounterReport, DataAck, DataFrame,
+    EdgeCounterEntry, Heartbeat, Hello, ManifestAck, Msg, RekeyEdge, Restore, ShardManifest,
+    HOST_NODE, OP_TIMEOUT, POLL_INTERVAL, QUIET_WINDOW,
 };
 use crate::pump::{next_event, Pump, PumpEvent};
 use crate::transport::{Reattach, Transport};
 use pipellm::partition::{apply_stage, stage_weight_hash};
-use pipellm_chaos::{ChaosInjector, FaultKind, RetryPolicy};
+use pipellm_chaos::{ChaosInjector, FaultKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -62,79 +66,28 @@ const CONTROL: u32 = 0;
 /// Pump tag of the data link.
 const DATA: u32 = 1;
 
-/// Backoff jitter fraction of the wire retry policy.
-const WIRE_JITTER: f64 = 0.25;
-
-/// Wire-scale retry policy: the chaos crate's defaults are tuned for the
-/// microsecond-scale simulated pipeline; real sockets need milliseconds of
-/// backoff and seconds of per-operation patience. Every knob comes from
-/// [`NetTuning`] (env-overridable); this is the default tuning's policy.
-pub fn wire_retry_policy() -> RetryPolicy {
-    wire_policy(&NetTuning::default())
-}
-
-/// The wire retry policy under an explicit tuning.
-pub fn wire_policy(tuning: &NetTuning) -> RetryPolicy {
-    RetryPolicy {
-        max_retries: tuning.max_retries,
-        base_backoff: tuning.backoff_base,
-        max_backoff: tuning.backoff_cap,
-        jitter: WIRE_JITTER,
-        op_timeout: tuning.wire_op_timeout,
-    }
-}
-
-/// Tuning knobs of one worker.
-#[derive(Clone)]
+/// What a worker knows before its manifest arrives; everything else about
+/// the run it learns from the [`ShardManifest`].
+#[derive(Debug, Clone, Copy)]
 pub struct WorkerConfig {
     /// The stage this worker serves.
     pub stage: u32,
     /// Admission generation of this incarnation (0 for the first; the
-    /// supervisor bumps it on every failover).
+    /// supervisor bumps it on every failover). Only generation 0 arms the
+    /// manifest's chaos plan: a replacement is the recovery path and runs
+    /// fault-free, the escalation contract every retry loop here follows.
     pub generation: u32,
-    /// Wire-scale retry policy for reconnects and retransmit escalation.
-    pub policy: RetryPolicy,
-    /// Receive-poll granularity of the pumps and the event loop.
-    pub poll: Duration,
     /// Deadline for the handshake, the drain, and idle waits.
     pub op_timeout: Duration,
-    /// Silence window that declares the data plane drained at `Finish`.
-    pub quiet: Duration,
-    /// Age at which an unacknowledged frame is retransmitted by the
-    /// level-triggered sweep (covers losses no NACK or rekey reports).
-    pub resend_after: Duration,
-    /// Interval between control-channel heartbeats; `None` disables them
-    /// (scripted tests that assert exact control traffic).
-    pub heartbeat: Option<Duration>,
-    /// How long an injected [`FaultKind::StageHang`] wedges the worker
-    /// before it dies; sized past the supervisor's death deadline so a
-    /// hang is always detected as a death.
-    pub hang_for: Duration,
-    /// Fault injector for the data send path
-    /// ([`pipellm_chaos::FaultSite::NetLink`]) and the worker-process
-    /// kill/hang path ([`pipellm_chaos::FaultSite::WorkerProcess`]).
-    pub chaos: Option<Arc<ChaosInjector>>,
 }
 
 impl WorkerConfig {
-    /// Chaos-free defaults for `stage` under the default [`NetTuning`].
+    /// The first incarnation of `stage` at the default deadline.
     pub fn new(stage: u32) -> Self {
-        Self::with_tuning(stage, &NetTuning::default())
-    }
-
-    /// Chaos-free defaults for `stage` under an explicit tuning.
-    pub fn with_tuning(stage: u32, tuning: &NetTuning) -> Self {
         WorkerConfig {
             stage,
             generation: 0,
-            policy: wire_policy(tuning),
-            poll: tuning.poll_interval,
-            op_timeout: tuning.op_timeout,
-            quiet: tuning.quiet_window,
-            resend_after: tuning.resend_after,
-            heartbeat: Some(tuning.heartbeat_interval),
-            hang_for: tuning.dead_after * 2,
-            chaos: None,
+            op_timeout: OP_TIMEOUT,
         }
     }
 }
@@ -153,9 +106,8 @@ pub struct WorkerLinks {
 struct Worker {
     stage: u32,
     generation: u32,
-    layers: std::ops::Range<u32>,
-    micro_batches: u32,
-    cluster_seed: u64,
+    /// Everything the orchestrator told this worker about the run.
+    manifest: ShardManifest,
     in_peer: u32,
     out_peer: u32,
     in_edge: WireEdge,
@@ -174,7 +126,6 @@ struct Worker {
     barrier: u64,
     control_slot: SenderSlot,
     data_slot: SenderSlot,
-    policy: RetryPolicy,
     chaos: Option<Arc<ChaosInjector>>,
     heartbeat_seq: u64,
     last_heartbeat: Instant,
@@ -210,9 +161,7 @@ impl Worker {
         Worker {
             stage,
             generation: config.generation,
-            layers: manifest.layer_start..manifest.layer_end,
-            micro_batches: manifest.micro_batches,
-            cluster_seed: manifest.cluster_seed,
+            manifest: *manifest,
             in_peer,
             out_peer,
             in_edge,
@@ -224,8 +173,12 @@ impl Worker {
             barrier: 0,
             control_slot,
             data_slot,
-            policy: config.policy,
-            chaos: config.chaos.clone(),
+            chaos: chaos_injector(
+                manifest.chaos_seed,
+                manifest.net_fault_rate,
+                manifest.worker_fault_rate,
+            )
+            .filter(|_| config.generation == 0),
             heartbeat_seq: 0,
             last_heartbeat: Instant::now(),
             retransmits: 0,
@@ -237,7 +190,7 @@ impl Worker {
     /// Whether this incarnation still owes `(iteration, micro_batch)` its
     /// first computation: not committed, and not processed here.
     fn is_fresh(&self, iteration: u32, micro_batch: u32) -> bool {
-        let index = global_index(iteration, micro_batch, self.micro_batches);
+        let index = global_index(iteration, micro_batch, self.manifest.micro_batches);
         index >= self.watermark && !self.processed.contains(&index)
     }
 
@@ -249,7 +202,7 @@ impl Worker {
     /// checkpoint only skips committed work.
     fn apply_restore(&mut self, restore: &Restore) -> bool {
         let Ok(state) = open_checkpoint(
-            self.cluster_seed,
+            self.manifest.cluster_seed,
             self.stage,
             restore.barrier,
             &restore.sealed,
@@ -297,7 +250,7 @@ impl Worker {
                 })
                 .collect(),
         };
-        let sealed = seal_checkpoint(self.cluster_seed, &state)?;
+        let sealed = seal_checkpoint(self.manifest.cluster_seed, &state)?;
         self.control_send(&Msg::CheckpointSave(CheckpointSave {
             stage: self.stage,
             barrier: req.barrier,
@@ -307,11 +260,8 @@ impl Worker {
 
     /// Sends a heartbeat if the interval elapsed as of `now`. Sequence
     /// numbers are monotone within this incarnation.
-    fn maybe_heartbeat(&mut self, now: Instant, interval: Option<Duration>) -> NetResult<()> {
-        let Some(interval) = interval else {
-            return Ok(());
-        };
-        if now.saturating_duration_since(self.last_heartbeat) < interval {
+    fn maybe_heartbeat(&mut self, now: Instant) -> NetResult<()> {
+        if now.saturating_duration_since(self.last_heartbeat) < self.manifest.heartbeat_interval {
             return Ok(());
         }
         self.heartbeat_seq += 1;
@@ -342,7 +292,6 @@ impl Worker {
             src: self.stage,
             dst: self.out_peer,
             chaos: self.chaos.as_ref(),
-            policy: &self.policy,
             slot: &self.data_slot,
             link: "data",
         };
@@ -380,7 +329,7 @@ impl Worker {
             RxOutcome::Plain(mut bytes) => {
                 self.control_send(&Msg::AckData(ack))?;
                 let key = (frame.iteration, frame.micro_batch);
-                let index = global_index(key.0, key.1, self.micro_batches);
+                let index = global_index(key.0, key.1, self.manifest.micro_batches);
                 // The ack alone settles a duplicate whose output is
                 // committed at the orchestrator (below the watermark) or
                 // still unacknowledged on the out edge (the NACK, rekey
@@ -396,7 +345,10 @@ impl Worker {
                     // stage function is deterministic.
                     self.retransmits += 1;
                 }
-                apply_stage(self.layers.clone(), &mut bytes);
+                apply_stage(
+                    self.manifest.layer_start..self.manifest.layer_end,
+                    &mut bytes,
+                );
                 self.forward(key, bytes)?;
             }
             RxOutcome::Sentinel => {
@@ -409,13 +361,14 @@ impl Worker {
     }
 
     /// Level-triggered retransmit: reseals anything unacknowledged past
-    /// the resend threshold. This is the recovery of last resort for
+    /// the manifest's resend threshold. This is the recovery of last resort for
     /// losses no NACK or `RekeyEdge` will ever report — a frame relayed
     /// into a dead destination link, or a rekey retransmit that raced an
     /// empty sender slot mid-reattach. Any IV burned into a down link is
     /// erased by the rekey that link's restoration triggers, so sweeping
     /// never breaks final-epoch lockstep.
-    fn sweep(&mut self, now: Instant, threshold: Duration) -> NetResult<()> {
+    fn sweep(&mut self, now: Instant) -> NetResult<()> {
+        let threshold = self.manifest.resend_after;
         let (tx, mut link) = self.out_link()?;
         self.retransmits += tx.sweep(now, threshold, |p| link.send(p).map(drop))?;
         Ok(())
@@ -473,11 +426,7 @@ impl Worker {
                 Msg::Finish | Msg::Shutdown => Ok(Some(msg)),
                 // Duplicated handshake traffic is idempotent noise, as are
                 // heartbeat echoes and a late duplicate Restore.
-                Msg::Welcome(_)
-                | Msg::Manifest(_)
-                | Msg::Start
-                | Msg::HeartbeatAck(_)
-                | Msg::Restore(_) => Ok(None),
+                Msg::Manifest(_) | Msg::Start | Msg::HeartbeatAck(_) | Msg::Restore(_) => Ok(None),
                 other => Err(NetError::Protocol {
                     detail: format!("stage {} got unexpected {:?}", self.stage, other),
                 }),
@@ -544,8 +493,6 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
         ctl_receiver,
         None,
         control_slot.clone(),
-        config.policy,
-        config.poll,
         events_tx.clone(),
     );
     let data_pump = Pump::spawn(
@@ -553,8 +500,6 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
         data_receiver,
         links.data_reattach,
         data_slot.clone(),
-        config.policy,
-        config.poll,
         events_tx,
     );
 
@@ -577,10 +522,9 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
         "data",
     )?;
 
-    // --- Handshake: Welcome -> Manifest (verify + ack) -> Start ---------
+    // --- Handshake: Manifest (verify + ack) -> Start --------------------
     let deadline = Instant::now() + config.op_timeout;
-    let mut stages = None;
-    let mut manifest: Option<ShardManifest> = None;
+    let mut admitted: Option<ShardManifest> = None;
     let mut restore: Option<Restore> = None;
     // The control and data pumps feed one queue with no cross-link
     // ordering: the first sealed frame can overtake Start, and a
@@ -590,14 +534,14 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
     // barrier the restored state already covers is the no-op it would be
     // while serving.
     let mut deferred: Vec<(u32, PumpEvent)> = Vec::new();
-    loop {
+    let manifest = loop {
         if Instant::now() > deadline {
             return Err(NetError::Timeout {
                 op: "handshake",
                 waited: config.op_timeout,
             });
         }
-        let Some((tag, event)) = next_event(&events, config.poll)? else {
+        let Some((tag, event)) = next_event(&events, POLL_INTERVAL)? else {
             continue;
         };
         if let PumpEvent::Frame(
@@ -612,18 +556,12 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
             continue;
         }
         match event {
-            PumpEvent::Frame(Msg::Welcome(w)) => stages = Some(w.stages),
             PumpEvent::Frame(Msg::Restore(r)) => restore = Some(r),
             PumpEvent::Frame(Msg::HeartbeatAck(_)) => {}
             PumpEvent::Frame(Msg::Manifest(m)) => {
                 if m.stage != config.stage {
                     return Err(NetError::Handshake {
                         detail: format!("manifest for stage {}, we are {}", m.stage, config.stage),
-                    });
-                }
-                if stages.is_some_and(|s| s != m.stages) {
-                    return Err(NetError::Handshake {
-                        detail: "manifest stage count contradicts welcome".to_string(),
                     });
                 }
                 let local = stage_weight_hash(m.layer_start..m.layer_end);
@@ -644,16 +582,16 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
                     .encode()?,
                     "control",
                 )?;
-                manifest = Some(m);
+                admitted = Some(m);
             }
-            PumpEvent::Frame(Msg::Start) => {
-                if manifest.is_some() {
-                    break;
+            PumpEvent::Frame(Msg::Start) => match admitted {
+                Some(m) => break m,
+                None => {
+                    return Err(NetError::Handshake {
+                        detail: "start before manifest".to_string(),
+                    })
                 }
-                return Err(NetError::Handshake {
-                    detail: "start before manifest".to_string(),
-                });
-            }
+            },
             PumpEvent::Frame(Msg::Shutdown) => {
                 return Err(NetError::Handshake {
                     detail: "shut down during handshake".to_string(),
@@ -667,10 +605,7 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
             PumpEvent::Dead(e) => return Err(e),
             PumpEvent::Down | PumpEvent::Up => {}
         }
-    }
-    let manifest = manifest.ok_or(NetError::Handshake {
-        detail: "no manifest".to_string(),
-    })?;
+    };
 
     let mut worker = Worker::from_manifest(&manifest, &config, control_slot, data_slot);
     if let Some(r) = restore {
@@ -690,9 +625,9 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
                 waited: config.op_timeout,
             });
         }
-        worker.maybe_heartbeat(now, config.heartbeat)?;
-        worker.sweep(now, config.resend_after)?;
-        let Some((tag, event)) = next_event(&events, config.poll)? else {
+        worker.maybe_heartbeat(now)?;
+        worker.sweep(now)?;
+        let Some((tag, event)) = next_event(&events, POLL_INTERVAL)? else {
             continue;
         };
         last_activity = Instant::now();
@@ -712,7 +647,7 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
         if fresh_work {
             if let Some(fault) = worker.chaos.as_ref().and_then(|c| c.roll_worker()) {
                 if fault.kind == FaultKind::StageHang {
-                    std::thread::sleep(config.hang_for);
+                    std::thread::sleep(worker.manifest.hang_for);
                 }
                 // Stop the pumps *before* killing the links: a pump that
                 // notices the dead connection afterward exits instead of
@@ -751,7 +686,7 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
     loop {
         let now = Instant::now();
         if worker.out_tx.in_flight() == 0
-            && now.saturating_duration_since(last_event) >= config.quiet
+            && now.saturating_duration_since(last_event) >= QUIET_WINDOW
         {
             break;
         }
@@ -761,9 +696,9 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
                 waited: config.op_timeout,
             });
         }
-        worker.maybe_heartbeat(now, config.heartbeat)?;
-        worker.sweep(now, config.resend_after)?;
-        if let Some((tag, event)) = next_event(&events, config.poll)? {
+        worker.maybe_heartbeat(now)?;
+        worker.sweep(now)?;
+        if let Some((tag, event)) = next_event(&events, POLL_INTERVAL)? {
             // Heartbeat acks are liveness beacons, not data-plane traffic:
             // counting them as activity would keep the quiet window from
             // ever elapsing whenever the beacon interval is shorter than it.
@@ -783,7 +718,10 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
     // audits whatever it last heard once the deployment is quiet. -------
     // No heartbeats past Done: the orchestrator may tear the deployment
     // down the moment the last report lands, and a beacon racing that
-    // close would turn a clean exit into a spurious connection error.
+    // close would turn a clean exit into a spurious connection error. A
+    // control link lost from here on is that teardown too: its data-link
+    // close can overtake the queued Shutdown and prompt a redial's
+    // LinkRestored or an updated Done.
     let bye_deadline = Instant::now() + config.op_timeout;
     loop {
         if Instant::now() > bye_deadline {
@@ -792,15 +730,21 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
                 waited: config.op_timeout,
             });
         }
-        match next_event(&events, config.poll)? {
+        match next_event(&events, POLL_INTERVAL)? {
             Some((_, PumpEvent::Frame(Msg::Shutdown))) => break,
             Some((_, PumpEvent::Dead(e))) => return Err(e),
             Some((tag, event)) => {
-                worker.handle_event(tag, event)?;
-                let now = worker.report();
-                if now != last_report {
-                    worker.control_send(&Msg::Done(now.clone()))?;
-                    last_report = now;
+                let updated = worker.handle_event(tag, event).and_then(|_| {
+                    let now = worker.report();
+                    if now != last_report {
+                        worker.control_send(&Msg::Done(now.clone()))?;
+                        last_report = now;
+                    }
+                    Ok(())
+                });
+                match updated {
+                    Err(NetError::ConnectionLost { .. }) => break,
+                    other => other?,
                 }
             }
             None => {}
@@ -815,23 +759,18 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
 mod tests {
     use super::*;
     use crate::link::Role;
+    use crate::orchestrator::NetPipelineSpec;
     use crate::transport::{duplex_pair, FrameReceiver};
     use pipellm::partition::iteration_input;
 
     #[test]
     fn edge_layout_matches_the_star_topology() {
-        let manifest = ShardManifest {
-            stage: 1,
+        let spec = NetPipelineSpec {
             stages: 3,
             layers: 6,
-            layer_start: 2,
-            layer_end: 4,
-            weight_hash: 0,
-            activation_bytes: 8,
-            micro_batches: 1,
-            iterations: 1,
-            cluster_seed: 1,
+            ..NetPipelineSpec::default()
         };
+        let manifest = spec.manifest_for(1, None);
         let config = WorkerConfig::new(1);
         let w = Worker::from_manifest(&manifest, &config, empty_slot(), empty_slot());
         assert_eq!(w.in_peer, 0);
@@ -860,18 +799,16 @@ mod tests {
 
     impl Direct {
         fn new() -> Self {
-            let manifest = ShardManifest {
-                stage: 0,
+            let manifest = NetPipelineSpec {
                 stages: 1,
                 layers: 4,
-                layer_start: 0,
-                layer_end: 4,
-                weight_hash: stage_weight_hash(0..4),
-                activation_bytes: LEN as u64,
-                micro_batches: MICRO_BATCHES,
                 iterations: 1 << 20,
-                cluster_seed: SEED,
-            };
+                micro_batches: MICRO_BATCHES,
+                activation_bytes: LEN,
+                seed: SEED,
+                ..NetPipelineSpec::default()
+            }
+            .manifest_for(0, None);
             let (control_slot, data_slot) = (empty_slot(), empty_slot());
             let (ctl_far, ctl_near, _) = duplex_pair("ctl");
             let (data_far, data_near, _) = duplex_pair("data");

@@ -11,9 +11,10 @@
 use pipellm_net::frame::{decode_frame, encode_frame, HEADER_LEN};
 use pipellm_net::proto::{
     CheckpointReq, CheckpointSave, CounterReport, DataAck, DataFrame, EdgeCounterEntry, Heartbeat,
-    Hello, ManifestAck, Msg, RekeyEdge, Restore, ShardManifest, Welcome,
+    Hello, ManifestAck, Msg, RekeyEdge, Restore, ShardManifest,
 };
 use proptest::prelude::*;
+use std::time::Duration;
 
 /// Splits one entropy word into four u32-sized fields (reused as needed).
 fn quarters(x: u64) -> [u32; 4] {
@@ -26,7 +27,8 @@ fn quarters(x: u64) -> [u32; 4] {
 }
 
 /// Derives an internally consistent manifest (the decoder validates stage
-/// and layer ranges, so the round-trip corpus must satisfy them).
+/// and layer ranges, a nonzero resend threshold and fault rates in
+/// `[0, 1]`, so the round-trip corpus must satisfy them).
 fn manifest_from(a: u64, b: u64) -> ShardManifest {
     let q = quarters(a);
     let stages = 1 + (q[0] % 64);
@@ -44,25 +46,30 @@ fn manifest_from(a: u64, b: u64) -> ShardManifest {
         micro_batches: 1 + ((b >> 32) as u32 % 16),
         iterations: 1 + ((b >> 48) as u32 % 16),
         cluster_seed: b,
+        resend_after: Duration::from_nanos(1 + (a >> 1)),
+        heartbeat_interval: Duration::from_nanos(a ^ b),
+        hang_for: Duration::from_nanos(b.rotate_left(29)),
+        chaos_seed: a.rotate_left(3) ^ b,
+        net_fault_rate: f64::from(q[0]) / f64::from(u32::MAX),
+        worker_fault_rate: f64::from(q[3]) / f64::from(u32::MAX),
     }
 }
 
 /// Derives one protocol message of an arbitrary variant from entropy.
 fn msg_from(pick: u64, a: u64, b: u64, sealed: Vec<u8>) -> Msg {
     let q = quarters(a);
-    match pick % 19 {
+    match pick % 18 {
         0 => Msg::Hello(Hello {
             stage: q[0],
             generation: q[2],
         }),
-        1 => Msg::Welcome(Welcome { stages: q[1] }),
-        2 => Msg::Manifest(manifest_from(a, b)),
-        3 => Msg::ManifestAck(ManifestAck {
+        1 => Msg::Manifest(manifest_from(a, b)),
+        2 => Msg::ManifestAck(ManifestAck {
             stage: q[0],
             weight_hash: b,
         }),
-        4 => Msg::Start,
-        5 => Msg::Data(DataFrame {
+        3 => Msg::Start,
+        4 => Msg::Data(DataFrame {
             src: q[0],
             dst: q[1],
             seq: b,
@@ -71,28 +78,28 @@ fn msg_from(pick: u64, a: u64, b: u64, sealed: Vec<u8>) -> Msg {
             micro_batch: (b >> 32) as u32,
             sealed,
         }),
-        6 => Msg::AckData(DataAck {
+        5 => Msg::AckData(DataAck {
             src: q[0],
             dst: q[1],
             seq: b,
         }),
-        7 => Msg::NackData(DataAck {
+        6 => Msg::NackData(DataAck {
             src: q[0],
             dst: q[1],
             seq: b,
         }),
-        8 => Msg::RekeyEdge(RekeyEdge {
+        7 => Msg::RekeyEdge(RekeyEdge {
             a: q[0],
             b: q[1],
             epoch: q[2],
         }),
-        9 => Msg::LinkRestored { stage: q[0] },
-        10 => Msg::DataHello {
+        8 => Msg::LinkRestored { stage: q[0] },
+        9 => Msg::DataHello {
             stage: q[1],
             generation: q[3],
         },
-        11 => Msg::Finish,
-        12 => {
+        10 => Msg::Finish,
+        11 => {
             let edges = (0..(b % 4))
                 .map(|i| {
                     let e = quarters(b.rotate_left(i as u32 * 16 + 1));
@@ -113,26 +120,26 @@ fn msg_from(pick: u64, a: u64, b: u64, sealed: Vec<u8>) -> Msg {
                 reconnects: (a ^ b) % 1000,
             })
         }
-        13 => Msg::Heartbeat(Heartbeat {
+        12 => Msg::Heartbeat(Heartbeat {
             stage: q[0],
             generation: q[1],
             seq: b,
         }),
-        14 => Msg::HeartbeatAck(Heartbeat {
+        13 => Msg::HeartbeatAck(Heartbeat {
             stage: q[0],
             generation: q[1],
             seq: b,
         }),
-        15 => Msg::CheckpointReq(CheckpointReq {
+        14 => Msg::CheckpointReq(CheckpointReq {
             barrier: a,
             prefix: b,
         }),
-        16 => Msg::CheckpointSave(CheckpointSave {
+        15 => Msg::CheckpointSave(CheckpointSave {
             stage: q[0],
             barrier: b,
             sealed,
         }),
-        17 => Msg::Restore(Restore { barrier: b, sealed }),
+        16 => Msg::Restore(Restore { barrier: b, sealed }),
         _ => Msg::Shutdown,
     }
 }
@@ -192,15 +199,30 @@ proptest! {
         }
     }
 
-    /// A manifest whose stage index or layer range is inconsistent is
-    /// rejected by the decoder even when the frame itself is well formed.
+    /// Every field of a well-formed manifest, the run settings a worker
+    /// takes from it included, survives the wire bit for bit.
     #[test]
-    fn inconsistent_manifests_reject(a in any::<u64>(), b in any::<u64>(), bad_stage in any::<bool>()) {
+    fn manifest_roundtrip(a in any::<u64>(), b in any::<u64>()) {
+        let m = manifest_from(a, b);
+        let frame = Msg::Manifest(m).encode().expect("encodable");
+        prop_assert_eq!(Msg::decode(&frame).expect("decodable"), Msg::Manifest(m));
+    }
+
+    /// A manifest no worker can serve is rejected by the decoder even when
+    /// the frame itself is well formed — one case per check: stage out of
+    /// range, layer range out of bounds, zero resend threshold, and a
+    /// fault rate that is not finite or lies outside `[0, 1]`.
+    #[test]
+    fn inconsistent_manifests_reject(a in any::<u64>(), b in any::<u64>(), case in 0u32..7) {
         let mut m = manifest_from(a, b);
-        if bad_stage {
-            m.stage = m.stages; // out of range
-        } else {
-            m.layer_start = m.layers + 1; // range out of bounds
+        match case {
+            0 => m.stage = m.stages,
+            1 => m.layer_start = m.layers + 1,
+            2 => m.resend_after = Duration::ZERO,
+            3 => m.net_fault_rate = f64::NAN,
+            4 => m.worker_fault_rate = f64::INFINITY,
+            5 => m.net_fault_rate = -f64::MIN_POSITIVE,
+            _ => m.worker_fault_rate = 1.0 + f64::EPSILON,
         }
         let frame = Msg::Manifest(m).encode().expect("encoding skips validation");
         prop_assert!(Msg::decode(&frame).is_err());

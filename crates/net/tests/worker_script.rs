@@ -8,14 +8,17 @@ use pipellm_net::checkpoint::open_checkpoint;
 use pipellm_net::link::{open_data, EdgeCrypto, Role, RxOutcome, WireEdge};
 use pipellm_net::proto::{
     CheckpointReq, CounterReport, DataAck, DataFrame, Hello, ManifestAck, Msg, ShardManifest,
-    Welcome, HOST_NODE,
+    HOST_NODE,
 };
 use pipellm_net::transport::{duplex_pair, FrameReceiver, FrameSender, Transport};
+use pipellm_net::NetPipelineSpec;
 use pipellm_net::{run_worker, NetResult, WorkerConfig, WorkerLinks};
 use std::time::Duration;
 
 const SEED: u64 = 0x77;
 const LEN: usize = 64;
+/// Longer than either test runs: no sweep or heartbeat fires.
+const QUIET: Duration = Duration::from_secs(120);
 
 /// The orchestrator's end of a one-stage deployment, driven by hand.
 struct Scripted {
@@ -32,19 +35,13 @@ impl Scripted {
         let (ctl_orch, ctl_worker, _) = duplex_pair("ctl");
         let (data_orch, data_worker, _) = duplex_pair("data");
         let worker = std::thread::spawn(move || {
-            let mut config = WorkerConfig::new(0);
-            // The scripted peer acks at its own pace; a sweep retransmit
-            // would skew the exact IV counters these tests assert, and an
-            // interleaved heartbeat would break the exact control script.
-            config.resend_after = Duration::from_secs(120);
-            config.heartbeat = None;
             run_worker(
                 WorkerLinks {
                     control: Box::new(ctl_worker),
                     data: Box::new(data_worker),
                     data_reattach: None,
                 },
-                config,
+                WorkerConfig::new(0),
             )
         });
         let (ctl_tx, ctl_rx) = Box::new(ctl_orch).split().unwrap();
@@ -95,20 +92,24 @@ impl Scripted {
         self.ctl_tx.send_frame(&msg.encode().unwrap()).unwrap();
     }
 
-    /// Welcome and manifest out, the worker's manifest ack back.
+    /// Manifest out, the worker's manifest ack back.
     fn admit(&mut self) {
-        self.send_ctl(&Msg::Welcome(Welcome { stages: 1 }));
-        self.send_ctl(&Msg::Manifest(ShardManifest {
-            stage: 0,
+        // The scripted peer acks at its own pace; a sweep retransmit would
+        // skew the exact IV counters these tests assert, and an
+        // interleaved heartbeat would break the exact control script.
+        let spec = NetPipelineSpec {
             stages: 1,
             layers: 4,
-            layer_start: 0,
-            layer_end: 4,
-            weight_hash: stage_weight_hash(0..4),
-            activation_bytes: LEN as u64,
-            micro_batches: 1,
             iterations: 1,
-            cluster_seed: SEED,
+            micro_batches: 1,
+            activation_bytes: LEN,
+            seed: SEED,
+            resend_after: QUIET,
+            ..NetPipelineSpec::default()
+        };
+        self.send_ctl(&Msg::Manifest(ShardManifest {
+            heartbeat_interval: QUIET,
+            ..spec.manifest_for(0, None)
         }));
         assert_eq!(
             self.recv_ctl("manifest ack"),

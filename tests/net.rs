@@ -77,12 +77,11 @@ fn strangers_on_the_listener_do_not_abort_an_unsupervised_run() {
     drop(TcpStream::connect(addr).expect("second stranger connects"));
     let workers: Vec<_> = (0..spec.stages)
         .map(|stage| {
-            let mut config = WorkerConfig::new(stage);
-            config.op_timeout = spec.op_timeout;
-            std::thread::spawn(move || {
-                let links = dial_worker_links(addr, stage, 0, config.op_timeout)?;
-                run_worker(links, config)
-            })
+            let config = WorkerConfig {
+                op_timeout: spec.op_timeout,
+                ..WorkerConfig::new(stage)
+            };
+            std::thread::spawn(move || run_worker(dial_worker_links(addr, &config)?, config))
         })
         .collect();
     let report = deploy(&spec, Wire::Listener(&listener), None)

@@ -16,7 +16,7 @@ use pipellm_repro::analysis::interleave::{Explorer, Violation};
 use pipellm_repro::chaos::FaultKind;
 use pipellm_repro::net::checkpoint::{open_checkpoint, seal_checkpoint, CheckpointState};
 use pipellm_repro::net::transport::{duplex_pair, DuplexActive, Reattach};
-use pipellm_repro::net::{deploy, NetPipelineSpec, NetTuning, SupervisedOptions, Wire};
+use pipellm_repro::net::{deploy, NetPipelineSpec, SupervisedOptions, Wire};
 
 /// The small-but-nontrivial pipeline every test here runs: 3 stages,
 /// deterministic seed, generous op timeout so CI-load stalls never
@@ -37,15 +37,11 @@ fn spec() -> NetPipelineSpec {
 /// Tight failure-detector timings so detection/failover happens within a
 /// test-sized run instead of the production 250ms/600ms defaults.
 fn tight() -> SupervisedOptions {
-    let tuning = NetTuning {
+    SupervisedOptions {
         heartbeat_interval: Duration::from_millis(10),
         suspect_after: Duration::from_millis(60),
         dead_after: Duration::from_millis(150),
         checkpoint_every: 2,
-        ..NetTuning::default()
-    };
-    SupervisedOptions {
-        tuning,
         ..SupervisedOptions::default()
     }
 }
@@ -157,12 +153,9 @@ fn a_kill_with_a_full_window_in_flight_is_recovered_by_recomputation() {
     // A kill is detected through the dead control link, not a deadline:
     // generous deadlines keep a starved runner from adding failovers.
     let options = SupervisedOptions {
-        tuning: NetTuning {
-            checkpoint_every: 4,
-            suspect_after: Duration::from_secs(5),
-            dead_after: Duration::from_secs(10),
-            ..NetTuning::default()
-        },
+        checkpoint_every: 4,
+        suspect_after: Duration::from_secs(5),
+        dead_after: Duration::from_secs(10),
         admission_window: Some(32),
         ..SupervisedOptions::default()
     };
@@ -278,11 +271,18 @@ fn redial_from_a_superseded_incarnation_is_refused() {
 
 #[test]
 fn resend_sweep_fires_at_the_configured_interval() {
-    // A zero resend-after means every frame still unacked at a sweep is
-    // retransmitted — the sweep provably runs at the configured knob,
-    // and duplicates are absorbed without corrupting the run.
-    let eager = NetPipelineSpec {
+    // Workers refuse a manifest with a zero resend-after, so the spec
+    // does too; the smallest threshold it takes, one nanosecond, means
+    // every frame still unacked at a sweep is retransmitted — the sweep
+    // provably runs at the configured knob, and duplicates are absorbed
+    // without corrupting the run.
+    let zero = NetPipelineSpec {
         resend_after: Duration::ZERO,
+        ..spec()
+    };
+    assert!(zero.validate().is_err(), "a zero resend-after is refused");
+    let eager = NetPipelineSpec {
+        resend_after: Duration::from_nanos(1),
         ..spec()
     };
     let report = deploy(&eager, Wire::Duplex, Some(&tight())).expect("eager-resend run");
