@@ -12,7 +12,14 @@
 //!   burning an IV, future-epoch frames fast-forwarding the receive
 //!   epoch, corrupt frames turned into sentinels plus a NACK;
 //! - recovery — NACK-triggered reseal at a *fresh* IV, and the
-//!   level-triggered resend sweep for frames lost on the wire.
+//!   level-triggered resend sweep for frames lost on the wire; a loss is
+//!   what a dead connection does, so it is followed by the rekey the
+//!   connection's restoration triggers;
+//! - the close — once every payload is acknowledged the sender emits a
+//!   `Fin` naming its epoch and next send IV (`LinkSender::close`), again
+//!   whenever a rekey moved those counters; the receiver accepts it only if
+//!   they equal its own epoch and next receive IV (`LinkRx::accept`), and
+//!   its `FinAck` is what completes the link.
 //!
 //! The explorer checks, under every interleaving of delivery, fault
 //! injection, rekey, NACK-reseal and resend-sweep:
@@ -20,14 +27,19 @@
 //! 1. **No IV reuse**: no two seals ever use the same `(epoch, iv)`.
 //! 2. **No stale-epoch open**: an accepted frame's epoch equals the
 //!    receiver's epoch at open time.
-//! 3. **Completeness**: every payload is eventually delivered exactly
-//!    once, with nothing left on the wire or in the NACK queue.
+//! 3. **Closed means drained**: no frame is opened on the link at the
+//!    epoch of an accepted `Fin`, and at the end the accepted `Fin`'s send
+//!    IV equals both the receiver's and the sender's counter.
+//! 4. **Completeness**: every payload is eventually delivered exactly
+//!    once, the `Fin` at the sender's final counters is acknowledged, and
+//!    nothing is left on the wire or in the NACK queue.
 //!
 //! Buggy variants prove the checker detects each class:
 //! [`LinkBug::ResealReusesIv`] (NACK reseal replays the original
 //! counter), [`LinkBug::RekeyKeepsEpoch`] (IV counter reset without an
-//! epoch bump), and [`LinkBug::NoStaleEpochCheck`] (receiver opens
-//! old-epoch frames after a rekey).
+//! epoch bump), [`LinkBug::NoStaleEpochCheck`] (receiver opens
+//! old-epoch frames after a rekey), and [`LinkBug::FinBeforeDrained`] (a
+//! `Fin` sent while frames are still unacknowledged).
 
 use super::{Action, Model};
 
@@ -43,15 +55,21 @@ pub enum LinkBug {
     /// The receiver skips the `frame.epoch < rx_epoch` check and opens
     /// frames sealed under a retired epoch.
     NoStaleEpochCheck,
+    /// The sender closes the link while its in-flight set is non-empty:
+    /// a frame still owed a reseal can then be opened after the receiver
+    /// accepted the `Fin`.
+    FinBeforeDrained,
 }
 
-/// One sealed frame in flight.
+/// One frame in flight: a sealed payload, or a `Fin` (whose `iv` is the
+/// next send IV it names; it consumes none and carries no `seq`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Frame {
     seq: usize,
     epoch: u32,
     iv: u32,
     corrupt: bool,
+    fin: bool,
 }
 
 /// Thread ids used in traces: 0 = sender, 1 = receiver/network, 2 = chaos.
@@ -75,12 +93,19 @@ pub struct LinkModel {
     sent_initial: Vec<bool>,
     acked: Vec<bool>,
     nacks: Vec<usize>,
+    /// The last `Fin` sent, `(epoch, iv)`, and whether it was acked.
+    fin_sent: Option<((u32, u32), bool)>,
     // --- wire ---
     wire: Vec<Frame>,
     // --- receiver ---
     rx_epoch: u32,
+    rx_next_iv: u32,
     delivered: Vec<bool>,
+    /// The `Fin` the receiver accepted, `(epoch, iv)`.
+    fin_accepted: Option<(u32, u32)>,
     // --- chaos budgets ---
+    /// A frame was lost: the connection's restoration owes a rekey.
+    loss_rekey: bool,
     rekey_budget: u32,
     corrupt_budget: u32,
     drop_budget: u32,
@@ -101,9 +126,13 @@ impl LinkModel {
             sent_initial: vec![false; n],
             acked: vec![false; n],
             nacks: Vec::new(),
+            fin_sent: None,
             wire: Vec::new(),
             rx_epoch: 0,
+            rx_next_iv: 1,
             delivered: vec![false; n],
+            fin_accepted: None,
+            loss_rekey: false,
             rekey_budget: 1,
             corrupt_budget: 1,
             drop_budget: 1,
@@ -136,6 +165,7 @@ impl LinkModel {
             epoch,
             iv,
             corrupt: false,
+            fin: false,
         });
     }
 
@@ -151,8 +181,38 @@ impl LinkModel {
     fn needs_sweep(&self, seq: usize) -> bool {
         !self.acked[seq]
             && self.sent_initial[seq]
-            && !self.wire.iter().any(|f| f.seq == seq)
+            && !self.wire.iter().any(|f| !f.fin && f.seq == seq)
             && !self.nacks.contains(&seq)
+    }
+
+    /// Whether the sender closes the link now: it will seal nothing new,
+    /// its in-flight set is empty (the bug skips that), and no `Fin` names
+    /// its current counters yet. A `Fin` lost at the same counters is
+    /// resent only through the rekey its loss triggers — the model has no
+    /// clock for the sweep, and every schedule stays finite.
+    fn fin_due(&self) -> bool {
+        let drained = self.acked.iter().all(|&a| a) || self.bug == Some(LinkBug::FinBeforeDrained);
+        self.sent_initial.iter().all(|&s| s)
+            && drained
+            && self.fin_sent.map(|(at, _)| at) != Some((self.tx_epoch, self.tx_next_iv))
+    }
+
+    /// Receives a `Fin` as `LinkRx::accept` does, acknowledging it to the
+    /// sender when accepted.
+    fn deliver_fin(&mut self, f: Frame) {
+        if f.epoch < self.rx_epoch {
+            return;
+        }
+        if f.epoch > self.rx_epoch {
+            (self.rx_epoch, self.rx_next_iv) = (f.epoch, 1);
+        }
+        if f.iv != self.rx_next_iv {
+            return;
+        }
+        self.fin_accepted = Some((f.epoch, f.iv));
+        if let Some((at, acked)) = &mut self.fin_sent {
+            *acked |= *at == (f.epoch, f.iv);
+        }
     }
 }
 
@@ -171,6 +231,9 @@ impl Model for LinkModel {
         if !self.nacks.is_empty() {
             acts.push(Action::new(TX, "nack_reseal"));
         }
+        if self.fin_due() {
+            acts.push(Action::new(TX, "send_fin"));
+        }
         // Receiver/network: deliver any in-flight frame, in any order.
         for i in 0..self.wire.len() {
             acts.push(Action::with_arg(RX, "deliver", i));
@@ -178,7 +241,7 @@ impl Model for LinkModel {
         // Chaos: corrupt or drop an in-flight frame, or force a rekey.
         if self.corrupt_budget > 0 {
             for (i, f) in self.wire.iter().enumerate() {
-                if !f.corrupt {
+                if !f.corrupt && !f.fin {
                     acts.push(Action::with_arg(CHAOS, "corrupt", i));
                 }
             }
@@ -188,7 +251,7 @@ impl Model for LinkModel {
                 acts.push(Action::with_arg(CHAOS, "drop", i));
             }
         }
-        if self.rekey_budget > 0 {
+        if self.rekey_budget > 0 || self.loss_rekey {
             acts.push(Action::new(CHAOS, "rekey"));
         }
         acts
@@ -201,6 +264,25 @@ impl Model for LinkModel {
                 self.seal_fresh(a.arg);
             }
             "resend_sweep" => self.seal_fresh(a.arg),
+            "send_fin" => {
+                let at = (self.tx_epoch, self.tx_next_iv);
+                if self.sealed.contains(&at) {
+                    // The counter a Fin names is the next one to seal: a
+                    // consumed one means the counter went backwards.
+                    self.violation = Some(format!(
+                        "IV reuse: Fin names (epoch {}, iv {}), already consumed",
+                        at.0, at.1
+                    ));
+                }
+                self.fin_sent = Some((at, false));
+                self.wire.push(Frame {
+                    seq: 0,
+                    epoch: at.0,
+                    iv: at.1,
+                    corrupt: false,
+                    fin: true,
+                });
+            }
             "nack_reseal" => {
                 let seq = self.nacks.remove(0);
                 if self.bug == Some(LinkBug::ResealReusesIv) {
@@ -217,6 +299,10 @@ impl Model for LinkModel {
             }
             "deliver" => {
                 let f = self.wire.remove(a.arg);
+                if f.fin {
+                    self.deliver_fin(f);
+                    return;
+                }
                 if f.epoch < self.rx_epoch && self.bug != Some(LinkBug::NoStaleEpochCheck) {
                     // StaleEpoch: dropped without burning a receive IV —
                     // a retransmit (sweep) will recover the payload.
@@ -225,7 +311,7 @@ impl Model for LinkModel {
                 if f.epoch > self.rx_epoch {
                     // Future epoch: fast-forward, as the receiver does on
                     // the first frame after a rekey.
-                    self.rx_epoch = f.epoch;
+                    (self.rx_epoch, self.rx_next_iv) = (f.epoch, 1);
                 }
                 if f.epoch != self.rx_epoch {
                     self.violation = Some(format!(
@@ -233,6 +319,14 @@ impl Model for LinkModel {
                         f.epoch, self.rx_epoch, f.seq
                     ));
                 }
+                if self.fin_accepted.is_some_and(|(epoch, _)| epoch == f.epoch) {
+                    self.violation = Some(format!(
+                        "frame opened after Fin: seq {} at (epoch {}, iv {}) behind accepted Fin {:?}",
+                        f.seq, f.epoch, f.iv, self.fin_accepted
+                    ));
+                }
+                // Every open consumes the next receive IV, sentinel or not.
+                self.rx_next_iv += 1;
                 if f.corrupt {
                     // Sentinel path: the slot is poisoned and a NACK goes
                     // back; no delivery.
@@ -254,9 +348,14 @@ impl Model for LinkModel {
             "drop" => {
                 self.drop_budget -= 1;
                 self.wire.remove(a.arg);
+                self.loss_rekey = true;
             }
             "rekey" => {
-                self.rekey_budget -= 1;
+                if self.loss_rekey {
+                    self.loss_rekey = false;
+                } else {
+                    self.rekey_budget -= 1;
+                }
                 if self.bug != Some(LinkBug::RekeyKeepsEpoch) {
                     self.tx_epoch += 1;
                 }
@@ -267,7 +366,11 @@ impl Model for LinkModel {
     }
 
     fn is_terminal(&self) -> bool {
-        self.acked.iter().all(|&a| a) && self.wire.is_empty() && self.nacks.is_empty()
+        self.acked.iter().all(|&a| a)
+            && self.wire.is_empty()
+            && self.nacks.is_empty()
+            && !self.loss_rekey
+            && self.fin_sent == Some(((self.tx_epoch, self.tx_next_iv), true))
     }
 
     fn invariant(&self) -> Result<(), String> {
@@ -280,6 +383,14 @@ impl Model for LinkModel {
     fn on_complete(&self) -> Result<(), String> {
         if let Some(seq) = (0..self.n).find(|&s| !self.delivered[s]) {
             return Err(format!("payload {seq} never delivered"));
+        }
+        let counters = (self.tx_epoch, self.tx_next_iv);
+        if self.fin_accepted != Some(counters) || (self.rx_epoch, self.rx_next_iv) != counters {
+            return Err(format!(
+                "closed out of lockstep: Fin {:?}, sender {counters:?}, receiver {:?}",
+                self.fin_accepted,
+                (self.rx_epoch, self.rx_next_iv)
+            ));
         }
         Ok(())
     }
@@ -327,5 +438,10 @@ mod tests {
     #[test]
     fn missing_stale_epoch_check_is_caught() {
         expect_invariant(LinkBug::NoStaleEpochCheck, "stale-epoch open");
+    }
+
+    #[test]
+    fn a_fin_sent_before_the_link_drained_is_caught() {
+        expect_invariant(LinkBug::FinBeforeDrained, "frame opened after Fin");
     }
 }

@@ -32,7 +32,7 @@
 //!   `kv`, `channel`) where a wall-clock read in a seal/open loop would
 //!   perturb the timing model and the benches.
 //! - PL008 applies only to `pipellm-net` lib code: heartbeat intervals,
-//!   suspect/dead deadlines, resend/backoff and quiet windows are tuning
+//!   suspect/dead deadlines, resend/backoff and poll intervals are tuning
 //!   knobs the supervisor, workers and benches must agree on, so their
 //!   defaults live in `net::proto`, a run sets them on `NetPipelineSpec`
 //!   or `SupervisedOptions`, and workers receive them in their
@@ -565,7 +565,7 @@ const DURATION_CTORS: &[&str] = &["from_millis", "from_secs", "from_micros", "fr
 
 /// PL008: in `pipellm-net` lib code outside `net::proto`, a
 /// `Duration::from_*(<integer literal>)` is a forked timing knob: the
-/// heartbeat interval, suspect/dead deadlines, resend sweep, quiet window
+/// heartbeat interval, suspect/dead deadlines, resend sweep, poll interval
 /// and dial/backoff pacing are a *contract* between the supervisor, the
 /// workers, the chaos benches and the deterministic models. Its defaults
 /// are written down once, as `net::proto` constants; a run sets them on

@@ -2,7 +2,7 @@
 //!
 //! Binds a listener, waits for one `stage-worker` process per stage to
 //! dial in (control + data connections each), then drives the full run:
-//! handshake, sealed ingress, ciphertext relay, sequenced drain, lockstep
+//! handshake, sealed ingress, ciphertext relay, per-edge `Fin` drain, lockstep
 //! audit. Exits non-zero on any protocol, crypto, or audit failure.
 //!
 //! This process decides every setting of the run: the flags fill in the

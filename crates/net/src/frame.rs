@@ -37,19 +37,9 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 ///
 /// [`NetError::Oversize`] if `payload` exceeds [`MAX_FRAME_LEN`].
 pub fn encode_frame(kind: u8, payload: &[u8]) -> NetResult<Vec<u8>> {
-    if payload.len() > MAX_FRAME_LEN {
-        return Err(NetError::Oversize {
-            len: payload.len(),
-            max: MAX_FRAME_LEN,
-        });
-    }
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.push(PROTO_VERSION);
-    out.push(kind);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    Ok(out)
+    let mut w = Writer::frame(kind, payload.len());
+    w.0.extend_from_slice(payload);
+    w.finish_frame()
 }
 
 /// Validates a complete frame and returns `(kind, payload)`.
@@ -63,32 +53,13 @@ pub fn encode_frame(kind: u8, payload: &[u8]) -> NetResult<Vec<u8>> {
 /// - [`NetError::Oversize`] for a length over the cap;
 /// - [`NetError::TrailingBytes`] if bytes follow the payload.
 pub fn decode_frame(bytes: &[u8]) -> NetResult<(u8, &[u8])> {
-    if bytes.len() < HEADER_LEN {
+    let Some((header, body)) = bytes.split_first_chunk::<HEADER_LEN>() else {
         return Err(NetError::Truncated {
             need: HEADER_LEN,
             got: bytes.len(),
         });
-    }
-    let magic = u16::from_le_bytes([bytes[0], bytes[1]]);
-    if magic != MAGIC {
-        return Err(NetError::BadMagic { got: magic });
-    }
-    let version = bytes[2];
-    if version != PROTO_VERSION {
-        return Err(NetError::VersionSkew {
-            got: version,
-            want: PROTO_VERSION,
-        });
-    }
-    let kind = bytes[3];
-    let len = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(NetError::Oversize {
-            len,
-            max: MAX_FRAME_LEN,
-        });
-    }
-    let body = &bytes[HEADER_LEN..];
+    };
+    let (kind, len) = parse_header(header)?;
     if body.len() < len {
         return Err(NetError::Truncated {
             need: len,
@@ -113,14 +84,23 @@ pub fn decode_frame(bytes: &[u8]) -> NetResult<(u8, &[u8])> {
 pub fn read_frame<R: Read>(reader: &mut R, link: &str) -> NetResult<Vec<u8>> {
     let mut header = [0u8; HEADER_LEN];
     read_exact(reader, &mut header, link)?;
+    let (_, len) = parse_header(&header)?;
+    let mut frame = vec![0u8; HEADER_LEN + len];
+    frame[..HEADER_LEN].copy_from_slice(&header);
+    read_exact(reader, &mut frame[HEADER_LEN..], link)?;
+    Ok(frame)
+}
+
+/// Validates a header's magic, version and length cap; returns `(kind,
+/// payload length)`.
+fn parse_header(header: &[u8; HEADER_LEN]) -> NetResult<(u8, usize)> {
     let magic = u16::from_le_bytes([header[0], header[1]]);
     if magic != MAGIC {
         return Err(NetError::BadMagic { got: magic });
     }
-    let version = header[2];
-    if version != PROTO_VERSION {
+    if header[2] != PROTO_VERSION {
         return Err(NetError::VersionSkew {
-            got: version,
+            got: header[2],
             want: PROTO_VERSION,
         });
     }
@@ -131,10 +111,7 @@ pub fn read_frame<R: Read>(reader: &mut R, link: &str) -> NetResult<Vec<u8>> {
             max: MAX_FRAME_LEN,
         });
     }
-    let mut frame = vec![0u8; HEADER_LEN + len];
-    frame[..HEADER_LEN].copy_from_slice(&header);
-    read_exact(reader, &mut frame[HEADER_LEN..], link)?;
-    Ok(frame)
+    Ok((header[3], len))
 }
 
 fn read_exact<R: Read>(reader: &mut R, buf: &mut [u8], link: &str) -> NetResult<()> {
@@ -168,6 +145,30 @@ fn read_exact<R: Read>(reader: &mut R, buf: &mut [u8], link: &str) -> NetResult<
 pub(crate) struct Writer(pub Vec<u8>);
 
 impl Writer {
+    /// A frame's header, length zero, with room for `payload` bytes.
+    pub fn frame(kind: u8, payload: usize) -> Self {
+        let mut out = Vec::with_capacity(HEADER_LEN + payload);
+        out.extend_from_slice(&MAGIC.to_le_bytes());
+        out.push(PROTO_VERSION);
+        out.push(kind);
+        out.extend_from_slice(&0u32.to_le_bytes());
+        Writer(out)
+    }
+
+    /// Writes the length into a [`Writer::frame`]'s header; errs over the
+    /// cap.
+    pub fn finish_frame(mut self) -> NetResult<Vec<u8>> {
+        let len = self.0.len() - HEADER_LEN;
+        if len > MAX_FRAME_LEN {
+            return Err(NetError::Oversize {
+                len,
+                max: MAX_FRAME_LEN,
+            });
+        }
+        self.0[4..HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+        Ok(self.0)
+    }
+
     pub fn u32(&mut self, v: u32) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }

@@ -40,9 +40,10 @@
 //! and `Option<&SupervisedOptions>`. Whatever their setting, one driver
 //! runs one lifecycle: **handshake** (shard manifest → ack →
 //! start) → **serve** (at most an admission window of sessions in flight)
-//! → **sequenced drain** (`Finish` flows downstream stage by stage) →
-//! **flush** to quiescence → **lockstep audit** of every edge's counters →
-//! **shutdown**. Supervision adds, on top of exactly that: heartbeat
+//! → **drain** (each data edge closed by a `Fin` its receiver accepts only
+//! once every frame sealed on it is opened; see [`proto`]) → **lockstep
+//! audit** of every edge's counters → **shutdown**. No phase ends on
+//! elapsed silence. Supervision adds, on top of exactly that: heartbeat
 //! deadlines, live failover of a dead worker (generation bump, readmission,
 //! sealed-checkpoint restore, forced rekey, re-injection), checkpoint
 //! barriers on the committed prefix, and admission deadlines and drain —

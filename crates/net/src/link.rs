@@ -29,11 +29,13 @@
 //! when one can be due — an event loop pays for the frame an event names,
 //! not for everything in flight. The orchestrator's ingress window
 //! ([`crate::proto::INGRESS_WINDOW`]) bounds the set's size on every link.
+//! A link ends with a [`Fin`] ([`LinkSender::close`]), held like an
+//! unacknowledged frame until the receiver's [`LinkRx`] accepts it.
 //!
 //! [`SecureChannel`]: pipellm_crypto::channel::SecureChannel
 
 use crate::error::{NetError, NetResult};
-use crate::proto::{DataFrame, Msg, HOST_NODE, WIRE_RETRY};
+use crate::proto::{DataFrame, Fin, Msg, HOST_NODE, WIRE_RETRY};
 use crate::transport::FrameSender;
 use pipellm_chaos::{ChaosInjector, FaultKind, FaultSite};
 use pipellm_crypto::channel::{staging_buffer, SealedMessage};
@@ -263,6 +265,8 @@ pub struct PendingFrame {
 ///   `last_sent`. [`LinkTx::sweep`] compares it with the clock reading it
 ///   is handed and visits the frames only when one of them can be due.
 ///
+/// * `fin` is the last [`Fin`] sent, when, and whether it was acked.
+///
 /// Pure: the methods that need the time take it as an argument.
 #[derive(Default)]
 pub struct LinkTx {
@@ -270,6 +274,7 @@ pub struct LinkTx {
     unacked: VecDeque<PendingFrame>,
     payloads: BTreeMap<(u32, u32), Vec<u64>>,
     oldest_sent: Option<Instant>,
+    fin: Option<(Fin, Instant, bool)>,
 }
 
 impl LinkTx {
@@ -398,6 +403,47 @@ impl LinkTx {
     /// `(iteration, micro_batch)` output twice.
     pub fn has_payload(&self, iteration: u32, micro_batch: u32) -> bool {
         self.payloads.contains_key(&(iteration, micro_batch))
+    }
+
+    /// Records a [`Msg::FinAck`]; one for an older `Fin` is stale.
+    pub fn fin_acked(&mut self, ack: &Fin) {
+        if let Some((fin, _, acked)) = &mut self.fin {
+            *acked |= fin == ack;
+        }
+    }
+
+    /// Whether a `Fin` at `crypto`'s current epoch and next send IV is
+    /// acked: the receiver opened every frame this end sealed.
+    pub fn closed(&self, crypto: &EdgeCrypto) -> bool {
+        self.fin.is_some_and(|(fin, _, acked)| {
+            acked && (fin.epoch, fin.tx_iv) == (crypto.epoch(), crypto.tx_iv())
+        })
+    }
+}
+
+/// Receiver bookkeeping for one directed link: the [`Fin`] it accepted.
+#[derive(Debug, Default)]
+pub struct LinkRx {
+    fin: Option<Fin>,
+}
+
+impl LinkRx {
+    /// Receives a [`Fin`], handling epochs as [`open_data`] does, and
+    /// returns whether it closes the link: its epoch and send IV equal
+    /// `crypto`'s epoch and next receive IV. The sender resends until so.
+    pub fn accept(&mut self, crypto: &mut EdgeCrypto, fin: &Fin) -> bool {
+        if fin.epoch >= crypto.epoch() {
+            crypto.rekey_to(fin.epoch);
+            self.fin = Some(*fin);
+        }
+        self.closed(crypto)
+    }
+
+    /// Whether the accepted `Fin` still names `crypto`'s counters (a rekey,
+    /// or a frame opened since, reopens the link).
+    pub fn closed(&self, crypto: &EdgeCrypto) -> bool {
+        self.fin
+            .is_some_and(|fin| (fin.epoch, fin.tx_iv) == (crypto.epoch(), crypto.rx_iv()))
     }
 }
 
@@ -549,6 +595,36 @@ impl LinkSender<'_> {
             Ok(()) => Ok(TxOutcome::Sent),
             Err(NetError::ConnectionLost { .. }) => Ok(TxOutcome::LinkDown),
             Err(e) => Err(e),
+        }
+    }
+
+    /// Closes the link once `tx` holds nothing unacknowledged: sends a
+    /// [`Fin`] at the edge's current epoch and next send IV unless one is
+    /// acked or younger than `resend_after` — after a rekey, at the new
+    /// counters. Called every turn once the owner seals nothing more;
+    /// errs only on transport errors other than connection loss.
+    pub fn close(
+        &mut self,
+        tx: &mut LinkTx,
+        now: Instant,
+        resend_after: Duration,
+    ) -> NetResult<()> {
+        let fin = Fin {
+            src: self.src,
+            dst: self.dst,
+            epoch: self.crypto.epoch(),
+            tx_iv: self.crypto.tx_iv(),
+        };
+        let settled = tx.fin.is_some_and(|(last, sent, acked)| {
+            last == fin && (acked || now.saturating_duration_since(sent) < resend_after)
+        });
+        if tx.in_flight() > 0 || settled {
+            return Ok(());
+        }
+        tx.fin = Some((fin, now, false));
+        match send_on(self.slot, &Msg::Fin(fin).encode()?, self.link) {
+            Err(NetError::ConnectionLost { .. }) => Ok(()),
+            sent => sent,
         }
     }
 }

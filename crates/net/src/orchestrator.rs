@@ -6,7 +6,8 @@
 //! [`INGRESS_WINDOW`] sessions in flight at once, the next input admitted
 //! as an output arrives — relays worker↔worker data frames without
 //! opening them, opens the last stage's outputs on the egress host edge,
-//! and sequences the drain/report/shutdown at the end of a run. It could
+//! and ends the run by protocol (per-edge `Fin`s, every stage's `Done`, one
+//! audit of the edge counters, shutdown). It could
 //! open the relayed frames too: their keys derive from the cluster seed
 //! its own manifests carry (ROADMAP.md item 2). The [`NetPipelineSpec`]
 //! and [`SupervisedOptions`] are its only inputs; workers learn what they
@@ -24,8 +25,10 @@
 //! switches a deployment has — the [`Wire`] its workers are attached over
 //! (duplex threads, TCP threads, a bound listener for worker processes)
 //! and `Option<&SupervisedOptions>` — and runs one lifecycle: handshake →
-//! serve → sequenced drain → flush to quiescence → lockstep audit →
-//! shutdown. Supervision ([`crate::supervisor`]) is a set of hooks that
+//! serve → drain (`Fin`/`FinAck` per edge) → lockstep audit → shutdown.
+//! No phase ends on elapsed silence, and the drain is the serve loop with
+//! ingress closed, so a stage lost mid-drain is failed over like one lost
+//! mid-serve. Supervision ([`crate::supervisor`]) is a set of hooks that
 //! lifecycle calls when it is on; the bit-exactness tests hold every
 //! combination's outputs identical to each other and to the plain
 //! in-process computation.
@@ -33,13 +36,13 @@
 use crate::error::{NetError, NetResult};
 use crate::frame::read_frame;
 use crate::link::{
-    empty_slot, install_sender, kill_slot, open_data, role_at, send_on, EdgeCrypto, LinkSender,
-    LinkTx, RxOutcome, SenderSlot, WireEdge,
+    empty_slot, install_sender, kill_slot, open_data, role_at, send_on, EdgeCrypto, LinkRx,
+    LinkSender, LinkTx, RxOutcome, SenderSlot, WireEdge,
 };
 use crate::proto::{
-    chaos_injector, CounterReport, DataAck, DataFrame, EdgeCounterEntry, ManifestAck, Msg,
+    chaos_injector, CounterReport, DataAck, DataFrame, EdgeCounterEntry, Fin, ManifestAck, Msg,
     RekeyEdge, ShardManifest, DIAL_RETRY, HOST_NODE, INGRESS_WINDOW, OP_TIMEOUT, POLL_INTERVAL,
-    QUIET_WINDOW, RESEND_AFTER,
+    RESEND_AFTER,
 };
 use crate::pump::{next_event, Pump, PumpEvent};
 use crate::supervisor::{
@@ -91,6 +94,9 @@ pub struct NetPipelineSpec {
     /// Age at which an unacknowledged frame is retransmitted by the
     /// level-triggered sweep, at the host and at every worker.
     pub resend_after: Duration,
+    /// A stage whose first incarnation dies as its drain begins (its in
+    /// edge's `Fin` arrives), where no roll of `worker_fault_rate` reaches.
+    pub kill_at_drain: Option<u32>,
 }
 
 impl Default for NetPipelineSpec {
@@ -107,6 +113,7 @@ impl Default for NetPipelineSpec {
             chaos_seed: 0xC0A5,
             op_timeout: OP_TIMEOUT,
             resend_after: RESEND_AFTER,
+            kill_at_drain: None,
         }
     }
 }
@@ -162,6 +169,7 @@ impl NetPipelineSpec {
             chaos_seed: derive_subseed(self.chaos_seed, u64::from(stage)),
             net_fault_rate: self.net_fault_rate,
             worker_fault_rate: self.worker_fault_rate,
+            kill_at_drain: self.kill_at_drain == Some(stage),
         }
     }
 
@@ -280,6 +288,9 @@ pub(crate) struct Orchestrator {
     pub(crate) control_slots: Vec<SenderSlot>,
     pub(crate) data_slots: Vec<SenderSlot>,
     pub(crate) ingress_tx: LinkTx,
+    /// Serving is over: no input is sealed from here on.
+    pub(crate) closing: bool,
+    pub(crate) egress_rx: LinkRx,
     /// Sessions injected at ingress whose output has not arrived yet —
     /// at most the admission window of them.
     pub(crate) outstanding: BTreeSet<(u32, u32)>,
@@ -325,6 +336,8 @@ impl Orchestrator {
             control_slots,
             data_slots,
             ingress_tx: LinkTx::default(),
+            closing: false,
+            egress_rx: LinkRx::default(),
             outstanding: BTreeSet::new(),
             outputs: BTreeMap::new(),
             peak_in_flight: 0,
@@ -417,10 +430,16 @@ impl Orchestrator {
 
     /// Level-triggered ingress retransmit, mirroring the workers' sweep:
     /// any ingress frame unacknowledged past the threshold is resealed at
-    /// a fresh IV, recovering losses no NACK or rekey cycle reports.
+    /// a fresh IV, recovering losses no NACK or rekey cycle reports. Once
+    /// serving is over it closes ingress.
     pub(crate) fn sweep(&mut self, now: Instant, threshold: Duration) -> NetResult<()> {
+        let closing = self.closing;
         let (tx, mut link) = self.ingress_link()?;
-        self.retransmits += tx.sweep(now, threshold, |p| link.send(p).map(drop))?;
+        let resent = tx.sweep(now, threshold, |p| link.send(p).map(drop))?;
+        if closing {
+            link.close(tx, now, threshold)?;
+        }
+        self.retransmits += resent;
         Ok(())
     }
 
@@ -466,22 +485,47 @@ impl Orchestrator {
             }
             return Ok(());
         }
-        if frame.dst >= self.spec.stages {
-            return Err(NetError::Protocol {
-                detail: format!("frame routed to unknown stage {}", frame.dst),
-            });
-        }
-        // Inter-stage hop: relay the sealed bytes untouched. A dead
-        // destination link loses the frame here — the destination's
-        // reconnect rekeys the edge and the source retransmits.
-        let dst = frame.dst as usize;
-        let relayed = Msg::Data(frame).encode()?;
-        match send_on(&self.data_slots[dst], &relayed, "relay") {
-            Ok(()) => self.relayed += 1,
-            Err(NetError::ConnectionLost { .. }) => {}
-            Err(e) => return Err(e),
+        if self.relay(frame.dst, &Msg::Data(frame))? {
+            self.relayed += 1;
         }
         Ok(())
+    }
+
+    /// Handles a `Fin` from worker `from`: accepts the egress edge's,
+    /// relays every other behind the frames it closes.
+    fn handle_fin(&mut self, from: u32, fin: Fin) -> NetResult<()> {
+        let edge = self.egress_edge();
+        if fin.src != from || (fin.dst == HOST_NODE && from != edge.a) {
+            return Err(NetError::Protocol {
+                detail: format!("stage {from} sent a Fin {} -> {}", fin.src, fin.dst),
+            });
+        }
+        if fin.dst != HOST_NODE {
+            return self.relay(fin.dst, &Msg::Fin(fin)).map(drop);
+        }
+        let crypto = self.edges.get_mut(&edge).ok_or(NetError::Protocol {
+            detail: "egress edge missing".to_string(),
+        })?;
+        if self.egress_rx.accept(crypto, &fin) {
+            self.control_send(fin.src, &Msg::FinAck(fin))?;
+        }
+        Ok(())
+    }
+
+    /// Inter-stage hop: relays a worker's frame untouched to stage `dst`.
+    /// Returns whether it went out: a dead destination link loses it — the
+    /// destination's reconnect rekeys the edge and the source resends.
+    fn relay(&self, dst: u32, msg: &Msg) -> NetResult<bool> {
+        let Some(slot) = self.data_slots.get(dst as usize) else {
+            return Err(NetError::Protocol {
+                detail: format!("frame routed to unknown stage {dst}"),
+            });
+        };
+        match send_on(slot, &msg.encode()?, "relay") {
+            Ok(()) => Ok(true),
+            Err(NetError::ConnectionLost { .. }) => Ok(false),
+            Err(e) => Err(e),
+        }
     }
 
     /// Handles an ACK/NACK: consumes it if it targets a host-sent frame,
@@ -578,6 +622,19 @@ impl Orchestrator {
                     self.handle_ack(ack, true)?;
                     Ok(None)
                 }
+                Msg::Fin(fin) => {
+                    self.handle_fin(stage, fin)?;
+                    Ok(None)
+                }
+                // Routed like a data ack: ours, or back to its sender.
+                Msg::FinAck(ack) if ack.src == HOST_NODE => {
+                    self.ingress_tx.fin_acked(&ack);
+                    Ok(None)
+                }
+                Msg::FinAck(ack) if ack.src < self.spec.stages => {
+                    self.control_send(ack.src, &Msg::FinAck(ack))?;
+                    Ok(None)
+                }
                 Msg::LinkRestored { stage: s } => {
                     if s != stage {
                         return Err(NetError::Protocol {
@@ -609,6 +666,22 @@ impl Orchestrator {
         }
     }
 
+    /// Whether the drain is complete: the egress edge is closed and every
+    /// stage's `Done` names the current epoch of each of its edges (one
+    /// from before a rekey is stale; its stage reports again).
+    fn drained(&self, reports: &[Option<CounterReport>]) -> bool {
+        let current = |e: &EdgeCounterEntry| {
+            self.edge_epochs.get(&WireEdge { a: e.a, b: e.b }) == Some(&e.epoch)
+        };
+        let egress = self.edges.get(&self.egress_edge());
+        egress.is_some_and(|crypto| self.egress_rx.closed(crypto))
+            && reports
+                .iter()
+                .flatten()
+                .all(|r| r.edges.iter().all(current))
+            && reports.iter().all(Option::is_some)
+    }
+
     pub(crate) fn host_report(&self) -> CounterReport {
         CounterReport {
             stage: HOST_NODE,
@@ -624,8 +697,9 @@ impl Orchestrator {
 /// same epoch, and each side's send counter equal to the other side's
 /// receive counter. This is the wire-level witness that no IV was ever
 /// reused or skipped asymmetrically — even across injected faults,
-/// retransmits, and connection drops.
-pub(crate) fn audit_lockstep(reports: &[CounterReport], host: &CounterReport) -> NetResult<()> {
+/// retransmits, and connection drops. A run calls it once, on the reports
+/// of its drain.
+pub fn audit_lockstep(reports: &[CounterReport], host: &CounterReport) -> NetResult<()> {
     let mut by_edge: BTreeMap<(u32, u32), Vec<(u32, EdgeCounterEntry)>> = BTreeMap::new();
     for report in reports.iter().chain(std::iter::once(host)) {
         for entry in &report.edges {
@@ -663,24 +737,10 @@ pub(crate) fn audit_lockstep(reports: &[CounterReport], host: &CounterReport) ->
     Ok(())
 }
 
-/// Dispatches one serve/drain/flush event: through the supervision hooks
-/// when the run has them, straight to the relay otherwise.
-fn dispatch(
-    orch: &mut Orchestrator,
-    sup: &mut Option<Supervision>,
-    tag: u32,
-    event: PumpEvent,
-) -> NetResult<Option<CounterReport>> {
-    match sup {
-        Some(sup) => sup.handle(orch, tag, event, Instant::now()),
-        None => orch.handle_event(tag, event),
-    }
-}
-
 /// The lifecycle every deployment runs, whatever its transport and
-/// whether or not it is supervised: handshake → serve → sequenced drain →
-/// flush to quiescence → lockstep audit → shutdown. Returns the workers'
-/// final counter reports and the admission queue (who was shed).
+/// whether or not it is supervised: handshake → serve → drain → lockstep
+/// audit → shutdown. Returns the workers' final counter reports and the
+/// admission queue (who was shed).
 fn lifecycle(
     spec: &NetPipelineSpec,
     options: Option<&SupervisedOptions>,
@@ -730,8 +790,9 @@ fn lifecycle(
         }
     }
 
-    // --- Serve: admit inputs through the ingress window, collect every
-    // output; a completed session frees the slot the next input takes ----
+    // --- Serve, then drain: admit inputs through the ingress window (a
+    // completed session frees the slot the next input takes); once every
+    // output is in, close ingress and run on until the drain completes --
     let mut admission = AdmissionQueue::new(
         options
             .and_then(|o| o.admission_window)
@@ -746,31 +807,49 @@ fn lifecycle(
         }
     }
     let mut completed = 0usize;
+    let mut reports: Vec<Option<CounterReport>> = vec![None; spec.stages as usize];
     loop {
         let now = Instant::now();
         for (iteration, micro_batch) in admission.admit(now) {
             orch.inject(iteration, micro_batch)?;
         }
-        if admission.idle()
+        let healthy = sup.as_ref().is_none_or(|sup| sup.supervisor.all_healthy());
+        if !orch.closing
+            && healthy
+            && admission.idle()
             && orch.outstanding.is_empty()
             && orch.ingress_tx.in_flight() == 0
-            && sup.as_ref().is_none_or(|sup| sup.supervisor.all_healthy())
         {
+            (orch.closing, last_activity) = (true, now);
+        }
+        if orch.closing && healthy && orch.drained(&reports) {
             break;
         }
         if now.saturating_duration_since(last_activity) > spec.op_timeout {
             return Err(NetError::Timeout {
-                op: "serve",
+                op: if orch.closing { "drain" } else { "serve" },
                 waited: spec.op_timeout,
             });
         }
         orch.sweep(now, spec.resend_after)?;
         if let Some((tag, event)) = next_event(events, POLL_INTERVAL)? {
-            last_activity = Instant::now();
-            if let Some(report) = dispatch(orch, sup, tag, event)? {
-                return Err(NetError::Protocol {
-                    detail: format!("stage {} reported Done before Finish", report.stage),
-                });
+            // Serving times out when idle, the drain when it takes longer
+            // than the deadline: heartbeats must not keep a wedge alive.
+            if !orch.closing {
+                last_activity = Instant::now();
+            }
+            // Through the supervision hooks when the run has them.
+            let done = match sup {
+                Some(sup) => sup.handle(orch, tag, event, Instant::now())?,
+                None => orch.handle_event(tag, event)?,
+            };
+            if let Some(report) = done {
+                if !orch.closing || report.stage != tag / 2 {
+                    return Err(NetError::Protocol {
+                        detail: format!("stage {} sent Done out of turn", tag / 2),
+                    });
+                }
+                reports[(tag / 2) as usize] = Some(report);
             }
         }
         // Completions free admission slots (and may flip on drain mode).
@@ -786,62 +865,7 @@ fn lifecycle(
         }
     }
 
-    // --- Sequenced drain: Finish flows downstream, stage by stage, so a
-    // stage only reports once its upstream can no longer create frames
-    // (worker chaos cannot fire here: only duplicates flow after serve) --
-    let mut worker_reports: Vec<CounterReport> = Vec::new();
-    for stage in 0..spec.stages {
-        orch.control_send(stage, &Msg::Finish)?;
-        let finish_deadline = Instant::now() + spec.op_timeout;
-        loop {
-            if Instant::now() > finish_deadline {
-                return Err(NetError::Timeout {
-                    op: "drain",
-                    waited: spec.op_timeout,
-                });
-            }
-            let Some((tag, event)) = next_event(events, POLL_INTERVAL)? else {
-                continue;
-            };
-            if let Some(report) = dispatch(orch, sup, tag, event)? {
-                if report.stage == stage {
-                    worker_reports.push(report);
-                    break;
-                }
-                // An updated Done from an already-drained stage: a sweep
-                // duplicate was opened after its first report.
-                if let Some(slot) = worker_reports.iter_mut().find(|r| r.stage == report.stage) {
-                    *slot = report;
-                    continue;
-                }
-                return Err(NetError::Protocol {
-                    detail: format!("expected Done from stage {stage}, got {}", report.stage),
-                });
-            }
-        }
-    }
-
-    // --- Flush to quiescence so the audit sees final counters: late sweep
-    // duplicates are opened here and their updated Dones collected. ------
-    let flush_deadline = Instant::now() + spec.op_timeout;
-    let mut quiet_since = Instant::now();
-    while quiet_since.elapsed() < QUIET_WINDOW {
-        if Instant::now() > flush_deadline {
-            return Err(NetError::Timeout {
-                op: "flush",
-                waited: spec.op_timeout,
-            });
-        }
-        if let Some((tag, event)) = next_event(events, POLL_INTERVAL)? {
-            if let Some(report) = dispatch(orch, sup, tag, event)? {
-                if let Some(slot) = worker_reports.iter_mut().find(|r| r.stage == report.stage) {
-                    *slot = report;
-                }
-            }
-            quiet_since = Instant::now();
-        }
-    }
-
+    let worker_reports: Vec<CounterReport> = reports.into_iter().flatten().collect();
     audit_lockstep(&worker_reports, &orch.host_report())?;
 
     for stage in 0..spec.stages {
@@ -925,8 +949,10 @@ pub(crate) fn drive(
             let slot = empty_slot();
             let (sender, receiver) = transport.split()?;
             install_sender(&slot, sender);
+            let kind = if tag % 2 == 0 { "control" } else { "data" };
             pumps.push(Pump::spawn(
                 tag,
+                format!("stage {} {kind} link", link.stage),
                 receiver,
                 reattach,
                 slot.clone(),
@@ -1007,7 +1033,7 @@ pub enum Wire<'a> {
 
 /// Runs one complete deployment — orchestrator on the calling thread, one
 /// worker per stage attached over `wire` — through the one lifecycle
-/// (handshake → serve → sequenced drain → flush → audit → shutdown).
+/// (handshake → serve → drain → audit → shutdown).
 /// `supervision` layers heartbeat deadlines, live failover, checkpoint
 /// barriers and the admission options on top; `None` runs without them
 /// (a lost worker then fails the run), and the report's heartbeat,

@@ -10,7 +10,10 @@
 //!    | -- ManifestAck{weight_hash} -----> |   (hash must match)
 //!    | <------ Start -------------------- |
 //!    |        ... sealed data ...         |
-//!    | <------ Finish -------------------- |
+//!    | <------ data: Fin{in edge} -------- |   (after the last frame in)
+//!    | -- FinAck ------------------------> |
+//!    | -- data: Fin{out edge} -----------> |   (after the last frame out)
+//!    | <------ FinAck -------------------- |
 //!    | -- Done{edge counters} ----------> |   (lockstep audit)
 //!    | <------ Shutdown ------------------ |
 //! ```
@@ -30,7 +33,7 @@
 //! structurally off with a clean [`NetError`].
 
 use crate::error::{NetError, NetResult};
-use crate::frame::{decode_frame, encode_frame, Reader, Writer};
+use crate::frame::{decode_frame, Reader, Writer};
 use pipellm_chaos::{ChaosInjector, FaultPlan, RetryPolicy};
 use std::sync::Arc;
 use std::time::Duration;
@@ -44,9 +47,12 @@ use std::time::Duration;
 ///
 /// v3: the [`ShardManifest`] carries the worker-side settings of the run
 /// (resend threshold, heartbeat interval, hang duration, the stage's chaos
-/// plan), and the `Welcome` that repeated its stage count is gone. Older
-/// peers are rejected by the framing layer.
-pub const PROTO_VERSION: u8 = 3;
+/// plan), and the `Welcome` that repeated its stage count is gone.
+///
+/// v4: [`Msg::Fin`] / [`Msg::FinAck`] replace the control-plane `Finish`,
+/// and the manifest carries the drain kill. Older peers are rejected by
+/// the framing layer.
+pub const PROTO_VERSION: u8 = 4;
 
 /// Node id of the orchestrator/host in `src`/`dst` fields and edge ids.
 pub const HOST_NODE: u32 = u32::MAX;
@@ -81,10 +87,6 @@ pub const POLL_INTERVAL: Duration = Duration::from_millis(10);
 
 /// Default whole-operation deadline for handshake and drain phases.
 pub const OP_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Silence that declares a data plane drained, before a worker's `Done`
-/// and before the orchestrator's audit — absorbs straggler retransmits.
-pub const QUIET_WINDOW: Duration = Duration::from_millis(60);
 
 /// Default number of completed outputs between sealed checkpoint barriers.
 pub const CHECKPOINT_EVERY: u32 = 4;
@@ -132,7 +134,8 @@ mod kind {
     pub const CHECKPOINT_REQ: u8 = 0x18;
     pub const CHECKPOINT_SAVE: u8 = 0x19;
     pub const RESTORE: u8 = 0x1A;
-    pub const FINISH: u8 = 0x20;
+    pub const FIN: u8 = 0x1B;
+    pub const FIN_ACK: u8 = 0x1C;
     pub const DONE: u8 = 0x21;
     pub const SHUTDOWN: u8 = 0x22;
 }
@@ -188,6 +191,9 @@ pub struct ShardManifest {
     pub net_fault_rate: f64,
     /// Per-fresh-frame probability the stage dies or hangs, in `[0, 1]`.
     pub worker_fault_rate: f64,
+    /// Whether the stage dies as its in edge's [`Fin`] arrives; like the
+    /// chaos plan, armed only in generation 0.
+    pub kill_at_drain: bool,
 }
 
 impl ShardManifest {
@@ -317,6 +323,23 @@ pub struct RekeyEdge {
     pub b: u32,
     /// The target epoch; receivers fast-forward to it.
     pub epoch: u32,
+}
+
+/// The end-of-stream marker of one directed data edge ([`Msg::Fin`]), and
+/// its echo ([`Msg::FinAck`]). A receiver whose epoch and next receive IV
+/// equal `epoch` and `tx_iv` has opened every frame sealed on the edge.
+/// It consumes no IV and is not sealed: a relay that forges one can stall
+/// a run, not pass an audit on counters that disagree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fin {
+    /// Sending node of the closed edge ([`HOST_NODE`] for ingress).
+    pub src: u32,
+    /// Receiving node of the closed edge ([`HOST_NODE`] for egress).
+    pub dst: u32,
+    /// The sender's key epoch on the edge.
+    pub epoch: u32,
+    /// The sender's next send IV on the edge.
+    pub tx_iv: u64,
 }
 
 /// One edge's counters in a worker's end-of-run report.
@@ -457,8 +480,10 @@ pub enum Msg {
     CheckpointSave(CheckpointSave),
     /// Replay of a stored checkpoint to a replacement worker.
     Restore(Restore),
-    /// No more iterations; report counters.
-    Finish,
+    /// End of stream on one data edge, behind its last frame.
+    Fin(Fin),
+    /// The receiver accepted a [`Msg::Fin`]; routed back over control.
+    FinAck(Fin),
     /// End-of-run counter report.
     Done(CounterReport),
     /// Tear the deployment down.
@@ -483,19 +508,26 @@ impl Msg {
             Msg::CheckpointReq(_) => kind::CHECKPOINT_REQ,
             Msg::CheckpointSave(_) => kind::CHECKPOINT_SAVE,
             Msg::Restore(_) => kind::RESTORE,
-            Msg::Finish => kind::FINISH,
+            Msg::Fin(_) => kind::FIN,
+            Msg::FinAck(_) => kind::FIN_ACK,
             Msg::Done(_) => kind::DONE,
             Msg::Shutdown => kind::SHUTDOWN,
         }
     }
 
-    /// Encodes the message as one complete frame (header included).
+    /// Encodes the message as one complete frame (header included); a
+    /// data frame's body is copied once, into a buffer of exact size.
     ///
     /// # Errors
     ///
     /// [`NetError::Oversize`] if the payload exceeds the frame cap.
     pub fn encode(&self) -> NetResult<Vec<u8>> {
-        let mut w = Writer::default();
+        // A data frame's fields: 28 bytes, the body's length, the body.
+        let payload = match self {
+            Msg::Data(d) => 28 + 4 + d.sealed.len(),
+            _ => 0,
+        };
+        let mut w = Writer::frame(self.kind(), payload);
         match self {
             Msg::Hello(h) => {
                 w.u32(h.stage);
@@ -518,12 +550,13 @@ impl Msg {
                 w.u64(m.chaos_seed);
                 w.u64(m.net_fault_rate.to_bits());
                 w.u64(m.worker_fault_rate.to_bits());
+                w.u32(u32::from(m.kill_at_drain));
             }
             Msg::ManifestAck(a) => {
                 w.u32(a.stage);
                 w.u64(a.weight_hash);
             }
-            Msg::Start | Msg::Finish | Msg::Shutdown => {}
+            Msg::Start | Msg::Shutdown => {}
             Msg::Data(d) => {
                 w.u32(d.src);
                 w.u32(d.dst);
@@ -566,6 +599,12 @@ impl Msg {
                 w.u64(r.barrier);
                 w.bytes(&r.sealed);
             }
+            Msg::Fin(f) | Msg::FinAck(f) => {
+                w.u32(f.src);
+                w.u32(f.dst);
+                w.u32(f.epoch);
+                w.u64(f.tx_iv);
+            }
             Msg::Done(d) => {
                 w.u32(d.stage);
                 w.u32(d.edges.len() as u32);
@@ -581,7 +620,7 @@ impl Msg {
                 w.u64(d.reconnects);
             }
         }
-        encode_frame(self.kind(), &w.0)
+        w.finish_frame()
     }
 
     /// Decodes one complete frame into a message.
@@ -618,6 +657,15 @@ impl Msg {
                     chaos_seed: r.u64()?,
                     net_fault_rate: f64::from_bits(r.u64()?),
                     worker_fault_rate: f64::from_bits(r.u64()?),
+                    kill_at_drain: match r.u32()? {
+                        0 => false,
+                        1 => true,
+                        _ => {
+                            return Err(NetError::Malformed {
+                                what: "manifest drain kill flag not 0 or 1",
+                            })
+                        }
+                    },
                 };
                 m.validate()?;
                 Msg::Manifest(m)
@@ -687,7 +735,24 @@ impl Msg {
                 barrier: r.u64()?,
                 sealed: r.bytes()?.to_vec(),
             }),
-            kind::FINISH => Msg::Finish,
+            kind::FIN | kind::FIN_ACK => {
+                let f = Fin {
+                    src: r.u32()?,
+                    dst: r.u32()?,
+                    epoch: r.u32()?,
+                    tx_iv: r.u64()?,
+                };
+                if f.src == f.dst {
+                    return Err(NetError::Malformed {
+                        what: "end of stream on a self-edge",
+                    });
+                }
+                if kind_byte == kind::FIN {
+                    Msg::Fin(f)
+                } else {
+                    Msg::FinAck(f)
+                }
+            }
             kind::DONE => {
                 let stage = r.u32()?;
                 let n = r.u32()? as usize;
@@ -801,7 +866,6 @@ mod tests {
             barrier: 3,
             sealed: Vec::new(),
         }));
-        roundtrip(Msg::Finish);
         roundtrip(Msg::Done(CounterReport {
             stage: 2,
             edges: vec![EdgeCounterEntry {

@@ -65,9 +65,11 @@ pub(crate) struct Pump {
 impl Pump {
     /// Spawns a pump over `receiver`. `reattach` enables the reconnect
     /// path; `slot` is where reconnected sender halves are installed.
-    /// Events arrive on `events` tagged with `tag`.
+    /// Events arrive on `events` tagged with `tag`; `link` names the
+    /// connection in the error that ends it.
     pub fn spawn(
         tag: u32,
+        link: String,
         receiver: Box<dyn FrameReceiver>,
         reattach: Option<Box<dyn Reattach>>,
         slot: SenderSlot,
@@ -76,7 +78,7 @@ impl Pump {
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
-            pump_loop(tag, receiver, reattach, slot, events, &flag);
+            pump_loop(tag, &link, receiver, reattach, slot, events, &flag);
         });
         Pump {
             stop,
@@ -101,6 +103,7 @@ impl Drop for Pump {
 
 fn pump_loop(
     tag: u32,
+    link: &str,
     mut receiver: Box<dyn FrameReceiver>,
     mut reattach: Option<Box<dyn Reattach>>,
     slot: SenderSlot,
@@ -133,7 +136,7 @@ fn pump_loop(
                     let _ = events.send((
                         tag,
                         PumpEvent::Dead(NetError::ConnectionLost {
-                            link: format!("pump#{tag}"),
+                            link: link.to_string(),
                         }),
                     ));
                     return;
@@ -235,6 +238,7 @@ mod tests {
         let (events_tx, events) = mpsc::channel();
         let _pump = Pump::spawn(
             7,
+            "test".to_string(),
             receiver,
             Some(Box::new(DeadOnArrival(Arc::clone(&dials)))),
             empty_slot(),

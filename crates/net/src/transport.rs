@@ -19,7 +19,7 @@
 
 use crate::error::{NetError, NetResult};
 use crate::frame::{HEADER_LEN, MAGIC, MAX_FRAME_LEN};
-use crate::proto::{Msg, DIAL_RETRY, PROTO_VERSION};
+use crate::proto::{Msg, PROTO_VERSION};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -289,27 +289,20 @@ impl TcpDial {
 }
 
 impl Reattach for TcpDial {
-    fn reattach(&mut self, timeout: Duration) -> NetResult<Box<dyn Transport>> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match TcpTransport::connect(self.addr, self.label.clone()) {
-                Ok(mut t) => {
-                    let hello = Msg::DataHello {
-                        stage: self.stage,
-                        generation: self.generation,
-                    }
-                    .encode()?;
-                    t.stream
-                        .write_all(&hello)
-                        .map_err(|e| NetError::io("data_hello", &e))?;
-                    return Ok(Box::new(t));
-                }
-                Err(_) if Instant::now() < deadline => {
-                    std::thread::sleep(DIAL_RETRY);
-                }
-                Err(e) => return Err(e),
-            }
+    /// One dial: a failed connect returns at once, and the pump's bounded
+    /// retry loop — which a stopping pump leaves — paces the next, so a
+    /// worker outliving its orchestrator's listener exits promptly.
+    fn reattach(&mut self, _timeout: Duration) -> NetResult<Box<dyn Transport>> {
+        let mut t = TcpTransport::connect(self.addr, self.label.clone())?;
+        let hello = Msg::DataHello {
+            stage: self.stage,
+            generation: self.generation,
         }
+        .encode()?;
+        t.stream
+            .write_all(&hello)
+            .map_err(|e| NetError::io("data_hello", &e))?;
+        Ok(Box::new(t))
     }
 }
 

@@ -20,8 +20,10 @@
 //! 4. on `Start`, serve: open each incoming frame under the sentinel
 //!    discipline, ACK/NACK it, run [`apply_stage`] over the stage's layer
 //!    range, and seal the result onto the out edge;
-//! 5. on `Finish`, drain in-flight traffic to quiescence, report per-edge
-//!    counters with `Done`, and wait for `Shutdown`.
+//! 5. drain: once the in edge's `Fin` is accepted and every output acked,
+//!    close the out edge with a `Fin`; once that is acked, report per-edge
+//!    counters with `Done` (again after a rekey reopens an edge), and
+//!    serve on until `Shutdown`.
 //!
 //! Failure handling: a NACK retransmits one frame at a fresh IV; a dropped
 //! data connection is reattached by the pump under the bounded
@@ -45,13 +47,13 @@
 use crate::checkpoint::{global_index, open_checkpoint, seal_checkpoint, CheckpointState};
 use crate::error::{NetError, NetResult};
 use crate::link::{
-    empty_slot, install_sender, kill_slot, open_data, role_at, send_on, EdgeCrypto, LinkSender,
-    LinkTx, RxOutcome, SenderSlot, WireEdge,
+    empty_slot, install_sender, kill_slot, open_data, role_at, send_on, EdgeCrypto, LinkRx,
+    LinkSender, LinkTx, RxOutcome, SenderSlot, WireEdge,
 };
 use crate::proto::{
     chaos_injector, CheckpointReq, CheckpointSave, CounterReport, DataAck, DataFrame,
     EdgeCounterEntry, Heartbeat, Hello, ManifestAck, Msg, RekeyEdge, Restore, ShardManifest,
-    HOST_NODE, OP_TIMEOUT, POLL_INTERVAL, QUIET_WINDOW,
+    HOST_NODE, OP_TIMEOUT, POLL_INTERVAL,
 };
 use crate::pump::{next_event, Pump, PumpEvent};
 use crate::transport::{Reattach, Transport};
@@ -114,6 +116,9 @@ struct Worker {
     out_edge: WireEdge,
     edges: BTreeMap<WireEdge, EdgeCrypto>,
     out_tx: LinkTx,
+    in_rx: LinkRx,
+    /// The last `Done` report sent, if any.
+    done: Option<CounterReport>,
     /// The committed prefix the latest barrier (or the restored
     /// checkpoint) announced: every output with a [`global_index`] below
     /// it is committed at the orchestrator and is never produced again.
@@ -168,6 +173,8 @@ impl Worker {
             out_edge,
             edges,
             out_tx: LinkTx::default(),
+            in_rx: LinkRx::default(),
+            done: None,
             watermark: 0,
             processed: BTreeSet::new(),
             barrier: 0,
@@ -258,10 +265,11 @@ impl Worker {
         }))
     }
 
-    /// Sends a heartbeat if the interval elapsed as of `now`. Sequence
-    /// numbers are monotone within this incarnation.
+    /// Sends a heartbeat if the interval elapsed as of `now` (the first as
+    /// serving starts). Sequence numbers are monotone per incarnation.
     fn maybe_heartbeat(&mut self, now: Instant) -> NetResult<()> {
-        if now.saturating_duration_since(self.last_heartbeat) < self.manifest.heartbeat_interval {
+        let since = now.saturating_duration_since(self.last_heartbeat);
+        if self.heartbeat_seq > 0 && since < self.manifest.heartbeat_interval {
             return Ok(());
         }
         self.heartbeat_seq += 1;
@@ -273,8 +281,14 @@ impl Worker {
         }))
     }
 
+    /// Sends on control. Once `Done` is out a lost link is the teardown,
+    /// not an error: the orchestrator may close the deployment the moment
+    /// the last report lands, its close overtaking the queued Shutdown.
     fn control_send(&self, msg: &Msg) -> NetResult<()> {
-        send_on(&self.control_slot, &msg.encode()?, "control")
+        match send_on(&self.control_slot, &msg.encode()?, "control") {
+            Err(NetError::ConnectionLost { .. }) if self.done.is_some() => Ok(()),
+            sent => sent,
+        }
     }
 
     /// The out-edge in-flight set and, borrowed beside it, the edge's
@@ -305,13 +319,11 @@ impl Worker {
         Ok(())
     }
 
-    fn handle_data(&mut self, mut frame: DataFrame) -> NetResult<()> {
-        if frame.src == frame.dst || frame.dst != self.stage || frame.src != self.in_peer {
+    /// The in edge's state, once `src -> dst` is checked to be it.
+    fn in_link(&mut self, src: u32, dst: u32) -> NetResult<(&mut EdgeCrypto, &mut LinkRx)> {
+        if src == dst || dst != self.stage || src != self.in_peer {
             return Err(NetError::Protocol {
-                detail: format!(
-                    "stage {} got a misrouted frame {} -> {}",
-                    self.stage, frame.src, frame.dst
-                ),
+                detail: format!("stage {} got a misrouted frame {src} -> {dst}", self.stage),
             });
         }
         let crypto = self
@@ -320,6 +332,11 @@ impl Worker {
             .ok_or(NetError::Protocol {
                 detail: "in edge missing".to_string(),
             })?;
+        Ok((crypto, &mut self.in_rx))
+    }
+
+    fn handle_data(&mut self, mut frame: DataFrame) -> NetResult<()> {
+        let (crypto, _) = self.in_link(frame.src, frame.dst)?;
         let ack = DataAck {
             src: frame.src,
             dst: frame.dst,
@@ -390,20 +407,57 @@ impl Worker {
         Ok(())
     }
 
-    /// Handles one serving-phase event. Returns the control message that
-    /// ends the phase (`Finish` / `Shutdown`), if this was one.
-    fn handle_event(&mut self, tag: u32, event: PumpEvent) -> NetResult<Option<Msg>> {
+    /// One drain step per turn: once the in edge is closed, close the out
+    /// edge; once both are, report with `Done` if the report changed.
+    fn drain(&mut self, now: Instant) -> NetResult<()> {
+        let in_closed = self
+            .edges
+            .get(&self.in_edge)
+            .is_some_and(|crypto| self.in_rx.closed(crypto));
+        if !in_closed {
+            return Ok(());
+        }
+        let resend_after = self.manifest.resend_after;
+        let (tx, mut link) = self.out_link()?;
+        link.close(tx, now, resend_after)?;
+        if !tx.closed(link.crypto) {
+            return Ok(());
+        }
+        let report = self.report();
+        if self.done.as_ref() != Some(&report) {
+            self.control_send(&Msg::Done(report.clone()))?;
+            self.done = Some(report);
+        }
+        Ok(())
+    }
+
+    /// Handles one serving-phase event. Returns whether it was the
+    /// `Shutdown` that ends the run.
+    fn handle_event(&mut self, tag: u32, event: PumpEvent) -> NetResult<bool> {
         match event {
             PumpEvent::Frame(msg) => match msg {
                 Msg::Data(frame) => {
                     self.handle_data(frame)?;
-                    Ok(None)
+                    Ok(false)
                 }
                 Msg::AckData(ack) => {
                     if ack.src == self.stage {
                         self.out_tx.ack(ack.seq);
                     }
-                    Ok(None)
+                    Ok(false)
+                }
+                Msg::Fin(fin) => {
+                    let (crypto, rx) = self.in_link(fin.src, fin.dst)?;
+                    if rx.accept(crypto, &fin) {
+                        self.control_send(&Msg::FinAck(fin))?;
+                    }
+                    Ok(false)
+                }
+                Msg::FinAck(ack) => {
+                    if ack.src == self.stage {
+                        self.out_tx.fin_acked(&ack);
+                    }
+                    Ok(false)
                 }
                 Msg::NackData(ack) => {
                     if ack.src == self.stage {
@@ -413,25 +467,25 @@ impl Worker {
                             self.retransmits += 1;
                         }
                     }
-                    Ok(None)
+                    Ok(false)
                 }
                 Msg::RekeyEdge(r) => {
                     self.handle_rekey(r.a, r.b, r.epoch)?;
-                    Ok(None)
+                    Ok(false)
                 }
                 Msg::CheckpointReq(req) => {
                     self.handle_checkpoint(&req)?;
-                    Ok(None)
+                    Ok(false)
                 }
-                Msg::Finish | Msg::Shutdown => Ok(Some(msg)),
+                Msg::Shutdown => Ok(true),
                 // Duplicated handshake traffic is idempotent noise, as are
                 // heartbeat echoes and a late duplicate Restore.
-                Msg::Manifest(_) | Msg::Start | Msg::HeartbeatAck(_) | Msg::Restore(_) => Ok(None),
+                Msg::Manifest(_) | Msg::Start | Msg::HeartbeatAck(_) | Msg::Restore(_) => Ok(false),
                 other => Err(NetError::Protocol {
                     detail: format!("stage {} got unexpected {:?}", self.stage, other),
                 }),
             },
-            PumpEvent::Down => Ok(None),
+            PumpEvent::Down => Ok(false),
             PumpEvent::Up => {
                 if tag == DATA {
                     self.reconnects += 1;
@@ -439,7 +493,7 @@ impl Worker {
                     // unacked frames go out again on the RekeyEdge reply.
                     self.control_send(&Msg::LinkRestored { stage: self.stage })?;
                 }
-                Ok(None)
+                Ok(false)
             }
             PumpEvent::Dead(e) => Err(e),
         }
@@ -490,6 +544,7 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
 
     let control_pump = Pump::spawn(
         CONTROL,
+        "control".to_string(),
         ctl_receiver,
         None,
         control_slot.clone(),
@@ -497,6 +552,7 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
     );
     let data_pump = Pump::spawn(
         DATA,
+        "data".to_string(),
         data_receiver,
         links.data_reattach,
         data_slot.clone(),
@@ -549,7 +605,9 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
             | Msg::AckData(_)
             | Msg::NackData(_)
             | Msg::RekeyEdge(_)
-            | Msg::CheckpointReq(_)),
+            | Msg::CheckpointReq(_)
+            | Msg::Fin(_)
+            | Msg::FinAck(_)),
         ) = event
         {
             deferred.push((tag, PumpEvent::Frame(msg)));
@@ -614,8 +672,9 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
     for (tag, event) in deferred {
         worker.handle_event(tag, event)?;
     }
+    let kill_at_drain = manifest.kill_at_drain && config.generation == 0;
 
-    // --- Serve until Finish ---------------------------------------------
+    // --- Serve and drain, until Shutdown --------------------------------
     let mut last_activity = Instant::now();
     loop {
         let now = Instant::now();
@@ -627,6 +686,7 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
         }
         worker.maybe_heartbeat(now)?;
         worker.sweep(now)?;
+        worker.drain(now)?;
         let Some((tag, event)) = next_event(&events, POLL_INTERVAL)? else {
             continue;
         };
@@ -635,124 +695,47 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
         // (connections die mid-protocol, no goodbye); a hang wedges past
         // the supervisor's death deadline, then dies. Rolled once per
         // received *fresh* data frame (the envelope keys are cleartext, so
-        // freshness is checkable pre-open), and only while serving —
-        // duplicates arriving during the drain cannot kill a worker, and
-        // recovery paths (the replacement incarnation) run with chaos
-        // disabled, the escalation contract every retry loop in this
-        // codebase follows.
-        let fresh_work = match &event {
-            PumpEvent::Frame(Msg::Data(f)) => worker.is_fresh(f.iteration, f.micro_batch),
-            _ => false,
-        };
-        if fresh_work {
-            if let Some(fault) = worker.chaos.as_ref().and_then(|c| c.roll_worker()) {
-                if fault.kind == FaultKind::StageHang {
+        // freshness is checkable pre-open) — duplicates cannot kill a
+        // worker, and recovery paths (the replacement incarnation) run with
+        // chaos disabled. A drain kill fires on the in edge's `Fin`.
+        let fault = match &event {
+            PumpEvent::Frame(Msg::Data(f)) if worker.is_fresh(f.iteration, f.micro_batch) => {
+                let fault = worker.chaos.as_ref().and_then(|c| c.roll_worker());
+                if fault.is_some_and(|f| f.kind == FaultKind::StageHang) {
                     std::thread::sleep(worker.manifest.hang_for);
                 }
-                // Stop the pumps *before* killing the links: a pump that
-                // notices the dead connection afterward exits instead of
-                // entering its reattach path, so a dying incarnation never
-                // resets a link generation out from under the replacement
-                // the supervisor is about to admit.
-                control_pump.stop();
-                data_pump.stop();
-                kill_slot(&worker.control_slot);
-                kill_slot(&worker.data_slot);
-                return Err(NetError::Protocol {
-                    detail: format!(
-                        "stage {} gen {}: injected worker {}",
-                        config.stage,
-                        config.generation,
-                        fault.kind.label()
-                    ),
-                });
+                fault.map(|f| f.kind.label())
             }
-        }
-        match worker.handle_event(tag, event)? {
-            Some(Msg::Finish) => break,
-            Some(Msg::Shutdown) => {
-                // Aborted run: report what we have and leave.
-                control_pump.stop();
-                data_pump.stop();
-                return Ok(worker.report());
-            }
-            _ => {}
-        }
-    }
-
-    // --- Drain: serve until no in-flight frames and the link goes quiet -
-    let drain_deadline = Instant::now() + config.op_timeout;
-    let mut last_event = Instant::now();
-    loop {
-        let now = Instant::now();
-        if worker.out_tx.in_flight() == 0
-            && now.saturating_duration_since(last_event) >= QUIET_WINDOW
-        {
-            break;
-        }
-        if now > drain_deadline {
-            return Err(NetError::Timeout {
-                op: "drain",
-                waited: config.op_timeout,
+            PumpEvent::Frame(Msg::Fin(_)) if kill_at_drain => Some("kill at drain"),
+            _ => None,
+        };
+        if let Some(fault) = fault {
+            // Stop the pumps *before* killing the links: a pump that
+            // notices the dead connection afterward exits instead of
+            // entering its reattach path, so a dying incarnation never
+            // resets a link generation out from under the replacement the
+            // supervisor is about to admit.
+            control_pump.stop();
+            data_pump.stop();
+            kill_slot(&worker.control_slot);
+            kill_slot(&worker.data_slot);
+            return Err(NetError::Protocol {
+                detail: format!(
+                    "stage {} gen {}: injected worker {fault}",
+                    config.stage, config.generation
+                ),
             });
         }
-        worker.maybe_heartbeat(now)?;
-        worker.sweep(now)?;
-        if let Some((tag, event)) = next_event(&events, POLL_INTERVAL)? {
-            // Heartbeat acks are liveness beacons, not data-plane traffic:
-            // counting them as activity would keep the quiet window from
-            // ever elapsing whenever the beacon interval is shorter than it.
-            if !matches!(event, PumpEvent::Frame(Msg::HeartbeatAck(_))) {
-                last_event = Instant::now();
-            }
-            worker.handle_event(tag, event)?;
-        }
-    }
-
-    let mut last_report = worker.report();
-    worker.control_send(&Msg::Done(last_report.clone()))?;
-
-    // --- Wait for Shutdown. A sweep retransmit can race the first Done:
-    // a duplicate opened now still advances counters, so any event that
-    // changes the report triggers an updated Done — the orchestrator
-    // audits whatever it last heard once the deployment is quiet. -------
-    // No heartbeats past Done: the orchestrator may tear the deployment
-    // down the moment the last report lands, and a beacon racing that
-    // close would turn a clean exit into a spurious connection error. A
-    // control link lost from here on is that teardown too: its data-link
-    // close can overtake the queued Shutdown and prompt a redial's
-    // LinkRestored or an updated Done.
-    let bye_deadline = Instant::now() + config.op_timeout;
-    loop {
-        if Instant::now() > bye_deadline {
-            return Err(NetError::Timeout {
-                op: "shutdown",
-                waited: config.op_timeout,
-            });
-        }
-        match next_event(&events, POLL_INTERVAL)? {
-            Some((_, PumpEvent::Frame(Msg::Shutdown))) => break,
-            Some((_, PumpEvent::Dead(e))) => return Err(e),
-            Some((tag, event)) => {
-                let updated = worker.handle_event(tag, event).and_then(|_| {
-                    let now = worker.report();
-                    if now != last_report {
-                        worker.control_send(&Msg::Done(now.clone()))?;
-                        last_report = now;
-                    }
-                    Ok(())
-                });
-                match updated {
-                    Err(NetError::ConnectionLost { .. }) => break,
-                    other => other?,
-                }
-            }
-            None => {}
+        match worker.handle_event(tag, event) {
+            Ok(false) => {}
+            Ok(true) => break,
+            Err(NetError::ConnectionLost { .. }) if worker.done.is_some() => break,
+            Err(e) => return Err(e),
         }
     }
     control_pump.stop();
     data_pump.stop();
-    Ok(last_report)
+    Ok(worker.report())
 }
 
 #[cfg(test)]

@@ -10,9 +10,10 @@
 
 use pipellm_net::frame::{decode_frame, encode_frame, HEADER_LEN};
 use pipellm_net::proto::{
-    CheckpointReq, CheckpointSave, CounterReport, DataAck, DataFrame, EdgeCounterEntry, Heartbeat,
-    Hello, ManifestAck, Msg, RekeyEdge, Restore, ShardManifest,
+    CheckpointReq, CheckpointSave, CounterReport, DataAck, DataFrame, EdgeCounterEntry, Fin,
+    Heartbeat, Hello, ManifestAck, Msg, RekeyEdge, Restore, ShardManifest,
 };
+use pipellm_net::NetError;
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -52,13 +53,26 @@ fn manifest_from(a: u64, b: u64) -> ShardManifest {
         chaos_seed: a.rotate_left(3) ^ b,
         net_fault_rate: f64::from(q[0]) / f64::from(u32::MAX),
         worker_fault_rate: f64::from(q[3]) / f64::from(u32::MAX),
+        kill_at_drain: b & 1 == 1,
+    }
+}
+
+/// Derives an end-of-stream marker; its endpoints always differ, as the
+/// decoder requires.
+fn fin_from(a: u64, b: u64) -> Fin {
+    let q = quarters(a);
+    Fin {
+        src: q[0],
+        dst: q[0] ^ (q[1] | 1),
+        epoch: q[2],
+        tx_iv: b,
     }
 }
 
 /// Derives one protocol message of an arbitrary variant from entropy.
 fn msg_from(pick: u64, a: u64, b: u64, sealed: Vec<u8>) -> Msg {
     let q = quarters(a);
-    match pick % 18 {
+    match pick % 19 {
         0 => Msg::Hello(Hello {
             stage: q[0],
             generation: q[2],
@@ -98,7 +112,7 @@ fn msg_from(pick: u64, a: u64, b: u64, sealed: Vec<u8>) -> Msg {
             stage: q[1],
             generation: q[3],
         },
-        10 => Msg::Finish,
+        10 => Msg::Fin(fin_from(a, b)),
         11 => {
             let edges = (0..(b % 4))
                 .map(|i| {
@@ -140,6 +154,7 @@ fn msg_from(pick: u64, a: u64, b: u64, sealed: Vec<u8>) -> Msg {
             sealed,
         }),
         16 => Msg::Restore(Restore { barrier: b, sealed }),
+        17 => Msg::FinAck(fin_from(a, b)),
         _ => Msg::Shutdown,
     }
 }
@@ -226,6 +241,59 @@ proptest! {
         }
         let frame = Msg::Manifest(m).encode().expect("encoding skips validation");
         prop_assert!(Msg::decode(&frame).is_err());
+    }
+
+    /// A manifest whose drain-kill flag is neither 0 nor 1 is rejected:
+    /// the codec admits one representation of each flag value.
+    #[test]
+    fn manifest_drain_kill_flag_is_zero_or_one(a in any::<u64>(), b in any::<u64>(), flag in 2u32..u32::MAX) {
+        let mut frame = Msg::Manifest(manifest_from(a, b)).encode().expect("encodable");
+        let at = frame.len() - 4;
+        frame[at..].copy_from_slice(&flag.to_le_bytes());
+        prop_assert!(matches!(Msg::decode(&frame), Err(NetError::Malformed { .. })));
+    }
+
+    /// An end-of-stream marker or its ack naming a self-edge is
+    /// malformed, whatever its counters.
+    #[test]
+    fn fin_on_a_self_edge_rejects(a in any::<u64>(), b in any::<u64>(), ack in any::<bool>()) {
+        let fin = Fin { dst: fin_from(a, b).src, ..fin_from(a, b) };
+        let msg = if ack { Msg::FinAck(fin) } else { Msg::Fin(fin) };
+        let frame = msg.encode().expect("encoding skips validation");
+        prop_assert!(matches!(Msg::decode(&frame), Err(NetError::Malformed { .. })));
+    }
+
+    /// A data frame encodes byte for byte as the generic framing of its
+    /// fields, written one after another: the single-copy encoder is the
+    /// same codec, into one buffer of exactly the frame's size.
+    #[test]
+    fn data_encoding_is_the_generic_framing(
+        a in any::<u64>(),
+        b in any::<u64>(),
+        sealed in proptest::collection::vec(any::<u8>(), 0..512),
+    ) {
+        let q = quarters(a);
+        let frame = DataFrame {
+            src: q[0],
+            dst: q[1],
+            seq: b,
+            epoch: q[2],
+            iteration: q[3],
+            micro_batch: (b >> 32) as u32,
+            sealed,
+        };
+        let mut payload = Vec::new();
+        for word in [frame.src, frame.dst] {
+            payload.extend_from_slice(&word.to_le_bytes());
+        }
+        payload.extend_from_slice(&frame.seq.to_le_bytes());
+        for word in [frame.epoch, frame.iteration, frame.micro_batch, frame.sealed.len() as u32] {
+            payload.extend_from_slice(&word.to_le_bytes());
+        }
+        payload.extend_from_slice(&frame.sealed);
+        let encoded = Msg::Data(frame).encode().expect("encodable");
+        prop_assert_eq!(encoded.capacity(), encoded.len());
+        prop_assert_eq!(encoded, encode_frame(0x10, &payload).expect("under the cap"));
     }
 
     /// Trailing garbage after a valid payload rejects.

@@ -1,13 +1,14 @@
 //! A stage worker driven through its public entry point by a hand-scripted
 //! orchestrator: the full lifecycle of one micro-batch (greetings,
-//! handshake, sealed input, ack, sealed output, `Finish`, counter report,
-//! `Shutdown`), and a checkpoint barrier that lands mid-handshake.
+//! handshake, sealed input, ack, sealed output, the `Fin`/`FinAck` close
+//! of both directions, counter report, `Shutdown`), and a checkpoint
+//! barrier that lands mid-handshake.
 
 use pipellm::partition::{apply_stage, iteration_input, stage_weight_hash};
 use pipellm_net::checkpoint::open_checkpoint;
 use pipellm_net::link::{open_data, EdgeCrypto, Role, RxOutcome, WireEdge};
 use pipellm_net::proto::{
-    CheckpointReq, CounterReport, DataAck, DataFrame, Hello, ManifestAck, Msg, ShardManifest,
+    CheckpointReq, CounterReport, DataAck, DataFrame, Fin, Hello, ManifestAck, Msg, ShardManifest,
     HOST_NODE,
 };
 use pipellm_net::transport::{duplex_pair, FrameReceiver, FrameSender, Transport};
@@ -80,8 +81,15 @@ impl Scripted {
         Msg::decode(&frame).unwrap_or_else(|e| panic!("decoding {step}: {e}"))
     }
 
+    /// The next control message but the worker's heartbeats: beacons are
+    /// not part of the script (the first goes out as serving starts).
     fn recv_ctl(&mut self, step: &str) -> Msg {
-        Self::recv(&mut self.ctl_rx, step)
+        loop {
+            match Self::recv(&mut self.ctl_rx, step) {
+                Msg::Heartbeat(_) => {}
+                msg => return msg,
+            }
+        }
     }
 
     fn recv_data(&mut self, step: &str) -> Msg {
@@ -95,8 +103,7 @@ impl Scripted {
     /// Manifest out, the worker's manifest ack back.
     fn admit(&mut self) {
         // The scripted peer acks at its own pace; a sweep retransmit would
-        // skew the exact IV counters these tests assert, and an
-        // interleaved heartbeat would break the exact control script.
+        // skew the exact IV counters these tests assert.
         let spec = NetPipelineSpec {
             stages: 1,
             layers: 4,
@@ -197,7 +204,34 @@ fn single_stage_worker_serves_a_scripted_orchestrator() {
         seq: reply.seq,
     }));
 
-    peer.send_ctl(&Msg::Finish);
+    // Close ingress. A Fin that does not match the worker's receive
+    // counter is refused without a word; the one that does is acked.
+    let fin = Fin {
+        src: HOST_NODE,
+        dst: 0,
+        epoch: host.epoch(),
+        tx_iv: host.tx_iv(),
+    };
+    let early = Fin {
+        tx_iv: fin.tx_iv - 1,
+        ..fin
+    };
+    for f in [early, fin] {
+        peer.data_tx
+            .send_frame(&Msg::Fin(f).encode().unwrap())
+            .unwrap();
+    }
+    assert_eq!(peer.recv_ctl("fin ack"), Msg::FinAck(fin));
+    // Its one output acked, the worker closes its out edge at its own
+    // counters; the ack of that lets it report.
+    let out_fin = Fin {
+        src: 0,
+        dst: HOST_NODE,
+        epoch: host.epoch(),
+        tx_iv: host.rx_iv(),
+    };
+    assert_eq!(peer.recv_data("out-edge fin"), Msg::Fin(out_fin));
+    peer.send_ctl(&Msg::FinAck(out_fin));
     let Msg::Done(report) = peer.recv_ctl("done report") else {
         panic!("expected the worker's counter report");
     };

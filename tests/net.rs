@@ -1,11 +1,12 @@
 //! End-to-end tests of the networked deployment: TCP and duplex runs must
-//! be bit-identical to each other and to the in-process reference, and a
-//! chaos-injected run must recover with every edge in lockstep.
+//! be bit-identical to each other and to the in-process reference, a
+//! chaos-injected run must recover with every edge in lockstep, and the
+//! lockstep audit must fail on counters that disagree.
 
-use pipellm_repro::net::orchestrator::dial_worker_links;
-use pipellm_repro::net::proto::Msg;
+use pipellm_repro::net::orchestrator::{audit_lockstep, dial_worker_links};
+use pipellm_repro::net::proto::{CounterReport, EdgeCounterEntry, Msg, HOST_NODE};
 use pipellm_repro::net::{
-    deploy, run_tcp_threads, run_worker, NetPipelineSpec, Wire, WorkerConfig,
+    deploy, run_tcp_threads, run_worker, NetError, NetPipelineSpec, Wire, WorkerConfig,
 };
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -122,5 +123,39 @@ fn chaos_connection_drops_recover_in_lockstep_over_tcp() {
     assert!(report.lockstep_ok);
     if report.reconnects > 0 {
         assert!(report.rekeys > 0, "reconnects must trigger epoch rekeys");
+    }
+}
+
+#[test]
+fn the_lockstep_audit_fails_on_counters_that_disagree() {
+    let entry = |epoch, tx_iv, rx_iv| EdgeCounterEntry {
+        a: 0,
+        b: HOST_NODE,
+        epoch,
+        tx_iv,
+        rx_iv,
+    };
+    let report = |stage, edges| CounterReport {
+        stage,
+        edges,
+        retransmits: 0,
+        sentinels: 0,
+        reconnects: 0,
+    };
+    // The host sealed four frames at epoch 1 and opened two.
+    let host = report(HOST_NODE, vec![entry(1, 5, 3)]);
+    let agreeing = report(0, vec![entry(1, 3, 5)]);
+    assert_eq!(audit_lockstep(&[agreeing], &host), Ok(()));
+    for stage in [
+        report(0, vec![entry(1, 3, 4)]), // a frame sealed, never opened
+        report(0, vec![entry(1, 4, 5)]), // a frame opened, never sealed
+        report(0, vec![entry(2, 3, 5)]), // the ends disagree on the epoch
+        report(0, Vec::new()),           // one end does not report
+    ] {
+        let audit = audit_lockstep(std::slice::from_ref(&stage), &host);
+        assert!(
+            matches!(audit, Err(NetError::Lockstep { .. })),
+            "{stage:?}: {audit:?}"
+        );
     }
 }

@@ -2,14 +2,15 @@
 //! worker killed mid-run must be detected by heartbeat silence, failed
 //! over (respawn, readmit, force-rekey, sealed-checkpoint restore) and
 //! the run must still finish **bit-identical** to the fault-free
-//! reference; drains must complete in-flight work and shed the queue;
+//! reference — also when the worker dies mid-drain, after ingress was
+//! closed; drains must complete in-flight work and shed the queue;
 //! superseded incarnations must not be able to redial into a live link;
 //! and the supervisor failover model must explore every schedule with
 //! zero IV-reuse / lost-session violations.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pipellm_repro::analysis::interleave::supervisor_model::{SupervisorBug, SupervisorModel};
 use pipellm_repro::analysis::interleave::{Explorer, Violation};
@@ -174,6 +175,70 @@ fn a_kill_with_a_full_window_in_flight_is_recovered_by_recomputation() {
             assert!(report.stats.checkpoints_stored > 0);
             assert!(report.net.retransmits > 0, "lost work is re-driven");
         }
+    }
+}
+
+#[test]
+fn a_stage_killed_mid_drain_is_failed_over_and_the_run_completes() {
+    // Each victim dies the moment its in edge's Fin arrives: after the
+    // orchestrator closed ingress, on the drain's own progress rather than
+    // a timer. The replacement is handed the resent Fin like any other
+    // unacknowledged frame and the drain finishes. The kill is detected
+    // through the dead control link, so generous deadlines keep a starved
+    // runner from adding failovers.
+    let options = SupervisedOptions {
+        suspect_after: Duration::from_secs(5),
+        dead_after: Duration::from_secs(10),
+        ..tight()
+    };
+    for victim in 0..spec().stages {
+        let spec = NetPipelineSpec {
+            kill_at_drain: Some(victim),
+            ..spec()
+        };
+        for (transport, wire) in [("duplex", Wire::Duplex), ("tcp", Wire::TcpThreads)] {
+            let report = deploy(&spec, wire, Some(&options)).unwrap_or_else(|e| {
+                panic!("stage {victim} killed mid-drain over {transport}: {e}")
+            });
+            assert_eq!(report.net.outputs, spec.expected_outputs());
+            assert_eq!(
+                (report.stats.detections, report.stats.failovers),
+                (1, 1),
+                "stage {victim} over {transport}: {:?}",
+                report.stats
+            );
+            assert!(report.net.rekeys > 0, "every failover force-rekeys");
+            assert!(report.net.lockstep_ok);
+        }
+    }
+}
+
+#[test]
+fn an_unsupervised_run_losing_a_stage_mid_drain_fails_fast_naming_it() {
+    for victim in 0..spec().stages {
+        let spec = NetPipelineSpec {
+            kill_at_drain: Some(victim),
+            op_timeout: Duration::from_secs(10),
+            ..spec()
+        };
+        let started = Instant::now();
+        let err = match deploy(&spec, Wire::Duplex, None) {
+            Ok(_) => panic!("losing stage {victim} without supervision must fail the run"),
+            Err(err) => err.to_string(),
+        };
+        // The orchestrator fails at once; the in-process deployment then
+        // joins its worker threads, whose data pumps may each sit out one
+        // reattach attempt (2 s) first. Nothing waits for a phase deadline.
+        assert!(
+            started.elapsed() < spec.op_timeout / 2,
+            "stage {victim}: failed only after {:?}: {err}",
+            started.elapsed()
+        );
+        let orchestrator = err.split("; worker:").next().unwrap_or_default();
+        assert!(
+            orchestrator.contains(&format!("stage {victim} control link")),
+            "the error must name stage {victim}: {err}"
+        );
     }
 }
 
