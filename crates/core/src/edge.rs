@@ -27,6 +27,7 @@
 use crate::predictor::{ChunkId, Predictor};
 use crate::stats::PipeLlmStats;
 use pipellm_crypto::channel::SealedMessage;
+use pipellm_crypto::edge::{EdgeCrypto, WireEdge};
 use pipellm_crypto::session::SessionId;
 use pipellm_gpu::cluster::ClusterContext;
 use pipellm_gpu::context::{GpuError, MemcpyTiming};
@@ -90,16 +91,6 @@ impl EdgePipeline {
         }
     }
 
-    /// Source device of this direction.
-    pub fn src(&self) -> usize {
-        self.src
-    }
-
-    /// Destination device of this direction.
-    pub fn dst(&self) -> usize {
-        self.dst
-    }
-
     /// Speculation statistics of this edge direction.
     pub fn stats(&self) -> PipeLlmStats {
         self.stats
@@ -122,8 +113,22 @@ impl EdgePipeline {
         self.queue.clear();
     }
 
+    /// The cluster edge this direction crosses.
+    fn edge(&self) -> WireEdge {
+        WireEdge::between(self.src as u32, self.dst as u32)
+    }
+
+    /// The sender's next IV on this direction: the send counter of the
+    /// edge's end at `src`, the `b` end when `src > dst`.
+    fn next_iv(&self, cluster: &ClusterContext) -> u64 {
+        cluster
+            .edge(self.edge())
+            .map_or(0, |ends| ends[usize::from(self.src > self.dst)].tx_iv())
+    }
+
     /// Rekeys the edge if its active session sits inside the IV-exhaustion
-    /// headroom, dropping the now-stale queue. Returns whether it rekeyed.
+    /// headroom in either direction, dropping the now-stale queue. Returns
+    /// whether it rekeyed.
     fn rekey_if_needed(&mut self, cluster: &mut ClusterContext) -> bool {
         // Entries sealed under another session's keys can never commit
         // under the now-active one — drop them before they could desync
@@ -136,24 +141,30 @@ impl EdgePipeline {
             self.session = Some(active);
             self.epoch = None;
         }
-        let edge = pipellm_gpu::cluster::EdgeId::between(self.src, self.dst);
+        let Some(ends) = cluster.edge_mut(self.edge()) else {
+            return false;
+        };
         // A rekey restarts both directions of the edge; if anyone else
         // (e.g. the reverse direction's pipeline) rekeyed since we last
         // queued, our old-epoch entries can never authenticate.
-        let epoch = cluster.edge_epoch(edge, active);
-        if self.epoch != epoch {
+        let epoch = ends[0].epoch();
+        if self.epoch != Some(epoch) {
             if self.epoch.is_some() {
                 self.drop_queue();
             }
-            self.epoch = epoch;
+            self.epoch = Some(epoch);
         }
-        if !cluster.edge_needs_rekey(edge) {
+        if !ends.iter().any(EdgeCrypto::needs_rekey) {
             return false;
         }
         self.drop_queue();
-        let rekeyed = cluster.maybe_rekey_edge(edge);
-        self.epoch = cluster.edge_epoch(edge, active);
-        rekeyed
+        // Both ends move to the same fresh epoch, as a `RekeyEdge` does.
+        let next = epoch.saturating_add(1);
+        for end in ends {
+            end.rekey_to(next);
+        }
+        self.epoch = Some(next);
+        true
     }
 
     /// Called when the producer kernel for `src_ptr` retires at `now`:
@@ -181,7 +192,7 @@ impl EdgePipeline {
                 return false;
             }
         }
-        let cur = cluster.current_edge_iv(self.src, self.dst);
+        let cur = self.next_iv(cluster);
         let iv = self.queue.back().map(|e| e.iv + 1).unwrap_or(cur).max(cur);
         match cluster.seal_edge_region(now, self.src, src_ptr, self.dst, dst_ptr, iv) {
             Ok((sealed, ready_at)) => {
@@ -234,7 +245,7 @@ impl EdgePipeline {
         if regions.is_empty() {
             return 0;
         }
-        let cur = cluster.current_edge_iv(self.src, self.dst);
+        let cur = self.next_iv(cluster);
         let start_iv = self.queue.back().map(|e| e.iv + 1).unwrap_or(cur).max(cur);
         match cluster.seal_edge_regions(now, self.src, self.dst, &regions, start_iv) {
             Ok((sealed, ready_at)) => {
@@ -281,7 +292,7 @@ impl EdgePipeline {
         let timing = match pos {
             Some(pos) => {
                 let entry = self.queue.remove(pos).expect("position just found");
-                let cur = cluster.current_edge_iv(self.src, self.dst);
+                let cur = self.next_iv(cluster);
                 if entry.iv < cur {
                     // Competing traffic consumed the IV: irrecoverable for
                     // this ciphertext.
@@ -345,7 +356,7 @@ impl EdgePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipellm_gpu::cluster::{ClusterConfig, EdgeId};
+    use pipellm_gpu::cluster::ClusterConfig;
     use pipellm_gpu::memory::Payload;
     use pipellm_gpu::CcMode;
 
@@ -358,6 +369,12 @@ mod tests {
             device_capacity: 1 << 30,
             ..ClusterConfig::default()
         })
+    }
+
+    /// Whether the two ends of edge 0-1 mirror each other, every session.
+    fn in_lockstep(c: &ClusterContext) -> bool {
+        let [a, b] = c.edge(WireEdge::between(0, 1)).unwrap();
+        a.mirrors(b)
     }
 
     fn seed(c: &mut ClusterContext, dev: usize, byte: u8) -> DevicePtr {
@@ -422,10 +439,7 @@ mod tests {
             );
         }
         assert_eq!(pipe.stats().spec_hits, 2, "{}", pipe.stats());
-        let counters = c
-            .edge_counters(EdgeId::between(0, 1), c.active_session())
-            .unwrap();
-        assert!(counters.in_lockstep(), "{counters:?}");
+        assert!(in_lockstep(&c));
     }
 
     #[test]
@@ -472,10 +486,7 @@ mod tests {
         );
         // Preparing the wrong slot is refused once the pattern is learned.
         assert!(!pipe.prepare(&mut c, now, pong, dst, CHUNK) || pipe.queue_len() <= 1);
-        let counters = c
-            .edge_counters(EdgeId::between(0, 1), c.active_session())
-            .unwrap();
-        assert!(counters.in_lockstep(), "{counters:?}");
+        assert!(in_lockstep(&c));
     }
 
     #[test]
@@ -498,10 +509,7 @@ mod tests {
             c.device(1).device_memory().get(dst).unwrap(),
             &Payload::Real(vec![3; CHUNK as usize])
         );
-        let counters = c
-            .edge_counters(EdgeId::between(0, 1), c.active_session())
-            .unwrap();
-        assert!(counters.in_lockstep(), "{counters:?}");
+        assert!(in_lockstep(&c));
     }
 
     #[test]
@@ -521,11 +529,7 @@ mod tests {
         // The foreign entry was dropped (never committed under B), and
         // both sessions' edge counters stay in lockstep.
         assert_eq!(pipe.stats().wasted_entries, 1, "{}", pipe.stats());
-        let edge = EdgeId::between(0, 1);
-        for sid in [pipellm_crypto::session::SessionId::DEFAULT, b] {
-            let counters = c.edge_counters(edge, sid).unwrap();
-            assert!(counters.in_lockstep(), "{sid}: {counters:?}");
-        }
+        assert!(in_lockstep(&c));
         assert_eq!(
             c.device(1).device_memory().get(dst).unwrap(),
             &Payload::Real(vec![0xcd; CHUNK as usize])
@@ -535,8 +539,6 @@ mod tests {
     #[test]
     fn foreign_rekey_drops_the_other_directions_queue() {
         let mut c = cluster();
-        let edge = EdgeId::between(0, 1);
-        let sid = c.active_session();
         let bwd_src = seed(&mut c, 1, 0x22);
         let bwd_dst = c.device_mut(0).alloc_device(CHUNK).unwrap();
         let mut bwd = EdgePipeline::new(1, 0, 2);
@@ -544,8 +546,9 @@ mod tests {
         assert!(bwd.prepare(&mut c, SimTime::ZERO, bwd_src, bwd_dst, CHUNK));
         // ...then something else rekeys the whole edge (both directions'
         // keys and counters restart) without this pipeline's involvement.
-        c.edge_sessions_mut(edge).unwrap().rekey(sid).unwrap();
-        assert_eq!(c.edge_epoch(edge, sid), Some(1));
+        for end in c.edge_mut(WireEdge::between(0, 1)).unwrap() {
+            end.rekey_to(1);
+        }
         // The old-epoch entry must be dropped, not submitted: the
         // transfer relinquishes and still delivers.
         let t = bwd
@@ -558,19 +561,17 @@ mod tests {
             c.device(0).device_memory().get(bwd_dst).unwrap(),
             &Payload::Real(vec![0x22; CHUNK as usize])
         );
-        let counters = c.edge_counters(edge, sid).unwrap();
-        assert!(counters.in_lockstep(), "{counters:?}");
+        assert!(in_lockstep(&c));
     }
 
     #[test]
     fn rekey_drops_the_queue_and_continues_on_the_fresh_epoch() {
         use pipellm_crypto::channel::IV_LIMIT;
         let mut c = cluster();
-        let edge = EdgeId::between(0, 1);
-        let sid = c
-            .edge_sessions_mut(edge)
-            .unwrap()
-            .open_with_initial_ivs(IV_LIMIT - 4, 1);
+        let edge = WireEdge::between(0, 1);
+        let ends = c.edge_mut(edge).unwrap();
+        let sid = ends[0].open_session_with_initial_ivs(IV_LIMIT - 4, 1);
+        ends[1].open_session_with_initial_ivs(IV_LIMIT - 4, 1);
         for d in 0..2 {
             c.device_mut(d).open_session();
         }
@@ -583,11 +584,8 @@ mod tests {
             .transfer(&mut c, SimTime::ZERO, src, dst, CHUNK)
             .unwrap();
         assert!(t.complete > SimTime::ZERO);
-        assert_eq!(c.edge_epoch(edge, sid), Some(1));
-        let counters = c.edge_counters(edge, sid).unwrap();
-        assert!(
-            counters.in_lockstep() && counters.h2d_tx < 10,
-            "{counters:?}"
-        );
+        let [a, b] = c.edge(edge).unwrap();
+        assert_eq!((a.epoch(), b.epoch()), (1, 1));
+        assert!(in_lockstep(&c) && a.tx_iv() < 10, "{}", a.tx_iv());
     }
 }

@@ -39,8 +39,11 @@
 //! - [`session`]: the multi-tenant session layer — [`session::SessionId`]
 //!   and [`session::SessionManager`], which derive per-session
 //!   [`channel::ChannelKeys`] from a root secret, own one channel pair per
-//!   session, and rekey sessions whose IV counters approach exhaustion —
-//!   plus the per-device and per-edge key roots of a cluster.
+//!   session, and rekey sessions whose IV counters approach exhaustion.
+//! - [`edge`]: the one edge type — [`edge::WireEdge`] and
+//!   [`edge::EdgeCrypto`], an edge's key root, role, epoch and IV
+//!   counters at one endpoint, held the same way by the simulated cluster
+//!   and by every process of a networked deployment.
 //! - [`reuse`]: the **deliberately insecure** ciphertext-reuse strawman of
 //!   the paper's §8.2 (static per-chunk nonces), built to demonstrate the
 //!   replay attack the IV discipline prevents and to quantify the
@@ -75,6 +78,7 @@
 pub mod aes;
 pub mod channel;
 pub mod cost;
+pub mod edge;
 pub mod engine;
 pub mod gcm;
 pub mod hw;
@@ -132,6 +136,11 @@ pub enum CryptoError {
         /// Number of ciphertext bytes supplied.
         got: usize,
     },
+    /// The session an operation targets is not open.
+    UnknownSession {
+        /// The unknown id.
+        session: session::SessionId,
+    },
 }
 
 impl fmt::Display for CryptoError {
@@ -162,6 +171,7 @@ impl fmt::Display for CryptoError {
                     "ciphertext of {got} bytes is shorter than the 16-byte tag"
                 )
             }
+            CryptoError::UnknownSession { session } => write!(f, "unknown {session}"),
         }
     }
 }

@@ -14,9 +14,9 @@
 //!   secret (the stand-in for the per-tenant SPDM exchange), owns one
 //!   [`SecureChannel`] per session, and rekeys sessions whose IV counters
 //!   approach the exhaustion headroom ([`crate::channel::IV_LIMIT`]);
-//! - [`device_key_seed`] / [`edge_key_seed`]: the per-device and per-edge
-//!   key roots a cluster seed fans out into, derived identically by the
-//!   in-process cluster and by every process of a networked deployment.
+//! - `device_key_seed` / `edge_key_seed`: the per-device and per-edge
+//!   key roots a cluster seed fans out into, reachable only through
+//!   [`crate::edge::WireEdge::key_seed`].
 //!
 //! Key separation is structural: two sessions (or two epochs of one
 //! session) never share a key, so ciphertext sealed under one session can
@@ -95,14 +95,14 @@ pub fn derive_subseed(seed: u64, tag: u64) -> u64 {
 /// derived from the cluster-wide seed. Both ends of a networked deployment
 /// derive it independently from the shared cluster seed, so nothing
 /// key-like ever crosses the wire.
-pub fn device_key_seed(cluster_seed: u64, device: u64) -> u64 {
+pub(crate) fn device_key_seed(cluster_seed: u64, device: u64) -> u64 {
     derive_subseed(cluster_seed, 0x01_0000 | device)
 }
 
 /// The key-derivation root of the device-to-device edge joining `a < b`,
 /// derived from the cluster-wide seed and the edge identity: the two
 /// endpoints of an edge derive the same root, and no two edges share one.
-pub fn edge_key_seed(cluster_seed: u64, a: u64, b: u64) -> u64 {
+pub(crate) fn edge_key_seed(cluster_seed: u64, a: u64, b: u64) -> u64 {
     derive_subseed(cluster_seed, 0x02_0000 | (a << 24) | b)
 }
 
@@ -168,21 +168,6 @@ impl SessionManager {
             session.channel.set_engine(&engine);
         }
         self.engine = Some(engine);
-    }
-
-    /// The shared crypto engine, if one is installed.
-    pub fn engine(&self) -> Option<&Arc<CryptoEngine>> {
-        self.engine.as_ref()
-    }
-
-    /// Number of live sessions.
-    pub fn len(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Whether no session is open.
-    pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
     }
 
     /// Live session ids, in creation order.
@@ -286,17 +271,6 @@ impl SessionManager {
         session.epoch = epoch;
         session.channel = channel;
         Some(epoch)
-    }
-
-    /// The IV-exhaustion-aware rekey hook: rekeys the session iff it is
-    /// inside the headroom. Returns whether a rekey happened.
-    pub fn maybe_rekey(&mut self, id: SessionId) -> Option<bool> {
-        if self.needs_rekey(id)? {
-            self.rekey(id);
-            Some(true)
-        } else {
-            Some(false)
-        }
     }
 }
 
@@ -409,7 +383,6 @@ mod tests {
         // Fresh session: far from exhaustion.
         let fresh = mgr.open();
         assert_eq!(mgr.needs_rekey(fresh), Some(false));
-        assert_eq!(mgr.maybe_rekey(fresh), Some(false));
         // Session whose H2D counter sits one IV short of the limit.
         let near = mgr.open_with_initial_ivs(IV_LIMIT - 1, 1);
         assert_eq!(mgr.needs_rekey(near), Some(true));
@@ -420,9 +393,8 @@ mod tests {
             ch.host_mut().seal(b"one too many"),
             Err(CryptoError::IvExhausted { .. })
         ));
-        // ...unless the hook rekeys first.
-        assert_eq!(mgr.maybe_rekey(near), Some(true));
-        assert_eq!(mgr.epoch(near), Some(1));
+        // ...unless the session rekeys first.
+        assert_eq!(mgr.rekey(near), Some(1));
         mgr.channel_mut(near)
             .unwrap()
             .host_mut()
@@ -438,6 +410,6 @@ mod tests {
         assert!(!mgr.close(id));
         assert!(mgr.channel(id).is_none());
         assert!(mgr.needs_rekey(id).is_none());
-        assert!(mgr.is_empty());
+        assert!(mgr.ids().is_empty());
     }
 }

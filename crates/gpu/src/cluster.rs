@@ -14,9 +14,11 @@
 //!
 //! - one [`CudaContext`] per device (own PCIe link, device memory, crypto
 //!   pool, GPU engine, and host-channel sessions);
-//! - one [`pipellm_crypto::session::SessionManager`] per edge, its root
-//!   secret derived from the cluster seed and the edge identity, so two
-//!   edges never share keys even for the same tenant session;
+//! - one [`EdgeCrypto`] per end of every edge, built with [`role_at`] —
+//!   the one edge type, the same one each process of a networked
+//!   deployment holds — its root derived from the cluster seed and the
+//!   edge identity, so two edges never share keys even for the same
+//!   tenant session;
 //! - an [`EdgeTimeline`] per edge modelling NVLink bandwidth plus the
 //!   per-link crypto serialization the cluster report surfaces.
 //!
@@ -36,51 +38,16 @@ use crate::memory::{DevicePtr, HostAddr, HostRegion, Payload};
 use crate::runtime::{GpuRuntime, SessionedRuntime};
 use crate::timing::IoTimingModel;
 use pipellm_chaos::{ChaosInjector, FaultSite};
-use pipellm_crypto::channel::{Endpoint, SealedMessage};
+use pipellm_crypto::channel::SealedMessage;
+use pipellm_crypto::edge::{role_at, EdgeCrypto, WireEdge, HOST_NODE};
 use pipellm_crypto::engine::CryptoEngine;
-use pipellm_crypto::session::{device_key_seed, edge_key_seed, SessionId, SessionManager};
+use pipellm_crypto::session::SessionId;
 use pipellm_crypto::CryptoError;
 use pipellm_sim::cluster::{EdgeTimeline, TimelineRow, TimelineSummary};
 use pipellm_sim::time::SimTime;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// One undirected device-to-device link, normalized so `a < b`.
-///
-/// The edge's [`pipellm_crypto::channel::SecureChannel`] maps device `a`
-/// onto the channel's "host" endpoint and device `b` onto its "device"
-/// endpoint: transfers `a → b` ride the channel's H2D direction and
-/// `b → a` its D2H direction, each with its own key and IV counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EdgeId {
-    /// Lower device index.
-    pub a: usize,
-    /// Higher device index.
-    pub b: usize,
-}
-
-impl EdgeId {
-    /// The edge joining devices `i` and `j` (order-insensitive).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i == j`: a device has no link to itself.
-    pub fn between(i: usize, j: usize) -> Self {
-        assert_ne!(i, j, "no self-edges in the cluster topology");
-        EdgeId {
-            a: i.min(j),
-            b: i.max(j),
-        }
-    }
-}
-
-impl fmt::Display for EdgeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "edge{}-{}", self.a, self.b)
-    }
-}
 
 /// NVLink timing calibration for the inter-GPU links.
 ///
@@ -173,14 +140,29 @@ pub struct EdgeStats {
     pub faulted: u64,
 }
 
-/// One edge's live state: its session manager (keys + IV counters per
-/// session), its wire timeline, and its traffic counters.
+/// One edge's live state: its crypto state at each end and its wire.
 struct EdgeState {
-    sessions: SessionManager,
+    /// The `a` end and the `b` end, each as the node there holds it.
+    ends: [EdgeCrypto; 2],
+    link: EdgeLink,
+}
+
+/// One edge's wire: its timeline and traffic counters.
+struct EdgeLink {
     timeline: EdgeTimeline,
     stats: EdgeStats,
     /// Recycled NOP ciphertext buffer, as on the host channel.
     nop_staging: Vec<u8>,
+}
+
+/// A `src → dst` transfer's share of the cluster: both devices, the
+/// edge's sending and receiving ends, and its wire.
+struct Hop<'a> {
+    src: &'a mut CudaContext,
+    dst: &'a mut CudaContext,
+    tx: &'a mut EdgeCrypto,
+    rx: &'a mut EdgeCrypto,
+    link: &'a mut EdgeLink,
 }
 
 /// The simulated multi-GPU cluster.
@@ -193,8 +175,8 @@ pub struct ClusterContext {
     /// channel and every edge channel in the cluster.
     engine: Arc<CryptoEngine>,
     devices: Vec<CudaContext>,
-    edges: BTreeMap<EdgeId, EdgeState>,
-    active: SessionId,
+    /// The full mesh: `edges[a][b - a - 1]` joins devices `a < b`.
+    edges: Vec<Vec<EdgeState>>,
     pending: Vec<SimTime>,
     /// Fault injector rolled on every edge transfer (devices carry their
     /// own clone for host-link sites).
@@ -205,9 +187,9 @@ impl fmt::Debug for ClusterContext {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ClusterContext")
             .field("devices", &self.devices.len())
-            .field("edges", &self.edges.len())
+            .field("edges", &self.edges.iter().flatten().count())
             .field("cc", &self.cc)
-            .field("active", &self.active)
+            .field("active", &self.active_session())
             .finish()
     }
 }
@@ -231,36 +213,39 @@ impl ClusterContext {
                     timing: config.timing,
                     device_capacity: config.device_capacity,
                     crypto_threads: config.crypto_threads,
-                    seed: device_key_seed(config.seed, i as u64),
+                    seed: WireEdge::between(i as u32, HOST_NODE).key_seed(config.seed),
                     engine: Some(Arc::clone(&engine)),
                     chaos: config.chaos.clone(),
                 })
             })
             .collect();
         let cc_enabled = config.cc == CcMode::On;
-        let mut edges = BTreeMap::new();
-        for a in 0..n {
-            for b in (a + 1)..n {
-                let id = EdgeId { a, b };
-                let mut sessions =
-                    SessionManager::from_seed(edge_key_seed(config.seed, a as u64, b as u64));
-                sessions.set_engine(Arc::clone(&engine));
-                let default = sessions.open();
-                debug_assert_eq!(default, SessionId::DEFAULT);
-                edges.insert(
-                    id,
-                    EdgeState {
-                        sessions,
-                        timeline: EdgeTimeline::new(
+        let edges = (0..n as u32)
+            .map(|a| {
+                (a + 1..n as u32)
+                    .map(|b| {
+                        let id = WireEdge::between(a, b);
+                        let ends = [a, b].map(|node| {
+                            let mut end = EdgeCrypto::new(config.seed, id, role_at(id, node));
+                            end.set_engine(Arc::clone(&engine));
+                            end
+                        });
+                        let timeline = EdgeTimeline::new(
                             config.nvlink.gbps(cc_enabled),
                             config.nvlink.latency,
-                        ),
-                        stats: EdgeStats::default(),
-                        nop_staging: Vec::new(),
-                    },
-                );
-            }
-        }
+                        );
+                        EdgeState {
+                            ends,
+                            link: EdgeLink {
+                                timeline,
+                                stats: EdgeStats::default(),
+                                nop_staging: Vec::new(),
+                            },
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
         ClusterContext {
             cc: config.cc,
             timing: config.timing,
@@ -269,7 +254,6 @@ impl ClusterContext {
             engine,
             devices,
             edges,
-            active: SessionId::DEFAULT,
             pending: Vec::new(),
             chaos: config.chaos,
         }
@@ -339,23 +323,43 @@ impl ClusterContext {
     }
 
     /// All edge ids, in sorted order.
-    pub fn edge_ids(&self) -> Vec<EdgeId> {
-        self.edges.keys().copied().collect()
+    pub fn edge_ids(&self) -> Vec<WireEdge> {
+        self.edges
+            .iter()
+            .flatten()
+            .map(|e| e.ends[0].edge())
+            .collect()
     }
 
     /// Traffic statistics of one edge.
-    pub fn edge_stats(&self, edge: EdgeId) -> Option<EdgeStats> {
-        self.edges.get(&edge).map(|e| e.stats)
+    pub fn edge_stats(&self, edge: WireEdge) -> Option<EdgeStats> {
+        self.state(edge).map(|e| e.link.stats)
     }
 
-    /// One edge's session manager (epochs, rekey, derivation).
-    pub fn edge_sessions(&self, edge: EdgeId) -> Option<&SessionManager> {
-        self.edges.get(&edge).map(|e| &e.sessions)
+    /// One edge's crypto state at its two ends, `[a end, b end]`, as the
+    /// nodes there hold it: sessions, epoch, IV counters. The sender of
+    /// `a → b` is the `a` end's `tx_iv`, that of `b → a` the `b` end's.
+    pub fn edge(&self, edge: WireEdge) -> Option<&[EdgeCrypto; 2]> {
+        self.state(edge).map(|e| &e.ends)
     }
 
-    /// Mutable access to one edge's session manager.
-    pub fn edge_sessions_mut(&mut self, edge: EdgeId) -> Option<&mut SessionManager> {
-        self.edges.get_mut(&edge).map(|e| &mut e.sessions)
+    /// Mutable access to one edge's two ends. They must stay mirrored: a
+    /// rekey moves both ends to the same epoch, as `RekeyEdge` does on
+    /// the wire.
+    pub fn edge_mut(&mut self, edge: WireEdge) -> Option<&mut [EdgeCrypto; 2]> {
+        let (a, b) = (edge.a as usize, edge.b as usize);
+        let state = self.edges.get_mut(a)?.get_mut(b.checked_sub(a + 1)?)?;
+        Some(&mut state.ends)
+    }
+
+    fn state(&self, edge: WireEdge) -> Option<&EdgeState> {
+        let (a, b) = (edge.a as usize, edge.b as usize);
+        self.edges.get(a)?.get(b.checked_sub(a + 1)?)
+    }
+
+    /// Every edge end, `a` end first, edges in sorted order.
+    fn ends_mut(&mut self) -> impl Iterator<Item = &mut EdgeCrypto> {
+        self.edges.iter_mut().flatten().flat_map(|e| &mut e.ends)
     }
 
     // ---------------------------------------------------------------
@@ -366,17 +370,16 @@ impl ClusterContext {
     /// and on every edge. All managers allocate ids in lockstep, so the
     /// one id names the session everywhere.
     pub fn open_session(&mut self) -> SessionId {
-        let mut id = None;
-        for device in &mut self.devices {
+        let id = self.devices[0].open_session();
+        for device in &mut self.devices[1..] {
             let sid = device.open_session();
-            debug_assert!(id.is_none() || id == Some(sid), "session ids in lockstep");
-            id = Some(sid);
+            debug_assert_eq!(sid, id, "session ids in lockstep");
         }
-        for edge in self.edges.values_mut() {
-            let sid = edge.sessions.open();
-            debug_assert_eq!(Some(sid), id, "edge session ids in lockstep");
+        for end in self.ends_mut() {
+            let sid = end.open_session();
+            debug_assert_eq!(sid, id, "edge session ids in lockstep");
         }
-        id.expect("cluster has at least one device")
+        id
     }
 
     /// Routes the session-unaware surface (all devices' `memcpy_*` and all
@@ -385,21 +388,23 @@ impl ClusterContext {
     /// # Errors
     ///
     /// [`GpuError::UnknownSession`] if any device or edge does not know the
-    /// session (they are opened in lockstep, so one check suffices).
+    /// session (they are opened in lockstep, so the first device's check
+    /// rejects an unknown id before anything moves).
     pub fn set_session(&mut self, session: SessionId) -> Result<(), GpuError> {
-        if !self.edges.values().all(|e| e.sessions.contains(session)) {
-            return Err(GpuError::UnknownSession { session });
-        }
         for device in &mut self.devices {
             device.set_session(session)?;
         }
-        self.active = session;
+        for end in self.ends_mut() {
+            if !end.set_session(session) {
+                return Err(GpuError::UnknownSession { session });
+            }
+        }
         Ok(())
     }
 
     /// The session cluster traffic currently targets.
     pub fn active_session(&self) -> SessionId {
-        self.active
+        self.devices[0].active_session()
     }
 
     /// Live session ids, in creation order.
@@ -417,133 +422,44 @@ impl ClusterContext {
     /// [`GpuError::UnknownSession`] if no such session is live or it is
     /// the active one.
     pub fn close_session(&mut self, session: SessionId) -> Result<(), GpuError> {
-        if session == self.active {
-            return Err(GpuError::UnknownSession { session });
-        }
         for device in &mut self.devices {
             device.close_session(session)?;
         }
-        for edge in self.edges.values_mut() {
-            if !edge.sessions.close(session) {
+        for end in self.ends_mut() {
+            if !end.close_session(session) {
                 return Err(GpuError::UnknownSession { session });
             }
         }
         Ok(())
     }
 
-    /// IV-counter snapshot of one edge's channel for `session`, mapped so
-    /// `h2d` is the `a → b` direction and `d2h` the `b → a` direction.
-    pub fn edge_counters(&self, edge: EdgeId, session: SessionId) -> Option<SessionCounters> {
-        let ch = self.edges.get(&edge)?.sessions.channel(session)?;
-        Some(SessionCounters {
-            h2d_tx: ch.host().tx().next_iv(),
-            h2d_rx: ch.device().rx().next_iv(),
-            d2h_tx: ch.device().tx().next_iv(),
-            d2h_rx: ch.host().rx().next_iv(),
-        })
-    }
-
-    /// Key epoch of `session` on `edge`.
-    pub fn edge_epoch(&self, edge: EdgeId, session: SessionId) -> Option<u32> {
-        self.edges.get(&edge)?.sessions.epoch(session)
-    }
-
-    /// Whether the active session on `edge` sits inside the rekey headroom
-    /// in either direction.
-    pub fn edge_needs_rekey(&self, edge: EdgeId) -> bool {
-        self.edges
-            .get(&edge)
-            .and_then(|e| e.sessions.needs_rekey(self.active))
-            .unwrap_or(false)
-    }
-
-    /// Rekeys the active session on `edge` iff it is inside the headroom:
-    /// epoch bump, fresh keys, both IV counters restarted. Returns whether
-    /// a rekey happened. Any ciphertext speculatively sealed under the old
-    /// epoch can never commit afterwards — callers drop their pipelines
-    /// first, exactly as on the host channel.
-    pub fn maybe_rekey_edge(&mut self, edge: EdgeId) -> bool {
-        let active = self.active;
-        self.edges
-            .get_mut(&edge)
-            .and_then(|e| e.sessions.maybe_rekey(active))
-            .unwrap_or(false)
-    }
-
     // ---------------------------------------------------------------
     // Transfer surface
     // ---------------------------------------------------------------
 
-    /// Splits the borrow: source device, destination device, and the edge
-    /// joining them.
-    fn split(
-        &mut self,
-        src: usize,
-        dst: usize,
-    ) -> (&mut CudaContext, &mut CudaContext, &mut EdgeState) {
-        let edge = self
-            .edges
-            .get_mut(&EdgeId::between(src, dst))
-            .expect("full-mesh topology has every edge");
-        let (lo, hi) = (src.min(dst), src.max(dst));
-        let (head, tail) = self.devices.split_at_mut(hi);
-        let (lo_ctx, hi_ctx) = (&mut head[lo], &mut tail[0]);
-        if src < dst {
-            (lo_ctx, hi_ctx, edge)
-        } else {
-            (hi_ctx, lo_ctx, edge)
-        }
-    }
-
-    /// The sender endpoint of the `src → dst` direction for `session`.
-    fn sender_endpoint(edge: &mut EdgeState, session: SessionId, src_is_a: bool) -> &mut Endpoint {
-        let ch = edge
-            .sessions
-            .channel_mut(session)
-            .expect("active session is live on every edge");
-        if src_is_a {
-            ch.host_mut()
-        } else {
-            ch.device_mut()
-        }
-    }
-
-    /// The receiver endpoint of the `src → dst` direction for `session`.
-    fn receiver_endpoint(
-        edge: &mut EdgeState,
-        session: SessionId,
-        src_is_a: bool,
-    ) -> &mut Endpoint {
-        let ch = edge
-            .sessions
-            .channel_mut(session)
-            .expect("active session is live on every edge");
-        if src_is_a {
-            ch.device_mut()
-        } else {
-            ch.host_mut()
-        }
-    }
-
-    /// The sender counter (next IV) of the `src → dst` direction of the
-    /// active session's channel on that edge.
+    /// Splits the borrow for a `src → dst` transfer.
     ///
     /// # Panics
     ///
     /// Panics if `src == dst` or either index is out of range.
-    pub fn current_edge_iv(&self, src: usize, dst: usize) -> u64 {
-        let edge = self
-            .edges
-            .get(&EdgeId::between(src, dst))
-            .expect("full-mesh topology has every edge");
-        let ch = edge
-            .sessions
-            .channel(self.active)
-            .expect("active session is live on every edge");
-        if src < dst {
-            ch.host().tx().next_iv()
+    fn hop(&mut self, src: usize, dst: usize) -> Hop<'_> {
+        let (lo, hi) = (src.min(dst), src.max(dst));
+        let (head, tail) = self.devices.split_at_mut(hi);
+        let (lo_ctx, hi_ctx) = (&mut head[lo], &mut tail[0]);
+        let edge = &mut self.edges[lo][hi - lo - 1];
+        let [a, b] = &mut edge.ends;
+        let (src, dst, tx, rx) = if src < dst {
+            (lo_ctx, hi_ctx, a, b)
         } else {
-            ch.device().tx().next_iv()
+            (hi_ctx, lo_ctx, b, a)
+        };
+        let link = &mut edge.link;
+        Hop {
+            src,
+            dst,
+            tx,
+            rx,
+            link,
         }
     }
 
@@ -574,19 +490,18 @@ impl ClusterContext {
         dst_ptr: DevicePtr,
     ) -> Result<MemcpyTiming, GpuError> {
         let cc = self.cc;
-        let active = self.active;
         let threads = self.crypto_threads;
         let crypto = self.timing.crypto;
         let cc_control = self.timing.cc_control;
         let chaos = self.chaos.clone();
         let src_is_a = src_dev < dst_dev;
-        let (src_ctx, dst_ctx, edge) = self.split(src_dev, dst_dev);
-        let len = src_ctx.device_memory().get(src_ptr)?.len();
+        let hop = self.hop(src_dev, dst_dev);
+        let len = hop.src.device_memory().get(src_ptr)?.len();
         let timing = match cc {
             CcMode::Off => {
-                let payload = src_ctx.device_memory().get(src_ptr)?.clone();
-                dst_ctx.device_memory_mut().store(dst_ptr, payload)?;
-                let wire = edge.timeline.transfer(now, len);
+                let payload = hop.src.device_memory().get(src_ptr)?.clone();
+                hop.dst.device_memory_mut().store(dst_ptr, payload)?;
+                let wire = hop.link.timeline.transfer(now, len);
                 MemcpyTiming {
                     api_return: now,
                     complete: wire.end,
@@ -595,42 +510,37 @@ impl ClusterContext {
             CcMode::On => {
                 let mut buf = Vec::new();
                 let aad =
-                    stage_plaintext(src_ctx.device_memory().get(src_ptr)?, dst_ptr.0, &mut buf);
-                let sealed = Self::sender_endpoint(edge, active, src_is_a)
+                    stage_plaintext(hop.src.device_memory().get(src_ptr)?, dst_ptr.0, &mut buf);
+                let sealed = hop
+                    .tx
+                    .endpoint_mut()?
                     .tx_mut()
                     .seal_prepared(aad.into(), buf)?;
                 // Gang-parallel seal on the source device's crypto pool:
                 // the issuing thread blocks until it completes.
                 let seal_time = crypto.pool_seal_time(len, threads);
-                let enc = src_ctx.crypto_pool_mut().reserve_gang(now, seal_time);
-                let wire = edge.timeline.transfer(enc.end, len);
+                let enc = hop.src.crypto_pool_mut().reserve_gang(now, seal_time);
+                let wire = hop.link.timeline.transfer(enc.end, len);
                 let open_time = crypto.pool_open_time(len, threads);
-                let dec = dst_ctx.crypto_pool_mut().reserve_gang(wire.end, open_time);
-                edge.timeline.record_crypto(seal_time + open_time);
+                let dec = hop.dst.crypto_pool_mut().reserve_gang(wire.end, open_time);
+                hop.link.timeline.record_crypto(seal_time + open_time);
                 let kind = sealed_kind(&sealed);
                 if let Some(fault) = chaos
                     .as_ref()
                     .and_then(|c| c.roll_frame(FaultSite::DeviceToDevice))
                 {
                     let iv = sealed.iv;
-                    edge.stats.faulted += 1;
-                    absorb_frame_fault(
-                        Self::receiver_endpoint(edge, active, src_is_a).rx_mut(),
-                        fault,
-                        sealed,
-                    );
+                    hop.link.stats.faulted += 1;
+                    absorb_frame_fault(hop.rx.endpoint_mut()?.rx_mut(), fault, sealed);
                     self.pending.push(dec.end + cc_control);
                     return Err(GpuError::TransferFaulted {
                         fault: fault.kind.label(),
                         iv,
                     });
                 }
-                let opened = open_delivered(
-                    Self::receiver_endpoint(edge, active, src_is_a).rx_mut(),
-                    sealed,
-                    "memcpy_dtod",
-                )?;
-                dst_ctx
+                let opened =
+                    open_delivered(hop.rx.endpoint_mut()?.rx_mut(), sealed, "memcpy_dtod")?;
+                hop.dst
                     .device_memory_mut()
                     .store(dst_ptr, Payload::from_plaintext(kind, opened))?;
                 MemcpyTiming {
@@ -640,11 +550,11 @@ impl ClusterContext {
             }
         };
         if src_is_a {
-            edge.stats.ab_ops += 1;
+            hop.link.stats.ab_ops += 1;
         } else {
-            edge.stats.ba_ops += 1;
+            hop.link.stats.ba_ops += 1;
         }
-        edge.stats.bytes += len;
+        hop.link.stats.bytes += len;
         self.pending.push(timing.complete);
         Ok(timing)
     }
@@ -684,25 +594,21 @@ impl ClusterContext {
         if self.cc == CcMode::Off {
             return Err(GpuError::CcDisabled);
         }
-        let active = self.active;
         let crypto = self.timing.crypto;
         let threads = self.crypto_threads;
-        let src_is_a = src_dev < dst_dev;
-        let (src_ctx, _dst_ctx, edge) = self.split(src_dev, dst_dev);
-        let sender = Self::sender_endpoint(edge, active, src_is_a);
-        if iv < sender.tx().next_iv() {
+        let hop = self.hop(src_dev, dst_dev);
+        let sender = hop.tx.endpoint_mut()?.tx();
+        if iv < sender.next_iv() {
             return Err(GpuError::Crypto(CryptoError::IvReused { iv }));
         }
         let mut buf = Vec::new();
-        let payload = src_ctx.device_memory().get(src_ptr)?;
+        let payload = hop.src.device_memory().get(src_ptr)?;
         let len = payload.len();
         let aad = stage_plaintext(payload, dst_ptr.0, &mut buf);
-        let sealed = Self::sender_endpoint(edge, active, src_is_a)
-            .tx()
-            .seal_speculative_prepared(iv, aad.into(), buf)?;
+        let sealed = sender.seal_speculative_prepared(iv, aad.into(), buf)?;
         let seal_time = crypto.pool_seal_time(len, threads);
-        let reservation = src_ctx.crypto_pool_mut().reserve_gang(now, seal_time);
-        edge.timeline.record_crypto(seal_time);
+        let reservation = hop.src.crypto_pool_mut().reserve_gang(now, seal_time);
+        hop.link.timeline.record_crypto(seal_time);
         Ok((sealed, reservation.end))
     }
 
@@ -744,13 +650,11 @@ impl ClusterContext {
         if regions.is_empty() {
             return Ok((Vec::new(), now));
         }
-        let active = self.active;
         let crypto = self.timing.crypto;
         let threads = self.crypto_threads;
-        let src_is_a = src_dev < dst_dev;
-        let (src_ctx, _dst_ctx, edge) = self.split(src_dev, dst_dev);
-        let sender = Self::sender_endpoint(edge, active, src_is_a);
-        if start_iv < sender.tx().next_iv() {
+        let hop = self.hop(src_dev, dst_dev);
+        let sender = hop.tx.endpoint_mut()?.tx();
+        if start_iv < sender.next_iv() {
             return Err(GpuError::Crypto(CryptoError::IvReused { iv: start_iv }));
         }
         // Stage every region first so the fused seal below sees the
@@ -759,17 +663,15 @@ impl ClusterContext {
         let mut msgs = Vec::with_capacity(regions.len());
         for &(src_ptr, dst_ptr) in regions {
             let mut buf = Vec::new();
-            let payload = src_ctx.device_memory().get(src_ptr)?;
+            let payload = hop.src.device_memory().get(src_ptr)?;
             total_bytes += payload.len();
             let aad = stage_plaintext(payload, dst_ptr.0, &mut buf);
             msgs.push((aad.into(), buf));
         }
-        let sealed = Self::sender_endpoint(edge, active, src_is_a)
-            .tx()
-            .seal_speculative_batch(start_iv, msgs)?;
+        let sealed = sender.seal_speculative_batch(start_iv, msgs)?;
         let seal_time = crypto.batch_seal_time(total_bytes, regions.len(), threads);
-        let reservation = src_ctx.crypto_pool_mut().reserve_gang(now, seal_time);
-        edge.timeline.record_crypto(seal_time);
+        let reservation = hop.src.crypto_pool_mut().reserve_gang(now, seal_time);
+        hop.link.timeline.record_crypto(seal_time);
         Ok((sealed, reservation.end))
     }
 
@@ -805,20 +707,21 @@ impl ClusterContext {
         if self.cc == CcMode::Off {
             return Err(GpuError::CcDisabled);
         }
-        let active = self.active;
         let threads = self.crypto_threads;
         let crypto = self.timing.crypto;
         let cc_control = self.timing.cc_control;
         let chaos = self.chaos.clone();
         let src_is_a = src_dev < dst_dev;
-        let (_src_ctx, dst_ctx, edge) = self.split(src_dev, dst_dev);
+        let hop = self.hop(src_dev, dst_dev);
+        let sender = hop.tx.endpoint_mut()?.tx_mut();
+        let receiver = hop.rx.endpoint_mut()?;
         // Validate the IV against the sender counter *without* committing,
         // then open, then commit: an authentication failure (e.g. a stale
         // entry sealed under another session's keys) must leave both
         // counters untouched, or this session's edge would be out of
         // lockstep forever.
         {
-            let next = Self::sender_endpoint(edge, active, src_is_a).tx().next_iv();
+            let next = sender.next_iv();
             if sealed.iv < next {
                 return Err(GpuError::Crypto(CryptoError::IvReused { iv: sealed.iv }));
             }
@@ -837,18 +740,11 @@ impl ClusterContext {
             .as_ref()
             .and_then(|c| c.roll_frame(FaultSite::DeviceToDevice))
         {
-            Self::sender_endpoint(edge, active, src_is_a)
-                .tx_mut()
-                .commit(sealed)
-                .expect("counter validated above and cannot have advanced");
-            let iv = absorb_frame_fault(
-                Self::receiver_endpoint(edge, active, src_is_a).rx_mut(),
-                fault,
-                sealed.clone(),
-            );
+            sender.commit(sealed)?;
+            let iv = absorb_frame_fault(receiver.rx_mut(), fault, sealed.clone());
             let depart = now.max(ready_at);
-            let wire = edge.timeline.transfer(depart, payload_len);
-            edge.stats.faulted += 1;
+            let wire = hop.link.timeline.transfer(depart, payload_len);
+            hop.link.stats.faulted += 1;
             self.pending.push(wire.end + cc_control);
             return Err(GpuError::TransferFaulted {
                 fault: fault.kind.label(),
@@ -856,30 +752,27 @@ impl ClusterContext {
             });
         }
         let kind = sealed_kind(sealed);
-        let opened = match Self::receiver_endpoint(edge, active, src_is_a).open(sealed) {
+        let opened = match receiver.open(sealed) {
             Ok(plaintext) => plaintext,
             // As on the host channel: a failed open leaves both counters
             // untouched and stays the recoverable speculative-submit signal.
             Err(e) => return Err(GpuError::Crypto(e)),
         };
-        Self::sender_endpoint(edge, active, src_is_a)
-            .tx_mut()
-            .commit(sealed)
-            .expect("counter validated above and cannot have advanced");
+        sender.commit(sealed)?;
         let depart = now.max(ready_at);
-        let wire = edge.timeline.transfer(depart, payload_len);
+        let wire = hop.link.timeline.transfer(depart, payload_len);
         let open_time = crypto.pool_open_time(payload_len, threads);
-        let dec = dst_ctx.crypto_pool_mut().reserve_gang(wire.end, open_time);
-        edge.timeline.record_crypto(open_time);
-        dst_ctx
+        let dec = hop.dst.crypto_pool_mut().reserve_gang(wire.end, open_time);
+        hop.link.timeline.record_crypto(open_time);
+        hop.dst
             .device_memory_mut()
             .store(dst_ptr, Payload::from_plaintext(kind, opened))?;
         if src_is_a {
-            edge.stats.ab_ops += 1;
+            hop.link.stats.ab_ops += 1;
         } else {
-            edge.stats.ba_ops += 1;
+            hop.link.stats.ba_ops += 1;
         }
-        edge.stats.bytes += payload_len;
+        hop.link.stats.bytes += payload_len;
         let done = dec.end + cc_control;
         self.pending.push(done);
         Ok(MemcpyTiming {
@@ -910,23 +803,18 @@ impl ClusterContext {
         if self.cc == CcMode::Off {
             return Err(GpuError::CcDisabled);
         }
-        let active = self.active;
         let nop_time = self.timing.crypto.nop_time();
         let cc_control = self.timing.cc_control;
-        let src_is_a = src_dev < dst_dev;
-        let (src_ctx, _dst_ctx, edge) = self.split(src_dev, dst_dev);
-        let staging = std::mem::take(&mut edge.nop_staging);
-        let tx = Self::sender_endpoint(edge, active, src_is_a).tx_mut();
+        let hop = self.hop(src_dev, dst_dev);
+        let staging = std::mem::take(&mut hop.link.nop_staging);
+        let tx = hop.tx.endpoint_mut()?.tx_mut();
         let (aad, buf) = tx.nop_message(staging);
         let nop = tx.seal_prepared(aad, buf)?;
-        let enc = src_ctx.crypto_pool_mut().reserve(now, nop_time);
-        let wire = edge.timeline.nop(enc.end);
-        edge.nop_staging = open_delivered(
-            Self::receiver_endpoint(edge, active, src_is_a).rx_mut(),
-            nop,
-            "send_edge_nop",
-        )?;
-        edge.stats.nops += 1;
+        let enc = hop.src.crypto_pool_mut().reserve(now, nop_time);
+        let wire = hop.link.timeline.nop(enc.end);
+        hop.link.nop_staging =
+            open_delivered(hop.rx.endpoint_mut()?.rx_mut(), nop, "send_edge_nop")?;
+        hop.link.stats.nops += 1;
         let done = wire.end + cc_control;
         self.pending.push(done);
         Ok(done)
@@ -965,31 +853,26 @@ impl ClusterContext {
         if count == 0 {
             return Ok(now);
         }
-        let active = self.active;
         let batch_time =
             self.timing
                 .crypto
                 .batch_seal_time(count as u64, count, self.crypto_threads);
         let cc_control = self.timing.cc_control;
-        let src_is_a = src_dev < dst_dev;
-        let (src_ctx, _dst_ctx, edge) = self.split(src_dev, dst_dev);
-        let mut staging = Some(std::mem::take(&mut edge.nop_staging));
-        let tx = Self::sender_endpoint(edge, active, src_is_a).tx_mut();
+        let hop = self.hop(src_dev, dst_dev);
+        let mut staging = Some(std::mem::take(&mut hop.link.nop_staging));
+        let tx = hop.tx.endpoint_mut()?.tx_mut();
+        let rx = hop.rx.endpoint_mut()?.rx_mut();
         let msgs = (0..count)
             .map(|_| tx.nop_message(staging.take().unwrap_or_default()))
             .collect();
         let nops = tx.seal_batch_prepared(msgs)?;
-        let enc = src_ctx.crypto_pool_mut().reserve(now, batch_time);
+        let enc = hop.src.crypto_pool_mut().reserve(now, batch_time);
         let mut at = enc.end;
         for nop in nops {
-            let wire = edge.timeline.nop(at);
+            let wire = hop.link.timeline.nop(at);
             at = wire.end;
-            edge.nop_staging = open_delivered(
-                Self::receiver_endpoint(edge, active, src_is_a).rx_mut(),
-                nop,
-                "send_edge_nops",
-            )?;
-            edge.stats.nops += 1;
+            hop.link.nop_staging = open_delivered(rx, nop, "send_edge_nops")?;
+            hop.link.stats.nops += 1;
         }
         let done = at + cc_control;
         self.pending.push(done);
@@ -1041,8 +924,9 @@ impl ClusterContext {
                 let edge_ops: u64 = self
                     .edges
                     .iter()
-                    .filter(|(id, _)| id.a == i || id.b == i)
-                    .map(|(_, e)| e.stats.ab_ops + e.stats.ba_ops)
+                    .flatten()
+                    .filter(|e| e.ends[0].edge().touches(i as u32))
+                    .map(|e| e.link.stats.ab_ops + e.link.stats.ba_ops)
                     .sum();
                 TimelineRow {
                     label: format!("gpu{i}"),
@@ -1055,11 +939,16 @@ impl ClusterContext {
         let edges = self
             .edges
             .iter()
-            .map(|(id, e)| TimelineRow {
-                label: id.to_string(),
-                busy: e.timeline.link().occupancy(e.timeline.bytes_moved()),
-                serialized: e.timeline.crypto_serialization(),
-                ops: e.stats.ab_ops + e.stats.ba_ops,
+            .flatten()
+            .map(|e| TimelineRow {
+                label: e.ends[0].edge().to_string(),
+                busy: e
+                    .link
+                    .timeline
+                    .link()
+                    .occupancy(e.link.timeline.bytes_moved()),
+                serialized: e.link.timeline.crypto_serialization(),
+                ops: e.link.stats.ab_ops + e.link.stats.ba_ops,
             })
             .collect();
         TimelineSummary {
@@ -1097,11 +986,6 @@ impl ClusterRuntime {
     /// Mutable access to the wrapped cluster (edge transfers, rekeys).
     pub fn cluster_mut(&mut self) -> &mut ClusterContext {
         &mut self.cluster
-    }
-
-    /// Consumes the runtime, returning the cluster.
-    pub fn into_cluster(self) -> ClusterContext {
-        self.cluster
     }
 
     fn entry(&mut self) -> &mut CudaContext {
@@ -1218,6 +1102,18 @@ mod tests {
 
     const CHUNK: u64 = 256 * 1024;
 
+    fn e01() -> WireEdge {
+        WireEdge::between(0, 1)
+    }
+
+    /// Next send IVs `(a → b, b → a)` of the active session on `edge`,
+    /// after checking that the edge's two ends mirror each other.
+    fn ivs(c: &ClusterContext, edge: WireEdge) -> (u64, u64) {
+        let [a, b] = c.edge(edge).unwrap();
+        assert!(a.mirrors(b), "{edge} out of lockstep");
+        (a.tx_iv(), b.tx_iv())
+    }
+
     fn cluster(n: usize, cc: CcMode) -> ClusterContext {
         ClusterContext::new(ClusterConfig {
             devices: n,
@@ -1242,14 +1138,16 @@ mod tests {
         let c = cluster(4, CcMode::On);
         assert_eq!(c.num_devices(), 4);
         assert_eq!(c.edge_ids().len(), 6);
-        assert_eq!(EdgeId::between(3, 1), EdgeId { a: 1, b: 3 });
-        assert_eq!(EdgeId::between(1, 3).to_string(), "edge1-3");
+        assert_eq!(c.edge_ids()[4], WireEdge::between(3, 1));
+        assert_eq!(c.edge_ids()[4].to_string(), "edge1-3");
+        assert!(c.edge(WireEdge::between(0, HOST_NODE)).is_none());
+        assert!(c.edge(WireEdge { a: 2, b: 1 }).is_none());
     }
 
     #[test]
     #[should_panic(expected = "no self-edges")]
     fn self_edges_are_rejected() {
-        let _ = EdgeId::between(2, 2);
+        let _ = WireEdge::between(2, 2);
     }
 
     #[test]
@@ -1300,37 +1198,9 @@ mod tests {
         c.memcpy_dtod_async(SimTime::ZERO, 0, fwd, 1, dst1).unwrap();
         c.memcpy_dtod_async(SimTime::ZERO, 0, fwd, 1, dst1).unwrap();
         c.memcpy_dtod_async(SimTime::ZERO, 1, bwd, 0, dst0).unwrap();
-        let counters = c
-            .edge_counters(EdgeId::between(0, 1), SessionId::DEFAULT)
-            .unwrap();
-        assert_eq!((counters.h2d_tx, counters.d2h_tx), (3, 2));
-        assert!(counters.in_lockstep());
-        let stats = c.edge_stats(EdgeId::between(0, 1)).unwrap();
+        assert_eq!(ivs(&c, e01()), (3, 2));
+        let stats = c.edge_stats(e01()).unwrap();
         assert_eq!((stats.ab_ops, stats.ba_ops), (2, 1));
-    }
-
-    #[test]
-    fn edges_have_distinct_keys_per_session() {
-        let mut c = cluster(3, CcMode::On);
-        // Seal the same plaintext for the same session on two different
-        // edges; the ciphertexts must differ (distinct per-edge roots) and
-        // must not cross-authenticate.
-        let e01 = c.edge_sessions(EdgeId::between(0, 1)).unwrap();
-        let e12 = c.edge_sessions(EdgeId::between(1, 2)).unwrap();
-        let k01 = e01.derive_keys(SessionId::DEFAULT, 0);
-        let k12 = e12.derive_keys(SessionId::DEFAULT, 0);
-        let mut ch01 = pipellm_crypto::channel::SecureChannel::new(k01);
-        let mut ch12 = pipellm_crypto::channel::SecureChannel::new(k12);
-        let sealed = ch01.host_mut().seal(b"activation").unwrap();
-        assert!(
-            ch12.device_mut().open(&sealed).is_err(),
-            "edge 1-2 must reject edge 0-1 ciphertext"
-        );
-        // And per-session separation holds on one edge.
-        let sid = c.open_session();
-        let mgr = c.edge_sessions(EdgeId::between(0, 1)).unwrap();
-        let mut ch_new = pipellm_crypto::channel::SecureChannel::new(mgr.derive_keys(sid, 0));
-        assert!(ch_new.device_mut().open(&sealed).is_err());
     }
 
     #[test]
@@ -1338,7 +1208,7 @@ mod tests {
         let mut c = cluster(2, CcMode::On);
         let src = seed_buffer(&mut c, 0, 7);
         let dst = c.device_mut(1).alloc_device(CHUNK).unwrap();
-        let iv = c.current_edge_iv(0, 1);
+        let iv = ivs(&c, e01()).0;
         let (sealed, ready) = c
             .seal_edge_region(SimTime::ZERO, 0, src, 1, dst, iv)
             .unwrap();
@@ -1359,7 +1229,7 @@ mod tests {
         let mut c = cluster(2, CcMode::On);
         let src = seed_buffer(&mut c, 0, 9);
         let dst = c.device_mut(1).alloc_device(CHUNK).unwrap();
-        let iv = c.current_edge_iv(0, 1) + 2;
+        let iv = ivs(&c, e01()).0 + 2;
         let (sealed, ready) = c
             .seal_edge_region(SimTime::ZERO, 0, src, 1, dst, iv)
             .unwrap();
@@ -1374,7 +1244,7 @@ mod tests {
         c.send_edge_nop(SimTime::ZERO, 0, 1).unwrap();
         c.submit_dtod_sealed(SimTime::ZERO, ready, 0, 1, dst, &sealed, CHUNK)
             .unwrap();
-        assert_eq!(c.edge_stats(EdgeId::between(0, 1)).unwrap().nops, 2);
+        assert_eq!(c.edge_stats(e01()).unwrap().nops, 2);
         assert_eq!(
             c.device(1).device_memory().get(dst).unwrap(),
             &Payload::Real(vec![9; CHUNK as usize])
@@ -1387,7 +1257,7 @@ mod tests {
         let src = seed_buffer(&mut c, 0, 4);
         let other = seed_buffer(&mut c, 0, 5);
         let dst = c.device_mut(1).alloc_device(CHUNK).unwrap();
-        let iv = c.current_edge_iv(0, 1);
+        let iv = ivs(&c, e01()).0;
         let (sealed, _) = c
             .seal_edge_region(SimTime::ZERO, 0, src, 1, dst, iv)
             .unwrap();
@@ -1419,42 +1289,39 @@ mod tests {
         c.set_session(b).unwrap();
         c.memcpy_dtod_async(SimTime::ZERO, 0, src, 1, dst).unwrap();
         c.memcpy_dtod_async(SimTime::ZERO, 0, src, 1, dst).unwrap();
-        let edge = EdgeId::between(0, 1);
-        let ca = c.edge_counters(edge, a).unwrap();
-        let cb = c.edge_counters(edge, b).unwrap();
-        assert_eq!(ca.h2d_tx, 2);
-        assert_eq!(cb.h2d_tx, 3);
-        assert!(ca.in_lockstep() && cb.in_lockstep());
+        assert_eq!(ivs(&c, e01()).0, 3);
+        c.set_session(a).unwrap();
+        assert_eq!(ivs(&c, e01()).0, 2);
     }
 
     #[test]
     fn edge_rekey_bumps_epoch_and_restarts_counters() {
         use pipellm_crypto::channel::IV_LIMIT;
         let mut c = cluster(2, CcMode::On);
-        let edge = EdgeId::between(0, 1);
-        // Drive the active session's a→b counter into the headroom.
-        let sid = {
-            let mgr = c.edge_sessions_mut(edge).unwrap();
-            mgr.open_with_initial_ivs(IV_LIMIT - 2, 1)
-        };
-        // Mirror the session on devices and keep managers in lockstep for
-        // the other edges (none here: 2 devices, 1 edge).
+        // Open a session whose a→b counter sits inside the headroom, on
+        // both ends of the one edge and on both devices.
+        let ends = c.edge_mut(e01()).unwrap();
+        let sid = ends[0].open_session_with_initial_ivs(IV_LIMIT - 2, 1);
+        ends[1].open_session_with_initial_ivs(IV_LIMIT - 2, 1);
         for d in 0..2 {
             c.device_mut(d).open_session();
         }
         c.set_session(sid).unwrap();
-        assert!(c.edge_needs_rekey(edge));
-        assert!(c.maybe_rekey_edge(edge));
-        assert_eq!(c.edge_epoch(edge, sid), Some(1));
-        let counters = c.edge_counters(edge, sid).unwrap();
-        assert_eq!(counters.h2d_tx, 1, "counters restart after rekey");
+        let ends = c.edge_mut(e01()).unwrap();
+        assert!(ends[0].needs_rekey(), "a's sender is inside the headroom");
+        assert!(!ends[1].needs_rekey(), "b's sender is not");
+        for end in ends.iter_mut() {
+            end.rekey_to(1);
+        }
+        assert_eq!(ends[1].epoch(), 1);
+        assert_eq!(ivs(&c, e01()), (1, 1), "counters restart after rekey");
         // Traffic flows on the fresh epoch.
         let src = seed_buffer(&mut c, 0, 6);
         let dst = c.device_mut(1).alloc_device(CHUNK).unwrap();
         c.memcpy_dtod_async(SimTime::ZERO, 0, src, 1, dst).unwrap();
-        assert!(c.edge_counters(edge, sid).unwrap().in_lockstep());
+        assert_eq!(ivs(&c, e01()), (2, 1));
         assert!(
-            !c.maybe_rekey_edge(edge),
+            !c.edge(e01()).unwrap().iter().any(EdgeCrypto::needs_rekey),
             "fresh epoch is far from the limit"
         );
     }
@@ -1515,10 +1382,7 @@ mod tests {
         let cb = rt.session_counters(b).unwrap();
         assert_eq!((ca.h2d_tx, cb.h2d_tx), (1, 2));
         // The session exists on the edge too, in lockstep with device ids.
-        assert!(rt
-            .cluster()
-            .edge_counters(EdgeId::between(0, 1), b)
-            .is_some());
+        assert_eq!(rt.cluster().edge(e01()).unwrap()[0].tx_iv(), 1);
     }
 
     // ---------------------------------------------------------------
@@ -1549,11 +1413,8 @@ mod tests {
             matches!(err, Err(GpuError::TransferFaulted { iv: 1, .. })),
             "got {err:?}"
         );
-        let edge = EdgeId::between(0, 1);
-        let counters = c.edge_counters(edge, SessionId::DEFAULT).unwrap();
-        assert!(counters.in_lockstep(), "edge desynced: {counters:?}");
-        assert_eq!(counters.h2d_tx, 2, "both ends burned the edge IV");
-        assert_eq!(c.edge_stats(edge).unwrap().faulted, 1);
+        assert_eq!(ivs(&c, e01()).0, 2, "both ends burned the edge IV");
+        assert_eq!(c.edge_stats(e01()).unwrap().faulted, 1);
         assert!(
             !matches!(
                 c.device(1).device_memory().get(dst).unwrap(),
@@ -1568,21 +1429,18 @@ mod tests {
         let mut c = storm_cluster(2);
         let src = seed_buffer(&mut c, 0, 0x22);
         let dst = c.device_mut(1).alloc_device(CHUNK).unwrap();
-        let iv = c.current_edge_iv(0, 1);
+        let iv = ivs(&c, e01()).0;
         let (sealed, ready) = c
             .seal_edge_region(SimTime::ZERO, 0, src, 1, dst, iv)
             .unwrap();
         let err = c.submit_dtod_sealed(SimTime::ZERO, ready, 0, 1, dst, &sealed, CHUNK);
         assert!(matches!(err, Err(GpuError::TransferFaulted { .. })));
-        let edge = EdgeId::between(0, 1);
-        let counters = c.edge_counters(edge, SessionId::DEFAULT).unwrap();
-        assert!(counters.in_lockstep(), "edge desynced: {counters:?}");
-        assert_eq!(counters.h2d_tx, iv + 1);
+        assert_eq!(ivs(&c, e01()).0, iv + 1);
         // Retry at the fresh IV with the injector suppressed lands the
         // payload — the channel survived the fault.
         let chaos = Arc::clone(c.chaos().unwrap());
         let _quiet = chaos.suppress();
-        let iv2 = c.current_edge_iv(0, 1);
+        let iv2 = ivs(&c, e01()).0;
         let (sealed2, ready2) = c
             .seal_edge_region(SimTime::ZERO, 0, src, 1, dst, iv2)
             .unwrap();

@@ -38,7 +38,7 @@ pub mod pages;
 pub mod runtime;
 pub mod timing;
 
-pub use cluster::{ClusterConfig, ClusterContext, ClusterRuntime, EdgeId, EdgeStats, NvLinkModel};
+pub use cluster::{ClusterConfig, ClusterContext, ClusterRuntime, EdgeStats, NvLinkModel};
 pub use context::{CcMode, CudaContext, DeferredKvOpen, GpuError, SessionCounters};
 pub use memory::{DevicePtr, HostAddr, HostMemory, HostRegion, Payload};
 pub use pipellm_crypto::session::SessionId;

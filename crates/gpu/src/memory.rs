@@ -101,12 +101,12 @@ impl Payload {
     /// the buffer (real payloads keep it as their storage — no copy).
     /// Inverse of [`Payload::write_plaintext`].
     pub fn from_plaintext(kind: u8, bytes: Vec<u8>) -> Payload {
-        if kind == Payload::KIND_VIRTUAL && bytes.len() == 16 {
-            let len = u64::from_be_bytes(bytes[..8].try_into().expect("checked length"));
-            let version = u64::from_be_bytes(bytes[8..].try_into().expect("checked length"));
-            Payload::Virtual { len, version }
-        } else {
-            Payload::Real(bytes)
+        match <[u8; 16]>::try_from(bytes.as_slice()).map(u128::from_be_bytes) {
+            Ok(header) if kind == Payload::KIND_VIRTUAL => Payload::Virtual {
+                len: (header >> 64) as u64,
+                version: header as u64,
+            },
+            _ => Payload::Real(bytes),
         }
     }
 

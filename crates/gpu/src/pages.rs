@@ -110,8 +110,7 @@ impl PageRegistry {
             })
             .map(|(start, _)| *start)
             .collect();
-        for start in overlapping {
-            let range = self.ranges.remove(&start).expect("key came from the map");
+        for range in overlapping.iter().filter_map(|s| self.ranges.remove(s)) {
             match access {
                 Access::Write => self.write_faults += 1,
                 Access::Read => self.access_faults += 1,

@@ -16,7 +16,9 @@
 //! Inter-stage hops `s → s+1` are relayed through the orchestrator, which
 //! forwards the sealed frames without opening them: edge keys are derived
 //! from the cluster seed and the edge identity
-//! ([`pipellm_crypto::session::edge_key_seed`]) at the two workers. The
+//! ([`pipellm_crypto::edge::WireEdge::key_seed`]) at the two workers, each
+//! holding the edge as a [`link::EdgeCrypto`] — the one edge type, the
+//! same one the in-process cluster holds at each end of its edges. The
 //! relay could open them all the same. It picks the cluster seed and
 //! sends it to every worker in the clear [`proto::ShardManifest`], so it
 //! holds the root of every edge key and every checkpoint key. The

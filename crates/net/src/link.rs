@@ -1,14 +1,11 @@
-//! Per-edge crypto state and the send/receive discipline of a data link.
+//! The send/receive discipline of a data link.
 //!
-//! An edge of the networked deployment is exactly an edge of the
-//! in-process `pipellm_gpu::cluster::ClusterContext`: a
-//! [`SessionManager`] whose root is derived from the cluster seed and the
-//! edge identity, carrying one [`SecureChannel`] for the default session
-//! with an incrementing-IV counter per direction. Worker↔worker edges use
-//! [`edge_key_seed`]; a worker's ingress/egress edge to the host uses
-//! [`device_key_seed`] — the same roots the in-process cluster derives,
-//! which is why ciphertext sealed by a remote worker is bit-compatible
-//! with the cluster path.
+//! An edge's crypto state is [`EdgeCrypto`], the one edge type of the
+//! workspace (`pipellm_crypto::edge`, re-exported here): the same type the
+//! in-process `pipellm_gpu::cluster::ClusterContext` holds at each end of
+//! its edges, keyed from the cluster seed and the edge identity, so
+//! ciphertext sealed by a remote worker is bit-compatible with the cluster
+//! path.
 //!
 //! The send path ([`LinkSender::send`]) is where chaos meets the wire: each
 //! outgoing data frame rolls the injector at
@@ -31,204 +28,16 @@
 //! ([`crate::proto::INGRESS_WINDOW`]) bounds the set's size on every link.
 //! A link ends with a [`Fin`] ([`LinkSender::close`]), held like an
 //! unacknowledged frame until the receiver's [`LinkRx`] accepts it.
-//!
-//! [`SecureChannel`]: pipellm_crypto::channel::SecureChannel
 
 use crate::error::{NetError, NetResult};
-use crate::proto::{DataFrame, Fin, Msg, HOST_NODE, WIRE_RETRY};
+use crate::proto::{DataFrame, Fin, Msg, WIRE_RETRY};
 use crate::transport::FrameSender;
 use pipellm_chaos::{ChaosInjector, FaultKind, FaultSite};
-use pipellm_crypto::channel::{staging_buffer, SealedMessage};
-use pipellm_crypto::session::{device_key_seed, edge_key_seed, SessionId, SessionManager};
+pub use pipellm_crypto::edge::{role_at, EdgeCrypto, Role, WireEdge};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// An undirected edge of the deployment graph, normalized `a < b`.
-/// [`HOST_NODE`] is `u32::MAX`, so host edges sort as `(stage, HOST)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct WireEdge {
-    /// Lower endpoint.
-    pub a: u32,
-    /// Higher endpoint ([`HOST_NODE`] on ingress/egress edges).
-    pub b: u32,
-}
-
-impl WireEdge {
-    /// The edge joining `i` and `j`, order-insensitive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i == j` — no self-edges, as in the cluster topology.
-    pub fn between(i: u32, j: u32) -> Self {
-        assert_ne!(i, j, "no self-edges in the deployment graph");
-        WireEdge {
-            a: i.min(j),
-            b: i.max(j),
-        }
-    }
-
-    /// Whether `node` is an endpoint.
-    pub fn touches(&self, node: u32) -> bool {
-        self.a == node || self.b == node
-    }
-}
-
-impl fmt::Display for WireEdge {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.b == HOST_NODE {
-            write!(f, "edge{}-host", self.a)
-        } else {
-            write!(f, "edge{}-{}", self.a, self.b)
-        }
-    }
-}
-
-/// Which endpoint of the edge's [`SecureChannel`] this node plays.
-///
-/// On a worker↔worker edge the lower stage is the channel-host endpoint
-/// (the convention `pipellm_gpu::cluster::ClusterContext` fixes); on a
-/// host edge the orchestrator is always the channel-host endpoint and the
-/// worker the channel-device endpoint, mirroring the in-process
-/// host↔device channel of that worker's `CudaContext`.
-///
-/// [`SecureChannel`]: pipellm_crypto::channel::SecureChannel
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
-    /// This node drives the channel's host endpoint.
-    ChannelHost,
-    /// This node drives the channel's device endpoint.
-    ChannelDevice,
-}
-
-/// The channel role `node` plays on `edge`: the orchestrator is the
-/// channel-host endpoint of every host edge, and on worker↔worker edges
-/// the lower stage is — the same conventions the in-process cluster fixes,
-/// so both endpoints derive mirrored state without negotiating.
-pub fn role_at(edge: WireEdge, node: u32) -> Role {
-    if edge.b == HOST_NODE {
-        if node == HOST_NODE {
-            Role::ChannelHost
-        } else {
-            Role::ChannelDevice
-        }
-    } else if edge.a == node {
-        Role::ChannelHost
-    } else {
-        Role::ChannelDevice
-    }
-}
-
-/// One edge's live crypto state at one endpoint.
-pub struct EdgeCrypto {
-    edge: WireEdge,
-    role: Role,
-    sessions: SessionManager,
-}
-
-impl EdgeCrypto {
-    /// Derives the edge's key root from the cluster seed — identically at
-    /// both endpoints, and identically to the in-process cluster — and
-    /// opens the default session.
-    pub fn new(cluster_seed: u64, edge: WireEdge, role: Role) -> Self {
-        let seed = if edge.b == HOST_NODE {
-            device_key_seed(cluster_seed, u64::from(edge.a))
-        } else {
-            edge_key_seed(cluster_seed, u64::from(edge.a), u64::from(edge.b))
-        };
-        let mut sessions = SessionManager::from_seed(seed);
-        let default = sessions.open();
-        debug_assert_eq!(default, SessionId::DEFAULT);
-        EdgeCrypto {
-            edge,
-            role,
-            sessions,
-        }
-    }
-
-    /// The edge this state belongs to.
-    pub fn edge(&self) -> WireEdge {
-        self.edge
-    }
-
-    /// Current key epoch of the default session.
-    pub fn epoch(&self) -> u32 {
-        self.sessions.epoch(SessionId::DEFAULT).unwrap_or(0)
-    }
-
-    /// Fast-forwards the default session to `target` epoch (fresh keys,
-    /// both IV counters restarted at 1 — never reusing a counter of the
-    /// previous epoch), in one key derivation however far ahead `target`
-    /// lies. A target at or below the current epoch is a no-op: rekey
-    /// messages can arrive duplicated or late.
-    pub fn rekey_to(&mut self, target: u32) {
-        self.sessions.rekey_to(SessionId::DEFAULT, target);
-    }
-
-    /// Seals `plaintext` under `aad` on this node's sending direction,
-    /// consuming the next send IV.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Crypto`] on IV exhaustion.
-    pub fn seal(&mut self, aad: &[u8], plaintext: &[u8]) -> NetResult<SealedMessage> {
-        let ch = self
-            .sessions
-            .channel_mut(SessionId::DEFAULT)
-            .ok_or(NetError::Protocol {
-                detail: "edge default session missing".to_string(),
-            })?;
-        let endpoint = match self.role {
-            Role::ChannelHost => ch.host_mut(),
-            Role::ChannelDevice => ch.device_mut(),
-        };
-        Ok(endpoint
-            .tx_mut()
-            .seal_prepared(aad.into(), staging_buffer(plaintext))?)
-    }
-
-    /// Opens a received frame at this node's receiving direction under the
-    /// sentinel discipline: the IV is consumed whether or not the bytes
-    /// authenticate, and on failure the returned buffer holds only
-    /// sentinel bytes (no ciphertext escapes as plaintext).
-    pub fn open_or_sentinel(&mut self, aad: &[u8], mut sealed: Vec<u8>) -> (Vec<u8>, bool) {
-        let Some(ch) = self.sessions.channel_mut(SessionId::DEFAULT) else {
-            return (Vec::new(), false);
-        };
-        let endpoint = match self.role {
-            Role::ChannelHost => ch.host_mut(),
-            Role::ChannelDevice => ch.device_mut(),
-        };
-        let ok = endpoint
-            .rx_mut()
-            .open_in_place_or_sentinel(aad, &mut sealed)
-            .is_ok();
-        (sealed, ok)
-    }
-
-    /// This node's next send IV on the edge.
-    pub fn tx_iv(&self) -> u64 {
-        self.endpoint_ivs().0
-    }
-
-    /// This node's next receive IV on the edge.
-    pub fn rx_iv(&self) -> u64 {
-        self.endpoint_ivs().1
-    }
-
-    fn endpoint_ivs(&self) -> (u64, u64) {
-        let Some(ch) = self.sessions.channel(SessionId::DEFAULT) else {
-            return (0, 0);
-        };
-        let endpoint = match self.role {
-            Role::ChannelHost => ch.host(),
-            Role::ChannelDevice => ch.device(),
-        };
-        (endpoint.tx().next_iv(), endpoint.rx().next_iv())
-    }
-}
 
 /// One plaintext the sender must hold until the receiver acknowledges it.
 #[derive(Debug, Clone)]
@@ -674,6 +483,7 @@ pub fn open_data(crypto: &mut EdgeCrypto, frame: &mut DataFrame) -> RxOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::HOST_NODE;
     use proptest::prelude::*;
 
     fn pair(edge: WireEdge) -> (EdgeCrypto, EdgeCrypto) {
@@ -722,31 +532,6 @@ mod tests {
         );
         assert_eq!(tx.tx_iv(), 2);
         assert_eq!(rx.rx_iv(), 2);
-    }
-
-    #[test]
-    fn edge_keys_match_the_in_process_cluster() {
-        use pipellm_gpu::cluster::{ClusterConfig, ClusterContext, EdgeId};
-        // Seal on the in-process cluster edge 0-1, open with the net-side
-        // EdgeCrypto derived from the same cluster seed: same keys.
-        let seed = 0xA5A5;
-        let mut cluster = ClusterContext::new(ClusterConfig {
-            devices: 2,
-            seed,
-            ..ClusterConfig::default()
-        });
-        let sealed = cluster
-            .edge_sessions_mut(EdgeId::between(0, 1))
-            .unwrap()
-            .channel_mut(SessionId::DEFAULT)
-            .unwrap()
-            .host_mut()
-            .seal(b"cross-check")
-            .unwrap();
-        let mut net_side = EdgeCrypto::new(seed, WireEdge::between(0, 1), Role::ChannelDevice);
-        let (buf, ok) = net_side.open_or_sentinel(&sealed.aad, sealed.bytes);
-        assert!(ok, "net edge crypto must speak the cluster's channels");
-        assert_eq!(buf, b"cross-check");
     }
 
     #[test]

@@ -55,7 +55,7 @@ use std::time::Duration;
 pub const PROTO_VERSION: u8 = 4;
 
 /// Node id of the orchestrator/host in `src`/`dst` fields and edge ids.
-pub const HOST_NODE: u32 = u32::MAX;
+pub use pipellm_crypto::edge::HOST_NODE;
 
 // ---------------------------------------------------------------------------
 // Timing knobs.

@@ -14,9 +14,10 @@
 //!    settings (resend threshold, heartbeat interval, hang duration, chaos
 //!    plan); verify the shard's weight hash locally and reply
 //!    `ManifestAck`;
-//! 3. derive the in/out edge crypto from the manifest's cluster seed (the
-//!    same roots the in-process `pipellm_gpu::cluster::ClusterContext`
-//!    derives);
+//! 3. build the in/out edges' [`EdgeCrypto`] from the manifest's cluster
+//!    seed — the one edge type, the same one the in-process
+//!    `pipellm_gpu::cluster::ClusterContext` holds at each end of its
+//!    edges;
 //! 4. on `Start`, serve: open each incoming frame under the sentinel
 //!    discipline, ACK/NACK it, run [`apply_stage`] over the stage's layer
 //!    range, and seal the result onto the out edge;

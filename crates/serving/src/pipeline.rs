@@ -34,7 +34,8 @@ use pipellm::edge::EdgePipeline;
 use pipellm::partition::{apply_stage, Pass, PipelineSchedule, ScheduleOp, StagePartition};
 use pipellm::stats::PipeLlmStats;
 use pipellm_chaos::{ChaosInjector, FaultKind, FaultSite, RetryPolicy};
-use pipellm_gpu::cluster::{ClusterConfig, ClusterContext, EdgeId, NvLinkModel};
+use pipellm_crypto::edge::WireEdge;
+use pipellm_gpu::cluster::{ClusterConfig, ClusterContext, NvLinkModel};
 use pipellm_gpu::memory::{DevicePtr, HostRegion, Payload};
 use pipellm_gpu::{CcMode, GpuError, IoTimingModel};
 use pipellm_sim::metrics::Samples;
@@ -308,18 +309,16 @@ impl PipelineEngine {
         total
     }
 
-    /// Errors if any edge's channel counters ended out of lockstep for
-    /// any live session — ciphertext lost or replayed on a link.
+    /// Errors if any edge's two ends ended out of lockstep for any live
+    /// session — ciphertext lost or replayed on a link.
     pub fn verify_edges(&self) -> Result<(), String> {
         for edge in self.cluster.edge_ids() {
-            for session in self.cluster.session_ids() {
-                let counters = self
-                    .cluster
-                    .edge_counters(edge, session)
-                    .ok_or_else(|| format!("{edge} missing {session}"))?;
-                if !counters.in_lockstep() {
-                    return Err(format!("{edge} {session} out of lockstep: {counters:?}"));
-                }
+            let [a, b] = self
+                .cluster
+                .edge(edge)
+                .ok_or_else(|| format!("{edge} missing"))?;
+            if !a.mirrors(b) {
+                return Err(format!("{edge}: ends out of lockstep"));
             }
         }
         Ok(())
@@ -420,17 +419,22 @@ impl PipelineEngine {
     /// under the old epoch are dropped by the edge pipelines' epoch check;
     /// every other edge keeps its counters untouched.
     fn rekey_stage_edges(&mut self, stage: usize) {
-        let active = self.cluster.active_session();
         for neighbour in [stage.wrapping_sub(1), stage + 1] {
-            if neighbour >= self.config.stages {
-                continue;
+            if neighbour < self.config.stages {
+                self.force_rekey(WireEdge::between(stage as u32, neighbour as u32));
             }
-            let edge = EdgeId::between(stage, neighbour);
-            if let Some(sessions) = self.cluster.edge_sessions_mut(edge) {
-                if sessions.rekey(active).is_some() {
-                    self.resilience.forced_rekeys += 1;
-                }
+        }
+    }
+
+    /// Moves both ends of `edge`'s active session to the next epoch, as a
+    /// `RekeyEdge` does on the wire.
+    fn force_rekey(&mut self, edge: WireEdge) {
+        if let Some(ends) = self.cluster.edge_mut(edge) {
+            let next = ends[0].epoch().saturating_add(1);
+            for end in ends {
+                end.rekey_to(next);
             }
+            self.resilience.forced_rekeys += 1;
         }
     }
 
@@ -462,13 +466,7 @@ impl PipelineEngine {
             FaultKind::RekeyRace => {
                 let edges = self.cluster.edge_ids();
                 if !edges.is_empty() {
-                    let edge = edges[(fault.salt % edges.len() as u64) as usize];
-                    let active = self.cluster.active_session();
-                    if let Some(sessions) = self.cluster.edge_sessions_mut(edge) {
-                        if sessions.rekey(active).is_some() {
-                            self.resilience.forced_rekeys += 1;
-                        }
-                    }
+                    self.force_rekey(edges[(fault.salt % edges.len() as u64) as usize]);
                 }
                 Ok(now)
             }
@@ -725,7 +723,6 @@ impl ServingEngine for PipelineEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipellm_gpu::cluster::EdgeId;
 
     fn config(stages: usize, system: PipelineSystem) -> PipelineConfig {
         PipelineConfig {
@@ -803,7 +800,7 @@ mod tests {
             for s in 0..3 {
                 let stats = engine
                     .cluster()
-                    .edge_stats(EdgeId::between(s, s + 1))
+                    .edge_stats(WireEdge::between(s, s + 1))
                     .unwrap();
                 assert_eq!(stats.ab_ops, 12, "{system:?} edge {s}");
                 assert_eq!(stats.ba_ops, 0, "inference sends nothing back");
@@ -822,7 +819,7 @@ mod tests {
         for s in 0..2 {
             let stats = engine
                 .cluster()
-                .edge_stats(EdgeId::between(s, s + 1))
+                .edge_stats(WireEdge::between(s, s + 1))
                 .unwrap();
             assert_eq!(stats.ab_ops, 12);
             assert_eq!(stats.ba_ops, 12, "every gradient crosses back");

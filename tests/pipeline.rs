@@ -3,8 +3,8 @@
 //! encrypted inter-stage links, and composability of the cluster with the
 //! multi-tenant driver.
 
-use pipellm_repro::crypto::channel::SecureChannel;
-use pipellm_repro::gpu::cluster::{ClusterConfig, ClusterContext, ClusterRuntime, EdgeId};
+use pipellm_repro::crypto::edge::WireEdge;
+use pipellm_repro::gpu::cluster::{ClusterConfig, ClusterContext, ClusterRuntime};
 use pipellm_repro::gpu::memory::Payload;
 use pipellm_repro::gpu::{CcMode, SessionId};
 use pipellm_repro::serving::multitenant::{MultiTenantDriver, TenantSpec};
@@ -80,12 +80,14 @@ fn pipellm_throughput_at_least_native_cc_at_every_stage_count() {
 /// and every (edge, session) IV stream is gapless and in lockstep.
 #[test]
 fn per_edge_channels_have_distinct_keys_and_gapless_ivs() {
-    let mut cluster = ClusterContext::new(ClusterConfig {
+    let (e01, e12) = (WireEdge::between(0, 1), WireEdge::between(1, 2));
+    let config = ClusterConfig {
         devices: 3,
         cc: CcMode::On,
         device_capacity: 1 << 30,
         ..ClusterConfig::default()
-    });
+    };
+    let mut cluster = ClusterContext::new(config.clone());
     let tenant = cluster.open_session();
     const LEN: u64 = 192 * 1024;
 
@@ -118,39 +120,45 @@ fn per_edge_channels_have_distinct_keys_and_gapless_ivs() {
         ops.insert(session, rounds);
     }
 
-    for edge in [EdgeId::between(0, 1), EdgeId::between(1, 2)] {
-        for (&session, &rounds) in &ops {
-            let counters = cluster.edge_counters(edge, session).unwrap();
-            assert!(counters.in_lockstep(), "{edge} {session}: {counters:?}");
+    for (&session, &rounds) in &ops {
+        cluster.set_session(session).unwrap();
+        for edge in [e01, e12] {
+            let [a, b] = cluster.edge(edge).unwrap();
+            assert!(a.mirrors(b), "{edge} {session}: ends out of lockstep");
             // Gapless: the sender counter advanced by exactly the number
             // of transfers this session pushed through this direction.
-            assert_eq!(counters.h2d_tx, 1 + rounds, "{edge} {session} fwd");
-            let expected_back = if edge == EdgeId::between(1, 2) {
-                rounds
-            } else {
-                0
-            };
-            assert_eq!(counters.d2h_tx, 1 + expected_back, "{edge} {session} back");
+            assert_eq!(a.tx_iv(), 1 + rounds, "{edge} {session} fwd");
+            let expected_back = if edge == e12 { rounds } else { 0 };
+            assert_eq!(b.tx_iv(), 1 + expected_back, "{edge} {session} back");
         }
     }
 
     // Distinct keys per link per session: ciphertext sealed on one
-    // (edge, session) channel authenticates nowhere else.
-    let e01 = cluster.edge_sessions(EdgeId::between(0, 1)).unwrap();
-    let e12 = cluster.edge_sessions(EdgeId::between(1, 2)).unwrap();
-    let mut sealing = SecureChannel::new(e01.derive_keys(SessionId::DEFAULT, 0));
-    let sealed = sealing.host_mut().seal(b"activation bytes").unwrap();
-    let mut probes = [
-        SecureChannel::new(e01.derive_keys(tenant, 0)), // same edge, other session
-        SecureChannel::new(e12.derive_keys(SessionId::DEFAULT, 0)), // other edge, same session
-        SecureChannel::new(e01.derive_keys(SessionId::DEFAULT, 1)), // same channel, next epoch
-    ];
-    for (i, probe) in probes.iter_mut().enumerate() {
-        assert!(
-            probe.device_mut().open(&sealed).is_err(),
-            "probe {i} must fail authentication"
-        );
+    // (edge, session, epoch) channel opens at that channel's other end
+    // and nowhere else. Every probe's receive counter sits at the sealed
+    // IV, so only the keys can tell them apart.
+    let mut cluster = ClusterContext::new(config);
+    let tenant = cluster.open_session();
+    let sealed = cluster.edge_mut(e01).unwrap()[0]
+        .seal(b"hop", b"activation bytes")
+        .unwrap();
+    let opens_at_b = |cluster: &mut ClusterContext, edge: WireEdge, session: SessionId| {
+        cluster.set_session(session).unwrap();
+        let receiver = &mut cluster.edge_mut(edge).unwrap()[1];
+        receiver.endpoint_mut().unwrap().open(&sealed).is_ok()
+    };
+    let probes = [(e01, tenant), (e12, SessionId::DEFAULT)];
+    for (i, (edge, session)) in probes.into_iter().enumerate() {
+        assert!(!opens_at_b(&mut cluster, edge, session), "probe {i}");
     }
+    assert!(opens_at_b(&mut cluster, e01, SessionId::DEFAULT));
+    for end in cluster.edge_mut(e01).unwrap() {
+        end.rekey_to(1);
+    }
+    assert!(
+        !opens_at_b(&mut cluster, e01, SessionId::DEFAULT),
+        "next epoch"
+    );
 }
 
 /// The cluster composes with the multi-tenant driver: tenants' sessions
@@ -177,13 +185,14 @@ fn cluster_runtime_composes_with_the_multitenant_driver() {
     }
     // Every tenant session also exists on the inter-GPU edge, untouched
     // (host traffic does not cross it) but keyed and ready.
-    let rt = driver.into_runtime();
+    let mut rt = driver.into_runtime();
     for session in sessions {
-        let counters = rt
-            .cluster()
-            .edge_counters(EdgeId::between(0, 1), session)
+        let cluster = rt.cluster_mut();
+        cluster
+            .set_session(session)
             .expect("session spans the edge");
-        assert_eq!(counters.h2d_tx, 1);
-        assert!(counters.in_lockstep());
+        let [a, b] = cluster.edge(WireEdge::between(0, 1)).unwrap();
+        assert_eq!((a.tx_iv(), b.tx_iv()), (1, 1));
+        assert!(a.mirrors(b));
     }
 }
