@@ -512,9 +512,9 @@ impl SessionState {
     }
 
     /// Drops the whole pipeline without serving anything: every queued
-    /// entry is discarded (a rekey invalidated its ciphertext) and the
-    /// suspended requests are handed back to the caller, to be served on
-    /// demand once the fresh channel is in place.
+    /// entry is discarded (a rekey or an irrecoverable error left its
+    /// ciphertext uncommittable) and the suspended requests are handed
+    /// back to the caller, to be served on demand at the live counter.
     pub(crate) fn drop_pipeline(
         &mut self,
         ctx: &mut CudaContext,
@@ -528,8 +528,8 @@ impl SessionState {
         std::mem::take(&mut self.suspended)
     }
 
-    /// Serves a request on demand at the live counter (public entry for
-    /// the runtime's rekey path).
+    /// Serves a request on demand at the live counter (the rekey path and
+    /// [`SessionState::relinquish`] serve their orphans here).
     pub(crate) fn serve_on_demand(
         &mut self,
         ctx: &mut CudaContext,
@@ -549,15 +549,8 @@ impl SessionState {
         p: &SpecParams,
         now: SimTime,
     ) -> Result<(), GpuError> {
-        for entry in self.queue.relinquish() {
-            ctx.pages_mut().unprotect(entry.chunk);
-            self.stats.wasted_entries += 1;
-            self.recycle_entry(p, entry);
-        }
-        let orphans = std::mem::take(&mut self.suspended);
-        for request in orphans {
-            self.stats.relinquishes += 1;
-            self.encrypt_on_demand(ctx, p, now, request.dst, request.chunk)?;
+        for request in self.drop_pipeline(ctx, p) {
+            self.serve_on_demand(ctx, p, now, request.dst, request.chunk)?;
         }
         self.next_spec_iv = ctx.current_h2d_iv();
         Ok(())

@@ -9,12 +9,12 @@
 //!
 //! # The channel core
 //!
-//! Ten seal/open methods, one per job the paper's protocol needs:
+//! Nine seal/open methods, one per job the paper's protocol needs:
 //!
 //! | job | method |
 //! |-----|--------|
 //! | seal at the counter (native CC `cudaMemcpyAsync`) | [`TxContext::seal_prepared`], [`TxContext::seal_batch_prepared`] |
-//! | §4.3 speculative pre-encryption at a future IV | [`TxContext::seal_speculative_prepared`], [`TxContext::seal_speculative_batch`] |
+//! | §4.3 speculative pre-encryption at a future IV | [`TxContext::seal_speculative_prepared`] |
 //! | §5.3 NOP padding | a committed seal of [`TxContext::nop_message`] |
 //! | open at the receiver's own counter | [`RxContext::open_in_place`] |
 //! | §5.4 deferred open, IV reserved in wire order | [`RxContext::defer_open`], then [`DeferredOpen::open_in_place`] |
@@ -145,15 +145,6 @@ impl TxContext {
         Ok(())
     }
 
-    /// Refuses a speculative IV the counter has already consumed: sealing
-    /// under it again would repeat a GCM nonce.
-    fn check_future(&self, iv: u64) -> Result<()> {
-        if iv < self.next_iv {
-            return Err(CryptoError::IvReused { iv });
-        }
-        Ok(())
-    }
-
     /// Attaches the multi-threaded crypto engine: large seals go through
     /// the chunked gang path (bit-identical ciphertext and tags).
     pub(crate) fn set_engine(&mut self, engine: Option<Arc<CryptoEngine>>) {
@@ -211,62 +202,11 @@ impl TxContext {
         &mut self,
         msgs: Vec<(Arc<[u8]>, Vec<u8>)>,
     ) -> Result<Vec<SealedMessage>> {
-        let sealed = self.seal_batch_at(self.next_iv, msgs)?;
-        self.next_iv += sealed.len() as u64;
-        Ok(sealed)
-    }
-
-    /// Seals a staged buffer at a **future** `iv` without advancing the
-    /// counter. This is speculative pre-encryption (paper §4.3): the
-    /// message only becomes sendable once the counter reaches `iv` exactly
-    /// and [`TxContext::commit`] consumes it.
-    ///
-    /// # Errors
-    ///
-    /// [`CryptoError::IvReused`] if `iv` is below the counter (that IV has
-    /// already been consumed), [`CryptoError::IvExhausted`] if it lies in
-    /// the headroom; on error `buf` is dropped.
-    pub fn seal_speculative_prepared(
-        &self,
-        iv: u64,
-        aad: Arc<[u8]>,
-        buf: Vec<u8>,
-    ) -> Result<SealedMessage> {
-        self.check_future(iv)?;
-        self.seal_at(iv, aad, buf)
-    }
-
-    /// Speculative twin of [`TxContext::seal_batch_prepared`]: seals the
-    /// run at consecutive IVs starting at a **future** `start_iv` without
-    /// advancing the counter (paper §4.3 pre-encryption, batched). Each
-    /// message commits individually via [`TxContext::commit`] when the
-    /// counter reaches its IV.
-    ///
-    /// # Errors
-    ///
-    /// [`CryptoError::IvReused`] if `start_iv` is below the counter,
-    /// [`CryptoError::IvExhausted`] if the run would enter the headroom;
-    /// either way nothing is sealed.
-    pub fn seal_speculative_batch(
-        &self,
-        start_iv: u64,
-        msgs: Vec<(Arc<[u8]>, Vec<u8>)>,
-    ) -> Result<Vec<SealedMessage>> {
-        self.check_future(start_iv)?;
-        self.seal_batch_at(start_iv, msgs)
-    }
-
-    /// Shared core of the batch seals: messages land at consecutive IVs
-    /// `start_iv..start_iv + n`, checked against the headroom up front.
-    fn seal_batch_at(
-        &self,
-        start_iv: u64,
-        msgs: Vec<(Arc<[u8]>, Vec<u8>)>,
-    ) -> Result<Vec<SealedMessage>> {
         let n = msgs.len() as u64;
         if n == 0 {
             return Ok(Vec::new());
         }
+        let start_iv = self.next_iv;
         self.check_exhaustion(start_iv + (n - 1))?;
         let mut out: Vec<SealedMessage> = msgs
             .into_iter()
@@ -287,7 +227,31 @@ impl TxContext {
             })
             .collect();
         self.gcm.seal_batch(&mut batch);
+        self.next_iv += n;
         Ok(out)
+    }
+
+    /// Seals a staged buffer at a **future** `iv` without advancing the
+    /// counter. This is speculative pre-encryption (paper §4.3): the
+    /// message only becomes sendable once the counter reaches `iv` exactly
+    /// and [`TxContext::commit`] consumes it.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::IvReused`] if `iv` is below the counter (that IV has
+    /// already been consumed), [`CryptoError::IvExhausted`] if it lies in
+    /// the headroom; on error `buf` is dropped.
+    pub fn seal_speculative_prepared(
+        &self,
+        iv: u64,
+        aad: Arc<[u8]>,
+        buf: Vec<u8>,
+    ) -> Result<SealedMessage> {
+        // Sealing under a consumed IV again would repeat a GCM nonce.
+        if iv < self.next_iv {
+            return Err(CryptoError::IvReused { iv });
+        }
+        self.seal_at(iv, aad, buf)
     }
 
     /// Stages a NOP (paper §5.3): a 1-byte dummy transfer whose only
@@ -721,7 +685,6 @@ mod tests {
         SealPrepared,
         SealBatchPrepared,
         SealSpeculativePrepared,
-        SealSpeculativeBatch,
         EndpointSeal,
         OpenInPlace,
         OpenInPlaceOrSentinel,
@@ -735,11 +698,10 @@ mod tests {
     /// buffer)`. A deferred open's one IV is its wire-order reservation,
     /// burned whether or not the bytes authenticate; the two `Endpoint`
     /// methods copy in / copy out by design.
-    const CORE: [(Core, u64, u64, bool); 10] = [
+    const CORE: [(Core, u64, u64, bool); 9] = [
         (Core::SealPrepared, 1, 0, true),
         (Core::SealBatchPrepared, BATCH, 0, true),
         (Core::SealSpeculativePrepared, 0, 0, true),
-        (Core::SealSpeculativeBatch, 0, 0, true),
         (Core::EndpointSeal, 1, 0, false),
         (Core::OpenInPlace, 1, 0, true),
         (Core::OpenInPlaceOrSentinel, 1, 1, true),
@@ -755,7 +717,6 @@ mod tests {
                 Core::SealPrepared
                     | Core::SealBatchPrepared
                     | Core::SealSpeculativePrepared
-                    | Core::SealSpeculativeBatch
                     | Core::EndpointSeal
             )
         }
@@ -789,7 +750,6 @@ mod tests {
                 Core::SealSpeculativePrepared => tx
                     .seal_speculative_prepared(iv, aad.clone(), buf)
                     .map(|m| vec![m]),
-                Core::SealSpeculativeBatch => tx.seal_speculative_batch(iv, batch(buf)),
                 Core::EndpointSeal => ch.host_mut().seal(&buf).map(|m| vec![m]),
                 Core::EndpointOpen => {
                     let message = SealedMessage {
@@ -886,15 +846,14 @@ mod tests {
     fn speculative_seal_below_counter_is_refused() {
         // Contract: a speculative seal never advances the counter (its row
         // claims no IV) and refuses an IV the counter already consumed.
-        for m in [Core::SealSpeculativePrepared, Core::SealSpeculativeBatch] {
-            let mut ch = channel();
-            ch.host_mut().seal(b"x").unwrap();
-            ch.host_mut().seal(b"y").unwrap();
-            // Counter is now 3; sealing at 2 would reuse a nonce.
-            let (outcome, _) = m.call(&mut ch, 2, staging_buffer(PLAIN));
-            assert_eq!(outcome, Err(CryptoError::IvReused { iv: 2 }), "{m:?}");
-            assert_eq!(ch.host().tx().next_iv(), 3, "{m:?}");
-        }
+        let mut ch = channel();
+        ch.host_mut().seal(b"x").unwrap();
+        ch.host_mut().seal(b"y").unwrap();
+        // Counter is now 3; sealing at 2 would reuse a nonce.
+        let m = Core::SealSpeculativePrepared;
+        let (outcome, _) = m.call(&mut ch, 2, staging_buffer(PLAIN));
+        assert_eq!(outcome, Err(CryptoError::IvReused { iv: 2 }));
+        assert_eq!(ch.host().tx().next_iv(), 3);
     }
 
     #[test]
@@ -902,7 +861,7 @@ mod tests {
         // Contract: no seal uses an IV inside the headroom, and a batch that
         // would reach it fails whole, consuming nothing.
         for (m, ..) in CORE.into_iter().filter(|row| row.0.is_seal()) {
-            let batch = matches!(m, Core::SealBatchPrepared | Core::SealSpeculativeBatch);
+            let batch = m == Core::SealBatchPrepared;
             // Two IVs short of the limit a single seal still fits; a batch
             // of three would need the first headroom IV.
             for start in [IV_LIMIT - (BATCH - 1), IV_LIMIT] {

@@ -25,10 +25,12 @@
 //! The transfer surface mirrors the single-GPU context: a *native* path
 //! ([`ClusterContext::memcpy_dtod_async`]) where sealing blocks the
 //! issuing stage thread (native NVIDIA CC semantics), and an
-//! *interposition* path ([`ClusterContext::seal_edge_region`],
-//! [`ClusterContext::submit_dtod_sealed`], [`ClusterContext::send_edge_nop`])
-//! that lets PipeLLM's speculative pipeline pre-encrypt activations at
-//! future IVs and hide the crypto on GPU-to-GPU hops.
+//! *interposition* path ([`ClusterContext::seal_edge_region`], then
+//! [`ClusterContext::submit_dtod_sealed`]) that lets PipeLLM's edge
+//! pipeline seal an activation on a crypto worker and submit the
+//! ciphertext without blocking the stage thread. The submit commits only
+//! at the sender's exact next IV; the edge pipeline seals at that IV and
+//! submits at once, so an edge needs no NOP padding.
 
 use crate::context::{
     absorb_frame_fault, open_delivered, sealed_kind, stage_plaintext, CcMode, ContextConfig,
@@ -133,8 +135,6 @@ pub struct EdgeStats {
     pub ba_ops: u64,
     /// Payload bytes moved (both directions).
     pub bytes: u64,
-    /// NOP (IV-padding) operations (both directions).
-    pub nops: u64,
     /// Transfers lost to injected faults (both directions); each burned an
     /// edge IV on both endpoints and delivered nothing.
     pub faulted: u64,
@@ -151,8 +151,6 @@ struct EdgeState {
 struct EdgeLink {
     timeline: EdgeTimeline,
     stats: EdgeStats,
-    /// Recycled NOP ciphertext buffer, as on the host channel.
-    nop_staging: Vec<u8>,
 }
 
 /// A `src → dst` transfer's share of the cluster: both devices, the
@@ -239,7 +237,6 @@ impl ClusterContext {
                             link: EdgeLink {
                                 timeline,
                                 stats: EdgeStats::default(),
-                                nop_staging: Vec::new(),
                             },
                         }
                     })
@@ -612,69 +609,6 @@ impl ClusterContext {
         Ok((sealed, reservation.end))
     }
 
-    /// Batched form of [`ClusterContext::seal_edge_region`]: seals every
-    /// `(src_ptr, dst_ptr)` region for the `src → dst` direction at the
-    /// consecutive IVs `start_iv..start_iv + regions.len()` in **one
-    /// fused gang submission** ([`seal_speculative_batch`]) — one crypto
-    /// dispatch and one pool reservation for the whole group, priced as
-    /// [`CpuCryptoModel::batch_seal_time`]. The sender counter does not
-    /// advance; every returned message is committed later by
-    /// [`ClusterContext::submit_dtod_sealed`]. All sealed ciphertexts
-    /// share the returned ready time.
-    ///
-    /// # Errors
-    ///
-    /// - [`GpuError::Memory`] for unknown pointers.
-    /// - [`GpuError::Crypto`] ([`CryptoError::IvReused`]) if `start_iv`
-    ///   is below the direction's counter.
-    /// - [`GpuError::CcDisabled`] with CC off.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src_dev == dst_dev` or either index is out of range —
-    /// programming errors, as on the CUDA peer-copy API.
-    ///
-    /// [`seal_speculative_batch`]: pipellm_crypto::channel::TxContext::seal_speculative_batch
-    /// [`CpuCryptoModel::batch_seal_time`]: pipellm_crypto::cost::CpuCryptoModel::batch_seal_time
-    pub fn seal_edge_regions(
-        &mut self,
-        now: SimTime,
-        src_dev: usize,
-        dst_dev: usize,
-        regions: &[(DevicePtr, DevicePtr)],
-        start_iv: u64,
-    ) -> Result<(Vec<SealedMessage>, SimTime), GpuError> {
-        if self.cc == CcMode::Off {
-            return Err(GpuError::CcDisabled);
-        }
-        if regions.is_empty() {
-            return Ok((Vec::new(), now));
-        }
-        let crypto = self.timing.crypto;
-        let threads = self.crypto_threads;
-        let hop = self.hop(src_dev, dst_dev);
-        let sender = hop.tx.endpoint_mut()?.tx();
-        if start_iv < sender.next_iv() {
-            return Err(GpuError::Crypto(CryptoError::IvReused { iv: start_iv }));
-        }
-        // Stage every region first so the fused seal below sees the
-        // whole group at once.
-        let mut total_bytes = 0u64;
-        let mut msgs = Vec::with_capacity(regions.len());
-        for &(src_ptr, dst_ptr) in regions {
-            let mut buf = Vec::new();
-            let payload = hop.src.device_memory().get(src_ptr)?;
-            total_bytes += payload.len();
-            let aad = stage_plaintext(payload, dst_ptr.0, &mut buf);
-            msgs.push((aad.into(), buf));
-        }
-        let sealed = sender.seal_speculative_batch(start_iv, msgs)?;
-        let seal_time = crypto.batch_seal_time(total_bytes, regions.len(), threads);
-        let reservation = hop.src.crypto_pool_mut().reserve_gang(now, seal_time);
-        hop.link.timeline.record_crypto(seal_time);
-        Ok((sealed, reservation.end))
-    }
-
     /// Submits pre-encrypted ciphertext over an edge: commits the sender
     /// counter at the message's IV, moves the wire from
     /// `max(now, ready_at)`, and opens at the destination. The issuing
@@ -685,7 +619,7 @@ impl ClusterContext {
     ///
     /// - [`GpuError::Crypto`] with [`CryptoError::IvReused`] /
     ///   [`CryptoError::IvMismatch`] if the message's IV is behind/ahead of
-    ///   the sender counter (NOP padding recovers the latter).
+    ///   the sender counter; either leaves both counters untouched.
     /// - [`GpuError::Memory`] for unknown pointers or length mismatches.
     /// - [`GpuError::CcDisabled`] with CC off.
     ///
@@ -779,104 +713,6 @@ impl ClusterContext {
             api_return: now,
             complete: done,
         })
-    }
-
-    /// Sends a NOP over the `src → dst` direction of an edge: a 1-byte
-    /// dummy transfer advancing the IV on both sides, the edge-level
-    /// analogue of the host channel's §5.3 padding.
-    ///
-    /// # Errors
-    ///
-    /// [`GpuError::CcDisabled`] with CC off, [`GpuError::Crypto`] on IV
-    /// exhaustion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src_dev == dst_dev` or either index is out of range —
-    /// programming errors, as on the CUDA peer-copy API.
-    pub fn send_edge_nop(
-        &mut self,
-        now: SimTime,
-        src_dev: usize,
-        dst_dev: usize,
-    ) -> Result<SimTime, GpuError> {
-        if self.cc == CcMode::Off {
-            return Err(GpuError::CcDisabled);
-        }
-        let nop_time = self.timing.crypto.nop_time();
-        let cc_control = self.timing.cc_control;
-        let hop = self.hop(src_dev, dst_dev);
-        let staging = std::mem::take(&mut hop.link.nop_staging);
-        let tx = hop.tx.endpoint_mut()?.tx_mut();
-        let (aad, buf) = tx.nop_message(staging);
-        let nop = tx.seal_prepared(aad, buf)?;
-        let enc = hop.src.crypto_pool_mut().reserve(now, nop_time);
-        let wire = hop.link.timeline.nop(enc.end);
-        hop.link.nop_staging =
-            open_delivered(hop.rx.endpoint_mut()?.rx_mut(), nop, "send_edge_nop")?;
-        hop.link.stats.nops += 1;
-        let done = wire.end + cc_control;
-        self.pending.push(done);
-        Ok(done)
-    }
-
-    /// Sends a burst of `count` NOPs over the `src → dst` direction in
-    /// **one fused batch submission** ([`seal_batch_prepared`]): the whole pad
-    /// run seals with a single crypto dispatch (priced as
-    /// [`CpuCryptoModel::batch_seal_time`]) instead of one pool
-    /// round-trip per NOP — the common case when a speculative entry's
-    /// IV sits many slots ahead of the edge counter. Returns when the
-    /// last NOP lands; `count == 0` is a no-op returning `now`.
-    ///
-    /// # Errors
-    ///
-    /// [`GpuError::CcDisabled`] with CC off, [`GpuError::Crypto`] on IV
-    /// exhaustion (all-or-nothing: no counter movement on error).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src_dev == dst_dev` or either index is out of range —
-    /// programming errors, as on the CUDA peer-copy API.
-    ///
-    /// [`seal_batch_prepared`]: pipellm_crypto::channel::TxContext::seal_batch_prepared
-    /// [`CpuCryptoModel::batch_seal_time`]: pipellm_crypto::cost::CpuCryptoModel::batch_seal_time
-    pub fn send_edge_nops(
-        &mut self,
-        now: SimTime,
-        src_dev: usize,
-        dst_dev: usize,
-        count: usize,
-    ) -> Result<SimTime, GpuError> {
-        if self.cc == CcMode::Off {
-            return Err(GpuError::CcDisabled);
-        }
-        if count == 0 {
-            return Ok(now);
-        }
-        let batch_time =
-            self.timing
-                .crypto
-                .batch_seal_time(count as u64, count, self.crypto_threads);
-        let cc_control = self.timing.cc_control;
-        let hop = self.hop(src_dev, dst_dev);
-        let mut staging = Some(std::mem::take(&mut hop.link.nop_staging));
-        let tx = hop.tx.endpoint_mut()?.tx_mut();
-        let rx = hop.rx.endpoint_mut()?.rx_mut();
-        let msgs = (0..count)
-            .map(|_| tx.nop_message(staging.take().unwrap_or_default()))
-            .collect();
-        let nops = tx.seal_batch_prepared(msgs)?;
-        let enc = hop.src.crypto_pool_mut().reserve(now, batch_time);
-        let mut at = enc.end;
-        for nop in nops {
-            let wire = hop.link.timeline.nop(at);
-            at = wire.end;
-            hop.link.nop_staging = open_delivered(rx, nop, "send_edge_nops")?;
-            hop.link.stats.nops += 1;
-        }
-        let done = at + cc_control;
-        self.pending.push(done);
-        Ok(done)
     }
 
     /// Waits for every asynchronous operation submitted so far, across all
@@ -1225,11 +1061,12 @@ mod tests {
     }
 
     #[test]
-    fn future_iv_needs_edge_nops() {
+    fn future_iv_submit_is_refused_without_moving_counters() {
         let mut c = cluster(2, CcMode::On);
         let src = seed_buffer(&mut c, 0, 9);
         let dst = c.device_mut(1).alloc_device(CHUNK).unwrap();
-        let iv = ivs(&c, e01()).0 + 2;
+        let before = ivs(&c, e01());
+        let iv = before.0 + 2;
         let (sealed, ready) = c
             .seal_edge_region(SimTime::ZERO, 0, src, 1, dst, iv)
             .unwrap();
@@ -1238,17 +1075,18 @@ mod tests {
             .unwrap_err();
         assert!(matches!(
             err,
-            GpuError::Crypto(CryptoError::IvMismatch { .. })
+            GpuError::Crypto(CryptoError::IvMismatch { iv: got, expected })
+                if got == iv && expected == before.0
         ));
-        c.send_edge_nop(SimTime::ZERO, 0, 1).unwrap();
-        c.send_edge_nop(SimTime::ZERO, 0, 1).unwrap();
-        c.submit_dtod_sealed(SimTime::ZERO, ready, 0, 1, dst, &sealed, CHUNK)
-            .unwrap();
-        assert_eq!(c.edge_stats(e01()).unwrap().nops, 2);
-        assert_eq!(
+        // Neither the sender's nor the receiver's counter moved, and
+        // nothing crossed the edge.
+        assert_eq!(ivs(&c, e01()), before);
+        assert_eq!(c.edge(e01()).unwrap()[1].rx_iv(), before.0);
+        assert_eq!(c.edge_stats(e01()).unwrap(), EdgeStats::default());
+        assert!(!matches!(
             c.device(1).device_memory().get(dst).unwrap(),
-            &Payload::Real(vec![9; CHUNK as usize])
-        );
+            Payload::Real(_)
+        ));
     }
 
     #[test]
@@ -1344,10 +1182,6 @@ mod tests {
         let dst = c.device_mut(1).alloc_device(CHUNK).unwrap();
         assert!(matches!(
             c.seal_edge_region(SimTime::ZERO, 0, src, 1, dst, 1),
-            Err(GpuError::CcDisabled)
-        ));
-        assert!(matches!(
-            c.send_edge_nop(SimTime::ZERO, 0, 1),
             Err(GpuError::CcDisabled)
         ));
     }

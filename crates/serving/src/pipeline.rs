@@ -12,10 +12,10 @@
 //!   issuing stage's thread and decrypts before use, crypto on the
 //!   critical path at both ends of every link;
 //! - [`PipelineSystem::PipeLlm`]: the speculative [`EdgePipeline`] per
-//!   edge direction — activations are pre-sealed on a crypto worker the
-//!   moment their producer kernel retires, so the stage thread never
-//!   blocks on encryption and the seal overlaps the next micro-batch's
-//!   compute.
+//!   edge direction — the moment its producer kernel retires, an
+//!   activation the predictor expects is sealed on a crypto worker and
+//!   submitted in one call, so the stage thread never blocks on
+//!   encryption and the seal overlaps the next micro-batch's compute.
 //!
 //! The engine is *functional*: micro-batch bytes really cross the links
 //! under AES-GCM with per-edge incrementing IVs, and each stage applies
@@ -248,14 +248,14 @@ impl PipelineEngine {
         let speculative = config.system == PipelineSystem::PipeLlm;
         let fwd_pipes = if speculative {
             (0..stages.saturating_sub(1))
-                .map(|s| EdgePipeline::new(s, s + 1, 2))
+                .map(|s| EdgePipeline::new(s, s + 1))
                 .collect()
         } else {
             Vec::new()
         };
         let bwd_pipes = if speculative && config.train {
             (0..stages.saturating_sub(1))
-                .map(|s| EdgePipeline::new(s + 1, s, 2))
+                .map(|s| EdgePipeline::new(s + 1, s))
                 .collect()
         } else {
             Vec::new()
@@ -415,9 +415,8 @@ impl PipelineEngine {
 
     /// Force-rekeys the active session on every edge adjacent to `stage`:
     /// a killed stage's channel state is gone, so both neighbours restart
-    /// at a fresh epoch before traffic resumes. Speculative entries sealed
-    /// under the old epoch are dropped by the edge pipelines' epoch check;
-    /// every other edge keeps its counters untouched.
+    /// at a fresh epoch before traffic resumes; the next hop seals under
+    /// the new epoch. Every other edge keeps its counters untouched.
     fn rekey_stage_edges(&mut self, stage: usize) {
         for neighbour in [stage.wrapping_sub(1), stage + 1] {
             if neighbour < self.config.stages {
@@ -441,8 +440,8 @@ impl PipelineEngine {
     /// Rolls the session-level chaos at an iteration boundary: a churn
     /// closes the serving session and reroutes every channel to a freshly
     /// keyed one (IV counters restart at zero everywhere); a rekey race
-    /// bumps the epoch of one salt-chosen edge out from under whatever
-    /// speculative state survived the iteration.
+    /// bumps the epoch of one salt-chosen edge, as a rekey racing the
+    /// stages would.
     fn session_chaos(&mut self, now: SimTime) -> Result<SimTime, GpuError> {
         let Some(fault) = self
             .config
@@ -459,8 +458,8 @@ impl PipelineEngine {
                 let fresh = self.cluster.open_session();
                 self.cluster.set_session(fresh)?;
                 self.cluster.close_session(old)?;
-                // The edge pipelines notice the active-session change and
-                // drop their stale queues on the next prepare.
+                // The edge pipelines seal every later hop under the fresh
+                // session's keys and IVs; nothing sealed earlier is pending.
                 Ok(now + self.config.restart_penalty)
             }
             FaultKind::RekeyRace => {
@@ -486,9 +485,7 @@ impl PipelineEngine {
         let dst = self.in_buf[stage + 1][m];
         let len = self.config.activation_bytes;
         if self.config.system == PipelineSystem::PipeLlm {
-            let pipe = &mut self.fwd_pipes[stage];
-            pipe.prepare(&mut self.cluster, now, src, dst, len);
-            let t = pipe.transfer(&mut self.cluster, now, src, dst, len)?;
+            let t = self.fwd_pipes[stage].send(&mut self.cluster, now, src, dst, len)?;
             Ok((t.api_return, t.complete))
         } else {
             let t = self
@@ -509,9 +506,7 @@ impl PipelineEngine {
         let dst = self.grad_dst[stage - 1];
         let len = self.config.activation_bytes;
         if self.config.system == PipelineSystem::PipeLlm {
-            let pipe = &mut self.bwd_pipes[stage - 1];
-            pipe.prepare(&mut self.cluster, now, src, dst, len);
-            let t = pipe.transfer(&mut self.cluster, now, src, dst, len)?;
+            let t = self.bwd_pipes[stage - 1].send(&mut self.cluster, now, src, dst, len)?;
             Ok((t.api_return, t.complete))
         } else {
             let t = self
@@ -952,6 +947,31 @@ mod tests {
         engine.verify_edges().expect("fresh session in lockstep");
         assert_eq!(engine.outputs(), clean.outputs());
         assert_eq!(report.completed, 12);
+    }
+
+    #[test]
+    fn session_chaos_on_both_edge_directions_keeps_lockstep() {
+        // Training sends over both directions of every edge, so every
+        // churn and every raced rekey lands on a forward and a backward
+        // edge pipeline at once.
+        let train = |cfg: PipelineConfig| PipelineConfig {
+            train: true,
+            iterations: 6,
+            ..cfg
+        };
+        let (clean, _) = run(train(config(4, PipelineSystem::PipeLlm)));
+        let plan = FaultPlan::new(71).with_session_rate(1.0);
+        let (engine, report) = run(train(chaotic(4, PipelineSystem::PipeLlm, plan)));
+        let res = engine.resilience();
+        assert!(res.forced_rekeys > 0, "{res}");
+        assert!(res.session_churns > 0, "{res}");
+        engine
+            .verify_edges()
+            .expect("lockstep after churns and rekeys");
+        assert_eq!(engine.outputs(), clean.outputs());
+        assert_eq!(report.completed, 24);
+        let stats = engine.spec_stats();
+        assert_eq!(stats.speculated, stats.spec_hits, "{stats}");
     }
 
     #[test]

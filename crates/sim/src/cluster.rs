@@ -24,7 +24,6 @@ pub struct EdgeTimeline {
     link: Link,
     crypto_serialization: Duration,
     transfers: u64,
-    nops: u64,
 }
 
 impl EdgeTimeline {
@@ -35,7 +34,6 @@ impl EdgeTimeline {
             link: Link::new(gbps, latency),
             crypto_serialization: Duration::ZERO,
             transfers: 0,
-            nops: 0,
         }
     }
 
@@ -43,12 +41,6 @@ impl EdgeTimeline {
     pub fn transfer(&mut self, at: SimTime, bytes: u64) -> Reservation {
         self.transfers += 1;
         self.link.transfer(at, bytes)
-    }
-
-    /// Moves a 1-byte NOP over the wire (IV padding traffic).
-    pub fn nop(&mut self, at: SimTime) -> Reservation {
-        self.nops += 1;
-        self.link.transfer(at, 1)
     }
 
     /// Attributes `time` of seal/open work to this edge's serialization
@@ -67,14 +59,9 @@ impl EdgeTimeline {
         self.link.bytes_moved()
     }
 
-    /// Transfers (excluding NOPs) carried so far.
+    /// Transfers carried so far.
     pub fn transfers(&self) -> u64 {
         self.transfers
-    }
-
-    /// NOP (IV-padding) operations carried so far.
-    pub fn nops(&self) -> u64 {
-        self.nops
     }
 
     /// When the wire can next accept data.
@@ -173,9 +160,6 @@ mod tests {
         assert_eq!(edge.crypto_serialization(), Duration::from_millis(5));
         assert_eq!(edge.transfers(), 1);
         assert_eq!(edge.bytes_moved(), 1 << 30);
-        edge.nop(SimTime::ZERO);
-        assert_eq!(edge.nops(), 1);
-        assert_eq!(edge.transfers(), 1, "NOPs are not payload transfers");
     }
 
     #[test]
