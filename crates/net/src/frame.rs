@@ -93,7 +93,7 @@ pub fn read_frame<R: Read>(reader: &mut R, link: &str) -> NetResult<Vec<u8>> {
 
 /// Validates a header's magic, version and length cap; returns `(kind,
 /// payload length)`.
-fn parse_header(header: &[u8; HEADER_LEN]) -> NetResult<(u8, usize)> {
+pub(crate) fn parse_header(header: &[u8; HEADER_LEN]) -> NetResult<(u8, usize)> {
     let magic = u16::from_le_bytes([header[0], header[1]]);
     if magic != MAGIC {
         return Err(NetError::BadMagic { got: magic });

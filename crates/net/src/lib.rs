@@ -60,6 +60,18 @@
 //! against the trait and cannot tell the difference — which is what lets
 //! the repo assert TCP and duplex runs are byte-identical.
 //!
+//! Each TCP connection has an outbox. An event loop's sends
+//! ([`link::send_on`]) queue small frames there, and the loop writes each
+//! outbox once per turn: before it blocks for the next event, and at least
+//! every [`proto::FLUSH_BOUND`] (200 µs) while events keep arriving. A
+//! micro-batch's eight small frames (data and acks) thus cost a few
+//! writes, not eight. The outbox holds at most [`proto::OUTBOX_CAP`]
+//! (16 KiB); a frame that would overflow it flushes it first, and a frame
+//! at or above the cap is written directly, never copied. A lost
+//! connection drops what its outbox held, unacknowledged, and the rekey
+//! retransmit recovers it like bytes lost in a kernel buffer. The duplex
+//! transport has no outbox.
+//!
 //! # Failure model
 //!
 //! The existing [`pipellm_chaos`] machinery drives faults at the new

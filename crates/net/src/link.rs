@@ -277,17 +277,43 @@ pub fn install_sender(slot: &SenderSlot, sender: Box<dyn FrameSender>) {
     *lock_slot(slot) = Some(sender);
 }
 
-/// Sends one encoded frame through the slot.
+/// Queues one encoded frame on the slot's connection. On TCP it waits in
+/// the connection's outbox (see [`crate::transport`]) until the owning
+/// event loop flushes it with [`flush_slot`] — before that loop blocks, and
+/// at least every [`crate::proto::FLUSH_BOUND`] while it is busy — or until
+/// the outbox fills. A frame of [`crate::proto::OUTBOX_CAP`] bytes or more
+/// is written at once, after the outbox. Queued frames die with their
+/// connection ([`kill_slot`], a reattach replacing the sender): they are
+/// unacknowledged, so the rekey retransmit recovers them, as it does bytes
+/// lost in a kernel buffer.
 ///
 /// # Errors
 ///
-/// [`NetError::ConnectionLost`] if the slot is empty (link down) or the
-/// write fails at the transport.
+/// [`NetError::ConnectionLost`] if the slot is empty (link down) or a
+/// write this call makes fails at the transport; the slot is emptied.
 pub fn send_on(slot: &SenderSlot, frame: &[u8], link: &str) -> NetResult<()> {
+    with_sender(slot, link, |sender| sender.queue_frame(frame))
+}
+
+/// Writes everything queued on the slot's connection. A connection found
+/// lost empties the slot, as [`send_on`] does; the pump reports the loss.
+///
+/// # Errors
+///
+/// [`NetError::ConnectionLost`] as for [`send_on`]; other transport errors.
+pub fn flush_slot(slot: &SenderSlot, link: &str) -> NetResult<()> {
+    with_sender(slot, link, |sender| sender.flush())
+}
+
+fn with_sender(
+    slot: &SenderSlot,
+    link: &str,
+    op: impl FnOnce(&mut dyn FrameSender) -> NetResult<()>,
+) -> NetResult<()> {
     let mut guard = lock_slot(slot);
     match guard.as_mut() {
         Some(sender) => {
-            let out = sender.send_frame(frame);
+            let out = op(sender.as_mut());
             if matches!(out, Err(NetError::ConnectionLost { .. })) {
                 *guard = None;
             }

@@ -36,15 +36,15 @@
 use crate::error::{NetError, NetResult};
 use crate::frame::read_frame;
 use crate::link::{
-    empty_slot, install_sender, kill_slot, open_data, role_at, send_on, EdgeCrypto, LinkRx,
-    LinkSender, LinkTx, RxOutcome, SenderSlot, WireEdge,
+    empty_slot, flush_slot, install_sender, kill_slot, open_data, role_at, send_on, EdgeCrypto,
+    LinkRx, LinkSender, LinkTx, RxOutcome, SenderSlot, WireEdge,
 };
 use crate::proto::{
     chaos_injector, CounterReport, DataAck, DataFrame, EdgeCounterEntry, Fin, ManifestAck, Msg,
     RekeyEdge, ShardManifest, DIAL_RETRY, HOST_NODE, INGRESS_WINDOW, OP_TIMEOUT, POLL_INTERVAL,
     RESEND_AFTER,
 };
-use crate::pump::{next_event, Pump, PumpEvent};
+use crate::pump::{EventLoop, Pump, PumpEvent};
 use crate::supervisor::{
     AdmissionQueue, Spawner, SupervisedOptions, SupervisedReport, Supervision,
 };
@@ -746,7 +746,7 @@ fn lifecycle(
     options: Option<&SupervisedOptions>,
     orch: &mut Orchestrator,
     sup: &mut Option<Supervision>,
-    events: &mpsc::Receiver<(u32, PumpEvent)>,
+    events: &mut EventLoop,
 ) -> NetResult<(Vec<CounterReport>, AdmissionQueue)> {
     // --- Handshake (chaos cannot fire before Start: worker faults roll
     // only on fresh data frames) -----------------------------------------
@@ -762,7 +762,7 @@ fn lifecycle(
                 waited: spec.op_timeout,
             });
         }
-        let Some((tag, event)) = next_event(events, POLL_INTERVAL)? else {
+        let Some((tag, event)) = events.next_event(POLL_INTERVAL)? else {
             continue;
         };
         let stage = tag / 2;
@@ -832,7 +832,7 @@ fn lifecycle(
             });
         }
         orch.sweep(now, spec.resend_after)?;
-        if let Some((tag, event)) = next_event(events, POLL_INTERVAL)? {
+        if let Some((tag, event)) = events.next_event(POLL_INTERVAL)? {
             // Serving times out when idle, the drain when it takes longer
             // than the deadline: heartbeats must not keep a wedge alive.
             if !orch.closing {
@@ -869,12 +869,15 @@ fn lifecycle(
     audit_lockstep(&worker_reports, &orch.host_report())?;
 
     for stage in 0..spec.stages {
+        // Shutdown leaves now, behind what the control outbox holds.
         // Without supervision a control link lost this late still fails
         // the run; with it, the loss is absorbed like any other.
-        if sup.is_some() {
-            orch.control_send_lossy(stage, &Msg::Shutdown)?;
-        } else {
-            orch.control_send(stage, &Msg::Shutdown)?;
+        let sent = orch
+            .control_send(stage, &Msg::Shutdown)
+            .and_then(|()| flush_slot(&orch.control_slots[stage as usize], "control"));
+        match sent {
+            Err(NetError::ConnectionLost { .. }) if sup.is_some() => {}
+            sent => sent?,
         }
     }
     Ok((worker_reports, admission))
@@ -962,10 +965,12 @@ pub(crate) fn drive(
         }
     }
     drop(events_tx);
+    let slots = control_slots.iter().chain(&data_slots).cloned().collect();
+    let mut events = EventLoop::new(events, slots);
 
     let mut orch = Orchestrator::new(spec, supervision, control_slots, data_slots);
     let mut sup = supervision.map(|options| Supervision::new(spec, options, gens, spawner));
-    let served = lifecycle(spec, supervision, &mut orch, &mut sup, &events);
+    let served = lifecycle(spec, supervision, &mut orch, &mut sup, &mut events);
     for pump in &pumps {
         pump.stop();
     }

@@ -85,6 +85,17 @@ pub const RESEND_AFTER: Duration = Duration::from_millis(300);
 /// Event-loop poll interval of the orchestrator, the workers and the pumps.
 pub const POLL_INTERVAL: Duration = Duration::from_millis(10);
 
+/// Size of a TCP connection's outbox: small frames an event loop sends
+/// are queued up to this many bytes and written with one syscall. A frame
+/// of at least this size bypasses the outbox (after flushing it), so bulk
+/// frames are never copied into it.
+pub const OUTBOX_CAP: usize = 16 * 1024;
+
+/// Longest an event loop that keeps finding events ready lets its outboxes
+/// fill before flushing them; an idle loop flushes before it blocks. Bounds
+/// how long an ack waits behind a busy loop's compute.
+pub const FLUSH_BOUND: Duration = Duration::from_micros(200);
+
 /// Default whole-operation deadline for handshake and drain phases.
 pub const OP_TIMEOUT: Duration = Duration::from_secs(10);
 

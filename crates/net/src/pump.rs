@@ -2,7 +2,7 @@
 //!
 //! Every connection gets one pump thread that owns the receiver half,
 //! decodes frames into [`Msg`]s, and feeds them to the owning event loop
-//! through an `mpsc` channel. When the connection dies the pump runs the
+//! ([`EventLoop`]) through an `mpsc` channel. When the connection dies the pump runs the
 //! bounded reconnect path: it reports [`PumpEvent::Down`], drives the
 //! link's [`Reattach`] provider under [`WIRE_RETRY`] (per-attempt
 //! timeout, exponential deterministically-jittered backoff), installs the
@@ -16,29 +16,87 @@
 //! budget as a failed dial, and only a delivered frame refills it.
 
 use crate::error::{NetError, NetResult};
-use crate::link::{install_sender, SenderSlot};
-use crate::proto::{Msg, POLL_INTERVAL, WIRE_RETRY};
+use crate::link::{flush_slot, install_sender, SenderSlot};
+use crate::proto::{Msg, FLUSH_BOUND, POLL_INTERVAL, WIRE_RETRY};
 use crate::transport::{FrameReceiver, Reattach};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// The next pump event, or `None` after `poll` of silence.
-///
-/// # Errors
-///
-/// [`NetError::Protocol`] once every pump feeding `events` has exited.
-pub(crate) fn next_event(
-    events: &mpsc::Receiver<(u32, PumpEvent)>,
-    poll: Duration,
-) -> NetResult<Option<(u32, PumpEvent)>> {
-    match events.recv_timeout(poll) {
-        Ok(ev) => Ok(Some(ev)),
-        Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
-        Err(mpsc::RecvTimeoutError::Disconnected) => Err(NetError::Protocol {
-            detail: "all pumps exited".to_string(),
-        }),
+/// One event loop's two sides of the wire: the events its pumps feed it,
+/// and the sender slots it writes through. What a turn sends waits in the
+/// connections' outboxes (see [`crate::link::send_on`]);
+/// [`Self::next_event`] writes them before it blocks, and at least every
+/// [`FLUSH_BOUND`] while events keep arriving, so a busy loop makes one
+/// write per connection for many frames and an idle one leaves nothing
+/// queued.
+pub(crate) struct EventLoop {
+    events: mpsc::Receiver<(u32, PumpEvent)>,
+    slots: Vec<SenderSlot>,
+    /// When the outboxes were last known empty.
+    flushed_at: Instant,
+}
+
+impl EventLoop {
+    /// A loop reading `events` and flushing `slots`.
+    pub fn new(events: mpsc::Receiver<(u32, PumpEvent)>, slots: Vec<SenderSlot>) -> Self {
+        EventLoop {
+            events,
+            slots,
+            flushed_at: Instant::now(),
+        }
+    }
+
+    /// The next pump event, or `None` after `poll` of silence.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Protocol`] once every pump feeding the loop has exited;
+    /// the transport errors of [`Self::flush`].
+    pub fn next_event(&mut self, poll: Duration) -> NetResult<Option<(u32, PumpEvent)>> {
+        match self.events.try_recv() {
+            Ok(ev) => {
+                let now = Instant::now();
+                if now.saturating_duration_since(self.flushed_at) >= FLUSH_BOUND {
+                    self.flush()?;
+                    self.flushed_at = now;
+                }
+                return Ok(Some(ev));
+            }
+            Err(mpsc::TryRecvError::Empty) => {}
+            Err(mpsc::TryRecvError::Disconnected) => return Err(all_pumps_exited()),
+        }
+        self.flush()?;
+        let next = self.events.recv_timeout(poll);
+        self.flushed_at = Instant::now();
+        match next {
+            Ok(ev) => Ok(Some(ev)),
+            Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err(all_pumps_exited()),
+        }
+    }
+
+    /// Writes every slot's outbox. A lost connection is not an error here:
+    /// its slot is emptied and its pump reports the loss.
+    ///
+    /// # Errors
+    ///
+    /// Transport errors other than connection loss.
+    pub fn flush(&self) -> NetResult<()> {
+        for slot in &self.slots {
+            match flush_slot(slot, "outbox") {
+                Ok(()) | Err(NetError::ConnectionLost { .. }) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+}
+
+fn all_pumps_exited() -> NetError {
+    NetError::Protocol {
+        detail: "all pumps exited".to_string(),
     }
 }
 
@@ -212,7 +270,7 @@ fn reconnect(
 mod tests {
     use super::*;
     use crate::link::empty_slot;
-    use crate::transport::{duplex_pair, Transport};
+    use crate::transport::{duplex_pair, FrameSender, Transport};
     use std::sync::atomic::AtomicU32;
 
     /// Every attachment connects and is dead on arrival — what a superseded
@@ -226,6 +284,57 @@ mod tests {
             core.kill();
             Ok(Box::new(ours))
         }
+    }
+
+    /// Counts the flushes an event loop makes.
+    struct Counting(Arc<AtomicU32>);
+
+    impl FrameSender for Counting {
+        fn send_frame(&mut self, _frame: &[u8]) -> NetResult<()> {
+            Ok(())
+        }
+
+        fn flush(&mut self) -> NetResult<()> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        }
+
+        fn kill(&mut self) {}
+    }
+
+    #[test]
+    fn next_event_flushes_before_blocking_and_once_the_bound_passes() {
+        const IDLE: Duration = Duration::from_millis(1);
+        let flushes = Arc::new(AtomicU32::new(0));
+        let slot = empty_slot();
+        install_sender(&slot, Box::new(Counting(Arc::clone(&flushes))));
+        let (tx, rx) = mpsc::channel();
+        let mut events = EventLoop::new(rx, vec![slot]);
+        let count = || flushes.load(Ordering::SeqCst);
+
+        // Nothing ready: flush, then block.
+        assert!(events.next_event(IDLE).unwrap().is_none());
+        assert_eq!(count(), 1);
+
+        // Back-to-back events inside the bound (the last flush stamped an
+        // hour ahead, so no scheduling delay can cross it): no flush.
+        for _ in 0..3 {
+            tx.send((0, PumpEvent::Up)).unwrap();
+        }
+        events.flushed_at = Instant::now() + Duration::from_secs(3600);
+        for _ in 0..2 {
+            assert!(events.next_event(POLL_INTERVAL).unwrap().is_some());
+        }
+        assert_eq!(count(), 1, "no flush between ready events");
+
+        // The bound has passed: the next ready event flushes first.
+        events.flushed_at = Instant::now() - FLUSH_BOUND;
+        assert!(events.next_event(POLL_INTERVAL).unwrap().is_some());
+        assert_eq!(count(), 2);
+
+        // Drained: flush before blocking again.
+        assert!(events.next_event(IDLE).unwrap().is_none());
+        assert_eq!(count(), 3);
     }
 
     #[test]

@@ -3,7 +3,16 @@
 //!
 //! - [`TcpTransport`]: a real `std::net::TcpStream`. Framing rides the
 //!   stream's native byte order; the receiver half keeps partial frames
-//!   across timeouts so a slow sender never desynchronizes the parse.
+//!   across timeouts so a slow sender never desynchronizes the parse. The
+//!   sender half holds an *outbox*: [`FrameSender::queue_frame`] appends a
+//!   small frame to it, and [`FrameSender::flush`] writes everything queued
+//!   with one syscall. The outbox holds at most [`OUTBOX_CAP`] bytes — a
+//!   frame that would overflow it flushes it first, and a frame at or above
+//!   the cap is written directly, never copied in. An event loop flushes
+//!   before it blocks and at least every [`crate::proto::FLUSH_BOUND`]
+//!   while busy (see [`crate::link::flush_slot`]). Queued frames die with
+//!   their connection: [`FrameSender::kill`] drops them unwritten, like
+//!   bytes lost in a kernel buffer.
 //! - [`duplex_pair`]: an in-process pair over a mutex/condvar queue, so
 //!   every test is hermetic. The pair models connection loss faithfully:
 //!   [`DuplexCore::kill`] makes both halves fail like a reset socket, and
@@ -18,8 +27,8 @@
 //! generation to advance (duplex).
 
 use crate::error::{NetError, NetResult};
-use crate::frame::{HEADER_LEN, MAGIC, MAX_FRAME_LEN};
-use crate::proto::{Msg, PROTO_VERSION};
+use crate::frame::{parse_header, HEADER_LEN};
+use crate::proto::{Msg, OUTBOX_CAP};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -29,12 +38,24 @@ use std::time::{Duration, Instant};
 
 /// The sending half of a split transport.
 pub trait FrameSender: Send {
-    /// Writes one complete frame (header included) to the wire.
+    /// Writes one complete frame (header included) to the wire now, after
+    /// anything [`Self::queue_frame`] left queued.
     fn send_frame(&mut self, frame: &[u8]) -> NetResult<()>;
+
+    /// Queues one complete frame for the next [`Self::flush`]; a backend
+    /// without an outbox writes it at once.
+    fn queue_frame(&mut self, frame: &[u8]) -> NetResult<()> {
+        self.send_frame(frame)
+    }
+
+    /// Writes every queued frame, in queue order.
+    fn flush(&mut self) -> NetResult<()> {
+        Ok(())
+    }
 
     /// Forcibly kills the underlying connection, as an injected
     /// [`pipellm_chaos::FaultKind::ConnectionDrop`] demands: both halves
-    /// (and the peer) must observe the loss.
+    /// (and the peer) must observe the loss. Queued frames are dropped.
     fn kill(&mut self);
 }
 
@@ -118,6 +139,7 @@ impl Transport for TcpTransport {
             Box::new(TcpSender {
                 stream: self.stream,
                 label: self.label.clone(),
+                outbox: Vec::with_capacity(OUTBOX_CAP),
             }),
             Box::new(TcpReceiver {
                 stream: read_half,
@@ -136,21 +158,52 @@ impl Transport for TcpTransport {
 struct TcpSender {
     stream: TcpStream,
     label: String,
+    /// Queued frames, back to back: at most [`OUTBOX_CAP`] bytes.
+    outbox: Vec<u8>,
+}
+
+/// Writes `bytes` to `stream`; a reset or broken pipe is connection loss.
+fn write_all(stream: &mut TcpStream, label: &str, bytes: &[u8]) -> NetResult<()> {
+    stream.write_all(bytes).map_err(|e| match e.kind() {
+        std::io::ErrorKind::ConnectionReset
+        | std::io::ErrorKind::ConnectionAborted
+        | std::io::ErrorKind::BrokenPipe => NetError::ConnectionLost {
+            link: label.to_string(),
+        },
+        _ => NetError::io("send_frame", &e),
+    })
 }
 
 impl FrameSender for TcpSender {
     fn send_frame(&mut self, frame: &[u8]) -> NetResult<()> {
-        self.stream.write_all(frame).map_err(|e| match e.kind() {
-            std::io::ErrorKind::ConnectionReset
-            | std::io::ErrorKind::ConnectionAborted
-            | std::io::ErrorKind::BrokenPipe => NetError::ConnectionLost {
-                link: self.label.clone(),
-            },
-            _ => NetError::io("send_frame", &e),
-        })
+        self.flush()?;
+        write_all(&mut self.stream, &self.label, frame)
+    }
+
+    fn queue_frame(&mut self, frame: &[u8]) -> NetResult<()> {
+        if self.outbox.len() + frame.len() > OUTBOX_CAP {
+            self.flush()?;
+        }
+        if frame.len() >= OUTBOX_CAP {
+            return write_all(&mut self.stream, &self.label, frame);
+        }
+        self.outbox.extend_from_slice(frame);
+        Ok(())
+    }
+
+    /// Writes the outbox. It is emptied whatever the outcome: after a
+    /// failed write the connection is gone, and its frames with it.
+    fn flush(&mut self) -> NetResult<()> {
+        if self.outbox.is_empty() {
+            return Ok(());
+        }
+        let written = write_all(&mut self.stream, &self.label, &self.outbox);
+        self.outbox.clear();
+        written
     }
 
     fn kill(&mut self) {
+        self.outbox.clear();
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 }
@@ -166,42 +219,13 @@ struct TcpReceiver {
 }
 
 impl TcpReceiver {
-    /// If `pending` holds a complete, valid frame, drains and returns it.
-    /// Returns a framing error for garbage, `Ok(None)` for "need more".
-    fn try_parse(&mut self) -> NetResult<Option<Vec<u8>>> {
-        if self.pending.len() < HEADER_LEN {
-            return Ok(None);
+    /// The length of the frame `pending` starts with, header included,
+    /// once its header is in; a framing error for garbage.
+    fn frame_len(&self) -> NetResult<Option<usize>> {
+        match self.pending.first_chunk::<HEADER_LEN>() {
+            Some(header) => Ok(Some(HEADER_LEN + parse_header(header)?.1)),
+            None => Ok(None),
         }
-        let magic = u16::from_le_bytes([self.pending[0], self.pending[1]]);
-        if magic != MAGIC {
-            return Err(NetError::BadMagic { got: magic });
-        }
-        let version = self.pending[2];
-        if version != PROTO_VERSION {
-            return Err(NetError::VersionSkew {
-                got: version,
-                want: PROTO_VERSION,
-            });
-        }
-        let len = u32::from_le_bytes([
-            self.pending[4],
-            self.pending[5],
-            self.pending[6],
-            self.pending[7],
-        ]) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(NetError::Oversize {
-                len,
-                max: MAX_FRAME_LEN,
-            });
-        }
-        let total = HEADER_LEN + len;
-        if self.pending.len() < total {
-            return Ok(None);
-        }
-        let rest = self.pending.split_off(total);
-        let frame = std::mem::replace(&mut self.pending, rest);
-        Ok(Some(frame))
     }
 }
 
@@ -223,8 +247,10 @@ impl FrameReceiver for TcpReceiver {
         }
         let mut chunk = [0u8; 16 * 1024];
         loop {
-            if let Some(frame) = self.try_parse()? {
-                return Ok(frame);
+            let frame_len = self.frame_len()?;
+            if let Some(total) = frame_len.filter(|&total| self.pending.len() >= total) {
+                let rest = self.pending.split_off(total);
+                return Ok(std::mem::replace(&mut self.pending, rest));
             }
             if Instant::now() >= deadline {
                 return Err(NetError::Timeout {
@@ -232,13 +258,28 @@ impl FrameReceiver for TcpReceiver {
                     waited: timeout,
                 });
             }
-            match self.stream.read(&mut chunk) {
+            // Until the header is in, read whatever has arrived; after, read
+            // the rest of this frame straight into `pending`, grown once. A
+            // read that times out keeps the bytes it got.
+            let read = match frame_len {
+                Some(total) => {
+                    let missing = total - self.pending.len();
+                    self.pending.reserve_exact(missing);
+                    (&mut self.stream)
+                        .take(missing as u64)
+                        .read_to_end(&mut self.pending)
+                }
+                None => self.stream.read(&mut chunk).inspect(|&n| {
+                    self.pending.extend_from_slice(&chunk[..n]);
+                }),
+            };
+            match read {
                 Ok(0) => {
                     return Err(NetError::ConnectionLost {
                         link: self.label.clone(),
                     })
                 }
-                Ok(n) => self.pending.extend_from_slice(&chunk[..n]),
+                Ok(_) => {}
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut
@@ -762,6 +803,126 @@ mod tests {
         let got = rx.recv_frame(Duration::from_secs(5)).unwrap();
         assert_eq!(got, frame);
         writer.join().unwrap();
+    }
+
+    /// A connected TCP pair: this end's sender (outbox visible), the far
+    /// end's receiver.
+    fn tcp_pair() -> (TcpSender, Box<dyn FrameReceiver>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let near = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (far, _) = listener.accept().unwrap();
+        let (_, rx) = Box::new(TcpTransport::new(far, "far")).split().unwrap();
+        let tx = TcpSender {
+            stream: near,
+            label: "near".to_string(),
+            outbox: Vec::with_capacity(OUTBOX_CAP),
+        };
+        (tx, rx)
+    }
+
+    fn frames(sizes: &[usize]) -> Vec<Vec<u8>> {
+        (0u8..)
+            .zip(sizes)
+            .map(|(kind, &size)| encode_frame(kind, &vec![kind; size]).unwrap())
+            .collect()
+    }
+
+    fn assert_off_the_wire(rx: &mut Box<dyn FrameReceiver>) {
+        assert!(matches!(
+            rx.recv_frame(Duration::from_millis(50)),
+            Err(NetError::Timeout { .. })
+        ));
+    }
+
+    #[test]
+    fn queued_frames_wait_for_a_flush_or_the_cap_and_arrive_in_order() {
+        let (mut tx, mut rx) = tcp_pair();
+        let small = frames(&[10, 1000, 3000]);
+        for frame in &small {
+            tx.queue_frame(frame).unwrap();
+        }
+        assert_off_the_wire(&mut rx);
+        tx.flush().unwrap();
+        for frame in &small {
+            assert_eq!(&rx.recv_frame(POLL).unwrap(), frame);
+        }
+        // Four 4 KiB frames fill the outbox; the fifth overflows it, which
+        // writes the four and queues the fifth.
+        let full = frames(&[4000; 5]);
+        for frame in &full {
+            tx.queue_frame(frame).unwrap();
+        }
+        for frame in &full[..4] {
+            assert_eq!(&rx.recv_frame(POLL).unwrap(), frame);
+        }
+        assert_off_the_wire(&mut rx);
+        tx.flush().unwrap();
+        assert_eq!(rx.recv_frame(POLL).unwrap(), full[4]);
+        assert!(tx.outbox.capacity() <= OUTBOX_CAP, "the outbox never grows");
+    }
+
+    #[test]
+    fn a_frame_at_the_cap_flushes_the_queue_and_bypasses_the_outbox() {
+        let (mut tx, mut rx) = tcp_pair();
+        let sent = frames(&[100, 200, OUTBOX_CAP, 300]);
+        for frame in &sent[..3] {
+            tx.queue_frame(frame).unwrap();
+        }
+        assert!(tx.outbox.is_empty(), "the large frame was not copied in");
+        for frame in &sent[..3] {
+            assert_eq!(&rx.recv_frame(POLL).unwrap(), frame);
+        }
+        tx.queue_frame(&sent[3]).unwrap();
+        assert_off_the_wire(&mut rx);
+        assert_eq!(tx.outbox.capacity(), OUTBOX_CAP);
+    }
+
+    #[test]
+    fn send_frame_writes_after_the_queued_frames() {
+        let (mut tx, mut rx) = tcp_pair();
+        let sent = frames(&[10, 20, 30]);
+        tx.queue_frame(&sent[0]).unwrap();
+        tx.queue_frame(&sent[1]).unwrap();
+        tx.send_frame(&sent[2]).unwrap();
+        for frame in &sent {
+            assert_eq!(&rx.recv_frame(POLL).unwrap(), frame);
+        }
+    }
+
+    #[test]
+    fn kill_drops_the_queue_and_the_reattached_connection_never_sees_it() {
+        use crate::link::{empty_slot, flush_slot, install_sender, kill_slot, send_on};
+        let slot = empty_slot();
+        let (first, mut first_rx) = tcp_pair();
+        install_sender(&slot, Box::new(first));
+        let sent = frames(&[10, 20]);
+        send_on(&slot, &sent[0], "t").unwrap();
+        kill_slot(&slot);
+        assert!(
+            matches!(
+                first_rx.recv_frame(POLL),
+                Err(NetError::ConnectionLost { .. })
+            ),
+            "the killed connection carried nothing"
+        );
+        let (second, mut second_rx) = tcp_pair();
+        install_sender(&slot, Box::new(second));
+        send_on(&slot, &sent[1], "t").unwrap();
+        flush_slot(&slot, "t").unwrap();
+        assert_eq!(second_rx.recv_frame(POLL).unwrap(), sent[1]);
+        assert_off_the_wire(&mut second_rx);
+    }
+
+    #[test]
+    fn a_read_that_times_out_mid_frame_keeps_its_bytes() {
+        let (mut tx, mut rx) = tcp_pair();
+        let frame = encode_frame(3, &vec![0xC3u8; 200_000]).unwrap();
+        // Inside the header, then inside the body, then the rest.
+        for part in [&frame[..5], &frame[5..90_000], &frame[90_000..]] {
+            assert_off_the_wire(&mut rx);
+            tx.send_frame(part).unwrap();
+        }
+        assert_eq!(rx.recv_frame(POLL).unwrap(), frame);
     }
 
     #[test]

@@ -56,11 +56,11 @@ use crate::proto::{
     EdgeCounterEntry, Heartbeat, Hello, ManifestAck, Msg, RekeyEdge, Restore, ShardManifest,
     HOST_NODE, OP_TIMEOUT, POLL_INTERVAL,
 };
-use crate::pump::{next_event, Pump, PumpEvent};
+use crate::pump::{EventLoop, Pump, PumpEvent};
 use crate::transport::{Reattach, Transport};
 use pipellm::partition::{apply_stage, stage_weight_hash};
 use pipellm_chaos::{ChaosInjector, FaultKind};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -200,6 +200,17 @@ impl Worker {
     fn is_fresh(&self, iteration: u32, micro_batch: u32) -> bool {
         let index = global_index(iteration, micro_batch, self.manifest.micro_batches);
         index >= self.watermark && !self.processed.contains(&index)
+    }
+
+    /// Whether `frame` takes the worker-fault roll: it carries work this
+    /// incarnation still owes, at the in edge's current epoch or later. A
+    /// frame of a retired epoch is discarded unopened and its retransmit
+    /// under the new keys rolls instead, so a rekey does not make one
+    /// payload roll twice against the schedule
+    /// [`crate::NetPipelineSpec::injector_for`] predicts.
+    fn rolls_on(&self, frame: &DataFrame) -> bool {
+        let current = self.edges.get(&self.in_edge).map_or(0, EdgeCrypto::epoch);
+        frame.epoch >= current && self.is_fresh(frame.iteration, frame.micro_batch)
     }
 
     /// Applies a relayed checkpoint to this (fresh) incarnation. Returns
@@ -559,6 +570,7 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
         data_slot.clone(),
         events_tx,
     );
+    let mut events = EventLoop::new(events, vec![control_slot.clone(), data_slot.clone()]);
 
     send_on(
         &control_slot,
@@ -586,11 +598,12 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
     // The control and data pumps feed one queue with no cross-link
     // ordering: the first sealed frame can overtake Start, and a
     // replacement incarnation is attached while the deployment around it
-    // keeps serving. Defer serve-phase traffic seen mid-handshake and
-    // replay it once serving begins — after the restore, so a checkpoint
-    // barrier the restored state already covers is the no-op it would be
-    // while serving.
-    let mut deferred: Vec<(u32, PumpEvent)> = Vec::new();
+    // keeps serving. Defer serve-phase traffic seen mid-handshake; the
+    // serve loop takes it first, through the same fault roll, heartbeat,
+    // sweep and drain as what arrives later — and after the restore, so a
+    // checkpoint barrier the restored state already covers is the no-op it
+    // would be while serving.
+    let mut deferred: VecDeque<(u32, PumpEvent)> = VecDeque::new();
     let manifest = loop {
         if Instant::now() > deadline {
             return Err(NetError::Timeout {
@@ -598,7 +611,7 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
                 waited: config.op_timeout,
             });
         }
-        let Some((tag, event)) = next_event(&events, POLL_INTERVAL)? else {
+        let Some((tag, event)) = events.next_event(POLL_INTERVAL)? else {
             continue;
         };
         if let PumpEvent::Frame(
@@ -611,7 +624,7 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
             | Msg::FinAck(_)),
         ) = event
         {
-            deferred.push((tag, PumpEvent::Frame(msg)));
+            deferred.push_back((tag, PumpEvent::Frame(msg)));
             continue;
         }
         match event {
@@ -670,9 +683,6 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
     if let Some(r) = restore {
         worker.apply_restore(&r);
     }
-    for (tag, event) in deferred {
-        worker.handle_event(tag, event)?;
-    }
     let kill_at_drain = manifest.kill_at_drain && config.generation == 0;
 
     // --- Serve and drain, until Shutdown --------------------------------
@@ -688,21 +698,28 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
         worker.maybe_heartbeat(now)?;
         worker.sweep(now)?;
         worker.drain(now)?;
-        let Some((tag, event)) = next_event(&events, POLL_INTERVAL)? else {
+        let next = match deferred.pop_front() {
+            Some(event) => Some(event),
+            None => events.next_event(POLL_INTERVAL)?,
+        };
+        let Some((tag, event)) = next else {
             continue;
         };
         last_activity = Instant::now();
         // Worker-process chaos: a kill drops the whole process abruptly
         // (connections die mid-protocol, no goodbye); a hang wedges past
         // the supervisor's death deadline, then dies. Rolled once per
-        // received *fresh* data frame (the envelope keys are cleartext, so
-        // freshness is checkable pre-open) — duplicates cannot kill a
-        // worker, and recovery paths (the replacement incarnation) run with
-        // chaos disabled. A drain kill fires on the in edge's `Fin`.
+        // received *fresh* data frame of a live epoch (the envelope is
+        // cleartext, so both are checkable pre-open) — duplicates cannot
+        // kill a worker, and recovery paths (the replacement incarnation)
+        // run with chaos disabled. A drain kill fires on the in edge's
+        // `Fin`.
         let fault = match &event {
-            PumpEvent::Frame(Msg::Data(f)) if worker.is_fresh(f.iteration, f.micro_batch) => {
+            PumpEvent::Frame(Msg::Data(f)) if worker.rolls_on(f) => {
                 let fault = worker.chaos.as_ref().and_then(|c| c.roll_worker());
                 if fault.is_some_and(|f| f.kind == FaultKind::StageHang) {
+                    // What the worker sent before it wedged reaches the wire.
+                    events.flush()?;
                     std::thread::sleep(worker.manifest.hang_for);
                 }
                 fault.map(|f| f.kind.label())
@@ -734,6 +751,7 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
             Err(e) => return Err(e),
         }
     }
+    events.flush()?;
     control_pump.stop();
     data_pump.stop();
     Ok(worker.report())
@@ -906,6 +924,28 @@ mod tests {
         assert_eq!(replacement.deliver(1), vec![]);
         assert_eq!(replacement.deliver(2).len(), 1);
         assert_eq!(replacement.worker.retransmits, 0);
+    }
+
+    #[test]
+    fn a_frame_of_a_retired_epoch_takes_no_fault_roll() {
+        let mut d = Direct::new();
+        let frame = |epoch| DataFrame {
+            src: HOST_NODE,
+            dst: 0,
+            seq: 0,
+            epoch,
+            iteration: 0,
+            micro_batch: 0,
+            sealed: Vec::new(),
+        };
+        assert!(d.worker.rolls_on(&frame(0)));
+        d.worker.handle_rekey(0, HOST_NODE, 1).unwrap();
+        assert!(!d.worker.rolls_on(&frame(0)), "discarded unopened");
+        assert!(d.worker.rolls_on(&frame(1)));
+        assert!(d.worker.rolls_on(&frame(2)), "opened after a fast-forward");
+        d.host.rekey_to(1);
+        d.deliver(0);
+        assert!(!d.worker.rolls_on(&frame(1)), "a duplicate never rolls");
     }
 
     #[test]

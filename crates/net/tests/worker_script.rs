@@ -1,10 +1,11 @@
 //! A stage worker driven through its public entry point by a hand-scripted
 //! orchestrator: the full lifecycle of one micro-batch (greetings,
 //! handshake, sealed input, ack, sealed output, the `Fin`/`FinAck` close
-//! of both directions, counter report, `Shutdown`), and a checkpoint
-//! barrier that lands mid-handshake.
+//! of both directions, counter report, `Shutdown`), a checkpoint barrier
+//! that lands mid-handshake, and data frames that overtake `Start`.
 
 use pipellm::partition::{apply_stage, iteration_input, stage_weight_hash};
+use pipellm_chaos::FaultKind;
 use pipellm_net::checkpoint::open_checkpoint;
 use pipellm_net::link::{open_data, EdgeCrypto, Role, RxOutcome, WireEdge};
 use pipellm_net::proto::{
@@ -13,7 +14,7 @@ use pipellm_net::proto::{
 };
 use pipellm_net::transport::{duplex_pair, FrameReceiver, FrameSender, Transport};
 use pipellm_net::NetPipelineSpec;
-use pipellm_net::{run_worker, NetResult, WorkerConfig, WorkerLinks};
+use pipellm_net::{run_worker, NetError, NetResult, WorkerConfig, WorkerLinks};
 use std::time::Duration;
 
 const SEED: u64 = 0x77;
@@ -28,6 +29,37 @@ struct Scripted {
     ctl_rx: Box<dyn FrameReceiver>,
     data_tx: Box<dyn FrameSender>,
     data_rx: Box<dyn FrameReceiver>,
+}
+
+/// A one-stage run of one iteration. The scripted peer acks at its own
+/// pace; a sweep retransmit would skew the exact IV counters these tests
+/// assert.
+fn spec(micro_batches: u32) -> NetPipelineSpec {
+    NetPipelineSpec {
+        stages: 1,
+        layers: 4,
+        iterations: 1,
+        micro_batches,
+        activation_bytes: LEN,
+        seed: SEED,
+        resend_after: QUIET,
+        ..NetPipelineSpec::default()
+    }
+}
+
+/// Session `micro_batch`'s input, sealed at the host's next IV.
+fn sealed_input(host: &mut EdgeCrypto, micro_batch: u32) -> Msg {
+    let input = iteration_input(SEED, 0, micro_batch as usize, LEN);
+    let aad = DataFrame::bind_aad(HOST_NODE, 0, host.epoch(), 0, micro_batch, LEN as u64);
+    Msg::Data(DataFrame {
+        src: HOST_NODE,
+        dst: 0,
+        seq: u64::from(micro_batch),
+        epoch: host.epoch(),
+        iteration: 0,
+        micro_batch,
+        sealed: host.seal(&aad, &input).unwrap().bytes,
+    })
 }
 
 impl Scripted {
@@ -102,18 +134,11 @@ impl Scripted {
 
     /// Manifest out, the worker's manifest ack back.
     fn admit(&mut self) {
-        // The scripted peer acks at its own pace; a sweep retransmit would
-        // skew the exact IV counters these tests assert.
-        let spec = NetPipelineSpec {
-            stages: 1,
-            layers: 4,
-            iterations: 1,
-            micro_batches: 1,
-            activation_bytes: LEN,
-            seed: SEED,
-            resend_after: QUIET,
-            ..NetPipelineSpec::default()
-        };
+        self.admit_with(&spec(1));
+    }
+
+    /// [`Self::admit`] under `spec`.
+    fn admit_with(&mut self, spec: &NetPipelineSpec) {
         self.send_ctl(&Msg::Manifest(ShardManifest {
             heartbeat_interval: QUIET,
             ..spec.manifest_for(0, None)
@@ -161,23 +186,8 @@ fn single_stage_worker_serves_a_scripted_orchestrator() {
     let edge = WireEdge::between(0, HOST_NODE);
     let mut host = EdgeCrypto::new(SEED, edge, Role::ChannelHost);
     let input = iteration_input(SEED, 0, 0, LEN);
-    let aad = DataFrame::bind_aad(HOST_NODE, 0, 0, 0, 0, LEN as u64);
-    let sealed = host.seal(&aad, &input).unwrap();
-    peer.data_tx
-        .send_frame(
-            &Msg::Data(DataFrame {
-                src: HOST_NODE,
-                dst: 0,
-                seq: 0,
-                epoch: 0,
-                iteration: 0,
-                micro_batch: 0,
-                sealed: sealed.bytes,
-            })
-            .encode()
-            .unwrap(),
-        )
-        .unwrap();
+    let frame = sealed_input(&mut host, 0).encode().unwrap();
+    peer.data_tx.send_frame(&frame).unwrap();
 
     assert_eq!(
         peer.recv_ctl("data ack"),
@@ -245,4 +255,57 @@ fn single_stage_worker_serves_a_scripted_orchestrator() {
 
     let worker_report = peer.worker.join().unwrap().unwrap();
     assert_eq!(worker_report, report);
+}
+
+#[test]
+fn frames_deferred_by_the_handshake_take_the_worker_fault_roll() {
+    // A plan whose first worker fault is a hang on fresh frame `j`, as
+    // the spec predicts it. A hang (not a kill) keeps what the worker sent
+    // before it on the wire while it sleeps.
+    let (spec, j) = (0u64..)
+        .find_map(|chaos_seed| {
+            let spec = NetPipelineSpec {
+                chaos_seed,
+                worker_fault_rate: 0.3,
+                ..spec(8)
+            };
+            let injector = spec.injector_for(0)?;
+            let (j, fault) = (0u64..4).find_map(|i| injector.roll_worker().map(|f| (i, f)))?;
+            (j > 0 && fault.kind == FaultKind::StageHang).then_some((spec, j))
+        })
+        .unwrap();
+    let k = j + 2;
+
+    // Frames 0..k reach the worker before its manifest, so every one of
+    // them is deferred by the handshake.
+    let mut peer = Scripted::start();
+    let mut host = EdgeCrypto::new(SEED, WireEdge::between(0, HOST_NODE), Role::ChannelHost);
+    for micro_batch in 0..k as u32 {
+        let frame = sealed_input(&mut host, micro_batch).encode().unwrap();
+        peer.data_tx.send_frame(&frame).unwrap();
+    }
+    std::thread::sleep(Duration::from_millis(100));
+    peer.admit_with(&spec);
+    peer.send_ctl(&Msg::Start);
+
+    // The worker acks each frame it takes, and frame j hangs it: it acks
+    // 0..j, wedges, then drops its links.
+    let mut acked = Vec::new();
+    loop {
+        match peer.ctl_rx.recv_frame(Duration::from_secs(30)) {
+            Ok(frame) => match Msg::decode(&frame).unwrap() {
+                Msg::AckData(ack) => acked.push(ack.seq),
+                Msg::Heartbeat(_) => {}
+                other => panic!("unexpected {other:?}"),
+            },
+            Err(NetError::ConnectionLost { .. }) => break,
+            Err(e) => panic!("the worker must die on frame {j}; it acked {acked:?}: {e}"),
+        }
+    }
+    assert_eq!(acked, (0..j).collect::<Vec<_>>(), "dies on frame {j}");
+    let err = peer.worker.join().unwrap().unwrap_err();
+    assert!(
+        err.to_string().contains("injected worker stage_hang"),
+        "{err}"
+    );
 }
