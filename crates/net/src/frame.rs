@@ -17,8 +17,9 @@
 //! panic.
 
 use crate::error::{NetError, NetResult};
-use crate::proto::PROTO_VERSION;
+use crate::proto::{POOLED_MIN, POOL_BOUND, PROTO_VERSION};
 use std::io::Read;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// First two bytes of every frame: `b"PL"` little-endian.
 pub const MAGIC: u16 = u16::from_le_bytes(*b"PL");
@@ -27,9 +28,53 @@ pub const MAGIC: u16 = u16::from_le_bytes(*b"PL");
 pub const HEADER_LEN: usize = 8;
 
 /// Hard cap on a frame's payload: large enough for any activation shard
-/// this repo ships (the default micro-batch is 256 KiB), small enough that
-/// a corrupted length field cannot make a receiver allocate the moon.
+/// this repo ships (the default micro-batch is 4 KiB, the benchmark's
+/// largest 1 MiB), small enough that a corrupted length field cannot make
+/// a receiver allocate the moon.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
+
+/// One frame as a receiver holds it: a large data frame's sealed body in
+/// a pooled `body`, any other frame whole in `head`.
+#[derive(Debug, Default)]
+pub struct RawFrame {
+    /// The frame up to `body`.
+    pub head: Vec<u8>,
+    /// A data frame's sealed body, or empty.
+    pub body: Vec<u8>,
+}
+
+/// At most [`POOL_BOUND`] recycled buffers of [`POOLED_MIN`] bytes or more,
+/// shared by one actor's event loop and pumps; a buffer is only cleared
+/// and refilled, never read past its length.
+#[derive(Clone, Debug, Default)]
+pub struct FramePool(Arc<Mutex<Vec<Vec<u8>>>>);
+
+impl FramePool {
+    /// An empty buffer with room for `len` bytes: the last one returned if
+    /// its capacity is `len` to `len + len / 8`, else a fresh one of
+    /// exactly `len`. The cap keeps one oversized frame's buffer from
+    /// becoming an output that is kept with its slack.
+    pub fn take(&self, len: usize) -> Vec<u8> {
+        let pooled = (len >= POOLED_MIN)
+            .then(|| self.0.lock().unwrap_or_else(PoisonError::into_inner).pop())
+            .flatten();
+        pooled
+            .filter(|buf| (len..=len + len / 8).contains(&buf.capacity()))
+            .unwrap_or_else(|| Vec::with_capacity(len))
+    }
+
+    /// Clears `buf` and keeps it for reuse, unless it is small or the pool
+    /// full.
+    pub fn give(&self, mut buf: Vec<u8>) {
+        if buf.capacity() >= POOLED_MIN {
+            let mut pool = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+            if pool.len() < POOL_BOUND {
+                buf.clear();
+                pool.push(buf);
+            }
+        }
+    }
+}
 
 /// Encodes one frame: header plus payload, ready for the wire.
 ///
@@ -39,7 +84,7 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 pub fn encode_frame(kind: u8, payload: &[u8]) -> NetResult<Vec<u8>> {
     let mut w = Writer::frame(kind, payload.len());
     w.0.extend_from_slice(payload);
-    w.finish_frame()
+    w.finish_frame(0)
 }
 
 /// Validates a complete frame and returns `(kind, payload)`.
@@ -125,16 +170,7 @@ fn read_exact<R: Read>(reader: &mut R, buf: &mut [u8], link: &str) -> NetResult<
             }
             Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::ConnectionReset
-                    || e.kind() == std::io::ErrorKind::ConnectionAborted
-                    || e.kind() == std::io::ErrorKind::BrokenPipe =>
-            {
-                return Err(NetError::ConnectionLost {
-                    link: link.to_string(),
-                })
-            }
-            Err(e) => return Err(NetError::io("read_frame", &e)),
+            Err(e) => return Err(NetError::io_on("read_frame", link, &e)),
         }
     }
     Ok(())
@@ -155,10 +191,10 @@ impl Writer {
         Writer(out)
     }
 
-    /// Writes the length into a [`Writer::frame`]'s header; errs over the
-    /// cap.
-    pub fn finish_frame(mut self) -> NetResult<Vec<u8>> {
-        let len = self.0.len() - HEADER_LEN;
+    /// Writes the length into a [`Writer::frame`]'s header, counting `body`
+    /// bytes the caller writes later; errs over the cap.
+    pub fn finish_frame(mut self, body: usize) -> NetResult<Vec<u8>> {
+        let len = self.0.len() - HEADER_LEN + body;
         if len > MAX_FRAME_LEN {
             return Err(NetError::Oversize {
                 len,
@@ -301,6 +337,28 @@ mod tests {
             decode_frame(&frame),
             Err(NetError::Oversize { .. })
         ));
+    }
+
+    #[test]
+    fn a_pool_holds_at_most_its_bound_and_only_large_buffers() {
+        let pool = FramePool::default();
+        let held = || pool.0.lock().unwrap().len();
+        pool.give(Vec::with_capacity(POOLED_MIN - 1));
+        assert_eq!(held(), 0, "a small buffer is freed");
+        for _ in 0..2 * POOL_BOUND {
+            pool.give(vec![0xAB; POOLED_MIN]);
+        }
+        assert_eq!(held(), POOL_BOUND);
+        let buf = pool.take(POOLED_MIN);
+        assert!(buf.is_empty() && buf.capacity() >= POOLED_MIN, "cleared");
+        assert_eq!(held(), POOL_BOUND - 1);
+        assert_eq!(pool.take(2 * POOLED_MIN).capacity(), 2 * POOLED_MIN);
+        assert_eq!(held(), POOL_BOUND - 2, "too small: freed");
+        pool.give(Vec::with_capacity(8 * POOLED_MIN));
+        assert_eq!(pool.take(POOLED_MIN).capacity(), POOLED_MIN);
+        assert_eq!(held(), POOL_BOUND - 2, "too large: freed");
+        assert_eq!(pool.take(64).capacity(), 64);
+        assert_eq!(held(), POOL_BOUND - 2, "small takes skip the pool");
     }
 
     #[test]

@@ -30,10 +30,12 @@
 //! unacknowledged frame until the receiver's [`LinkRx`] accepts it.
 
 use crate::error::{NetError, NetResult};
+use crate::frame::FramePool;
 use crate::proto::{DataFrame, Fin, Msg, WIRE_RETRY};
 use crate::transport::FrameSender;
 use pipellm_chaos::{ChaosInjector, FaultKind, FaultSite};
 pub use pipellm_crypto::edge::{role_at, EdgeCrypto, Role, WireEdge};
+use pipellm_crypto::gcm::TAG_LEN;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -166,11 +168,9 @@ impl LinkTx {
         Ok(resent)
     }
 
-    /// Drops the acknowledged frame. Returns whether it was outstanding.
-    pub fn ack(&mut self, seq: u64) -> bool {
-        let Some(frame) = self.position(seq).and_then(|i| self.unacked.remove(i)) else {
-            return false;
-        };
+    /// Drops the acknowledged frame; returns its plaintext if outstanding.
+    pub fn ack(&mut self, seq: u64) -> Option<Vec<u8>> {
+        let frame = self.position(seq).and_then(|i| self.unacked.remove(i))?;
         if let Entry::Occupied(mut seqs) = self.payloads.entry((frame.iteration, frame.micro_batch))
         {
             seqs.get_mut().retain(|&s| s != seq);
@@ -178,7 +178,7 @@ impl LinkTx {
                 seqs.remove();
             }
         }
-        true
+        Some(frame.plaintext)
     }
 
     /// Acknowledges every outstanding frame carrying `(iteration,
@@ -292,7 +292,16 @@ pub fn install_sender(slot: &SenderSlot, sender: Box<dyn FrameSender>) {
 /// [`NetError::ConnectionLost`] if the slot is empty (link down) or a
 /// write this call makes fails at the transport; the slot is emptied.
 pub fn send_on(slot: &SenderSlot, frame: &[u8], link: &str) -> NetResult<()> {
-    with_sender(slot, link, |sender| sender.queue_frame(frame))
+    send_parts_on(slot, frame, &[], link)
+}
+
+/// [`send_on`] of a frame in two parts ([`FrameSender::queue_parts`]).
+///
+/// # Errors
+///
+/// As [`send_on`].
+pub fn send_parts_on(slot: &SenderSlot, head: &[u8], body: &[u8], link: &str) -> NetResult<()> {
+    with_sender(slot, link, |sender| sender.queue_parts(head, body))
 }
 
 /// Writes everything queued on the slot's connection. A connection found
@@ -366,6 +375,8 @@ pub struct LinkSender<'a> {
     pub slot: &'a SenderSlot,
     /// Link label for error messages.
     pub link: &'a str,
+    /// The actor's buffer pool, which each seal borrows a body from.
+    pub pool: &'a FramePool,
 }
 
 impl LinkSender<'_> {
@@ -373,6 +384,9 @@ impl LinkSender<'_> {
     /// the chaos injector at [`FaultSite::NetLink`] on the way. Attempts
     /// beyond [`WIRE_RETRY`]`.max_retries` are the escalation path and run
     /// with injection suppressed — recovery must be able to win.
+    ///
+    /// The plaintext is copied once, into a pooled body that is sealed
+    /// and faulted in place, written behind its head and given back.
     ///
     /// Every call consumes exactly one send IV (the epoch's counters
     /// advance even for frames chaos destroys; the receiver or the rekey
@@ -392,8 +406,10 @@ impl LinkSender<'_> {
             pending.micro_batch,
             pending.plaintext.len() as u64,
         );
-        let sealed = self.crypto.seal(&aad, &pending.plaintext)?;
-        let mut bytes = sealed.bytes;
+        let mut bytes = self.pool.take(pending.plaintext.len() + TAG_LEN);
+        bytes.extend_from_slice(&pending.plaintext);
+        let tag = self.crypto.seal_in_place(&aad, &mut bytes)?;
+        bytes.extend_from_slice(&tag);
         pending.attempts += 1;
         pending.last_sent = Instant::now();
         // Roll chaos: the escalation attempt (budget exhausted) suppresses
@@ -413,11 +429,12 @@ impl LinkSender<'_> {
         if let Some(fault) = fault {
             if fault.kind == FaultKind::ConnectionDrop {
                 kill_slot(self.slot);
+                self.pool.give(bytes);
                 return Ok(TxOutcome::DropInjected);
             }
             fault.apply_to_frame(&mut bytes);
         }
-        let msg = Msg::Data(DataFrame {
+        let frame = DataFrame {
             src: self.src,
             dst: self.dst,
             seq: pending.seq,
@@ -425,8 +442,10 @@ impl LinkSender<'_> {
             iteration: pending.iteration,
             micro_batch: pending.micro_batch,
             sealed: bytes,
-        });
-        match send_on(self.slot, &msg.encode()?, self.link) {
+        };
+        let sent = send_parts_on(self.slot, &frame.head()?, &frame.sealed, self.link);
+        self.pool.give(frame.sealed);
+        match sent {
             Ok(()) => Ok(TxOutcome::Sent),
             Err(NetError::ConnectionLost { .. }) => Ok(TxOutcome::LinkDown),
             Err(e) => Err(e),
@@ -482,7 +501,7 @@ pub enum RxOutcome {
 /// stale-epoch frames, and sentinel-opens everything else at the edge's
 /// receive counter with the locally recomputed AAD binding. The open is in
 /// place: the ciphertext body is taken out of `frame` (its header stays
-/// for the caller's ack), so no hop copies a payload to decrypt it.
+/// for the caller's ack) and decrypted in the buffer it was received into.
 pub fn open_data(crypto: &mut EdgeCrypto, frame: &mut DataFrame) -> RxOutcome {
     if frame.epoch < crypto.epoch() {
         return RxOutcome::StaleEpoch;
@@ -639,8 +658,8 @@ mod tests {
         assert_eq!((s0, s1), (0, 1));
         assert_eq!(tx.in_flight(), 2);
         assert!(tx.has_payload(0, 0));
-        assert!(tx.ack(s0));
-        assert!(!tx.ack(s0));
+        assert_eq!(tx.ack(s0), Some(vec![1]));
+        assert!(tx.ack(s0).is_none());
         assert!(!tx.has_payload(0, 0));
         assert_eq!(tx.in_flight(), 1);
         assert!(tx.get_mut(s1).is_some());
@@ -777,7 +796,7 @@ mod tests {
                 }
                 Op::Ack(pick) => {
                     let seq = resolve(pick, &model);
-                    assert_eq!(tx.ack(seq), model.ack(seq), "ack {seq}");
+                    assert_eq!(tx.ack(seq).is_some(), model.ack(seq), "ack {seq}");
                     settled.push(seq);
                 }
                 Op::Nack(pick) => {
@@ -895,7 +914,7 @@ mod tests {
                 if c.is_none() && tick >= sent_c {
                     // The oldest frame is acked and a new one goes out
                     // after the gate last looked: its bound is now stale.
-                    assert!(tx.ack(a));
+                    assert!(tx.ack(a).is_some());
                     c = Some(tx.push(sent_c, 0, 2, Vec::new()).seq);
                 }
                 tx.sweep(tick, threshold, |p| {
@@ -946,7 +965,7 @@ mod tests {
             tx.push(started, i / 8, i % 8, Vec::new());
         }
         for seq in (0..u64::from(FRAMES)).rev() {
-            assert!(tx.ack(seq));
+            assert!(tx.ack(seq).is_some());
             assert!(!tx.has_payload(u32::MAX, 0));
         }
         assert_eq!(tx.in_flight(), 0);

@@ -34,10 +34,10 @@
 //! in-process computation.
 
 use crate::error::{NetError, NetResult};
-use crate::frame::read_frame;
+use crate::frame::{read_frame, FramePool};
 use crate::link::{
-    empty_slot, flush_slot, install_sender, kill_slot, open_data, role_at, send_on, EdgeCrypto,
-    LinkRx, LinkSender, LinkTx, RxOutcome, SenderSlot, WireEdge,
+    empty_slot, flush_slot, install_sender, kill_slot, open_data, role_at, send_on, send_parts_on,
+    EdgeCrypto, LinkRx, LinkSender, LinkTx, RxOutcome, SenderSlot, WireEdge,
 };
 use crate::proto::{
     chaos_injector, CounterReport, DataAck, DataFrame, EdgeCounterEntry, Fin, ManifestAck, Msg,
@@ -297,6 +297,8 @@ pub(crate) struct Orchestrator {
     pub(crate) outputs: BTreeMap<(u32, u32), Vec<u8>>,
     pub(crate) peak_in_flight: usize,
     pub(crate) chaos: Option<Arc<ChaosInjector>>,
+    /// Frame buffers shared with the pumps; an egress body becomes an output.
+    pub(crate) pool: FramePool,
     pub(crate) relayed: u64,
     pub(crate) retransmits: u64,
     pub(crate) sentinels: u64,
@@ -310,6 +312,7 @@ impl Orchestrator {
         supervision: Option<&SupervisedOptions>,
         control_slots: Vec<SenderSlot>,
         data_slots: Vec<SenderSlot>,
+        pool: FramePool,
     ) -> Self {
         let last = spec.stages - 1;
         let ingress = WireEdge::between(0, HOST_NODE);
@@ -341,6 +344,7 @@ impl Orchestrator {
             outstanding: BTreeSet::new(),
             outputs: BTreeMap::new(),
             peak_in_flight: 0,
+            pool,
             relayed: 0,
             retransmits: 0,
             sentinels: 0,
@@ -408,6 +412,7 @@ impl Orchestrator {
             chaos: self.chaos.as_ref(),
             slot: &self.data_slots[0],
             link: "data-0",
+            pool: &self.pool,
         };
         Ok((&mut self.ingress_tx, sender))
     }
@@ -485,9 +490,10 @@ impl Orchestrator {
             }
             return Ok(());
         }
-        if self.relay(frame.dst, &Msg::Data(frame))? {
+        if self.relay(frame.dst, &frame.head()?, &frame.sealed)? {
             self.relayed += 1;
         }
+        self.pool.give(frame.sealed);
         Ok(())
     }
 
@@ -501,7 +507,7 @@ impl Orchestrator {
             });
         }
         if fin.dst != HOST_NODE {
-            return self.relay(fin.dst, &Msg::Fin(fin)).map(drop);
+            return self.relay(fin.dst, &Msg::Fin(fin).encode()?, &[]).map(drop);
         }
         let crypto = self.edges.get_mut(&edge).ok_or(NetError::Protocol {
             detail: "egress edge missing".to_string(),
@@ -512,16 +518,17 @@ impl Orchestrator {
         Ok(())
     }
 
-    /// Inter-stage hop: relays a worker's frame untouched to stage `dst`.
+    /// Inter-stage hop: relays a worker's frame untouched to stage `dst`,
+    /// a data frame's body from the buffer it was received into.
     /// Returns whether it went out: a dead destination link loses it — the
     /// destination's reconnect rekeys the edge and the source resends.
-    fn relay(&self, dst: u32, msg: &Msg) -> NetResult<bool> {
+    fn relay(&self, dst: u32, head: &[u8], body: &[u8]) -> NetResult<bool> {
         let Some(slot) = self.data_slots.get(dst as usize) else {
             return Err(NetError::Protocol {
                 detail: format!("frame routed to unknown stage {dst}"),
             });
         };
-        match send_on(slot, &msg.encode()?, "relay") {
+        match send_parts_on(slot, head, body, "relay") {
             Ok(()) => Ok(true),
             Err(NetError::ConnectionLost { .. }) => Ok(false),
             Err(e) => Err(e),
@@ -927,6 +934,7 @@ pub(crate) fn drive(
     let mut control_slots = Vec::new();
     let mut data_slots = Vec::new();
     let mut pumps = Vec::new();
+    let pool = FramePool::default();
     let mut ordered = links;
     ordered.sort_by_key(|l| l.stage);
     for (i, link) in ordered.into_iter().enumerate() {
@@ -960,6 +968,7 @@ pub(crate) fn drive(
                 reattach,
                 slot.clone(),
                 events_tx.clone(),
+                pool.clone(),
             ));
             slots.push(slot);
         }
@@ -968,7 +977,7 @@ pub(crate) fn drive(
     let slots = control_slots.iter().chain(&data_slots).cloned().collect();
     let mut events = EventLoop::new(events, slots);
 
-    let mut orch = Orchestrator::new(spec, supervision, control_slots, data_slots);
+    let mut orch = Orchestrator::new(spec, supervision, control_slots, data_slots, pool);
     let mut sup = supervision.map(|options| Supervision::new(spec, options, gens, spawner));
     let served = lifecycle(spec, supervision, &mut orch, &mut sup, &mut events);
     for pump in &pumps {
@@ -1533,7 +1542,7 @@ mod tests {
             (vec![slot], far)
         });
         let [(control, _ctl_far), (data, _data_far)] = slots;
-        let mut orch = Orchestrator::new(&spec, None, control, data);
+        let mut orch = Orchestrator::new(&spec, None, control, data, FramePool::default());
         orch.inject(0, 0).unwrap();
         assert_eq!(orch.ingress_tx.in_flight(), 1);
 

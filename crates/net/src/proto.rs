@@ -29,11 +29,12 @@
 //! orchestrator included — can derive every key (ROADMAP.md item 2).
 //!
 //! Every encoder returns a complete frame ([`Msg::encode`]); every decoder
-//! consumes a complete frame ([`Msg::decode`]) and rejects anything
-//! structurally off with a clean [`NetError`].
+//! consumes a complete frame ([`Msg::decode`], or [`Msg::decode_raw`] of
+//! one held in two buffers) and rejects anything structurally off with a
+//! clean [`NetError`].
 
 use crate::error::{NetError, NetResult};
-use crate::frame::{decode_frame, Reader, Writer};
+use crate::frame::{decode_frame, parse_header, RawFrame, Reader, Writer, HEADER_LEN};
 use pipellm_chaos::{ChaosInjector, FaultPlan, RetryPolicy};
 use std::sync::Arc;
 use std::time::Duration;
@@ -91,6 +92,17 @@ pub const POLL_INTERVAL: Duration = Duration::from_millis(10);
 /// frames are never copied into it.
 pub const OUTBOX_CAP: usize = 16 * 1024;
 
+/// Smallest data-frame payload received into a pooled buffer, and the
+/// smallest buffer a [`crate::frame::FramePool`] keeps; smaller frames are
+/// read and freed as before, so no output keeps a receive buffer's slack.
+pub const POOLED_MIN: usize = 64 * 1024;
+
+/// Buffers one actor's [`crate::frame::FramePool`] keeps.
+pub const POOL_BOUND: usize = 16;
+
+/// Bytes of a data frame before its sealed body.
+pub const DATA_HEAD_LEN: usize = HEADER_LEN + 32;
+
 /// Longest an event loop that keeps finding events ready lets its outboxes
 /// fill before flushing them; an idle loop flushes before it blocks. Bounds
 /// how long an ack waits behind a busy loop's compute.
@@ -129,7 +141,7 @@ pub const DIAL_RETRY: Duration = Duration::from_millis(5);
 pub const INGRESS_WINDOW: usize = 32;
 
 /// Frame kind bytes.
-mod kind {
+pub(crate) mod kind {
     pub const HELLO: u8 = 0x01;
     pub const MANIFEST: u8 = 0x03;
     pub const MANIFEST_ACK: u8 = 0x04;
@@ -289,6 +301,24 @@ pub struct DataFrame {
 }
 
 impl DataFrame {
+    /// This frame on the wire up to its sealed body.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Oversize`] if the frame exceeds the frame cap.
+    pub fn head(&self) -> NetResult<Vec<u8>> {
+        let mut w = Writer::frame(kind::DATA, DATA_HEAD_LEN - HEADER_LEN);
+        for word in [self.src, self.dst] {
+            w.u32(word);
+        }
+        w.u64(self.seq);
+        for word in [self.epoch, self.iteration, self.micro_batch] {
+            w.u32(word);
+        }
+        w.u32(self.sealed.len() as u32);
+        w.finish_frame(self.sealed.len())
+    }
+
     /// The canonical AAD binding of a data frame's envelope. Both the
     /// sealer and the opener derive it from the fields they each believe,
     /// so any relay tampering with the routing metadata breaks
@@ -533,12 +563,13 @@ impl Msg {
     ///
     /// [`NetError::Oversize`] if the payload exceeds the frame cap.
     pub fn encode(&self) -> NetResult<Vec<u8>> {
-        // A data frame's fields: 28 bytes, the body's length, the body.
-        let payload = match self {
-            Msg::Data(d) => 28 + 4 + d.sealed.len(),
-            _ => 0,
-        };
-        let mut w = Writer::frame(self.kind(), payload);
+        if let Msg::Data(d) = self {
+            let mut frame = d.head()?;
+            frame.reserve_exact(d.sealed.len());
+            frame.extend_from_slice(&d.sealed);
+            return Ok(frame);
+        }
+        let mut w = Writer::frame(self.kind(), 0);
         match self {
             Msg::Hello(h) => {
                 w.u32(h.stage);
@@ -567,16 +598,7 @@ impl Msg {
                 w.u32(a.stage);
                 w.u64(a.weight_hash);
             }
-            Msg::Start | Msg::Shutdown => {}
-            Msg::Data(d) => {
-                w.u32(d.src);
-                w.u32(d.dst);
-                w.u64(d.seq);
-                w.u32(d.epoch);
-                w.u32(d.iteration);
-                w.u32(d.micro_batch);
-                w.bytes(&d.sealed);
-            }
+            Msg::Start | Msg::Shutdown | Msg::Data(_) => {}
             Msg::AckData(a) | Msg::NackData(a) => {
                 w.u32(a.src);
                 w.u32(a.dst);
@@ -631,7 +653,7 @@ impl Msg {
                 w.u64(d.reconnects);
             }
         }
-        w.finish_frame()
+        w.finish_frame(0)
     }
 
     /// Decodes one complete frame into a message.
@@ -644,6 +666,32 @@ impl Msg {
     /// that do not parse exactly.
     pub fn decode(frame: &[u8]) -> NetResult<Msg> {
         let (kind_byte, payload) = decode_frame(frame)?;
+        Msg::parse(kind_byte, payload, None)
+    }
+
+    /// [`Msg::decode`] of `head` then `body`, same message or same error,
+    /// owning the bytes: a data frame whose head is all of `head` adopts
+    /// `body` as its sealed bytes; any other split is joined first.
+    ///
+    /// # Errors
+    ///
+    /// As [`Msg::decode`].
+    pub fn decode_raw(raw: RawFrame) -> NetResult<Msg> {
+        let RawFrame { mut head, body } = raw;
+        let adopts = head.len() == DATA_HEAD_LEN
+            && head.first_chunk().map(parse_header)
+                == Some(Ok((kind::DATA, DATA_HEAD_LEN - HEADER_LEN + body.len())))
+            && head[DATA_HEAD_LEN - 4..] == (body.len() as u32).to_le_bytes();
+        if adopts {
+            return Msg::parse(kind::DATA, &head[HEADER_LEN..], Some(body));
+        }
+        head.extend_from_slice(&body);
+        Msg::decode(&head)
+    }
+
+    /// The parser of both decodes; `sealed` is a data frame's body when
+    /// the caller holds it apart from `payload`.
+    fn parse(kind_byte: u8, payload: &[u8], sealed: Option<Vec<u8>>) -> NetResult<Msg> {
         let mut r = Reader::new(payload);
         let msg = match kind_byte {
             kind::HELLO => Msg::Hello(Hello {
@@ -693,7 +741,10 @@ impl Msg {
                 epoch: r.u32()?,
                 iteration: r.u32()?,
                 micro_batch: r.u32()?,
-                sealed: r.bytes()?.to_vec(),
+                sealed: match sealed {
+                    Some(body) => r.u32().map(|_| body)?,
+                    None => r.bytes()?.to_vec(),
+                },
             }),
             kind::ACK_DATA => Msg::AckData(DataAck {
                 src: r.u32()?,

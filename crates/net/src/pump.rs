@@ -2,7 +2,9 @@
 //!
 //! Every connection gets one pump thread that owns the receiver half,
 //! decodes frames into [`Msg`]s, and feeds them to the owning event loop
-//! ([`EventLoop`]) through an `mpsc` channel. When the connection dies the pump runs the
+//! ([`EventLoop`]) through an `mpsc` channel; a large data frame's body
+//! is received into a buffer of the actor's [`FramePool`] and stays there
+//! in the decoded [`Msg::Data`]. When the connection dies the pump runs the
 //! bounded reconnect path: it reports [`PumpEvent::Down`], drives the
 //! link's [`Reattach`] provider under [`WIRE_RETRY`] (per-attempt
 //! timeout, exponential deterministically-jittered backoff), installs the
@@ -16,6 +18,7 @@
 //! budget as a failed dial, and only a delivered frame refills it.
 
 use crate::error::{NetError, NetResult};
+use crate::frame::FramePool;
 use crate::link::{flush_slot, install_sender, SenderSlot};
 use crate::proto::{Msg, FLUSH_BOUND, POLL_INTERVAL, WIRE_RETRY};
 use crate::transport::{FrameReceiver, Reattach};
@@ -124,7 +127,8 @@ impl Pump {
     /// Spawns a pump over `receiver`. `reattach` enables the reconnect
     /// path; `slot` is where reconnected sender halves are installed.
     /// Events arrive on `events` tagged with `tag`; `link` names the
-    /// connection in the error that ends it.
+    /// connection in the error that ends it. Large data frames are
+    /// received into buffers from `pool`.
     pub fn spawn(
         tag: u32,
         link: String,
@@ -132,11 +136,13 @@ impl Pump {
         reattach: Option<Box<dyn Reattach>>,
         slot: SenderSlot,
         events: mpsc::Sender<(u32, PumpEvent)>,
+        pool: FramePool,
     ) -> Pump {
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
-            pump_loop(tag, &link, receiver, reattach, slot, events, &flag);
+            let ends = (slot, events, &pool);
+            pump_loop(tag, &link, receiver, reattach, ends, &flag);
         });
         Pump {
             stop,
@@ -164,8 +170,7 @@ fn pump_loop(
     link: &str,
     mut receiver: Box<dyn FrameReceiver>,
     mut reattach: Option<Box<dyn Reattach>>,
-    slot: SenderSlot,
-    events: mpsc::Sender<(u32, PumpEvent)>,
+    (slot, events, pool): (SenderSlot, mpsc::Sender<(u32, PumpEvent)>, &FramePool),
     stop: &AtomicBool,
 ) {
     // Retry budget spent since a frame was last delivered, and whether the
@@ -175,8 +180,8 @@ fn pump_loop(
         if stop.load(Ordering::Relaxed) {
             return;
         }
-        match receiver.recv_frame(POLL_INTERVAL) {
-            Ok(frame) => match Msg::decode(&frame) {
+        match receiver.recv_pooled(POLL_INTERVAL, pool) {
+            Ok(frame) => match Msg::decode_raw(frame) {
                 Ok(msg) => {
                     (failures, frameless) = (0, false);
                     if events.send((tag, PumpEvent::Frame(msg))).is_err() {
@@ -352,6 +357,7 @@ mod tests {
             Some(Box::new(DeadOnArrival(Arc::clone(&dials)))),
             empty_slot(),
             events_tx,
+            FramePool::default(),
         );
         let mut ups = 0;
         let dead = loop {

@@ -47,6 +47,7 @@
 
 use crate::checkpoint::{global_index, open_checkpoint, seal_checkpoint, CheckpointState};
 use crate::error::{NetError, NetResult};
+use crate::frame::FramePool;
 use crate::link::{
     empty_slot, install_sender, kill_slot, open_data, role_at, send_on, EdgeCrypto, LinkRx,
     LinkSender, LinkTx, RxOutcome, SenderSlot, WireEdge,
@@ -132,6 +133,9 @@ struct Worker {
     barrier: u64,
     control_slot: SenderSlot,
     data_slot: SenderSlot,
+    /// Frame buffers shared with the pumps: an input is received, opened
+    /// and computed on in one, which returns when its output is acked.
+    pool: FramePool,
     chaos: Option<Arc<ChaosInjector>>,
     heartbeat_seq: u64,
     last_heartbeat: Instant,
@@ -146,6 +150,7 @@ impl Worker {
         config: &WorkerConfig,
         control_slot: SenderSlot,
         data_slot: SenderSlot,
+        pool: FramePool,
     ) -> Self {
         let stage = manifest.stage;
         let (in_peer, in_edge) = if stage == 0 {
@@ -181,6 +186,7 @@ impl Worker {
             barrier: 0,
             control_slot,
             data_slot,
+            pool,
             chaos: chaos_injector(
                 manifest.chaos_seed,
                 manifest.net_fault_rate,
@@ -320,6 +326,7 @@ impl Worker {
             chaos: self.chaos.as_ref(),
             slot: &self.data_slot,
             link: "data",
+            pool: &self.pool,
         };
         Ok((&mut self.out_tx, sender))
     }
@@ -364,6 +371,7 @@ impl Worker {
                 // still unacknowledged on the out edge (the NACK, rekey
                 // and sweep retransmits own it).
                 if index < self.watermark || self.out_tx.has_payload(key.0, key.1) {
+                    self.pool.give(bytes);
                     return Ok(());
                 }
                 if !self.processed.insert(index) {
@@ -454,7 +462,7 @@ impl Worker {
                 }
                 Msg::AckData(ack) => {
                     if ack.src == self.stage {
-                        self.out_tx.ack(ack.seq);
+                        self.pool.give(self.out_tx.ack(ack.seq).unwrap_or_default());
                     }
                     Ok(false)
                 }
@@ -548,6 +556,7 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
     let (events_tx, events) = mpsc::channel();
     let control_slot = empty_slot();
     let data_slot = empty_slot();
+    let pool = FramePool::default();
 
     let (ctl_sender, ctl_receiver) = links.control.split()?;
     install_sender(&control_slot, ctl_sender);
@@ -561,6 +570,7 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
         None,
         control_slot.clone(),
         events_tx.clone(),
+        pool.clone(),
     );
     let data_pump = Pump::spawn(
         DATA,
@@ -569,6 +579,7 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
         links.data_reattach,
         data_slot.clone(),
         events_tx,
+        pool.clone(),
     );
     let mut events = EventLoop::new(events, vec![control_slot.clone(), data_slot.clone()]);
 
@@ -679,7 +690,7 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
         }
     };
 
-    let mut worker = Worker::from_manifest(&manifest, &config, control_slot, data_slot);
+    let mut worker = Worker::from_manifest(&manifest, &config, control_slot, data_slot, pool);
     if let Some(r) = restore {
         worker.apply_restore(&r);
     }
@@ -760,10 +771,11 @@ pub fn run_worker(links: WorkerLinks, config: WorkerConfig) -> NetResult<Counter
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::Role;
-    use crate::orchestrator::NetPipelineSpec;
-    use crate::transport::{duplex_pair, FrameReceiver};
+    use crate::link::{Role, TxOutcome};
+    use crate::orchestrator::{NetPipelineSpec, Orchestrator};
+    use crate::transport::{duplex_pair, FrameReceiver, FrameSender, TcpTransport};
     use pipellm::partition::iteration_input;
+    use pipellm_chaos::FaultPlan;
 
     #[test]
     fn edge_layout_matches_the_star_topology() {
@@ -774,7 +786,13 @@ mod tests {
         };
         let manifest = spec.manifest_for(1, None);
         let config = WorkerConfig::new(1);
-        let w = Worker::from_manifest(&manifest, &config, empty_slot(), empty_slot());
+        let w = Worker::from_manifest(
+            &manifest,
+            &config,
+            empty_slot(),
+            empty_slot(),
+            FramePool::default(),
+        );
         assert_eq!(w.in_peer, 0);
         assert_eq!(w.out_peer, 2);
         assert_eq!(w.in_edge, WireEdge::between(0, 1));
@@ -818,7 +836,13 @@ mod tests {
             install_sender(&data_slot, Box::new(data_near).split().unwrap().0);
             let config = WorkerConfig::new(0);
             Direct {
-                worker: Worker::from_manifest(&manifest, &config, control_slot, data_slot),
+                worker: Worker::from_manifest(
+                    &manifest,
+                    &config,
+                    control_slot,
+                    data_slot,
+                    FramePool::default(),
+                ),
                 host: EdgeCrypto::new(SEED, WireEdge::between(0, HOST_NODE), Role::ChannelHost),
                 ctl_rx: Box::new(ctl_far).split().unwrap().1,
                 data_rx: Box::new(data_far).split().unwrap().1,
@@ -946,6 +970,109 @@ mod tests {
         d.host.rekey_to(1);
         d.deliver(0);
         assert!(!d.worker.rolls_on(&frame(1)), "a duplicate never rolls");
+    }
+
+    /// A sender that records every frame it is handed, whole, and passes
+    /// it on.
+    struct Tap(Arc<std::sync::Mutex<Vec<Vec<u8>>>>, Box<dyn FrameSender>);
+
+    impl FrameSender for Tap {
+        fn send_frame(&mut self, frame: &[u8]) -> NetResult<()> {
+            self.queue_parts(frame, &[])
+        }
+
+        fn queue_parts(&mut self, head: &[u8], body: &[u8]) -> NetResult<()> {
+            self.0.lock().unwrap().push([head, body].concat());
+            self.1.queue_parts(head, body)
+        }
+
+        fn flush(&mut self) -> NetResult<()> {
+            self.1.flush()
+        }
+
+        fn kill(&mut self) {
+            self.1.kill();
+        }
+    }
+
+    /// Both halves of each end of a loopback TCP connection.
+    fn tcp_pair() -> [(Box<dyn FrameSender>, Box<dyn FrameReceiver>); 2] {
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let dialed = TcpTransport::connect(listener.local_addr().unwrap(), "tcp-a").unwrap();
+        let accepted = TcpTransport::new(listener.accept().unwrap().0, "tcp-b");
+        [dialed, accepted].map(|t| Box::new(t).split().unwrap())
+    }
+
+    #[test]
+    fn the_relay_forwards_a_data_frame_verbatim_and_stage_1_judges_it() {
+        // Frames large enough to be received into pooled buffers, stage 0
+        // to stage 1 through the orchestrator over two real connections:
+        // one intact, one hit by a seeded CorruptFrame.
+        let spec = NetPipelineSpec {
+            stages: 2,
+            layers: 2,
+            activation_bytes: crate::proto::POOLED_MIN,
+            ..NetPipelineSpec::default()
+        };
+        let [(into_relay, _), (_, mut relay_rx)] = tcp_pair();
+        let [(relay_tx, _), (_, mut stage1_rx)] = tcp_pair();
+        let sent = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let stage0_slot = empty_slot();
+        install_sender(&stage0_slot, Box::new(Tap(Arc::clone(&sent), into_relay)));
+        let (to_stage1, pool) = (empty_slot(), FramePool::default());
+        install_sender(&to_stage1, relay_tx);
+        let control = vec![empty_slot(), empty_slot()];
+        let data = vec![empty_slot(), to_stage1];
+        let mut orch = Orchestrator::new(&spec, None, control, data, pool.clone());
+
+        let edge = WireEdge::between(0, 1);
+        let mut stage0 = EdgeCrypto::new(spec.seed, edge, role_at(edge, 0));
+        let corrupt = Arc::new(ChaosInjector::new(
+            FaultPlan::new(0xBAD).with_rate(FaultKind::CorruptFrame, 1.0),
+        ));
+        let mut out_tx = LinkTx::default();
+        let input = iteration_input(spec.seed, 0, 0, spec.activation_bytes);
+        let mut received = Vec::new();
+        for (micro_batch, chaos) in [(0, None), (1, Some(&corrupt))] {
+            let mut link = LinkSender {
+                crypto: &mut stage0,
+                src: 0,
+                dst: 1,
+                chaos,
+                slot: &stage0_slot,
+                link: "data",
+                pool: &pool,
+            };
+            let pending = out_tx.push(Instant::now(), 0, micro_batch, input.clone());
+            assert_eq!(link.send(pending).unwrap(), TxOutcome::Sent);
+            let raw = relay_rx.recv_pooled(OP_TIMEOUT, &pool).unwrap();
+            assert!(!raw.body.is_empty(), "the body lands in a pooled buffer");
+            let Msg::Data(frame) = Msg::decode_raw(raw).unwrap() else {
+                panic!("a data frame");
+            };
+            orch.handle_data(0, frame).unwrap();
+            received.push(stage1_rx.recv_frame(OP_TIMEOUT).unwrap());
+        }
+        assert_eq!(*sent.lock().unwrap(), received, "byte for byte");
+        assert_eq!(orch.relayed, 2);
+
+        let (ctl_near, ctl_far, _) = duplex_pair("ctl");
+        let control_slot = empty_slot();
+        install_sender(&control_slot, Box::new(ctl_near).split().unwrap().0);
+        let mut ctl_rx = Box::new(ctl_far).split().unwrap().1;
+        let config = WorkerConfig::new(1);
+        let manifest = spec.manifest_for(1, None);
+        let mut stage1 =
+            Worker::from_manifest(&manifest, &config, control_slot, empty_slot(), pool);
+        for bytes in received {
+            let Msg::Data(frame) = Msg::decode(&bytes).unwrap() else {
+                panic!("a data frame");
+            };
+            stage1.handle_data(frame).unwrap();
+        }
+        let acks = Direct::drain(&mut ctl_rx);
+        assert!(matches!(acks[..], [Msg::AckData(_), Msg::NackData(n)] if n.seq == 1));
+        assert_eq!(stage1.sentinels, 1);
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! `prop_flat_map`, so messages are derived from a few `u64` entropy
 //! seeds instead of one strategy per field.
 
-use pipellm_net::frame::{decode_frame, encode_frame, HEADER_LEN};
+use pipellm_net::frame::{decode_frame, encode_frame, RawFrame, HEADER_LEN};
 use pipellm_net::proto::{
     CheckpointReq, CheckpointSave, CounterReport, DataAck, DataFrame, EdgeCounterEntry, Fin,
-    Heartbeat, Hello, ManifestAck, Msg, RekeyEdge, Restore, ShardManifest,
+    Heartbeat, Hello, ManifestAck, Msg, RekeyEdge, Restore, ShardManifest, DATA_HEAD_LEN,
 };
 use pipellm_net::NetError;
 use proptest::prelude::*;
@@ -169,8 +169,84 @@ fn msg_strategy() -> impl Strategy<Value = Msg> {
         .prop_map(|(pick, a, b, sealed)| msg_from(pick, a, b, sealed))
 }
 
+/// Frames for the two decode entry points: a valid frame of any message,
+/// or one cut short, with trailing bytes, with a length that lies (a data
+/// frame's body length or the header's), or with its kind byte replaced.
+fn frame_strategy() -> impl Strategy<Value = Vec<u8>> {
+    (
+        msg_strategy(),
+        any::<u64>(),
+        (any::<u64>(), any::<u64>(), any::<u8>()),
+        proptest::collection::vec(any::<u8>(), 0..300),
+    )
+        .prop_map(|(msg, pick, (a, b, byte), sealed)| {
+            let data = Msg::Data(match msg_from(4, a, b, sealed) {
+                Msg::Data(d) => d,
+                _ => unreachable!("pick 4 is a data frame"),
+            });
+            let mut frame = if pick % 2 == 0 { msg } else { data }
+                .encode()
+                .expect("encodable");
+            let lie = (a as u32 | 1).to_le_bytes();
+            match (pick >> 1) % 6 {
+                0 => {}
+                1 => frame.truncate(b as usize % frame.len()),
+                2 => frame.extend_from_slice(&a.to_le_bytes()[..1 + (b % 8) as usize]),
+                3 if frame.len() >= DATA_HEAD_LEN => {
+                    let field = &mut frame[DATA_HEAD_LEN - 4..DATA_HEAD_LEN];
+                    for (byte, flip) in field.iter_mut().zip(lie) {
+                        *byte ^= flip;
+                    }
+                }
+                4 => {
+                    for (byte, flip) in frame[4..HEADER_LEN].iter_mut().zip(lie) {
+                        *byte ^= flip;
+                    }
+                }
+                _ => frame[3] = byte,
+            }
+            frame
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The owning decode and the borrowing one are one parser: for every
+    /// frame and every split of it into a head and a body, `decode_raw`
+    /// returns what `decode` returns of the whole — the same message or
+    /// the same error. Split where a receiver splits a data frame (its
+    /// head, then its sealed body), the message adopts the body's buffer.
+    #[test]
+    fn one_parser_two_entry_points(frame in frame_strategy(), cut in any::<prop::sample::Index>()) {
+        let whole = Msg::decode(&frame);
+        for split in [cut.index(frame.len() + 1), DATA_HEAD_LEN.min(frame.len()), 0, frame.len()] {
+            let (head, body) = frame.split_at(split);
+            let raw = RawFrame { head: head.to_vec(), body: body.to_vec() };
+            prop_assert_eq!(Msg::decode_raw(raw), whole.clone(), "split at {}", split);
+        }
+        if let Ok(Msg::Data(d)) = &whole {
+            if !d.sealed.is_empty() {
+                let body = frame[DATA_HEAD_LEN..].to_vec();
+                let at = body.as_ptr();
+                let head = frame[..DATA_HEAD_LEN].to_vec();
+                match Msg::decode_raw(RawFrame { head, body }) {
+                    Ok(Msg::Data(adopted)) => prop_assert_eq!(adopted.sealed.as_ptr(), at),
+                    other => prop_assert!(false, "a data frame decodes: {:?}", other),
+                }
+            }
+        }
+    }
+
+    /// A data frame's head is the first `DATA_HEAD_LEN` bytes of its
+    /// encoding: what a sender writes before the body it holds apart.
+    #[test]
+    fn a_data_head_prefixes_the_encoding(a in any::<u64>(), b in any::<u64>(), sealed in proptest::collection::vec(any::<u8>(), 0..300)) {
+        let Msg::Data(frame) = msg_from(4, a, b, sealed) else { unreachable!("pick 4 is a data frame") };
+        let encoded = Msg::Data(frame.clone()).encode().expect("encodable");
+        prop_assert_eq!(&encoded[..DATA_HEAD_LEN], &frame.head().expect("under the cap")[..]);
+        prop_assert_eq!(&encoded[DATA_HEAD_LEN..], &frame.sealed[..]);
+    }
 
     /// decode ∘ encode is the identity for every protocol message.
     #[test]

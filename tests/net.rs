@@ -127,6 +127,33 @@ fn chaos_connection_drops_recover_in_lockstep_over_tcp() {
 }
 
 #[test]
+fn outputs_keep_no_receive_slack_at_small_or_large_frames() {
+    // 4 KiB frames are read, decoded and freed as they always were; 1 MiB
+    // frames are received into pooled buffers and opened in place. Either
+    // way an output a run keeps holds its plaintext and at most a tag's
+    // worth of spare room, never a receive buffer's slack.
+    for (micro_batches, activation_bytes) in [(16, 4 << 10), (4, 1 << 20)] {
+        let spec = NetPipelineSpec {
+            stages: 2,
+            layers: 2,
+            iterations: 1,
+            micro_batches,
+            activation_bytes,
+            ..spec()
+        };
+        let report = run_tcp_threads(&spec).expect("tcp run");
+        assert_eq!(report.outputs, spec.expected_outputs());
+        for output in &report.outputs {
+            assert!(
+                output.capacity() <= output.len() + 64,
+                "{activation_bytes}-byte output keeps {} bytes of capacity",
+                output.capacity()
+            );
+        }
+    }
+}
+
+#[test]
 fn the_lockstep_audit_fails_on_counters_that_disagree() {
     let entry = |epoch, tx_iv, rx_iv| EdgeCounterEntry {
         a: 0,
