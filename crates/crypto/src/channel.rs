@@ -9,12 +9,11 @@
 //!
 //! # The channel core
 //!
-//! Ten seal/open methods, one per job the paper's protocol needs:
+//! Nine seal/open methods, one per job the paper's protocol needs:
 //!
 //! | job | method |
 //! |-----|--------|
 //! | seal at the counter (native CC `cudaMemcpyAsync`) | [`TxContext::seal_prepared`], [`TxContext::seal_batch_prepared`] |
-//! | seal at the counter where the bytes already lie (a wire frame's body) | [`TxContext::seal_in_place`] |
 //! | §4.3 speculative pre-encryption at a future IV | [`TxContext::seal_speculative_prepared`] |
 //! | §5.3 NOP padding | a committed seal of [`TxContext::nop_message`] |
 //! | open at the receiver's own counter | [`RxContext::open_in_place`] |
@@ -181,24 +180,6 @@ impl TxContext {
         let sealed = self.seal_at(self.next_iv, aad, buf)?;
         self.next_iv += 1;
         Ok(sealed)
-    }
-
-    /// Seals `data` in place at the current counter and advances it,
-    /// returning the detached tag: for a caller whose plaintext already
-    /// sits where the ciphertext must go, with the tag written after it.
-    ///
-    /// # Errors
-    ///
-    /// [`CryptoError::IvExhausted`] when the counter sits in the headroom;
-    /// the counter has not advanced and `data` is untouched.
-    pub fn seal_in_place(&mut self, aad: &[u8], data: &mut [u8]) -> Result<[u8; TAG_LEN]> {
-        let iv = self.next_iv;
-        self.check_exhaustion(iv)?;
-        let tag = self
-            .gcm
-            .seal_in_place(&nonce_from_iv(self.direction.tag(), iv), aad, data);
-        self.next_iv += 1;
-        Ok(tag)
     }
 
     /// Seals a run of staged buffers at **consecutive** committed IVs in

@@ -10,7 +10,6 @@
 
 use crate::channel::{staging_buffer, Endpoint, SealedMessage, SecureChannel, IV_HEADROOM};
 use crate::engine::CryptoEngine;
-use crate::gcm::TAG_LEN;
 use crate::session::{device_key_seed, edge_key_seed, SessionId, SessionManager};
 use crate::{CryptoError, Result};
 use std::fmt;
@@ -223,18 +222,6 @@ impl EdgeCrypto {
         self.endpoint_mut()?
             .tx_mut()
             .seal_prepared(aad.into(), staging_buffer(plaintext))
-    }
-
-    /// Seals `data` in place on this node's sending direction, consuming the
-    /// next send IV, and returns the detached tag: bit for bit the
-    /// `ciphertext || tag` of [`Self::seal`], for a caller that keeps the
-    /// bytes in its own buffer.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::seal`].
-    pub fn seal_in_place(&mut self, aad: &[u8], data: &mut [u8]) -> Result<[u8; TAG_LEN]> {
-        self.endpoint_mut()?.tx_mut().seal_in_place(aad, data)
     }
 
     /// Opens a received frame at this node's receiving direction under the

@@ -98,29 +98,6 @@ proptest! {
         prop_assert!(!ends[0].mirrors(&ends[1]));
     }
 
-    /// Sealing in place is `seal` with the tag detached: the same
-    /// `ciphertext || tag` at the same IV, one IV consumed either way.
-    #[test]
-    fn sealing_in_place_is_the_same_seal(
-        seed in any::<u64>(),
-        edge in edge(),
-        payload in proptest::collection::vec(any::<u8>(), 0..300),
-        earlier in 0..4usize,
-    ) {
-        let [mut copied, _] = ends(seed, edge);
-        let [mut in_place, _] = ends(seed, edge);
-        for _ in 0..earlier {
-            copied.seal(b"hop", b"x").unwrap();
-            in_place.seal(b"hop", b"x").unwrap();
-        }
-        let sealed = copied.seal(b"hop", &payload).unwrap();
-        let mut bytes = payload.clone();
-        let tag = in_place.seal_in_place(b"hop", &mut bytes).unwrap();
-        bytes.extend_from_slice(&tag);
-        prop_assert_eq!(bytes, sealed.bytes);
-        prop_assert_eq!(in_place.tx_iv(), copied.tx_iv());
-    }
-
     /// A frame sealed at one end of (edge, session, epoch) opens at the
     /// other end of exactly that (edge, session, epoch) and nowhere else.
     /// Sealer and probe are fresh, so both counters sit at IV 1 and only

@@ -110,18 +110,6 @@ impl NetError {
             detail: err.to_string(),
         }
     }
-
-    /// [`NetError::io`] of a socket operation on `link`, where a reset,
-    /// abort or broken pipe is the loss of the link.
-    pub fn io_on(op: &'static str, link: &str, err: &std::io::Error) -> Self {
-        use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset};
-        match err.kind() {
-            ConnectionReset | ConnectionAborted | BrokenPipe => NetError::ConnectionLost {
-                link: link.to_string(),
-            },
-            _ => NetError::io(op, err),
-        }
-    }
 }
 
 impl fmt::Display for NetError {

@@ -33,16 +33,6 @@ pub const HEADER_LEN: usize = 8;
 /// a receiver allocate the moon.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
-/// One frame as a receiver holds it: a large data frame's sealed body in
-/// a pooled `body`, any other frame whole in `head`.
-#[derive(Debug, Default)]
-pub struct RawFrame {
-    /// The frame up to `body`.
-    pub head: Vec<u8>,
-    /// A data frame's sealed body, or empty.
-    pub body: Vec<u8>,
-}
-
 /// At most [`POOL_BOUND`] recycled buffers of [`POOLED_MIN`] bytes or more,
 /// shared by one actor's event loop and pumps; a buffer is only cleared
 /// and refilled, never read past its length.
@@ -50,10 +40,9 @@ pub struct RawFrame {
 pub struct FramePool(Arc<Mutex<Vec<Vec<u8>>>>);
 
 impl FramePool {
-    /// An empty buffer with room for `len` bytes: the last one returned if
-    /// its capacity is `len` to `len + len / 8`, else a fresh one of
-    /// exactly `len`. The cap keeps one oversized frame's buffer from
-    /// becoming an output that is kept with its slack.
+    /// An empty buffer with room for `len` bytes: the last one given back if
+    /// its capacity is `len` to `len + len / 8` (so no buffer kept as an
+    /// output carries much slack), else a fresh one of exactly `len`.
     pub fn take(&self, len: usize) -> Vec<u8> {
         let pooled = (len >= POOLED_MIN)
             .then(|| self.0.lock().unwrap_or_else(PoisonError::into_inner).pop())
@@ -170,7 +159,16 @@ fn read_exact<R: Read>(reader: &mut R, buf: &mut [u8], link: &str) -> NetResult<
             }
             Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(NetError::io_on("read_frame", link, &e)),
+            Err(e)
+                if e.kind() == std::io::ErrorKind::ConnectionReset
+                    || e.kind() == std::io::ErrorKind::ConnectionAborted
+                    || e.kind() == std::io::ErrorKind::BrokenPipe =>
+            {
+                return Err(NetError::ConnectionLost {
+                    link: link.to_string(),
+                })
+            }
+            Err(e) => return Err(NetError::io("read_frame", &e)),
         }
     }
     Ok(())

@@ -31,7 +31,7 @@
 
 use crate::error::{NetError, NetResult};
 use crate::frame::FramePool;
-use crate::proto::{DataFrame, Fin, Msg, WIRE_RETRY};
+use crate::proto::{DataFrame, Fin, Msg, DATA_HEAD_LEN, WIRE_RETRY};
 use crate::transport::FrameSender;
 use pipellm_chaos::{ChaosInjector, FaultKind, FaultSite};
 pub use pipellm_crypto::edge::{role_at, EdgeCrypto, Role, WireEdge};
@@ -292,16 +292,7 @@ pub fn install_sender(slot: &SenderSlot, sender: Box<dyn FrameSender>) {
 /// [`NetError::ConnectionLost`] if the slot is empty (link down) or a
 /// write this call makes fails at the transport; the slot is emptied.
 pub fn send_on(slot: &SenderSlot, frame: &[u8], link: &str) -> NetResult<()> {
-    send_parts_on(slot, frame, &[], link)
-}
-
-/// [`send_on`] of a frame in two parts ([`FrameSender::queue_parts`]).
-///
-/// # Errors
-///
-/// As [`send_on`].
-pub fn send_parts_on(slot: &SenderSlot, head: &[u8], body: &[u8], link: &str) -> NetResult<()> {
-    with_sender(slot, link, |sender| sender.queue_parts(head, body))
+    with_sender(slot, link, |sender| sender.queue_frame(frame))
 }
 
 /// Writes everything queued on the slot's connection. A connection found
@@ -385,8 +376,8 @@ impl LinkSender<'_> {
     /// beyond [`WIRE_RETRY`]`.max_retries` are the escalation path and run
     /// with injection suppressed — recovery must be able to win.
     ///
-    /// The plaintext is copied once, into a pooled body that is sealed
-    /// and faulted in place, written behind its head and given back.
+    /// The plaintext is copied once, into a pooled buffer that is sealed,
+    /// faulted and framed in place ([`DataFrame::into_frame`]).
     ///
     /// Every call consumes exactly one send IV (the epoch's counters
     /// advance even for frames chaos destroys; the receiver or the rekey
@@ -397,19 +388,19 @@ impl LinkSender<'_> {
     /// Only unrecoverable ones: IV exhaustion, encode failures, or
     /// transport errors other than connection loss.
     pub fn send(&mut self, pending: &mut PendingFrame) -> NetResult<TxOutcome> {
-        let epoch = self.crypto.epoch();
+        let (epoch, len) = (self.crypto.epoch(), pending.plaintext.len());
         let aad = DataFrame::bind_aad(
             self.src,
             self.dst,
             epoch,
             pending.iteration,
             pending.micro_batch,
-            pending.plaintext.len() as u64,
+            len as u64,
         );
-        let mut bytes = self.pool.take(pending.plaintext.len() + TAG_LEN);
-        bytes.extend_from_slice(&pending.plaintext);
-        let tag = self.crypto.seal_in_place(&aad, &mut bytes)?;
-        bytes.extend_from_slice(&tag);
+        let mut body = self.pool.take(DATA_HEAD_LEN + len + TAG_LEN);
+        body.extend_from_slice(&pending.plaintext);
+        let tx = self.crypto.endpoint_mut()?.tx_mut();
+        let mut bytes = tx.seal_prepared(aad.as_slice().into(), body)?.bytes;
         pending.attempts += 1;
         pending.last_sent = Instant::now();
         // Roll chaos: the escalation attempt (budget exhausted) suppresses
@@ -442,9 +433,10 @@ impl LinkSender<'_> {
             iteration: pending.iteration,
             micro_batch: pending.micro_batch,
             sealed: bytes,
-        };
-        let sent = send_parts_on(self.slot, &frame.head()?, &frame.sealed, self.link);
-        self.pool.give(frame.sealed);
+        }
+        .into_frame()?;
+        let sent = send_on(self.slot, &frame, self.link);
+        self.pool.give(frame);
         match sent {
             Ok(()) => Ok(TxOutcome::Sent),
             Err(NetError::ConnectionLost { .. }) => Ok(TxOutcome::LinkDown),
@@ -501,7 +493,8 @@ pub enum RxOutcome {
 /// stale-epoch frames, and sentinel-opens everything else at the edge's
 /// receive counter with the locally recomputed AAD binding. The open is in
 /// place: the ciphertext body is taken out of `frame` (its header stays
-/// for the caller's ack) and decrypted in the buffer it was received into.
+/// for the caller's ack) and decrypted where it lies: a large frame's in
+/// the buffer it was received into ([`crate::proto::Msg::decode_owned`]).
 pub fn open_data(crypto: &mut EdgeCrypto, frame: &mut DataFrame) -> RxOutcome {
     if frame.epoch < crypto.epoch() {
         return RxOutcome::StaleEpoch;

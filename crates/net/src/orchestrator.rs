@@ -36,8 +36,8 @@
 use crate::error::{NetError, NetResult};
 use crate::frame::{read_frame, FramePool};
 use crate::link::{
-    empty_slot, flush_slot, install_sender, kill_slot, open_data, role_at, send_on, send_parts_on,
-    EdgeCrypto, LinkRx, LinkSender, LinkTx, RxOutcome, SenderSlot, WireEdge,
+    empty_slot, flush_slot, install_sender, kill_slot, open_data, role_at, send_on, EdgeCrypto,
+    LinkRx, LinkSender, LinkTx, RxOutcome, SenderSlot, WireEdge,
 };
 use crate::proto::{
     chaos_injector, CounterReport, DataAck, DataFrame, EdgeCounterEntry, Fin, ManifestAck, Msg,
@@ -490,10 +490,11 @@ impl Orchestrator {
             }
             return Ok(());
         }
-        if self.relay(frame.dst, &frame.head()?, &frame.sealed)? {
+        let (dst, bytes) = (frame.dst, frame.into_frame()?);
+        if self.relay(dst, &bytes)? {
             self.relayed += 1;
         }
-        self.pool.give(frame.sealed);
+        self.pool.give(bytes);
         Ok(())
     }
 
@@ -507,7 +508,7 @@ impl Orchestrator {
             });
         }
         if fin.dst != HOST_NODE {
-            return self.relay(fin.dst, &Msg::Fin(fin).encode()?, &[]).map(drop);
+            return self.relay(fin.dst, &Msg::Fin(fin).encode()?).map(drop);
         }
         let crypto = self.edges.get_mut(&edge).ok_or(NetError::Protocol {
             detail: "egress edge missing".to_string(),
@@ -518,17 +519,17 @@ impl Orchestrator {
         Ok(())
     }
 
-    /// Inter-stage hop: relays a worker's frame untouched to stage `dst`,
-    /// a data frame's body from the buffer it was received into.
+    /// Inter-stage hop: relays a worker's frame untouched to stage `dst` (a
+    /// data frame rebuilt in the buffer it was received into).
     /// Returns whether it went out: a dead destination link loses it — the
     /// destination's reconnect rekeys the edge and the source resends.
-    fn relay(&self, dst: u32, head: &[u8], body: &[u8]) -> NetResult<bool> {
+    fn relay(&self, dst: u32, frame: &[u8]) -> NetResult<bool> {
         let Some(slot) = self.data_slots.get(dst as usize) else {
             return Err(NetError::Protocol {
                 detail: format!("frame routed to unknown stage {dst}"),
             });
         };
-        match send_parts_on(slot, head, body, "relay") {
+        match send_on(slot, frame, "relay") {
             Ok(()) => Ok(true),
             Err(NetError::ConnectionLost { .. }) => Ok(false),
             Err(e) => Err(e),

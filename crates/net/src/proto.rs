@@ -29,12 +29,12 @@
 //! orchestrator included — can derive every key (ROADMAP.md item 2).
 //!
 //! Every encoder returns a complete frame ([`Msg::encode`]); every decoder
-//! consumes a complete frame ([`Msg::decode`], or [`Msg::decode_raw`] of
-//! one held in two buffers) and rejects anything structurally off with a
-//! clean [`NetError`].
+//! consumes a complete frame ([`Msg::decode`], or [`Msg::decode_owned`]
+//! of one it may keep) and rejects anything structurally off with a clean
+//! [`NetError`].
 
 use crate::error::{NetError, NetResult};
-use crate::frame::{decode_frame, parse_header, RawFrame, Reader, Writer, HEADER_LEN};
+use crate::frame::{decode_frame, Reader, Writer, HEADER_LEN};
 use pipellm_chaos::{ChaosInjector, FaultPlan, RetryPolicy};
 use std::sync::Arc;
 use std::time::Duration;
@@ -92,9 +92,8 @@ pub const POLL_INTERVAL: Duration = Duration::from_millis(10);
 /// frames are never copied into it.
 pub const OUTBOX_CAP: usize = 16 * 1024;
 
-/// Smallest data-frame payload received into a pooled buffer, and the
-/// smallest buffer a [`crate::frame::FramePool`] keeps; smaller frames are
-/// read and freed as before, so no output keeps a receive buffer's slack.
+/// Smallest data frame received and decoded in a pooled buffer
+/// ([`Msg::decode_owned`]); the smallest a [`crate::frame::FramePool`] keeps.
 pub const POOLED_MIN: usize = 64 * 1024;
 
 /// Buffers one actor's [`crate::frame::FramePool`] keeps.
@@ -301,12 +300,8 @@ pub struct DataFrame {
 }
 
 impl DataFrame {
-    /// This frame on the wire up to its sealed body.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Oversize`] if the frame exceeds the frame cap.
-    pub fn head(&self) -> NetResult<Vec<u8>> {
+    /// This frame on the wire up to its sealed body; errs over the cap.
+    fn head(&self) -> NetResult<Vec<u8>> {
         let mut w = Writer::frame(kind::DATA, DATA_HEAD_LEN - HEADER_LEN);
         for word in [self.src, self.dst] {
             w.u32(word);
@@ -317,6 +312,19 @@ impl DataFrame {
         }
         w.u32(self.sealed.len() as u32);
         w.finish_frame(self.sealed.len())
+    }
+
+    /// This frame on the wire, built in its sealed bytes' buffer (in place
+    /// when that has [`DATA_HEAD_LEN`] bytes to spare).
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Oversize`] if the frame exceeds the frame cap.
+    pub fn into_frame(self) -> NetResult<Vec<u8>> {
+        let head = self.head()?;
+        let mut frame = self.sealed;
+        frame.splice(..0, head);
+        Ok(frame)
     }
 
     /// The canonical AAD binding of a data frame's envelope. Both the
@@ -665,33 +673,32 @@ impl Msg {
     /// [`NetError::Truncated`] and [`NetError::TrailingBytes`] for payloads
     /// that do not parse exactly.
     pub fn decode(frame: &[u8]) -> NetResult<Msg> {
-        let (kind_byte, payload) = decode_frame(frame)?;
-        Msg::parse(kind_byte, payload, None)
+        Msg::parse(frame, <[u8]>::to_vec)
     }
 
-    /// [`Msg::decode`] of `head` then `body`, same message or same error,
-    /// owning the bytes: a data frame whose head is all of `head` adopts
-    /// `body` as its sealed bytes; any other split is joined first.
+    /// [`Msg::decode`] of a frame the caller gives up: the same message or
+    /// the same error. A data frame of [`POOLED_MIN`] bytes or more keeps
+    /// the frame's buffer as its sealed bytes, moved to the front; a smaller
+    /// one is copied out, so no message holds a receive buffer's slack.
     ///
     /// # Errors
     ///
     /// As [`Msg::decode`].
-    pub fn decode_raw(raw: RawFrame) -> NetResult<Msg> {
-        let RawFrame { mut head, body } = raw;
-        let adopts = head.len() == DATA_HEAD_LEN
-            && head.first_chunk().map(parse_header)
-                == Some(Ok((kind::DATA, DATA_HEAD_LEN - HEADER_LEN + body.len())))
-            && head[DATA_HEAD_LEN - 4..] == (body.len() as u32).to_le_bytes();
-        if adopts {
-            return Msg::parse(kind::DATA, &head[HEADER_LEN..], Some(body));
+    pub fn decode_owned(mut frame: Vec<u8>) -> NetResult<Msg> {
+        if frame.len() < POOLED_MIN {
+            return Msg::decode(&frame);
         }
-        head.extend_from_slice(&body);
-        Msg::decode(&head)
+        let mut msg = Msg::parse(&frame, |_| Vec::new())?;
+        if let Msg::Data(d) = &mut msg {
+            frame.drain(..DATA_HEAD_LEN);
+            d.sealed = frame;
+        }
+        Ok(msg)
     }
 
-    /// The parser of both decodes; `sealed` is a data frame's body when
-    /// the caller holds it apart from `payload`.
-    fn parse(kind_byte: u8, payload: &[u8], sealed: Option<Vec<u8>>) -> NetResult<Msg> {
+    /// The one parser: `sealed` makes a data frame's sealed bytes of its body.
+    fn parse(frame: &[u8], sealed: impl FnOnce(&[u8]) -> Vec<u8>) -> NetResult<Msg> {
+        let (kind_byte, payload) = decode_frame(frame)?;
         let mut r = Reader::new(payload);
         let msg = match kind_byte {
             kind::HELLO => Msg::Hello(Hello {
@@ -741,10 +748,7 @@ impl Msg {
                 epoch: r.u32()?,
                 iteration: r.u32()?,
                 micro_batch: r.u32()?,
-                sealed: match sealed {
-                    Some(body) => r.u32().map(|_| body)?,
-                    None => r.bytes()?.to_vec(),
-                },
+                sealed: sealed(r.bytes()?),
             }),
             kind::ACK_DATA => Msg::AckData(DataAck {
                 src: r.u32()?,

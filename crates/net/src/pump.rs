@@ -141,8 +141,7 @@ impl Pump {
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
-            let ends = (slot, events, &pool);
-            pump_loop(tag, &link, receiver, reattach, ends, &flag);
+            pump_loop(tag, &link, receiver, reattach, slot, events, &pool, &flag);
         });
         Pump {
             stop,
@@ -165,12 +164,15 @@ impl Drop for Pump {
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn pump_loop(
     tag: u32,
     link: &str,
     mut receiver: Box<dyn FrameReceiver>,
     mut reattach: Option<Box<dyn Reattach>>,
-    (slot, events, pool): (SenderSlot, mpsc::Sender<(u32, PumpEvent)>, &FramePool),
+    slot: SenderSlot,
+    events: mpsc::Sender<(u32, PumpEvent)>,
+    pool: &FramePool,
     stop: &AtomicBool,
 ) {
     // Retry budget spent since a frame was last delivered, and whether the
@@ -181,7 +183,7 @@ fn pump_loop(
             return;
         }
         match receiver.recv_pooled(POLL_INTERVAL, pool) {
-            Ok(frame) => match Msg::decode_raw(frame) {
+            Ok(frame) => match Msg::decode_owned(frame) {
                 Ok(msg) => {
                     (failures, frameless) = (0, false);
                     if events.send((tag, PumpEvent::Frame(msg))).is_err() {

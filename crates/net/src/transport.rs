@@ -12,10 +12,7 @@
 //!   before it blocks and at least every [`crate::proto::FLUSH_BOUND`]
 //!   while busy (see [`crate::link::flush_slot`]). Queued frames die with
 //!   their connection: [`FrameSender::kill`] drops them unwritten, like
-//!   bytes lost in a kernel buffer. A frame in two buffers
-//!   ([`FrameSender::queue_parts`]) is written without joining them, and
-//!   [`FrameReceiver::recv_pooled`] reads a large data frame's body
-//!   straight into a pooled buffer.
+//!   bytes lost in a kernel buffer.
 //! - [`duplex_pair`]: an in-process pair over a mutex/condvar queue, so
 //!   every test is hermetic. The pair models connection loss faithfully:
 //!   [`DuplexCore::kill`] makes both halves fail like a reset socket, and
@@ -30,11 +27,10 @@
 //! generation to advance (duplex).
 
 use crate::error::{NetError, NetResult};
-use crate::frame::{parse_header, FramePool, RawFrame, HEADER_LEN};
-use crate::proto::{kind, Msg, DATA_HEAD_LEN, OUTBOX_CAP, POOLED_MIN};
+use crate::frame::{parse_header, FramePool, HEADER_LEN};
+use crate::proto::{kind, Msg, OUTBOX_CAP, POOLED_MIN};
 use std::collections::VecDeque;
-use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock, WriteZero};
-use std::io::{IoSlice, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -50,11 +46,6 @@ pub trait FrameSender: Send {
     /// without an outbox writes it at once.
     fn queue_frame(&mut self, frame: &[u8]) -> NetResult<()> {
         self.send_frame(frame)
-    }
-
-    /// [`Self::queue_frame`] of a frame given as `head` then `body`.
-    fn queue_parts(&mut self, head: &[u8], body: &[u8]) -> NetResult<()> {
-        self.queue_frame(&[head, body].concat())
     }
 
     /// Writes every queued frame, in queue order.
@@ -79,14 +70,9 @@ pub trait FrameReceiver: Send {
     /// when the peer is gone; framing errors for garbage on the wire.
     fn recv_frame(&mut self, timeout: Duration) -> NetResult<Vec<u8>>;
 
-    /// [`Self::recv_frame`], reading a large data frame's sealed body into
-    /// a buffer from `pool` where the backend can ([`RawFrame`]).
-    fn recv_pooled(&mut self, timeout: Duration, _pool: &FramePool) -> NetResult<RawFrame> {
-        let head = self.recv_frame(timeout)?;
-        Ok(RawFrame {
-            head,
-            body: Vec::new(),
-        })
+    /// [`Self::recv_frame`], reading a large data frame into a buffer from `pool` if it can.
+    fn recv_pooled(&mut self, timeout: Duration, _pool: &FramePool) -> NetResult<Vec<u8>> {
+        self.recv_frame(timeout)
     }
 }
 
@@ -164,7 +150,6 @@ impl Transport for TcpTransport {
                 stream: read_half,
                 label: self.label,
                 pending: Vec::new(),
-                body: Vec::new(),
                 read_timeout: None,
             }),
         ))
@@ -182,42 +167,32 @@ struct TcpSender {
     outbox: Vec<u8>,
 }
 
-/// Writes `head` then `body` to `stream` in vectored writes.
-fn write_all(stream: &mut TcpStream, label: &str, head: &[u8], body: &[u8]) -> NetResult<()> {
-    let mut parts = [IoSlice::new(head), IoSlice::new(body)];
-    let mut parts = &mut parts[..];
-    IoSlice::advance_slices(&mut parts, 0);
-    while !parts.is_empty() {
-        match stream.write_vectored(parts) {
-            Ok(0) => return Err(NetError::io("send_frame", &WriteZero.into())),
-            Ok(n) => IoSlice::advance_slices(&mut parts, n),
-            Err(e) if e.kind() == Interrupted => {}
-            Err(e) => return Err(NetError::io_on("send_frame", label, &e)),
-        }
-    }
-    Ok(())
+/// Writes `bytes` to `stream`; a reset or broken pipe is connection loss.
+fn write_all(stream: &mut TcpStream, label: &str, bytes: &[u8]) -> NetResult<()> {
+    stream.write_all(bytes).map_err(|e| match e.kind() {
+        std::io::ErrorKind::ConnectionReset
+        | std::io::ErrorKind::ConnectionAborted
+        | std::io::ErrorKind::BrokenPipe => NetError::ConnectionLost {
+            link: label.to_string(),
+        },
+        _ => NetError::io("send_frame", &e),
+    })
 }
 
 impl FrameSender for TcpSender {
     fn send_frame(&mut self, frame: &[u8]) -> NetResult<()> {
         self.flush()?;
-        write_all(&mut self.stream, &self.label, frame, &[])
+        write_all(&mut self.stream, &self.label, frame)
     }
 
     fn queue_frame(&mut self, frame: &[u8]) -> NetResult<()> {
-        self.queue_parts(frame, &[])
-    }
-
-    fn queue_parts(&mut self, head: &[u8], body: &[u8]) -> NetResult<()> {
-        let len = head.len() + body.len();
-        if self.outbox.len() + len > OUTBOX_CAP {
+        if self.outbox.len() + frame.len() > OUTBOX_CAP {
             self.flush()?;
         }
-        if len >= OUTBOX_CAP {
-            return write_all(&mut self.stream, &self.label, head, body);
+        if frame.len() >= OUTBOX_CAP {
+            return write_all(&mut self.stream, &self.label, frame);
         }
-        self.outbox.extend_from_slice(head);
-        self.outbox.extend_from_slice(body);
+        self.outbox.extend_from_slice(frame);
         Ok(())
     }
 
@@ -227,7 +202,7 @@ impl FrameSender for TcpSender {
         if self.outbox.is_empty() {
             return Ok(());
         }
-        let written = write_all(&mut self.stream, &self.label, &self.outbox, &[]);
+        let written = write_all(&mut self.stream, &self.label, &self.outbox);
         self.outbox.clear();
         written
     }
@@ -243,9 +218,6 @@ struct TcpReceiver {
     label: String,
     /// Partial frame bytes carried across timed-out reads.
     pending: Vec<u8>,
-    /// A pooled frame's body so far (its head is `pending`); capacity 0
-    /// while none is being read.
-    body: Vec<u8>,
     /// The read timeout this receiver last set on the socket; `None`
     /// until its first `recv_frame`.
     read_timeout: Option<Duration>,
@@ -267,9 +239,8 @@ impl TcpReceiver {
     /// poll granularity, not a hard bound. A pump passes the same value
     /// on every call, so the socket option is set once per connection.
     /// With a `pool`, a data frame of [`POOLED_MIN`] bytes or more is read
-    /// as its head, then its body into a pooled buffer (when its header
-    /// lands, `pending` holds at most one read chunk: all its own).
-    fn recv(&mut self, timeout: Duration, pool: Option<&FramePool>) -> NetResult<RawFrame> {
+    /// into a pooled buffer, and that buffer is the frame returned.
+    fn recv(&mut self, timeout: Duration, pool: Option<&FramePool>) -> NetResult<Vec<u8>> {
         let deadline = Instant::now() + timeout;
         // A zero read timeout is rejected by the OS; such a call only
         // drains what is already buffered in `pending`.
@@ -281,33 +252,10 @@ impl TcpReceiver {
         }
         let mut chunk = [0u8; 16 * 1024];
         loop {
-            let frame = self.frame_len()?;
-            let pooled = pool
-                .zip(frame)
-                .filter(|&(_, (k, total))| k == kind::DATA && total >= POOLED_MIN + HEADER_LEN);
-            let head_in = self.pending.len() >= DATA_HEAD_LEN;
-            match (pooled, frame) {
-                (Some((pool, (_, total))), _) if head_in => {
-                    if self.body.capacity() == 0 {
-                        self.body = pool.take(total - DATA_HEAD_LEN);
-                        self.body.extend_from_slice(&self.pending[DATA_HEAD_LEN..]);
-                        self.pending.truncate(DATA_HEAD_LEN);
-                    }
-                    if self.body.len() == total - DATA_HEAD_LEN {
-                        return Ok(RawFrame {
-                            head: std::mem::take(&mut self.pending),
-                            body: std::mem::take(&mut self.body),
-                        });
-                    }
-                }
-                (None, Some((_, total))) if self.pending.len() >= total => {
-                    let rest = self.pending.split_off(total);
-                    return Ok(RawFrame {
-                        head: std::mem::replace(&mut self.pending, rest),
-                        body: Vec::new(),
-                    });
-                }
-                _ => {}
+            let frame_len = self.frame_len()?;
+            if let Some((_, total)) = frame_len.filter(|&(_, total)| self.pending.len() >= total) {
+                let rest = self.pending.split_off(total);
+                return Ok(std::mem::replace(&mut self.pending, rest));
             }
             if Instant::now() >= deadline {
                 return Err(NetError::Timeout {
@@ -316,16 +264,23 @@ impl TcpReceiver {
                 });
             }
             // Until the header is in, read whatever has arrived; after, read
-            // the rest of this frame (a pooled one's head, then its body)
-            // straight into its buffer, grown once. A read that times out
-            // keeps the bytes it got.
-            let read = match (pooled, frame) {
-                (Some((_, (_, total))), _) if head_in => {
-                    read_up_to(&mut self.stream, &mut self.body, total - DATA_HEAD_LEN)
+            // the rest of this frame straight into `pending`, grown once or
+            // pooled. A read that times out keeps the bytes it got.
+            let read = match frame_len {
+                Some((kind_byte, total)) => {
+                    let pooled = kind_byte == kind::DATA && total >= POOLED_MIN;
+                    if let Some(pool) = pool.filter(|_| pooled && self.pending.capacity() < total) {
+                        let mut buf = pool.take(total);
+                        buf.extend_from_slice(&self.pending);
+                        self.pending = buf;
+                    }
+                    let missing = total - self.pending.len();
+                    self.pending.reserve_exact(missing);
+                    (&mut self.stream)
+                        .take(missing as u64)
+                        .read_to_end(&mut self.pending)
                 }
-                (Some(_), _) => read_up_to(&mut self.stream, &mut self.pending, DATA_HEAD_LEN),
-                (None, Some((_, total))) => read_up_to(&mut self.stream, &mut self.pending, total),
-                (None, None) => self.stream.read(&mut chunk).inspect(|&n| {
+                None => self.stream.read(&mut chunk).inspect(|&n| {
                     self.pending.extend_from_slice(&chunk[..n]);
                 }),
             };
@@ -336,26 +291,34 @@ impl TcpReceiver {
                     })
                 }
                 Ok(_) => {}
-                Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {}
-                Err(e) => return Err(NetError::io_on("recv_frame", &self.label, &e)),
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut
+                        || e.kind() == std::io::ErrorKind::Interrupted =>
+                {
+                    continue;
+                }
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::ConnectionReset
+                        || e.kind() == std::io::ErrorKind::ConnectionAborted
+                        || e.kind() == std::io::ErrorKind::BrokenPipe =>
+                {
+                    return Err(NetError::ConnectionLost {
+                        link: self.label.clone(),
+                    })
+                }
+                Err(e) => return Err(NetError::io("recv_frame", &e)),
             }
         }
     }
 }
 
-/// Reads from `stream` until `buf` holds `len` bytes, growing it once.
-fn read_up_to(stream: &mut TcpStream, buf: &mut Vec<u8>, len: usize) -> std::io::Result<usize> {
-    let missing = len - buf.len();
-    buf.reserve_exact(missing);
-    stream.take(missing as u64).read_to_end(buf)
-}
-
 impl FrameReceiver for TcpReceiver {
     fn recv_frame(&mut self, timeout: Duration) -> NetResult<Vec<u8>> {
-        self.recv(timeout, None).map(|frame| frame.head)
+        self.recv(timeout, None)
     }
 
-    fn recv_pooled(&mut self, timeout: Duration, pool: &FramePool) -> NetResult<RawFrame> {
+    fn recv_pooled(&mut self, timeout: Duration, pool: &FramePool) -> NetResult<Vec<u8>> {
         self.recv(timeout, Some(pool))
     }
 }
@@ -984,9 +947,8 @@ mod tests {
     }
 
     #[test]
-    fn a_pooled_read_keeps_its_bytes_across_timeouts_and_lands_the_body_apart() {
+    fn a_pooled_read_keeps_its_bytes_across_timeouts_and_lands_in_the_pool() {
         let (mut tx, mut rx) = tcp_pair();
-        let pool = FramePool::default();
         let data = crate::proto::DataFrame {
             src: 0,
             dst: 1,
@@ -996,21 +958,26 @@ mod tests {
             micro_batch: 5,
             sealed: vec![0xC3u8; 200_000],
         };
-        let frame = Msg::Data(data.clone()).encode().unwrap();
+        let frame = Msg::Data(data).encode().unwrap();
         let small = Msg::Start.encode().unwrap();
-        // Inside the header, inside the head, inside the body, then the rest
-        // followed by a small frame.
+        let (pool, buf) = (FramePool::default(), Vec::with_capacity(frame.len()));
+        let at = buf.as_ptr();
+        pool.give(buf);
+        // Inside the header, inside the frame, then the rest followed by a
+        // small frame.
         let rest = [&frame[90_000..], &small[..]].concat();
-        for part in [&frame[..5], &frame[5..20], &frame[20..90_000], &rest[..]] {
+        for part in [&frame[..5], &frame[5..90_000], &rest[..]] {
             let waited = rx.recv_pooled(Duration::from_millis(50), &pool);
             assert!(matches!(waited, Err(NetError::Timeout { .. })));
             tx.send_frame(part).unwrap();
         }
-        let raw = rx.recv_pooled(POLL, &pool).unwrap();
-        assert_eq!((raw.head.len(), raw.body.len()), (DATA_HEAD_LEN, 200_000));
-        assert_eq!(Msg::decode_raw(raw).unwrap(), Msg::Data(data));
-        let raw = rx.recv_pooled(POLL, &pool).unwrap();
-        assert_eq!((raw.head, raw.body), (small, Vec::new()), "small: whole");
+        let got = rx.recv_pooled(POLL, &pool).unwrap();
+        assert_eq!(
+            (&got, got.as_ptr()),
+            (&frame, at),
+            "read into the pooled buffer"
+        );
+        assert_eq!(rx.recv_pooled(POLL, &pool).unwrap(), small);
     }
 
     #[test]

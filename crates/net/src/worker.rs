@@ -133,8 +133,7 @@ struct Worker {
     barrier: u64,
     control_slot: SenderSlot,
     data_slot: SenderSlot,
-    /// Frame buffers shared with the pumps: an input is received, opened
-    /// and computed on in one, which returns when its output is acked.
+    /// Frame buffers shared with the pumps; an input's returns when its output is acked.
     pool: FramePool,
     chaos: Option<Arc<ChaosInjector>>,
     heartbeat_seq: u64,
@@ -978,12 +977,8 @@ mod tests {
 
     impl FrameSender for Tap {
         fn send_frame(&mut self, frame: &[u8]) -> NetResult<()> {
-            self.queue_parts(frame, &[])
-        }
-
-        fn queue_parts(&mut self, head: &[u8], body: &[u8]) -> NetResult<()> {
-            self.0.lock().unwrap().push([head, body].concat());
-            self.1.queue_parts(head, body)
+            self.0.lock().unwrap().push(frame.to_vec());
+            self.1.send_frame(frame)
         }
 
         fn flush(&mut self) -> NetResult<()> {
@@ -1046,10 +1041,11 @@ mod tests {
             let pending = out_tx.push(Instant::now(), 0, micro_batch, input.clone());
             assert_eq!(link.send(pending).unwrap(), TxOutcome::Sent);
             let raw = relay_rx.recv_pooled(OP_TIMEOUT, &pool).unwrap();
-            assert!(!raw.body.is_empty(), "the body lands in a pooled buffer");
-            let Msg::Data(frame) = Msg::decode_raw(raw).unwrap() else {
+            let at = raw.as_ptr();
+            let Msg::Data(frame) = Msg::decode_owned(raw).unwrap() else {
                 panic!("a data frame");
             };
+            assert_eq!(frame.sealed.as_ptr(), at, "the frame's buffer is kept");
             orch.handle_data(0, frame).unwrap();
             received.push(stage1_rx.recv_frame(OP_TIMEOUT).unwrap());
         }

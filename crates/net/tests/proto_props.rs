@@ -8,10 +8,11 @@
 //! `prop_flat_map`, so messages are derived from a few `u64` entropy
 //! seeds instead of one strategy per field.
 
-use pipellm_net::frame::{decode_frame, encode_frame, RawFrame, HEADER_LEN};
+use pipellm_net::frame::{decode_frame, encode_frame, HEADER_LEN};
 use pipellm_net::proto::{
     CheckpointReq, CheckpointSave, CounterReport, DataAck, DataFrame, EdgeCounterEntry, Fin,
     Heartbeat, Hello, ManifestAck, Msg, RekeyEdge, Restore, ShardManifest, DATA_HEAD_LEN,
+    POOLED_MIN,
 };
 use pipellm_net::NetError;
 use proptest::prelude::*;
@@ -169,9 +170,10 @@ fn msg_strategy() -> impl Strategy<Value = Msg> {
         .prop_map(|(pick, a, b, sealed)| msg_from(pick, a, b, sealed))
 }
 
-/// Frames for the two decode entry points: a valid frame of any message,
-/// or one cut short, with trailing bytes, with a length that lies (a data
-/// frame's body length or the header's), or with its kind byte replaced.
+/// Frames for the two decode entry points: a valid frame of any message
+/// (a data frame's body small or of `POOLED_MIN` bytes more), or one cut
+/// short, with trailing bytes, with a length that lies (a data frame's
+/// body length or the header's), or with its kind byte replaced.
 fn frame_strategy() -> impl Strategy<Value = Vec<u8>> {
     (
         msg_strategy(),
@@ -179,7 +181,10 @@ fn frame_strategy() -> impl Strategy<Value = Vec<u8>> {
         (any::<u64>(), any::<u64>(), any::<u8>()),
         proptest::collection::vec(any::<u8>(), 0..300),
     )
-        .prop_map(|(msg, pick, (a, b, byte), sealed)| {
+        .prop_map(|(msg, pick, (a, b, byte), mut sealed)| {
+            if pick & 64 != 0 {
+                sealed.resize(sealed.len() + POOLED_MIN, byte);
+            }
             let data = Msg::Data(match msg_from(4, a, b, sealed) {
                 Msg::Data(d) => d,
                 _ => unreachable!("pick 4 is a data frame"),
@@ -213,39 +218,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The owning decode and the borrowing one are one parser: for every
-    /// frame and every split of it into a head and a body, `decode_raw`
-    /// returns what `decode` returns of the whole — the same message or
-    /// the same error. Split where a receiver splits a data frame (its
-    /// head, then its sealed body), the message adopts the body's buffer.
+    /// frame, `decode_owned` returns what `decode` returns — the same
+    /// message or the same error — and a data message of `POOLED_MIN`
+    /// bytes or more keeps the frame's buffer.
     #[test]
-    fn one_parser_two_entry_points(frame in frame_strategy(), cut in any::<prop::sample::Index>()) {
-        let whole = Msg::decode(&frame);
-        for split in [cut.index(frame.len() + 1), DATA_HEAD_LEN.min(frame.len()), 0, frame.len()] {
-            let (head, body) = frame.split_at(split);
-            let raw = RawFrame { head: head.to_vec(), body: body.to_vec() };
-            prop_assert_eq!(Msg::decode_raw(raw), whole.clone(), "split at {}", split);
-        }
-        if let Ok(Msg::Data(d)) = &whole {
-            if !d.sealed.is_empty() {
-                let body = frame[DATA_HEAD_LEN..].to_vec();
-                let at = body.as_ptr();
-                let head = frame[..DATA_HEAD_LEN].to_vec();
-                match Msg::decode_raw(RawFrame { head, body }) {
-                    Ok(Msg::Data(adopted)) => prop_assert_eq!(adopted.sealed.as_ptr(), at),
-                    other => prop_assert!(false, "a data frame decodes: {:?}", other),
-                }
-            }
+    fn one_parser_two_entry_points(frame in frame_strategy()) {
+        let (at, large) = (frame.as_ptr(), frame.len() >= POOLED_MIN);
+        prop_assert_eq!(&Msg::decode_owned(frame.clone()), &Msg::decode(&frame));
+        if let Ok(Msg::Data(d)) = Msg::decode_owned(frame) {
+            prop_assert_eq!(d.sealed.as_ptr() == at, large);
         }
     }
 
-    /// A data frame's head is the first `DATA_HEAD_LEN` bytes of its
-    /// encoding: what a sender writes before the body it holds apart.
+    /// A data frame built in its own buffer is its encoding.
     #[test]
-    fn a_data_head_prefixes_the_encoding(a in any::<u64>(), b in any::<u64>(), sealed in proptest::collection::vec(any::<u8>(), 0..300)) {
+    fn a_frame_built_in_place_is_the_encoding(a in any::<u64>(), b in any::<u64>(), sealed in proptest::collection::vec(any::<u8>(), 0..300)) {
         let Msg::Data(frame) = msg_from(4, a, b, sealed) else { unreachable!("pick 4 is a data frame") };
         let encoded = Msg::Data(frame.clone()).encode().expect("encodable");
-        prop_assert_eq!(&encoded[..DATA_HEAD_LEN], &frame.head().expect("under the cap")[..]);
-        prop_assert_eq!(&encoded[DATA_HEAD_LEN..], &frame.sealed[..]);
+        prop_assert_eq!(frame.into_frame().expect("under the cap"), encoded);
     }
 
     /// decode ∘ encode is the identity for every protocol message.
