@@ -10,7 +10,9 @@
 //!   or dropped) in any order;
 //! - the receiver's `open_data` — stale-epoch frames dropped without
 //!   burning an IV, future-epoch frames fast-forwarding the receive
-//!   epoch, corrupt frames turned into sentinels plus a NACK;
+//!   epoch only when their tag verifies under the candidate keys, corrupt
+//!   frames turned into sentinels plus a NACK (a corrupt future-epoch one
+//!   at the current epoch, remembering the candidate IV it consumed);
 //! - recovery — NACK-triggered reseal at a *fresh* IV, and the
 //!   level-triggered resend sweep for frames lost on the wire; a loss is
 //!   what a dead connection does, so it is followed by the rekey the
@@ -100,6 +102,9 @@ pub struct LinkModel {
     // --- receiver ---
     rx_epoch: u32,
     rx_next_iv: u32,
+    /// A newer epoch corrupt frames claimed, and how many of its IVs they
+    /// consumed (`EdgeCrypto`'s candidate bookkeeping).
+    rx_ahead: Option<(u32, u32)>,
     delivered: Vec<bool>,
     /// The `Fin` the receiver accepted, `(epoch, iv)`.
     fin_accepted: Option<(u32, u32)>,
@@ -130,6 +135,7 @@ impl LinkModel {
             wire: Vec::new(),
             rx_epoch: 0,
             rx_next_iv: 1,
+            rx_ahead: None,
             delivered: vec![false; n],
             fin_accepted: None,
             loss_rekey: false,
@@ -197,6 +203,20 @@ impl LinkModel {
             && self.fin_sent.map(|(at, _)| at) != Some((self.tx_epoch, self.tx_next_iv))
     }
 
+    /// The receive IVs of `epoch` that corrupt frames claiming it consumed.
+    fn consumed_in(&self, epoch: u32) -> u32 {
+        match self.rx_ahead {
+            Some((claimed, consumed)) if claimed == epoch => consumed,
+            _ => 0,
+        }
+    }
+
+    /// Moves the receiver to the newer `epoch`, its counter past the IVs
+    /// corrupt frames claiming that epoch consumed (`EdgeCrypto::rekey_to`).
+    fn fast_forward(&mut self, epoch: u32) {
+        (self.rx_epoch, self.rx_next_iv) = (epoch, self.consumed_in(epoch) + 1);
+    }
+
     /// Receives a `Fin` as `LinkRx::accept` does, acknowledging it to the
     /// sender when accepted.
     fn deliver_fin(&mut self, f: Frame) {
@@ -204,7 +224,7 @@ impl LinkModel {
             return;
         }
         if f.epoch > self.rx_epoch {
-            (self.rx_epoch, self.rx_next_iv) = (f.epoch, 1);
+            self.fast_forward(f.epoch);
         }
         if f.iv != self.rx_next_iv {
             return;
@@ -309,9 +329,20 @@ impl Model for LinkModel {
                     return;
                 }
                 if f.epoch > self.rx_epoch {
-                    // Future epoch: fast-forward, as the receiver does on
-                    // the first frame after a rekey.
-                    (self.rx_epoch, self.rx_next_iv) = (f.epoch, 1);
+                    if f.corrupt {
+                        // Fails under the candidate keys: a sentinel at the
+                        // current epoch, which does not move; the candidate
+                        // IV it consumed is remembered.
+                        self.rx_ahead = Some((f.epoch, self.consumed_in(f.epoch) + 1));
+                        self.rx_next_iv += 1;
+                        if !self.nacks.contains(&f.seq) {
+                            self.nacks.push(f.seq);
+                        }
+                        return;
+                    }
+                    // The tag verifies under the candidate keys: fast-forward,
+                    // as the receiver does on the first frame after a rekey.
+                    self.fast_forward(f.epoch);
                 }
                 if f.epoch != self.rx_epoch {
                     self.violation = Some(format!(

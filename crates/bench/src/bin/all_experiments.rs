@@ -1,6 +1,5 @@
 //! Runs every experiment in the paper plus the extra ablations, printing
-//! each table — the one-shot regeneration entry point behind
-//! EXPERIMENTS.md.
+//! each table — the one-shot regeneration entry point.
 
 fn main() {
     let scale = pipellm_bench::scale_from_args();

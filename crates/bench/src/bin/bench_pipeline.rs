@@ -1,6 +1,6 @@
 //! Stage-scaling benchmark: emits `BENCH_pipeline.json` with pipeline-
-//! parallel throughput, speculation hit rate, and per-link crypto
-//! serialization versus stage count, for CC-off, native CC, and PipeLLM.
+//! parallel throughput and per-link crypto serialization versus stage
+//! count, for CC-off, native CC, and PipeLLM.
 //!
 //! Usage:
 //!   cargo run --release -p pipellm-bench --bin bench_pipeline \

@@ -2,8 +2,8 @@
 //!
 //! One module per table/figure of the paper's evaluation (§3, §7). Each
 //! module exposes a `run` function returning printable rows, so the same
-//! code drives the `fig*` binaries, the integration tests, and
-//! EXPERIMENTS.md. Absolute numbers come from the calibrated simulator
+//! code drives the `fig*` binaries and the integration tests. Absolute
+//! numbers come from the calibrated simulator
 //! ([`pipellm_gpu::IoTimingModel`]); the claims under test are *shapes*:
 //! who wins, by what factor, and where the crossovers sit.
 

@@ -7,8 +7,8 @@
 //! - CC-off is fastest at every stage count (no crypto anywhere);
 //! - PipeLLM throughput ≥ native CC at every stage count — at one stage
 //!   the two coincide (no inter-stage links to pipeline), and from two
-//!   stages up the speculative edge pipelines hide the per-hop seals that
-//!   native CC serializes onto the stage threads;
+//!   stages up PipeLLM hides the per-hop seals that native CC serializes
+//!   onto the stage threads;
 //! - per-link crypto serialization *grows* with stage count (more hops
 //!   per micro-batch), which is exactly why it must be measured per edge
 //!   rather than assumed constant;
@@ -29,8 +29,6 @@ pub struct PipelineRow {
     pub mb_per_sec: f64,
     /// Throughput relative to "w/o CC" at the same stage count.
     pub vs_cc_off: f64,
-    /// Speculation success rate over all edge directions (PipeLLM only).
-    pub spec_hit_rate: Option<f64>,
     /// Total seal/open time serialized onto the inter-stage links, in
     /// seconds.
     pub edge_serialization_s: f64,
@@ -40,9 +38,8 @@ pub struct PipelineRow {
 
 /// Crypto worker threads per device at every scale point: the paper's
 /// multi-threaded engine (§7.2), the same k for all three systems — native
-/// CC gang-shards its blocking seals across the pool exactly like
-/// PipeLLM's speculative seals, so the comparison isolates *pipelining*,
-/// not thread count.
+/// CC and PipeLLM gang-shard the same seals across the pool, so the
+/// comparison isolates *pipelining*, not thread count.
 pub const CRYPTO_THREADS: usize = 4;
 
 /// The engine configuration used at every scale point.
@@ -69,14 +66,11 @@ fn run_system(
     });
     let report = engine.run_to_completion().expect("pipeline run");
     let summary = engine.cluster().timeline_summary(report.finished_at);
-    let stats = engine.spec_stats();
     PipelineRow {
         stages,
         system: system.label().to_string(),
         mb_per_sec: report.tokens_per_sec,
         vs_cc_off: 0.0,
-        spec_hit_rate: (system == PipelineSystem::PipeLlm && stats.speculated > 0)
-            .then(|| stats.success_rate()),
         edge_serialization_s: summary.total_edge_serialization().as_secs_f64(),
         lockstep: engine.verify_edges().is_ok(),
     }
@@ -113,19 +107,15 @@ pub fn to_json(rows: &[PipelineRow]) -> String {
     );
     for (i, row) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
-        let hit_rate = row
-            .spec_hit_rate
-            .map_or("null".to_string(), |r| format!("{r:.4}"));
         writeln!(
             out,
             "    {{\"stages\": {}, \"system\": \"{}\", \"mb_per_sec\": {:.3}, \
-             \"vs_cc_off\": {:.3}, \"spec_hit_rate\": {}, \
-             \"edge_serialization_s\": {:.6}, \"lockstep\": {}}}{}",
+             \"vs_cc_off\": {:.3}, \"edge_serialization_s\": {:.6}, \
+             \"lockstep\": {}}}{}",
             row.stages,
             row.system,
             row.mb_per_sec,
             row.vs_cc_off,
-            hit_rate,
             row.edge_serialization_s,
             row.lockstep,
             comma
@@ -141,20 +131,18 @@ pub fn to_table(rows: &[PipelineRow]) -> String {
     let mut out = String::new();
     writeln!(
         out,
-        "{:>6} {:<8} {:>10} {:>10} {:>9} {:>14} {:>9}",
-        "stages", "system", "mb/s", "vs w/o CC", "hit_rate", "edge_crypto(s)", "lockstep"
+        "{:>6} {:<8} {:>10} {:>10} {:>14} {:>9}",
+        "stages", "system", "mb/s", "vs w/o CC", "edge_crypto(s)", "lockstep"
     )
     .expect("writing to String cannot fail");
     for row in rows {
         writeln!(
             out,
-            "{:>6} {:<8} {:>10.1} {:>9.2}x {:>9} {:>14.6} {:>9}",
+            "{:>6} {:<8} {:>10.1} {:>9.2}x {:>14.6} {:>9}",
             row.stages,
             row.system,
             row.mb_per_sec,
             row.vs_cc_off,
-            row.spec_hit_rate
-                .map_or("-".to_string(), |r| format!("{:.0}%", r * 100.0)),
             row.edge_serialization_s,
             row.lockstep,
         )
@@ -189,7 +177,6 @@ mod tests {
         // positive there and zero in the single-GPU run.
         assert_eq!(get(1, "CC").edge_serialization_s, 0.0);
         assert!(get(2, "CC").edge_serialization_s > 0.0);
-        assert!(get(2, "PipeLLM").spec_hit_rate.unwrap() > 0.5);
     }
 
     #[test]

@@ -119,8 +119,8 @@ pub enum FaultSite {
     HostToDevice,
     /// GPU→CPU transfer (`memcpy_dtoh_async`).
     DeviceToHost,
-    /// GPU→GPU transfer over an NVLink edge (`memcpy_dtod_async` and the
-    /// interposed `submit_dtod_sealed`).
+    /// GPU→GPU transfer over an NVLink edge (`memcpy_dtod_async`, the one
+    /// edge path of every system).
     DeviceToDevice,
     /// KV-cache swap-out sealing (`swap_out_kv_group`).
     KvSwapOut,

@@ -47,7 +47,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod classify;
-pub mod edge;
 pub mod kvswap;
 pub mod observer;
 pub mod partition;
@@ -59,7 +58,6 @@ pub mod session;
 pub mod stats;
 
 pub use classify::{SizeClassifier, TransferClass};
-pub use edge::EdgePipeline;
 pub use kvswap::{KvSwapPipeline, POISONED_VERSION};
 pub use observer::{SideChannelObserver, WireObservation};
 pub use partition::{Pass, PipelineSchedule, ScheduleOp, StagePartition};

@@ -148,11 +148,12 @@ impl SpeculationQueue {
     /// Drops every entry with `iv < min_iv` (consumed or skipped by NOP
     /// padding); returns the dropped entries for unprotection.
     pub fn drop_below(&mut self, min_iv: u64) -> Vec<SpecEntry> {
-        let mut dropped = Vec::new();
-        while matches!(self.entries.front(), Some(e) if e.iv < min_iv) {
-            dropped.push(self.entries.pop_front().expect("front checked"));
-        }
-        dropped
+        let below = self
+            .entries
+            .iter()
+            .position(|e| e.iv >= min_iv)
+            .unwrap_or(self.entries.len());
+        self.entries.drain(..below).collect()
     }
 
     /// Clears the whole queue (pipeline relinquish); returns the entries

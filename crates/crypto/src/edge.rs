@@ -8,7 +8,9 @@
 //! seed ([`WireEdge::key_seed`], the only public path from a cluster seed
 //! to a channel root), so they agree on keys without negotiating.
 
-use crate::channel::{staging_buffer, Endpoint, SealedMessage, SecureChannel, IV_HEADROOM};
+use crate::channel::{
+    staging_buffer, Endpoint, SealedMessage, SecureChannel, IV_HEADROOM, SENTINEL_BYTE,
+};
 use crate::engine::CryptoEngine;
 use crate::session::{device_key_seed, edge_key_seed, SessionId, SessionManager};
 use crate::{CryptoError, Result};
@@ -92,6 +94,14 @@ impl Role {
             Role::ChannelDevice => device,
         }
     }
+
+    /// This role's endpoint of `channel`.
+    fn end_mut(self, channel: &mut SecureChannel) -> &mut Endpoint {
+        match self {
+            Role::ChannelHost => channel.host_mut(),
+            Role::ChannelDevice => channel.device_mut(),
+        }
+    }
 }
 
 /// The channel role `node` plays on `edge` (see [`Role`]), so both
@@ -113,6 +123,12 @@ pub struct EdgeCrypto {
     role: Role,
     sessions: SessionManager,
     active: SessionId,
+    /// The last epoch that frames failing authentication claimed ahead of
+    /// the active session's, and how many of its receive IVs they consumed:
+    /// an honest sender that rekeyed sealed them there
+    /// ([`EdgeCrypto::open_ahead_or_sentinel`]). Once the session reaches
+    /// or passes that epoch the entry matches no candidate again.
+    ahead: Option<(u32, u64)>,
 }
 
 impl EdgeCrypto {
@@ -124,6 +140,7 @@ impl EdgeCrypto {
             role,
             sessions: SessionManager::from_seed(edge.key_seed(cluster_seed)),
             active: SessionId::DEFAULT,
+            ahead: None,
         };
         crypto.open_session();
         crypto
@@ -161,8 +178,9 @@ impl EdgeCrypto {
     /// Points the session-unaware calls at `id`. Returns whether `id` is
     /// live; an unknown id changes nothing.
     pub fn set_session(&mut self, id: SessionId) -> bool {
-        if self.sessions.contains(id) {
+        if self.sessions.contains(id) && id != self.active {
             self.active = id;
+            self.ahead = None;
         }
         self.active == id
     }
@@ -183,9 +201,70 @@ impl EdgeCrypto {
     /// both IV counters restarted at 1 — never reusing a counter of the
     /// previous epoch), in one key derivation however far ahead `target`
     /// lies. A target at or below the current epoch is a no-op: rekey
-    /// messages can arrive duplicated or late.
+    /// messages can arrive duplicated or late. The receive counter starts
+    /// past any IVs that failed frames claiming `target` already consumed.
     pub fn rekey_to(&mut self, target: u32) {
-        self.sessions.rekey_to(self.active, target);
+        if let Some(channel) = self.candidate(target) {
+            self.sessions.install(self.active, target, channel);
+        }
+    }
+
+    /// The active session's channel at `epoch`, if ahead of the current
+    /// one: this node's send counter at 1, its receive counter past the
+    /// IVs failed frames claiming `epoch` consumed.
+    fn candidate(&self, epoch: u32) -> Option<SecureChannel> {
+        let rx_iv = self.consumed_in(epoch) + 1;
+        let (h2d_iv, d2h_iv) = self.role.pick((1, rx_iv), (rx_iv, 1));
+        self.sessions.channel_at(self.active, epoch, h2d_iv, d2h_iv)
+    }
+
+    /// Opens a received frame that claims `epoch`, ahead of the active
+    /// session's, without trusting the claim: the frame is opened under
+    /// that epoch's candidate keys, and only a verified tag moves the
+    /// session there (its receive counter past this frame). Otherwise the
+    /// frame is a sentinel at the *current* epoch and consumes its receive
+    /// IV, as with any frame that fails: `current_aad` is the frame's
+    /// binding under the current epoch, and if the bytes authenticate
+    /// under it the sender sealed them there and only the header's epoch
+    /// was rewritten in flight — they are rejected all the same. Bytes that
+    /// authenticate under neither are remembered as one consumed IV of the
+    /// claimed epoch, so a sender that did rekey and whose first frame was
+    /// corrupted stays in lockstep once its epoch is confirmed.
+    pub fn open_ahead_or_sentinel(
+        &mut self,
+        epoch: u32,
+        aad: &[u8],
+        current_aad: &[u8],
+        mut sealed: Vec<u8>,
+    ) -> (Vec<u8>, bool) {
+        if let Some(mut channel) = self.candidate(epoch) {
+            // A failed open leaves both the bytes and the counter as they were.
+            if self
+                .role
+                .end_mut(&mut channel)
+                .rx_mut()
+                .open_in_place(aad, &mut sealed)
+                .is_ok()
+            {
+                self.sessions.install(self.active, epoch, channel);
+                return (sealed, true);
+            }
+        }
+        let (mut buf, authentic) = self.open_or_sentinel(current_aad, sealed);
+        if authentic {
+            buf.fill(SENTINEL_BYTE);
+        } else {
+            self.ahead = Some((epoch, self.consumed_in(epoch) + 1));
+        }
+        (buf, false)
+    }
+
+    /// The receive IVs of `epoch` that failed frames claiming it consumed.
+    fn consumed_in(&self, epoch: u32) -> u64 {
+        match self.ahead {
+            Some((claimed, consumed)) if claimed == epoch => consumed,
+            _ => 0,
+        }
     }
 
     /// This node's endpoint of the active session's channel.
@@ -194,12 +273,10 @@ impl EdgeCrypto {
     ///
     /// [`CryptoError::UnknownSession`] if the active session is gone.
     pub fn endpoint_mut(&mut self) -> Result<&mut Endpoint> {
-        let side: fn(&mut SecureChannel) -> &mut Endpoint = self
-            .role
-            .pick(SecureChannel::host_mut, SecureChannel::device_mut);
+        let role = self.role;
         self.sessions
             .channel_mut(self.active)
-            .map(side)
+            .map(|channel| role.end_mut(channel))
             .ok_or(CryptoError::UnknownSession {
                 session: self.active,
             })
@@ -268,5 +345,51 @@ impl EdgeCrypto {
                     && mine.tx().next_iv() == theirs.rx().next_iv()
                     && mine.rx().next_iv() == theirs.tx().next_iv()
             })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::channel::IV_LIMIT;
+
+    /// The two ends of edge 0–1, keyed from one cluster seed.
+    fn ends() -> (EdgeCrypto, EdgeCrypto) {
+        let edge = WireEdge::between(0, 1);
+        (
+            EdgeCrypto::new(7, edge, role_at(edge, 0)),
+            EdgeCrypto::new(7, edge, role_at(edge, 1)),
+        )
+    }
+
+    #[test]
+    fn headroom_rekey_continues_on_the_fresh_epoch() {
+        let (mut a, mut b) = ends();
+        let sid = a.open_session_with_initial_ivs(IV_LIMIT - 4, 1);
+        assert_eq!(b.open_session_with_initial_ivs(IV_LIMIT - 4, 1), sid);
+        assert!(a.set_session(sid) && b.set_session(sid));
+        assert!(a.needs_rekey(), "a's sender is inside the headroom");
+        assert!(!b.needs_rekey(), "b's sender is not");
+        // Both ends move to epoch 1: keys change, both counters restart.
+        a.rekey_to(1);
+        b.rekey_to(1);
+        assert_eq!((a.epoch(), b.epoch()), (1, 1));
+        assert!(a.mirrors(&b));
+        assert!(!a.needs_rekey() && a.tx_iv() == 1);
+        // Traffic flows on the fresh epoch in both directions.
+        let sealed = a.seal(b"hop", b"forward").unwrap();
+        assert_eq!(sealed.iv, 1);
+        let (plain, ok) = b.open_or_sentinel(b"hop", sealed.bytes);
+        assert!(ok);
+        assert_eq!(plain, b"forward");
+        let sealed = b.seal(b"hop", b"back").unwrap();
+        let (plain, ok) = a.open_or_sentinel(b"hop", sealed.bytes);
+        assert!(ok);
+        assert_eq!(plain, b"back");
+        assert!(a.mirrors(&b));
+        // A late duplicate of the rekey restarts nothing.
+        a.rekey_to(1);
+        assert_eq!((a.epoch(), a.tx_iv()), (1, 2));
+        assert!(a.mirrors(&b));
     }
 }

@@ -260,14 +260,45 @@ impl SessionManager {
     /// for an unknown session or an `epoch` not ahead of the current one:
     /// re-entering an epoch would restart its counters and repeat nonces.
     pub fn rekey_to(&mut self, id: SessionId, epoch: u32) -> Option<u32> {
+        let channel = self.channel_at(id, epoch, 1, 1)?;
+        self.install(id, epoch, channel)
+    }
+
+    /// The session's channel pair at `epoch`, ahead of its current one,
+    /// with explicit starting IVs per direction — a candidate that moves
+    /// nothing until [`SessionManager::install`]ed. `None` for an unknown
+    /// session or an `epoch` not ahead of the current one.
+    pub(crate) fn channel_at(
+        &self,
+        id: SessionId,
+        epoch: u32,
+        h2d_iv: u64,
+        d2h_iv: u64,
+    ) -> Option<SecureChannel> {
         if epoch <= self.sessions.get(&id)?.epoch {
             return None;
         }
-        let mut channel = SecureChannel::new(self.derive_keys(id, epoch));
+        let mut channel =
+            SecureChannel::with_initial_ivs(self.derive_keys(id, epoch), h2d_iv, d2h_iv);
         if let Some(engine) = &self.engine {
             channel.set_engine(engine);
         }
+        Some(channel)
+    }
+
+    /// Moves the session to `epoch` on `channel`, a candidate from
+    /// [`SessionManager::channel_at`]. Returns the new epoch, or `None` —
+    /// leaving the session untouched — as [`SessionManager::rekey_to`].
+    pub(crate) fn install(
+        &mut self,
+        id: SessionId,
+        epoch: u32,
+        channel: SecureChannel,
+    ) -> Option<u32> {
         let session = self.sessions.get_mut(&id)?;
+        if epoch <= session.epoch {
+            return None;
+        }
         session.epoch = epoch;
         session.channel = channel;
         Some(epoch)

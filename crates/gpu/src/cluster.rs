@@ -22,15 +22,15 @@
 //! - an [`EdgeTimeline`] per edge modelling NVLink bandwidth plus the
 //!   per-link crypto serialization the cluster report surfaces.
 //!
-//! The transfer surface mirrors the single-GPU context: a *native* path
-//! ([`ClusterContext::memcpy_dtod_async`]) where sealing blocks the
-//! issuing stage thread (native NVIDIA CC semantics), and an
-//! *interposition* path ([`ClusterContext::seal_edge_region`], then
-//! [`ClusterContext::submit_dtod_sealed`]) that lets PipeLLM's edge
-//! pipeline seal an activation on a crypto worker and submit the
-//! ciphertext without blocking the stage thread. The submit commits only
-//! at the sender's exact next IV; the edge pipeline seals at that IV and
-//! submits at once, so an edge needs no NOP padding.
+//! An edge has one transfer path, [`ClusterContext::memcpy_dtod_async`]:
+//! it seals at the sender's live IV on the source device's crypto pool,
+//! moves the ciphertext, and opens at the destination, rekeying the edge
+//! first when either direction nears IV exhaustion. Its `api_return` is
+//! when the seal ends — the moment native NVIDIA CC frees the issuing
+//! stage thread. PipeLLM needs no second path: an inter-stage activation
+//! is known the moment its producer kernel retires, so nothing is
+//! predicted and nothing can be mispredicted; the caller simply does not
+//! wait for `api_return`, and the seal overlaps its next compute.
 
 use crate::context::{
     absorb_frame_fault, open_delivered, sealed_kind, stage_plaintext, CcMode, ContextConfig,
@@ -40,11 +40,9 @@ use crate::memory::{DevicePtr, HostAddr, HostRegion, Payload};
 use crate::runtime::{GpuRuntime, SessionedRuntime};
 use crate::timing::IoTimingModel;
 use pipellm_chaos::{ChaosInjector, FaultSite};
-use pipellm_crypto::channel::SealedMessage;
 use pipellm_crypto::edge::{role_at, EdgeCrypto, WireEdge, HOST_NODE};
 use pipellm_crypto::engine::CryptoEngine;
 use pipellm_crypto::session::SessionId;
-use pipellm_crypto::CryptoError;
 use pipellm_sim::cluster::{EdgeTimeline, TimelineRow, TimelineSummary};
 use pipellm_sim::time::SimTime;
 use std::fmt;
@@ -464,15 +462,20 @@ impl ClusterContext {
     /// `dst` (the NCCL/NVLink `cudaMemcpyPeerAsync` analogue).
     ///
     /// With CC off the payload moves in plaintext at full NVLink bandwidth
-    /// and the API returns immediately. With CC on this is the *native*
-    /// path: the issuing stage's thread seals on the source device's crypto
-    /// pool (blocking until the ciphertext exists), the wire moves it, and
-    /// the destination decrypts before the data is usable — crypto on the
-    /// critical path at both ends.
+    /// and the API returns immediately. With CC on the edge first rekeys if
+    /// either direction is inside the IV-exhaustion headroom; then the
+    /// buffer is sealed at the sender's live IV on the source device's
+    /// crypto pool from `now`, the wire moves it, and the destination
+    /// decrypts before the data is usable. `api_return` is the end of the
+    /// seal: native CC blocks the issuing thread until then, while PipeLLM
+    /// frees it at `now` (see the module docs).
     ///
     /// # Errors
     ///
-    /// [`GpuError::Memory`] for unknown pointers or capacity errors.
+    /// [`GpuError::Memory`] for unknown pointers or capacity errors, and
+    /// [`GpuError::TransferFaulted`] when an injected fault ate the frame
+    /// (both ends burned its IV, so the edge stays in lockstep and the
+    /// caller retries).
     ///
     /// # Panics
     ///
@@ -505,6 +508,13 @@ impl ClusterContext {
                 }
             }
             CcMode::On => {
+                // Inside the IV-exhaustion headroom of either direction,
+                // both ends move to the next epoch, as a `RekeyEdge` does.
+                if hop.tx.needs_rekey() || hop.rx.needs_rekey() {
+                    let next = hop.tx.epoch().saturating_add(1);
+                    hop.tx.rekey_to(next);
+                    hop.rx.rekey_to(next);
+                }
                 let mut buf = Vec::new();
                 let aad =
                     stage_plaintext(hop.src.device_memory().get(src_ptr)?, dst_ptr.0, &mut buf);
@@ -554,165 +564,6 @@ impl ClusterContext {
         hop.link.stats.bytes += len;
         self.pending.push(timing.complete);
         Ok(timing)
-    }
-
-    /// Seals a source-device buffer for the `src → dst` direction at an
-    /// arbitrary (future) IV without advancing the edge counter —
-    /// speculative pre-encryption on a GPU-to-GPU hop. The seal is
-    /// reserved on the source device's crypto pool starting at `now`;
-    /// the returned time is when the ciphertext is ready.
-    ///
-    /// The chunked engine gang-shards the buffer across all
-    /// `crypto_threads` workers (near-linear until PCIe saturation), so a
-    /// speculative seal's latency shrinks with worker count just as the
-    /// blocking native path's does — what the pipeline hides is the *wire
-    /// scheduling*, not the crypto cost.
-    ///
-    /// # Errors
-    ///
-    /// - [`GpuError::Memory`] for unknown pointers.
-    /// - [`GpuError::Crypto`] ([`CryptoError::IvReused`]) if `iv` is below
-    ///   the direction's counter.
-    /// - [`GpuError::CcDisabled`] with CC off.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src_dev == dst_dev` or either index is out of range —
-    /// programming errors, as on the CUDA peer-copy API.
-    pub fn seal_edge_region(
-        &mut self,
-        now: SimTime,
-        src_dev: usize,
-        src_ptr: DevicePtr,
-        dst_dev: usize,
-        dst_ptr: DevicePtr,
-        iv: u64,
-    ) -> Result<(SealedMessage, SimTime), GpuError> {
-        if self.cc == CcMode::Off {
-            return Err(GpuError::CcDisabled);
-        }
-        let crypto = self.timing.crypto;
-        let threads = self.crypto_threads;
-        let hop = self.hop(src_dev, dst_dev);
-        let sender = hop.tx.endpoint_mut()?.tx();
-        if iv < sender.next_iv() {
-            return Err(GpuError::Crypto(CryptoError::IvReused { iv }));
-        }
-        let mut buf = Vec::new();
-        let payload = hop.src.device_memory().get(src_ptr)?;
-        let len = payload.len();
-        let aad = stage_plaintext(payload, dst_ptr.0, &mut buf);
-        let sealed = sender.seal_speculative_prepared(iv, aad.into(), buf)?;
-        let seal_time = crypto.pool_seal_time(len, threads);
-        let reservation = hop.src.crypto_pool_mut().reserve_gang(now, seal_time);
-        hop.link.timeline.record_crypto(seal_time);
-        Ok((sealed, reservation.end))
-    }
-
-    /// Submits pre-encrypted ciphertext over an edge: commits the sender
-    /// counter at the message's IV, moves the wire from
-    /// `max(now, ready_at)`, and opens at the destination. The issuing
-    /// thread only queues the staged ciphertext, so the API returns at
-    /// `now` — encryption is off the stage's critical path.
-    ///
-    /// # Errors
-    ///
-    /// - [`GpuError::Crypto`] with [`CryptoError::IvReused`] /
-    ///   [`CryptoError::IvMismatch`] if the message's IV is behind/ahead of
-    ///   the sender counter; either leaves both counters untouched.
-    /// - [`GpuError::Memory`] for unknown pointers or length mismatches.
-    /// - [`GpuError::CcDisabled`] with CC off.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src_dev == dst_dev` or either index is out of range —
-    /// programming errors, as on the CUDA peer-copy API.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_dtod_sealed(
-        &mut self,
-        now: SimTime,
-        ready_at: SimTime,
-        src_dev: usize,
-        dst_dev: usize,
-        dst_ptr: DevicePtr,
-        sealed: &SealedMessage,
-        payload_len: u64,
-    ) -> Result<MemcpyTiming, GpuError> {
-        if self.cc == CcMode::Off {
-            return Err(GpuError::CcDisabled);
-        }
-        let threads = self.crypto_threads;
-        let crypto = self.timing.crypto;
-        let cc_control = self.timing.cc_control;
-        let chaos = self.chaos.clone();
-        let src_is_a = src_dev < dst_dev;
-        let hop = self.hop(src_dev, dst_dev);
-        let sender = hop.tx.endpoint_mut()?.tx_mut();
-        let receiver = hop.rx.endpoint_mut()?;
-        // Validate the IV against the sender counter *without* committing,
-        // then open, then commit: an authentication failure (e.g. a stale
-        // entry sealed under another session's keys) must leave both
-        // counters untouched, or this session's edge would be out of
-        // lockstep forever.
-        {
-            let next = sender.next_iv();
-            if sealed.iv < next {
-                return Err(GpuError::Crypto(CryptoError::IvReused { iv: sealed.iv }));
-            }
-            if sealed.iv > next {
-                return Err(GpuError::Crypto(CryptoError::IvMismatch {
-                    iv: sealed.iv,
-                    expected: next,
-                }));
-            }
-        }
-        // A fault here strikes *after* IV validation — the frame really
-        // departs: the sender commits its counter, the receiver absorbs
-        // the mangled frame under the sentinel discipline, and the edge
-        // stays in lockstep with one IV burned on both ends.
-        if let Some(fault) = chaos
-            .as_ref()
-            .and_then(|c| c.roll_frame(FaultSite::DeviceToDevice))
-        {
-            sender.commit(sealed)?;
-            let iv = absorb_frame_fault(receiver.rx_mut(), fault, sealed.clone());
-            let depart = now.max(ready_at);
-            let wire = hop.link.timeline.transfer(depart, payload_len);
-            hop.link.stats.faulted += 1;
-            self.pending.push(wire.end + cc_control);
-            return Err(GpuError::TransferFaulted {
-                fault: fault.kind.label(),
-                iv,
-            });
-        }
-        let kind = sealed_kind(sealed);
-        let opened = match receiver.open(sealed) {
-            Ok(plaintext) => plaintext,
-            // As on the host channel: a failed open leaves both counters
-            // untouched and stays the recoverable speculative-submit signal.
-            Err(e) => return Err(GpuError::Crypto(e)),
-        };
-        sender.commit(sealed)?;
-        let depart = now.max(ready_at);
-        let wire = hop.link.timeline.transfer(depart, payload_len);
-        let open_time = crypto.pool_open_time(payload_len, threads);
-        let dec = hop.dst.crypto_pool_mut().reserve_gang(wire.end, open_time);
-        hop.link.timeline.record_crypto(open_time);
-        hop.dst
-            .device_memory_mut()
-            .store(dst_ptr, Payload::from_plaintext(kind, opened))?;
-        if src_is_a {
-            hop.link.stats.ab_ops += 1;
-        } else {
-            hop.link.stats.ba_ops += 1;
-        }
-        hop.link.stats.bytes += payload_len;
-        let done = dec.end + cc_control;
-        self.pending.push(done);
-        Ok(MemcpyTiming {
-            api_return: now,
-            complete: done,
-        })
     }
 
     /// Waits for every asynchronous operation submitted so far, across all
@@ -1040,83 +891,6 @@ mod tests {
     }
 
     #[test]
-    fn speculative_edge_seal_commits_in_order() {
-        let mut c = cluster(2, CcMode::On);
-        let src = seed_buffer(&mut c, 0, 7);
-        let dst = c.device_mut(1).alloc_device(CHUNK).unwrap();
-        let iv = ivs(&c, e01()).0;
-        let (sealed, ready) = c
-            .seal_edge_region(SimTime::ZERO, 0, src, 1, dst, iv)
-            .unwrap();
-        assert!(ready > SimTime::ZERO, "seal occupies the crypto pool");
-        let t = c
-            .submit_dtod_sealed(SimTime::ZERO, ready, 0, 1, dst, &sealed, CHUNK)
-            .unwrap();
-        assert_eq!(t.api_return, SimTime::ZERO, "submit does not block");
-        assert!(t.complete > ready);
-        assert_eq!(
-            c.device(1).device_memory().get(dst).unwrap(),
-            &Payload::Real(vec![7; CHUNK as usize])
-        );
-    }
-
-    #[test]
-    fn future_iv_submit_is_refused_without_moving_counters() {
-        let mut c = cluster(2, CcMode::On);
-        let src = seed_buffer(&mut c, 0, 9);
-        let dst = c.device_mut(1).alloc_device(CHUNK).unwrap();
-        let before = ivs(&c, e01());
-        let iv = before.0 + 2;
-        let (sealed, ready) = c
-            .seal_edge_region(SimTime::ZERO, 0, src, 1, dst, iv)
-            .unwrap();
-        let err = c
-            .submit_dtod_sealed(SimTime::ZERO, ready, 0, 1, dst, &sealed, CHUNK)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            GpuError::Crypto(CryptoError::IvMismatch { iv: got, expected })
-                if got == iv && expected == before.0
-        ));
-        // Neither the sender's nor the receiver's counter moved, and
-        // nothing crossed the edge.
-        assert_eq!(ivs(&c, e01()), before);
-        assert_eq!(c.edge(e01()).unwrap()[1].rx_iv(), before.0);
-        assert_eq!(c.edge_stats(e01()).unwrap(), EdgeStats::default());
-        assert!(!matches!(
-            c.device(1).device_memory().get(dst).unwrap(),
-            Payload::Real(_)
-        ));
-    }
-
-    #[test]
-    fn stale_edge_iv_is_refused() {
-        let mut c = cluster(2, CcMode::On);
-        let src = seed_buffer(&mut c, 0, 4);
-        let other = seed_buffer(&mut c, 0, 5);
-        let dst = c.device_mut(1).alloc_device(CHUNK).unwrap();
-        let iv = ivs(&c, e01()).0;
-        let (sealed, _) = c
-            .seal_edge_region(SimTime::ZERO, 0, src, 1, dst, iv)
-            .unwrap();
-        // A competing native transfer consumes the IV first.
-        c.memcpy_dtod_async(SimTime::ZERO, 0, other, 1, dst)
-            .unwrap();
-        let err = c
-            .submit_dtod_sealed(SimTime::ZERO, SimTime::ZERO, 0, 1, dst, &sealed, CHUNK)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            GpuError::Crypto(CryptoError::IvReused { .. })
-        ));
-        // Sealing below the counter is refused up front.
-        assert!(matches!(
-            c.seal_edge_region(SimTime::ZERO, 0, src, 1, dst, iv),
-            Err(GpuError::Crypto(CryptoError::IvReused { .. }))
-        ));
-    }
-
-    #[test]
     fn sessions_are_isolated_per_edge() {
         let mut c = cluster(2, CcMode::On);
         let a = c.active_session();
@@ -1145,22 +919,63 @@ mod tests {
             c.device_mut(d).open_session();
         }
         c.set_session(sid).unwrap();
-        let ends = c.edge_mut(e01()).unwrap();
+        let ends = c.edge(e01()).unwrap();
         assert!(ends[0].needs_rekey(), "a's sender is inside the headroom");
         assert!(!ends[1].needs_rekey(), "b's sender is not");
-        for end in ends.iter_mut() {
-            end.rekey_to(1);
-        }
-        assert_eq!(ends[1].epoch(), 1);
-        assert_eq!(ivs(&c, e01()), (1, 1), "counters restart after rekey");
-        // Traffic flows on the fresh epoch.
-        let src = seed_buffer(&mut c, 0, 6);
-        let dst = c.device_mut(1).alloc_device(CHUNK).unwrap();
-        c.memcpy_dtod_async(SimTime::ZERO, 0, src, 1, dst).unwrap();
-        assert_eq!(ivs(&c, e01()), (2, 1));
+        // A b → a transfer rekeys the edge first, though only the other
+        // direction is short of IVs: both ends move to epoch 1, both
+        // counters restart, and the transfer rides the fresh epoch.
+        let src = seed_buffer(&mut c, 1, 6);
+        let dst = c.device_mut(0).alloc_device(CHUNK).unwrap();
+        c.memcpy_dtod_async(SimTime::ZERO, 1, src, 0, dst).unwrap();
+        let [a, b] = c.edge(e01()).unwrap();
+        assert_eq!((a.epoch(), b.epoch()), (1, 1));
+        assert_eq!(ivs(&c, e01()), (1, 2), "counters restart after rekey");
+        assert_eq!(
+            c.device(0).device_memory().get(dst).unwrap(),
+            &Payload::Real(vec![6; CHUNK as usize])
+        );
         assert!(
             !c.edge(e01()).unwrap().iter().any(EdgeCrypto::needs_rekey),
             "fresh epoch is far from the limit"
+        );
+    }
+
+    #[test]
+    fn session_switch_keeps_lockstep() {
+        let mut c = cluster(2, CcMode::On);
+        let b = c.open_session();
+        let src = seed_buffer(&mut c, 0, 0xcd);
+        let dst = c.device_mut(1).alloc_device(CHUNK).unwrap();
+        c.memcpy_dtod_async(SimTime::ZERO, 0, src, 1, dst).unwrap();
+        // Switch to tenant B: the next hop seals under B's keys and IVs.
+        c.set_session(b).unwrap();
+        c.memcpy_dtod_async(SimTime::ZERO, 0, src, 1, dst).unwrap();
+        assert_eq!(ivs(&c, e01()), (2, 1));
+        assert_eq!(
+            c.device(1).device_memory().get(dst).unwrap(),
+            &Payload::Real(vec![0xcd; CHUNK as usize])
+        );
+    }
+
+    #[test]
+    fn foreign_rekey_keeps_lockstep() {
+        let mut c = cluster(2, CcMode::On);
+        let src = seed_buffer(&mut c, 1, 0x22);
+        let dst = c.device_mut(0).alloc_device(CHUNK).unwrap();
+        c.memcpy_dtod_async(SimTime::ZERO, 1, src, 0, dst).unwrap();
+        // Something else rekeys the whole edge (both directions' keys and
+        // counters restart) between two hops.
+        for end in c.edge_mut(e01()).unwrap() {
+            end.rekey_to(1);
+        }
+        // The next hop seals under the fresh epoch.
+        c.memcpy_dtod_async(SimTime::ZERO, 1, src, 0, dst).unwrap();
+        assert_eq!(c.edge(e01()).unwrap()[1].epoch(), 1);
+        assert_eq!(ivs(&c, e01()), (1, 2));
+        assert_eq!(
+            c.device(0).device_memory().get(dst).unwrap(),
+            &Payload::Real(vec![0x22; CHUNK as usize])
         );
     }
 
@@ -1173,17 +988,6 @@ mod tests {
             Err(GpuError::UnknownSession { session }) if session == bogus
         ));
         assert!(c.close_session(SessionId::DEFAULT).is_err());
-    }
-
-    #[test]
-    fn interposition_surface_requires_cc() {
-        let mut c = cluster(2, CcMode::Off);
-        let src = seed_buffer(&mut c, 0, 1);
-        let dst = c.device_mut(1).alloc_device(CHUNK).unwrap();
-        assert!(matches!(
-            c.seal_edge_region(SimTime::ZERO, 0, src, 1, dst, 1),
-            Err(GpuError::CcDisabled)
-        ));
     }
 
     #[test]
@@ -1256,32 +1060,45 @@ mod tests {
             ),
             "faulted hop must not deliver plaintext"
         );
+        // A retry at the fresh IV with the injector suppressed lands the
+        // payload: the channel survived the fault.
+        let chaos = Arc::clone(c.chaos().unwrap());
+        let _quiet = chaos.suppress();
+        c.memcpy_dtod_async(SimTime::ZERO, 0, src, 1, dst).unwrap();
+        assert_eq!(ivs(&c, e01()).0, 3);
+        assert_eq!(
+            c.device(1).device_memory().get(dst).unwrap(),
+            &Payload::Real(vec![0x11; CHUNK as usize])
+        );
     }
 
     #[test]
     fn faulted_submit_dtod_burns_the_validated_iv() {
         let mut c = storm_cluster(2);
-        let src = seed_buffer(&mut c, 0, 0x22);
-        let dst = c.device_mut(1).alloc_device(CHUNK).unwrap();
-        let iv = ivs(&c, e01()).0;
-        let (sealed, ready) = c
-            .seal_edge_region(SimTime::ZERO, 0, src, 1, dst, iv)
-            .unwrap();
-        let err = c.submit_dtod_sealed(SimTime::ZERO, ready, 0, 1, dst, &sealed, CHUNK);
-        assert!(matches!(err, Err(GpuError::TransferFaulted { .. })));
-        assert_eq!(ivs(&c, e01()).0, iv + 1);
-        // Retry at the fresh IV with the injector suppressed lands the
-        // payload — the channel survived the fault.
         let chaos = Arc::clone(c.chaos().unwrap());
+        let src = seed_buffer(&mut c, 1, 0x22);
+        let dst = c.device_mut(0).alloc_device(CHUNK).unwrap();
+        // One clean b → a hop first, so the IV the fault burns is not the
+        // session's first.
+        {
+            let _quiet = chaos.suppress();
+            c.memcpy_dtod_async(SimTime::ZERO, 1, src, 0, dst).unwrap();
+        }
+        let iv = ivs(&c, e01()).1;
+        assert_eq!(iv, 2);
+        let err = c.memcpy_dtod_async(SimTime::ZERO, 1, src, 0, dst);
+        assert!(
+            matches!(err, Err(GpuError::TransferFaulted { iv: burned, .. }) if burned == iv),
+            "got {err:?}"
+        );
+        // Both ends burned exactly that IV; the other direction is untouched.
+        assert_eq!(ivs(&c, e01()), (1, iv + 1));
+        // The retry seals at the fresh IV and lands the payload.
         let _quiet = chaos.suppress();
-        let iv2 = ivs(&c, e01()).0;
-        let (sealed2, ready2) = c
-            .seal_edge_region(SimTime::ZERO, 0, src, 1, dst, iv2)
-            .unwrap();
-        c.submit_dtod_sealed(SimTime::ZERO, ready2, 0, 1, dst, &sealed2, CHUNK)
-            .unwrap();
+        c.memcpy_dtod_async(SimTime::ZERO, 1, src, 0, dst).unwrap();
+        assert_eq!(ivs(&c, e01()), (1, iv + 2));
         assert_eq!(
-            c.device(1).device_memory().get(dst).unwrap(),
+            c.device(0).device_memory().get(dst).unwrap(),
             &Payload::Real(vec![0x22; CHUNK as usize])
         );
     }

@@ -488,29 +488,40 @@ pub enum RxOutcome {
     StaleEpoch,
 }
 
-/// Receives one data frame: fast-forwards the edge if the frame's epoch is
-/// ahead (the rekey control message may still be in flight), discards
-/// stale-epoch frames, and sentinel-opens everything else at the edge's
-/// receive counter with the locally recomputed AAD binding. The open is in
-/// place: the ciphertext body is taken out of `frame` (its header stays
-/// for the caller's ack) and decrypted where it lies: a large frame's in
-/// the buffer it was received into ([`crate::proto::Msg::decode_owned`]).
+/// Receives one data frame: discards stale-epoch frames, and
+/// sentinel-opens everything else at the edge's receive counter with the
+/// locally recomputed AAD binding. A frame that claims a newer epoch (the
+/// rekey control message may still be in flight) is opened under that
+/// epoch's candidate keys, and moves the edge there only if its tag
+/// verifies: the epoch field is not authenticated until then, so a forged
+/// one cannot ratchet the receiver ([`EdgeCrypto::open_ahead_or_sentinel`]).
+/// The open is in place: the ciphertext body is taken out of `frame` (its
+/// header stays for the caller's ack) and decrypted where it lies: a large
+/// frame's in the buffer it was received into
+/// ([`crate::proto::Msg::decode_owned`]).
 pub fn open_data(crypto: &mut EdgeCrypto, frame: &mut DataFrame) -> RxOutcome {
-    if frame.epoch < crypto.epoch() {
+    let current = crypto.epoch();
+    if frame.epoch < current {
         return RxOutcome::StaleEpoch;
     }
-    if frame.epoch > crypto.epoch() {
-        crypto.rekey_to(frame.epoch);
-    }
-    let aad = DataFrame::bind_aad(
-        frame.src,
-        frame.dst,
-        frame.epoch,
-        frame.iteration,
-        frame.micro_batch,
-        frame.sealed.len().saturating_sub(16) as u64,
-    );
-    let (buf, ok) = crypto.open_or_sentinel(&aad, std::mem::take(&mut frame.sealed));
+    let len = frame.sealed.len().saturating_sub(16) as u64;
+    let aad = |epoch| {
+        DataFrame::bind_aad(
+            frame.src,
+            frame.dst,
+            epoch,
+            frame.iteration,
+            frame.micro_batch,
+            len,
+        )
+    };
+    let claimed = aad(frame.epoch);
+    let sealed = std::mem::take(&mut frame.sealed);
+    let (buf, ok) = if frame.epoch == current {
+        crypto.open_or_sentinel(&claimed, sealed)
+    } else {
+        crypto.open_ahead_or_sentinel(frame.epoch, &claimed, &aad(current), sealed)
+    };
     if ok {
         RxOutcome::Plain(buf)
     } else {
@@ -620,6 +631,58 @@ mod tests {
         );
         assert!(started.elapsed() < Duration::from_secs(1));
         assert_eq!(rx.epoch(), 1 << 20);
+    }
+
+    #[test]
+    fn a_forged_epoch_neither_ratchets_nor_desyncs() {
+        // A relay rewrites an honest frame's epoch five ahead: the claim
+        // must not move the receiver before a tag verifies under it.
+        let (mut tx, mut rx) = pair(WireEdge::between(1, 2));
+        let mut forged = frame_for(&mut tx, 1, 2, 0, 0, b"honest bytes");
+        forged.epoch += 5;
+        assert_eq!(open_data(&mut rx, &mut forged), RxOutcome::Sentinel);
+        assert!(forged.sealed.is_empty(), "the body was taken and scrubbed");
+        assert_eq!(rx.epoch(), 0, "no ratchet on an unverified epoch");
+        assert_eq!(rx.rx_iv(), tx.tx_iv(), "the IV is consumed: lockstep");
+        // The sender's next frame (the NACK's reseal) opens normally.
+        let mut next = frame_for(&mut tx, 1, 2, 0, 0, b"honest bytes");
+        assert_eq!(
+            open_data(&mut rx, &mut next),
+            RxOutcome::Plain(b"honest bytes".to_vec())
+        );
+        // A later rekey to the forged epoch starts both ends at IV 1.
+        tx.rekey_to(5);
+        rx.rekey_to(5);
+        let mut fresh = frame_for(&mut tx, 1, 2, 0, 1, b"epoch five");
+        assert_eq!(
+            open_data(&mut rx, &mut fresh),
+            RxOutcome::Plain(b"epoch five".to_vec())
+        );
+    }
+
+    #[test]
+    fn a_corrupt_first_frame_of_a_new_epoch_keeps_lockstep() {
+        // The sender rekeyed and its first frame was corrupted in flight,
+        // before the receiver heard of the rekey. Whether the reseal or the
+        // rekey message reaches the receiver first, the ends stay aligned.
+        for rekey_first in [false, true] {
+            let (mut tx, mut rx) = pair(WireEdge::between(1, 2));
+            tx.rekey_to(1);
+            let mut corrupt = frame_for(&mut tx, 1, 2, 0, 0, b"payload");
+            corrupt.sealed[0] ^= 1;
+            assert_eq!(open_data(&mut rx, &mut corrupt), RxOutcome::Sentinel);
+            assert_eq!(rx.epoch(), 0);
+            if rekey_first {
+                rx.rekey_to(1);
+            }
+            let mut reseal = frame_for(&mut tx, 1, 2, 0, 0, b"payload");
+            assert_eq!(
+                open_data(&mut rx, &mut reseal),
+                RxOutcome::Plain(b"payload".to_vec()),
+                "rekey first: {rekey_first}"
+            );
+            assert_eq!((rx.epoch(), rx.rx_iv()), (1, tx.tx_iv()));
+        }
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //! - [`PipelineSystem::CcNative`]: native CC — every hop seals on the
 //!   issuing stage's thread and decrypts before use, crypto on the
 //!   critical path at both ends of every link;
-//! - [`PipelineSystem::PipeLlm`]: the speculative [`EdgePipeline`] per
-//!   edge direction — the moment its producer kernel retires, an
-//!   activation the predictor expects is sealed on a crypto worker and
-//!   submitted in one call, so the stage thread never blocks on
-//!   encryption and the seal overlaps the next micro-batch's compute.
+//! - [`PipelineSystem::PipeLlm`]: the same transfer with the stage thread
+//!   freed — an activation is known the moment its producer kernel
+//!   retires, so its seal runs on the source device's crypto pool while
+//!   the stage thread moves on to the next micro-batch's compute.
 //!
 //! The engine is *functional*: micro-batch bytes really cross the links
 //! under AES-GCM with per-edge incrementing IVs, and each stage applies
@@ -30,9 +29,7 @@
 use crate::engine::ServingEngine;
 use crate::report::ServingReport;
 use crate::resilience::ResilienceStats;
-use pipellm::edge::EdgePipeline;
 use pipellm::partition::{apply_stage, Pass, PipelineSchedule, ScheduleOp, StagePartition};
-use pipellm::stats::PipeLlmStats;
 use pipellm_chaos::{ChaosInjector, FaultKind, FaultSite, RetryPolicy};
 use pipellm_crypto::edge::WireEdge;
 use pipellm_gpu::cluster::{ClusterConfig, ClusterContext, NvLinkModel};
@@ -51,7 +48,7 @@ pub enum PipelineSystem {
     CcOff,
     /// Native CC: seal/open coupled to every transfer API call.
     CcNative,
-    /// PipeLLM: speculative pre-encryption per edge direction.
+    /// PipeLLM: the native transfer with the seal off the stage thread.
     PipeLlm,
 }
 
@@ -148,11 +145,6 @@ pub struct PipelineEngine {
     config: PipelineConfig,
     cluster: ClusterContext,
     partition: StagePartition,
-    /// Forward edge pipelines, `fwd[s]` covering `s → s+1` (PipeLLM only).
-    fwd_pipes: Vec<EdgePipeline>,
-    /// Backward edge pipelines, `bwd[s]` covering `s+1 → s` (PipeLLM +
-    /// training only).
-    bwd_pipes: Vec<EdgePipeline>,
     /// Per-stage, per-micro-batch activation buffers on device `s`.
     in_buf: Vec<Vec<DevicePtr>>,
     /// Per-stage gradient source buffer (training).
@@ -245,27 +237,10 @@ impl PipelineEngine {
                     .alloc_real(vec![0u8; len as usize])
             })
             .collect();
-        let speculative = config.system == PipelineSystem::PipeLlm;
-        let fwd_pipes = if speculative {
-            (0..stages.saturating_sub(1))
-                .map(|s| EdgePipeline::new(s, s + 1))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let bwd_pipes = if speculative && config.train {
-            (0..stages.saturating_sub(1))
-                .map(|s| EdgePipeline::new(s + 1, s))
-                .collect()
-        } else {
-            Vec::new()
-        };
         PipelineEngine {
             config,
             cluster,
             partition,
-            fwd_pipes,
-            bwd_pipes,
             in_buf,
             grad_src,
             grad_dst,
@@ -297,16 +272,6 @@ impl PipelineEngine {
     /// an injector or when no fault fired).
     pub fn resilience(&self) -> &ResilienceStats {
         &self.resilience
-    }
-
-    /// Aggregate speculation statistics over every edge direction
-    /// (all-zero for the non-speculative systems).
-    pub fn spec_stats(&self) -> PipeLlmStats {
-        let mut total = PipeLlmStats::default();
-        for pipe in self.fwd_pipes.iter().chain(self.bwd_pipes.iter()) {
-            total += pipe.stats();
-        }
-        total
     }
 
     /// Errors if any edge's two ends ended out of lockstep for any live
@@ -458,8 +423,8 @@ impl PipelineEngine {
                 let fresh = self.cluster.open_session();
                 self.cluster.set_session(fresh)?;
                 self.cluster.close_session(old)?;
-                // The edge pipelines seal every later hop under the fresh
-                // session's keys and IVs; nothing sealed earlier is pending.
+                // Every later hop seals under the fresh session's keys and
+                // IVs; nothing sealed earlier is pending.
                 Ok(now + self.config.restart_penalty)
             }
             FaultKind::RekeyRace => {
@@ -483,16 +448,7 @@ impl PipelineEngine {
     ) -> Result<(SimTime, SimTime), GpuError> {
         let src = self.in_buf[stage][m];
         let dst = self.in_buf[stage + 1][m];
-        let len = self.config.activation_bytes;
-        if self.config.system == PipelineSystem::PipeLlm {
-            let t = self.fwd_pipes[stage].send(&mut self.cluster, now, src, dst, len)?;
-            Ok((t.api_return, t.complete))
-        } else {
-            let t = self
-                .cluster
-                .memcpy_dtod_async(now, stage, src, stage + 1, dst)?;
-            Ok((t.api_return, t.complete))
-        }
+        self.send(now, stage, src, stage + 1, dst)
     }
 
     /// Sends the gradient of `(stage, m)` to `stage - 1` at `now`.
@@ -504,16 +460,31 @@ impl PipelineEngine {
     ) -> Result<(SimTime, SimTime), GpuError> {
         let src = self.grad_src[stage];
         let dst = self.grad_dst[stage - 1];
-        let len = self.config.activation_bytes;
-        if self.config.system == PipelineSystem::PipeLlm {
-            let t = self.bwd_pipes[stage - 1].send(&mut self.cluster, now, src, dst, len)?;
-            Ok((t.api_return, t.complete))
+        self.send(now, stage, src, stage - 1, dst)
+    }
+
+    /// One inter-stage hop at `now`, returning `(stage thread free,
+    /// arrival)`. Every system takes the one cluster transfer path; under
+    /// PipeLLM the stage thread does not wait for the seal: the
+    /// activation is known the moment its producer kernel retires, so the
+    /// crypto pool seals it while the stage computes on.
+    fn send(
+        &mut self,
+        now: SimTime,
+        src_dev: usize,
+        src: DevicePtr,
+        dst_dev: usize,
+        dst: DevicePtr,
+    ) -> Result<(SimTime, SimTime), GpuError> {
+        let t = self
+            .cluster
+            .memcpy_dtod_async(now, src_dev, src, dst_dev, dst)?;
+        let free = if self.config.system == PipelineSystem::PipeLlm {
+            now
         } else {
-            let t = self
-                .cluster
-                .memcpy_dtod_async(now, stage, src, stage - 1, dst)?;
-            Ok((t.api_return, t.complete))
-        }
+            t.api_return
+        };
+        Ok((free, t.complete))
     }
 
     /// Applies stage `stage`'s layer range to the activation buffer of
@@ -759,7 +730,7 @@ mod tests {
     #[test]
     fn pipellm_frees_the_stage_threads_and_beats_native_cc() {
         let (_, native) = run(config(4, PipelineSystem::CcNative));
-        let (engine, pipellm) = run(config(4, PipelineSystem::PipeLlm));
+        let (_, pipellm) = run(config(4, PipelineSystem::PipeLlm));
         let (_, off) = run(config(4, PipelineSystem::CcOff));
         assert!(
             pipellm.tokens_per_sec > native.tokens_per_sec,
@@ -768,22 +739,15 @@ mod tests {
             native.tokens_per_sec
         );
         assert!(off.tokens_per_sec >= pipellm.tokens_per_sec);
-        let stats = engine.spec_stats();
-        assert!(stats.spec_hits > 0, "{stats}");
-        assert!(
-            stats.success_rate() > 0.8,
-            "ring slots are highly predictable: {stats}"
-        );
     }
 
     #[test]
     fn single_stage_pipellm_equals_native_cc() {
-        // With no inter-stage links the speculative system degenerates to
+        // With no inter-stage links the PipeLLM system degenerates to
         // the native one exactly.
         let (_, native) = run(config(1, PipelineSystem::CcNative));
-        let (engine, pipellm) = run(config(1, PipelineSystem::PipeLlm));
+        let (_, pipellm) = run(config(1, PipelineSystem::PipeLlm));
         assert_eq!(pipellm.finished_at, native.finished_at);
-        assert_eq!(engine.spec_stats(), PipeLlmStats::default());
     }
 
     #[test]
@@ -953,7 +917,7 @@ mod tests {
     fn session_chaos_on_both_edge_directions_keeps_lockstep() {
         // Training sends over both directions of every edge, so every
         // churn and every raced rekey lands on a forward and a backward
-        // edge pipeline at once.
+        // edge direction at once.
         let train = |cfg: PipelineConfig| PipelineConfig {
             train: true,
             iterations: 6,
@@ -970,8 +934,6 @@ mod tests {
             .expect("lockstep after churns and rekeys");
         assert_eq!(engine.outputs(), clean.outputs());
         assert_eq!(report.completed, 24);
-        let stats = engine.spec_stats();
-        assert_eq!(stats.speculated, stats.spec_hits, "{stats}");
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! encrypted inter-stage links.
 //!
 //! Each device-to-device edge owns its own secure channel per session
-//! (keys and IV counters independent per link); the PipeLLM system hides
-//! the per-hop AES-GCM seals behind speculative edge pipelines, so the
-//! stage threads never block on encryption. The run verifies bit-exact
-//! outputs against the single-GPU configuration and prints the per-device
-//! and per-edge utilization timelines.
+//! (keys and IV counters independent per link); the PipeLLM system seals
+//! each activation on the crypto pool the moment its producer kernel
+//! retires, so the stage threads never block on encryption. The run
+//! verifies bit-exact outputs against the single-GPU configuration and
+//! prints the per-device and per-edge utilization timelines.
 //!
 //! Run with: `cargo run --release --example pipeline_parallel`
 
@@ -50,7 +50,6 @@ fn main() {
             .verify_edges()
             .expect("per-edge counters in lockstep");
         if system == PipelineSystem::PipeLlm {
-            println!("  edge speculation: {}", engine.spec_stats());
             print!("{}", engine.cluster().timeline_summary(report.finished_at));
         }
     }

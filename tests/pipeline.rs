@@ -70,7 +70,6 @@ fn pipellm_throughput_at_least_native_cc_at_every_stage_count() {
                 pipellm.tokens_per_sec > cc.tokens_per_sec,
                 "{stages} stages: hiding the per-hop seals must win outright"
             );
-            assert!(engine.spec_stats().spec_hits > 0);
         }
         engine.verify_edges().expect("edges in lockstep");
     }
